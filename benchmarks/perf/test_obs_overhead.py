@@ -35,7 +35,8 @@ from dataclasses import astuple
 from pathlib import Path
 
 from benchmarks.perf import bench_sim_kernel
-from repro.experiments.runner import simulate_mix
+from repro.api import RunSpec
+from repro.experiments.runner import simulate_spec
 from repro.obs import CompositeObserver, EventTracer, IntervalRecorder, Observer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -53,7 +54,8 @@ def _signature(result):
 
 
 def test_observer_variants_are_bit_identical():
-    bare = simulate_mix(MIX, "avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED)
+    spec = RunSpec(mix=MIX, scheme="avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED)
+    bare = simulate_spec(spec)
     variants = {
         "observer=None": None,
         "inert Observer()": Observer(),
@@ -63,22 +65,19 @@ def test_observer_variants_are_bit_identical():
     }
     expected = _signature(bare)
     for label, observer in variants.items():
-        result = simulate_mix(
-            MIX, "avgcc", quota=QUOTA, warmup=WARMUP, seed=SEED, observer=observer
-        )
+        result = simulate_spec(spec, observer=observer)
         assert _signature(result) == expected, f"{label} changed simulated state"
 
 
 def test_disabled_observer_throughput_within_band():
     band = float(os.environ.get("REPRO_OBS_BAND", "1.5"))
+    spec = RunSpec(mix=MIX, scheme="ascc", quota=QUOTA, warmup=WARMUP, seed=SEED)
 
     def best_of(n, observer):
         best = float("inf")
         for _ in range(n):
             start = time.perf_counter()
-            simulate_mix(
-                MIX, "ascc", quota=QUOTA, warmup=WARMUP, seed=SEED, observer=observer
-            )
+            simulate_spec(spec, observer=observer)
             best = min(best, time.perf_counter() - start)
         return best
 

@@ -4,7 +4,7 @@ Two ideas:
 
 * :class:`RunSpec` — a frozen, validated, content-addressed description
   of one simulation (mix, scheme, quota, warmup, seed, scale, ...).
-  Build one, reuse it everywhere: runners, the batch service, the CLI
+  Build one, reuse it everywhere: sessions, the batch service, the CLI
   and the cache all speak RunSpec.
 * :class:`Session` — the façade that answers specs: single results,
   normalised outcomes, prewarmed batches, telemetry and traces, with
@@ -28,9 +28,9 @@ from repro.api.spec import (
     spec_grid,
 )
 
-#: Session wraps the experiment runners, which themselves speak RunSpec:
-#: importing it eagerly here would make ``repro.api.spec`` (imported by
-#: the runner module) circular.  Resolve the session-side names lazily.
+#: The session module imports the experiment runner module, which itself
+#: imports ``repro.api.spec``: importing it eagerly here would be
+#: circular.  Resolve the session-side names lazily.
 _SESSION_EXPORTS = ("Session", "result_digest", "result_summary")
 
 #: The service tier imports ``repro.api.spec`` itself, so these resolve

@@ -4,21 +4,22 @@ A session owns the orchestration knobs (worker processes, disk cache,
 timeouts, retries, reporting) once, then answers any
 :class:`~repro.api.spec.RunSpec`:
 
-* ``result(spec)`` / ``outcome(spec)`` — one cell, lazily, through a
-  cached :class:`~repro.experiments.runner.ExperimentRunner` (or its
-  supervised parallel subclass when any knob is set);
-* ``prewarm(specs)`` — a whole batch at once: the specs are grouped by
-  their simulation parameters, each group fanned out through the
-  supervised pool, baselines and stand-alone runs included;
+* ``result(spec)`` / ``outcome(spec)`` — one cell (plus, for an
+  outcome, its mix's baseline and each member's stand-alone run);
+* ``prewarm(specs)`` / ``run_many(specs)`` — a whole batch at once,
+  baselines and stand-alone runs included;
 * ``stats(spec)`` / ``trace(spec)`` — the same simulation with interval
   telemetry or event tracing attached (bit-identical by the observer
   contract).
 
-Specs with different parameters (quota, scale, L2 size, prefetcher...)
-can share one session: runners are keyed by
-:meth:`RunSpec.runner_key` and built on demand, all sharing the same
-disk cache directory — the canonical :meth:`RunSpec.cache_key` makes
-their entries mutually reusable.
+Every answer comes from one ``{RunSpec: SystemResult}`` memo.  A miss
+is filled by one :func:`repro.service.scheduler.run_batch` call — the
+single execution path shared with the batch service and the cluster —
+so fan-out, the disk-cache and trace pre-passes, supervision and the
+run report are the scheduler's.  Specs with different parameters
+(quota, scale, L2 size, prefetcher...) share one session freely: the
+canonical :meth:`RunSpec.cache_key` keys both the memo and the disk
+cache.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 from typing import Iterable, Iterator, Optional
 
 from repro.api.spec import RunSpec
-from repro.experiments.runner import ExperimentRunner, MixOutcome, simulate_spec
+from repro.experiments.runner import MixOutcome, simulate_spec
 from repro.sim.results import SystemResult
 
 
@@ -77,12 +78,13 @@ def result_summary(result: SystemResult) -> dict:
 
 
 class Session:
-    """Answers :class:`RunSpec` requests; owns runners and their knobs.
+    """Answers :class:`RunSpec` requests from one memo over ``run_batch``.
 
     ``jobs``/``cache_dir``/``timeout``/``retries``/``report_path``/
     ``metrics_path`` mirror the CLI orchestration flags and are passed
-    to :func:`repro.experiments.parallel.make_runner` for every runner
-    the session builds.
+    to every :func:`~repro.service.scheduler.run_batch` call the
+    session makes.  Nothing from :mod:`repro.service` is imported until
+    the first miss.
     """
 
     def __init__(
@@ -103,33 +105,7 @@ class Session:
             report_path=report_path,
             metrics_path=metrics_path,
         )
-        self._runners: dict[tuple, ExperimentRunner] = {}
-
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def adopt(cls, runner: Optional[ExperimentRunner] = None) -> "Session":
-        """A session that routes matching specs through ``runner``.
-
-        Lets spec-based callers (the experiment grids, ``run_mix``)
-        reuse a runner the caller already holds — including its warm
-        in-memory results — instead of simulating afresh.
-        """
-        session = cls()
-        if runner is not None:
-            session._runners[_runner_key(runner)] = runner
-        return session
-
-    def runner_for(self, spec: RunSpec) -> ExperimentRunner:
-        """The (cached) runner whose parameters match ``spec``."""
-        from repro.experiments.parallel import make_runner
-
-        key = spec.runner_key()
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = make_runner(**self._knobs, **spec.runner_params())
-            self._runners[key] = runner
-        return runner
+        self._results: dict[RunSpec, SystemResult] = {}
 
     # ------------------------------------------------------------------ #
     # Single cells
@@ -138,43 +114,41 @@ class Session:
     def result(self, spec: RunSpec) -> SystemResult:
         """Simulate (or fetch) one spec's raw :class:`SystemResult`."""
         spec.validate()
-        return self.runner_for(spec).run(spec.mix, spec.scheme)
+        if spec not in self._results:
+            self._run([spec])
+        return self._results[spec]
 
     def outcome(self, spec: RunSpec) -> MixOutcome:
         """One spec's result normalised against baseline/stand-alone runs."""
         spec.validate()
-        return self.runner_for(spec).outcome(spec.mix, spec.scheme)
+        cells = _outcome_cells(spec)
+        if any(cell not in self._results for cell in cells):
+            self._run(cells)
+        result, baseline, *alone = (self._results[cell] for cell in cells)
+        return MixOutcome(
+            result=result,
+            baseline=baseline,
+            alone_ipcs=tuple(run.cores[0].ipc for run in alone),
+        )
 
     # ------------------------------------------------------------------ #
     # Batches
     # ------------------------------------------------------------------ #
 
-    def prewarm(self, specs: Iterable[RunSpec]) -> list:
-        """Bulk-simulate a batch of specs (plus their baselines).
+    def prewarm(self, specs: Iterable[RunSpec]):
+        """Bulk-simulate a batch of specs plus their baselines.
 
-        Specs are grouped by simulation parameters; each group goes
-        through its runner's ``prewarm`` (the supervised fan-out on a
-        parallel runner).  Returns the per-group reports —
-        :class:`~repro.experiments.supervision.RunReport` instances for
-        supervised runners, ``None`` for plain serial ones.
+        Every spec's outcome cells (the spec, its mix's baseline and
+        each member's stand-alone run) not yet in the memo go through
+        one ``run_batch`` call, whose
+        :class:`~repro.experiments.supervision.RunReport` is returned
+        (and written to ``report_path``/``metrics_path``).  Raises
+        :class:`~repro.experiments.supervision.SupervisionError` naming
+        the specs that exhausted their retries; every other cell stays
+        in the memo and the disk cache.
         """
-        reports = []
-        for runner, group in self._grouped(specs):
-            schemes = list(dict.fromkeys(spec.scheme for spec in group))
-            by_scheme: dict[str, list] = {scheme: [] for scheme in schemes}
-            for spec in group:
-                if spec.mix not in by_scheme[spec.scheme]:
-                    by_scheme[spec.scheme].append(spec.mix)
-            mixes = list(dict.fromkeys(spec.mix for spec in group))
-            cells = {(spec.mix, spec.scheme) for spec in group}
-            if cells == {(mix, scheme) for mix in mixes for scheme in schemes}:
-                # A full product: one fan-out covers the whole group.
-                reports.append(runner.prewarm(mixes, schemes))
-            else:
-                # Ragged batch: fan out per scheme with its own mixes.
-                for scheme in schemes:
-                    reports.append(runner.prewarm(by_scheme[scheme], [scheme]))
-        return reports
+        cells = [cell for spec in specs for cell in _outcome_cells(spec.validate())]
+        return self._run(cells)
 
     def run_many(
         self, specs: Iterable[RunSpec]
@@ -185,12 +159,23 @@ class Session:
         for spec in specs:
             yield spec, self.result(spec)
 
-    def _grouped(self, specs: Iterable[RunSpec]):
-        groups: dict[tuple, list[RunSpec]] = {}
-        for spec in specs:
-            groups.setdefault(spec.runner_key(), []).append(spec.validate())
-        for key, group in groups.items():
-            yield self.runner_for(group[0]), group
+    def _run(self, specs: list[RunSpec]):
+        """Fill the memo's misses among ``specs`` with one ``run_batch``."""
+        from repro.service.scheduler import run_batch
+
+        missing = [spec for spec in dict.fromkeys(specs) if spec not in self._results]
+        outcomes, _stats, report = run_batch(missing, journal=False, **self._knobs)
+        failed = {}
+        for spec, outcome in zip(missing, outcomes):
+            if isinstance(outcome, BaseException):
+                failed[spec] = getattr(outcome, "kind", repr(outcome))
+            else:
+                self._results[spec] = outcome
+        if failed:
+            from repro.experiments.supervision import SupervisionError
+
+            raise SupervisionError(failed, report)
+        return report
 
     # ------------------------------------------------------------------ #
     # Observed runs
@@ -219,13 +204,10 @@ class Session:
         return tracer
 
 
-def _runner_key(runner: ExperimentRunner) -> tuple:
-    pf = runner.prefetch
-    return (
-        runner.quota,
-        runner.warmup,
-        runner.seed,
-        runner.scale.scale,
-        runner.l2_paper_bytes,
-        None if pf is None else (pf.table_entries, pf.degree, pf.confidence_threshold),
-    )
+def _outcome_cells(spec: RunSpec) -> list[RunSpec]:
+    """``[spec, mix baseline, stand-alone baseline per member]``."""
+    return [
+        spec,
+        spec.replace(scheme="baseline"),
+        *(spec.replace(mix=(code,), scheme="baseline") for code in spec.mix),
+    ]

@@ -1,7 +1,7 @@
 """The canonical simulation request: a frozen, validated :class:`RunSpec`.
 
 Every consumer of the simulator — the CLI, the figure/table experiments,
-the parallel runner, the batch service — ultimately asks the same
+the session, the batch service — ultimately asks the same
 question: *simulate this mix under this scheme with these parameters*.
 Historically each of them re-spelled that question as a different bag of
 ``(mix, scheme, quota, warmup, seed, scale, ...)`` kwargs and assembled
@@ -13,9 +13,9 @@ its own cache keys.  :class:`RunSpec` is the one spelling:
   check (positive quota, non-negative warmup, known mix codes, known
   scheme, sane scale) with a single actionable message per defect,
   replacing the per-callsite checks that used to live in the CLI, the
-  engine and the runners;
+  engine and the experiment runners;
 * **content-addressed** — :meth:`RunSpec.cache_key` is the *single*
-  canonical disk-cache key; the parallel runner and the batch service
+  canonical disk-cache key; the session memo and the batch service
   derive their keys from it, so a result computed by one is a cache hit
   for the other.
 
@@ -36,8 +36,8 @@ from repro.sim.config import PAPER_L2, PrefetchConfig, ScaleModel
 #: Bump when the simulation's observable output, the spec's key layout,
 #: or the cache-entry format changes; old entries then miss instead of
 #: poisoning results.  v3: keys are derived from the canonical
-#: ``RunSpec.key_tuple()`` (one layout for the parallel runner and the
-#: batch service) rather than the runner-fingerprint tuple of v2.
+#: ``RunSpec.key_tuple()`` (one layout for every consumer) rather than
+#: the runner-fingerprint tuple of v2.
 CACHE_FORMAT_VERSION = 3
 
 #: Scheme name handled outside the policy registry (Section 6.1's
@@ -103,7 +103,7 @@ class RunSpec:
     """One simulation request, fully specified and immutable.
 
     Defaults mirror the paper methodology (and the historical
-    ``simulate_mix``/``ExperimentRunner`` defaults), so
+    ``ExperimentRunner`` defaults), so
     ``RunSpec(mix=(471, 444))`` is the headline AVGCC cell.
 
     ``quota < warmup`` is deliberately legal: the engine warms for
@@ -294,9 +294,9 @@ class RunSpec:
     def cache_key(self) -> str:
         """The canonical content-addressed key for this spec's result.
 
-        The single key shared by :class:`repro.experiments.parallel.ResultCache`
-        consumers — the parallel runner and the batch service — so any of
-        them can serve a result the other computed.
+        The single key of the :class:`repro.experiments.parallel.ResultCache`,
+        the session memo and the batch service's dedup, so any of them
+        can serve a result another computed.
         """
         payload = repr((CACHE_FORMAT_VERSION, self.key_tuple()))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -314,17 +314,6 @@ class RunSpec:
             seed=self.seed,
             l2_paper_bytes=self.l2_paper_bytes,
             prefetch=None if self.prefetch is None else PrefetchConfig(*self.prefetch),
-        )
-
-    def runner_key(self) -> tuple:
-        """Hashable grouping key: specs sharing it share one runner."""
-        return (
-            self.quota,
-            self.warmup,
-            self.seed,
-            self.scale,
-            self.l2_paper_bytes,
-            self.prefetch,
         )
 
     def cell(self) -> tuple[tuple[int, ...], str]:

@@ -60,7 +60,7 @@ Commands
     simulate the spec once with the runtime invariant checker attached
     and print its digest; with ``--grid``, execute it across every
     {cache backend} x {trace mode} x {execution path} combination and
-    assert the twelve result digests are identical::
+    assert the eight result digests are identical::
 
         python -m repro.cli verify --mix 471+444 --grid --jobs 2
 
@@ -123,7 +123,7 @@ from repro.experiments import (
     tab4_sizes,
     tab5_cost,
 )
-from repro.experiments.parallel import make_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.supervision import SupervisionError
 from repro.policies.registry import available_schemes
 from repro.workloads.mixes import MIX2, MIX4, mix_name
@@ -237,9 +237,12 @@ def _spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:
         raise _spec_error(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
-def _runner_flags(args: argparse.Namespace) -> dict:
-    """The orchestration knobs every runner-building command shares."""
-    return dict(
+def _session(args: argparse.Namespace):
+    """A :class:`Session` carrying the orchestration flags every
+    simulating command shares."""
+    from repro.api.session import Session
+
+    return Session(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         timeout=args.timeout,
@@ -247,12 +250,6 @@ def _runner_flags(args: argparse.Namespace) -> dict:
         report_path=args.report,
         metrics_path=args.metrics,
     )
-
-
-def _session(args: argparse.Namespace):
-    from repro.api.session import Session
-
-    return Session(**_runner_flags(args))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -288,9 +285,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"unknown experiment {args.name!r}; available: {', '.join(sorted(_EXPERIMENTS))}"
         )
     if needs_runner:
-        result = run(make_runner(**_runner_flags(args)))
+        result = run(ExperimentRunner(session=_session(args)))
     elif args.name in ("sec63pf", "tab4"):
-        # These build their own runners (special prefetch / L2-size
+        # These build their own sessions (special prefetch / L2-size
         # parameters); pass the orchestration knobs through instead.
         result = run(
             jobs=args.jobs,
@@ -307,7 +304,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.analysis.calibration import calibrate, format_calibration
 
-    runner = make_runner(**_runner_flags(args), quota=args.quota, warmup=args.warmup)
+    runner = ExperimentRunner(session=_session(args), quota=args.quota, warmup=args.warmup)
     print(format_calibration(calibrate(runner)))
     return 0
 
@@ -1058,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int("--jobs"),
         default=2,
-        help="worker processes for the grid's parallel/batch cells (default: 2)",
+        help="worker processes for the grid's batch cells (default: 2)",
     )
     add_trace_cache_flag(verify_p)
     verify_p.set_defaults(fn=_cmd_verify)

@@ -50,7 +50,6 @@ from repro.service.executor import (
     ExecutorConfig,
     ExecutorError,
     ExecutorStats,
-    _UNSET,
 )
 
 #: Poll interval for the dispatch/reap/staleness loop (seconds).
@@ -326,14 +325,14 @@ class ClusterExecutor(Executor):
     def submit(self, cell, payload: dict) -> None:
         self._buffer[cell] = payload
 
-    def drain(self, timeout=_UNSET) -> dict:
+    def drain(self, timeout: Optional[float] = None) -> dict:
         if self._worker is None:
             raise RuntimeError("executor is not bound; call bind() first")
         buffer, self._buffer = self._buffer, {}
         if not buffer:
             return {}
         report = self._report if self._report is not None else RunReport()
-        effective = self.config.timeout if timeout is _UNSET else timeout
+        effective = self.config.timeout if timeout is None else timeout
         state = _Drain(buffer, report, self.config.retries, self.config.backoff)
         if self.config.fault_plan is not None:
             self.config.fault_plan.bind(list(buffer))

@@ -59,18 +59,13 @@ def compare(
     """Run the (mix x scheme) matrix for one improvement metric."""
     if metric not in ("speedup", "fairness", "aml", "offchip"):
         raise ValueError(f"unknown metric {metric!r}")
-    from repro.api.session import Session
-
-    # The matrix is a batch of RunSpecs against the adopted runner: a
-    # parallel runner simulates the whole batch up front (prewarm); the
-    # serial runner's prewarm is a no-op and the loop computes lazily.
-    session = Session.adopt(runner)
-    specs = [runner.spec(tuple(mix), scheme) for mix in mixes for scheme in schemes]
-    session.prewarm(specs)
+    # One batch covers the whole matrix, baselines included; the loop
+    # below then reads the session's memo.
+    runner.prewarm(mixes, schemes)
     values: dict[tuple[str, str], float] = {}
     for mix in mixes:
         for scheme in schemes:
-            outcome = session.outcome(runner.spec(tuple(mix), scheme))
+            outcome = runner.outcome(mix, scheme)
             if metric == "speedup":
                 value = outcome.speedup_improvement
             elif metric == "fairness":

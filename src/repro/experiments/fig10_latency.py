@@ -57,18 +57,15 @@ def run(
     schemes: list[str] | None = None,
 ) -> Figure10Result:
     """Collect latency breakdowns for every (mix, scheme) pair."""
-    from repro.api.session import Session
-
     runner = runner or ExperimentRunner()
     mixes = mixes if mixes is not None else list(MIX2)
     schemes = schemes if schemes is not None else list(SCHEMES)
-    session = Session.adopt(runner)
-    specs = [runner.spec(tuple(mix), scheme) for mix in mixes for scheme in schemes]
-    session.prewarm(specs)
-    breakdowns = {}
-    for spec in specs:
-        outcome = session.outcome(spec)
-        breakdowns[(mix_name(spec.mix), spec.scheme)] = outcome.latency
+    runner.prewarm(mixes, schemes)
+    breakdowns = {
+        (mix_name(mix), scheme): runner.outcome(mix, scheme).latency
+        for mix in mixes
+        for scheme in schemes
+    }
     return Figure10Result(
         schemes=tuple(schemes),
         breakdowns=breakdowns,

@@ -1,9 +1,12 @@
-"""Experiment runner: (mix x scheme) simulations with shared baselines.
+"""Experiment runner: (mix x scheme) cells over a shared :class:`Session`.
 
 Every paper figure compares schemes against the private-LRU baseline and
-normalises per-application IPCs by stand-alone runs.  The runner caches
-both — each mix's baseline result and each benchmark's stand-alone IPC —
-so a figure's scheme sweep reuses them.
+normalises per-application IPCs by stand-alone runs.  An
+:class:`ExperimentRunner` is the figures' parameter template: it turns
+``(codes, scheme)`` cells into :class:`~repro.api.spec.RunSpec` objects
+and hands them to its :class:`~repro.api.session.Session`, whose memo
+keeps each mix's baseline and each benchmark's stand-alone run, so a
+figure's scheme sweep reuses them.
 
 ``scheme`` names come from :mod:`repro.policies.registry`; the special name
 ``"shared"`` builds the Section 6.1 banked shared LLC instead of private
@@ -12,7 +15,6 @@ caches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -35,34 +37,14 @@ from repro.workloads.trace_cache import env_enabled, get_trace_cache
 #: Scheme name handled by the runner rather than the policy registry.
 SHARED_SCHEME = "shared"
 
-#: Legacy entry points that already warned this process (warn exactly
-#: once per function, not once per call site or per sweep cell).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_legacy(name: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    from repro.service.executor import REMOVAL_VERSION
-
-    warnings.warn(
-        f"calling {name}() with (codes, scheme, ...) keyword arguments is "
-        f"deprecated and will be removed in {REMOVAL_VERSION}; build a "
-        f"repro.api.RunSpec once and pass it instead "
-        f"(e.g. {name}(RunSpec(mix=(471, 444), scheme='avgcc')))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     """Simulate one :class:`~repro.api.spec.RunSpec` cell.
 
-    The single entry point behind :class:`ExperimentRunner`, the batch
-    service workers and the observability CLI (``repro stats`` /
-    ``repro trace``): with ``observer=None`` the run is bit-identical to
-    the runner's cached path for the same parameters; passing an
+    The single entry point behind the batch service workers (and so
+    every :class:`~repro.api.session.Session`) and the observability
+    CLI (``repro stats`` / ``repro trace``): with ``observer=None`` the
+    run is bit-identical to a batch-executed cell; passing an
     :class:`~repro.obs.observer.Observer` taps the same simulation for
     interval telemetry or event traces without perturbing it.
     """
@@ -120,49 +102,6 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     )
 
 
-def simulate_mix(
-    codes: Sequence[int] | RunSpec,
-    scheme: Optional[str] = None,
-    *,
-    scale: ScaleModel = ScaleModel(),
-    quota: int = 150_000,
-    warmup: int = 150_000,
-    seed: int = 7,
-    l2_paper_bytes: int = PAPER_L2.size_bytes,
-    prefetch: Optional[PrefetchConfig] = None,
-    observer=None,
-) -> SystemResult:
-    """Simulate one cell and return its :class:`SystemResult`.
-
-    Preferred form: ``simulate_mix(RunSpec(mix=(471, 444)))``.  The
-    historical ``simulate_mix(codes, scheme, quota=..., ...)`` kwarg
-    spelling keeps working but emits a :class:`DeprecationWarning`
-    (once per process) pointing at :class:`~repro.api.spec.RunSpec`;
-    both paths run the identical simulation.
-    """
-    if isinstance(codes, RunSpec):
-        if scheme is not None:
-            raise TypeError(
-                "simulate_mix(spec) takes no separate scheme — set it on "
-                "the RunSpec"
-            )
-        return simulate_spec(codes, observer=observer)
-    _warn_legacy("simulate_mix")
-    if scheme is None:
-        raise TypeError("simulate_mix() missing required argument: 'scheme'")
-    spec = RunSpec(
-        mix=tuple(codes),
-        scheme=scheme,
-        quota=quota,
-        warmup=warmup,
-        seed=seed,
-        scale=scale,
-        l2_paper_bytes=l2_paper_bytes,
-        prefetch=prefetch,
-    )
-    return simulate_spec(spec, observer=observer)
-
-
 @dataclass
 class MixOutcome:
     """A scheme's result on one mix, normalised against the baseline.
@@ -212,7 +151,13 @@ class MixOutcome:
 
 
 class ExperimentRunner:
-    """Runs and caches the simulations behind the paper's figures."""
+    """A figure's simulation parameters, bound to a :class:`Session`.
+
+    Builds the :class:`RunSpec` for each ``(codes, scheme)`` cell and
+    delegates every lookup to ``session`` (a fresh serial
+    :class:`~repro.api.session.Session` when none is given); it keeps
+    no results of its own.
+    """
 
     def __init__(
         self,
@@ -222,96 +167,57 @@ class ExperimentRunner:
         seed: int = 7,
         l2_paper_bytes: int = PAPER_L2.size_bytes,
         prefetch: Optional[PrefetchConfig] = None,
+        session=None,
     ) -> None:
+        if session is None:
+            from repro.api.session import Session
+
+            session = Session()
         self.scale = scale
         self.quota = quota
         self.warmup = warmup
         self.seed = seed
         self.l2_paper_bytes = l2_paper_bytes
         self.prefetch = prefetch
-        self._alone_ipc: dict[int, float] = {}
-        self._results: dict[tuple[tuple[int, ...], str], SystemResult] = {}
-
-    # ------------------------------------------------------------------ #
-    # Simulation
-    # ------------------------------------------------------------------ #
-
-    def run(self, codes: tuple[int, ...], scheme: str) -> SystemResult:
-        """Simulate a mix under a scheme (cached)."""
-        key = (tuple(codes), scheme)
-        if key not in self._results:
-            self._results[key] = self._simulate(tuple(codes), scheme)
-        return self._results[key]
-
-    def outcome(self, codes: tuple[int, ...], scheme: str) -> MixOutcome:
-        """Scheme result with baseline and stand-alone normalisation."""
-        codes = tuple(codes)
-        return MixOutcome(
-            result=self.run(codes, scheme),
-            baseline=self.run(codes, "baseline"),
-            alone_ipcs=tuple(self.alone_ipc(code) for code in codes),
-        )
-
-    def alone_ipc(self, code: int) -> float:
-        """Stand-alone IPC of a benchmark on the baseline machine."""
-        if code not in self._alone_ipc:
-            # Through ``run`` so the result lands in ``_results`` (and in
-            # subclasses' disk caches) instead of being simulated afresh
-            # by every caller that also wants the full stand-alone result.
-            result = self.run((code,), "baseline")
-            self._alone_ipc[code] = result.cores[0].ipc
-        return self._alone_ipc[code]
-
-    def prewarm(self, mixes: Iterable[Sequence[int]], schemes: Iterable[str]):
-        """Hint that a (mix x scheme) matrix is about to be evaluated.
-
-        The serial runner computes cells lazily, so this is a no-op
-        returning ``None``; :class:`repro.experiments.parallel.ParallelRunner`
-        overrides it to fan the missing cells out across supervised worker
-        processes and returns the run's
-        :class:`~repro.experiments.supervision.RunReport`.
-        """
-        return None
-
-    # ------------------------------------------------------------------ #
+        self.session = session
 
     def spec(self, codes: Sequence[int], scheme: str) -> RunSpec:
-        """The :class:`RunSpec` this runner would simulate for a cell."""
-        pf = self.prefetch
+        """The :class:`RunSpec` this runner simulates for a cell."""
         return RunSpec(
             mix=tuple(codes),
             scheme=scheme,
             quota=self.quota,
             warmup=self.warmup,
             seed=self.seed,
-            scale=self.scale.scale,
+            scale=self.scale,
             l2_paper_bytes=self.l2_paper_bytes,
-            prefetch=None
-            if pf is None
-            else (pf.table_entries, pf.degree, pf.confidence_threshold),
+            prefetch=self.prefetch,
         )
 
-    def _simulate(self, codes: tuple[int, ...], scheme: str) -> SystemResult:
-        return simulate_spec(self.spec(codes, scheme))
+    def run(self, codes: Sequence[int], scheme: str) -> SystemResult:
+        """A mix's result under a scheme (memoized by the session)."""
+        return self.session.result(self.spec(codes, scheme))
+
+    def outcome(self, codes: Sequence[int], scheme: str) -> MixOutcome:
+        """Scheme result with baseline and stand-alone normalisation."""
+        return self.session.outcome(self.spec(codes, scheme))
+
+    def alone_ipc(self, code: int) -> float:
+        """Stand-alone IPC of a benchmark on the baseline machine."""
+        return self.run((code,), "baseline").cores[0].ipc
+
+    def prewarm(self, mixes: Iterable[Sequence[int]], schemes: Iterable[str]):
+        """Simulate a (mix x scheme) matrix, baselines included, up front.
+
+        One batch through :meth:`Session.prewarm`; returns its
+        :class:`~repro.experiments.supervision.RunReport`.
+        """
+        schemes = list(schemes)
+        return self.session.prewarm(
+            [self.spec(mix, scheme) for mix in mixes for scheme in schemes]
+        )
 
 
-def run_mix(
-    codes: tuple[int, ...] | RunSpec,
-    scheme: str = "avgcc",
-    runner: Optional[ExperimentRunner] = None,
-) -> MixOutcome:
-    """One-shot convenience wrapper around :class:`ExperimentRunner`.
-
-    Preferred form: ``run_mix(RunSpec(mix=(471, 444)))`` — the runner
-    (built to the spec's parameters unless one is passed in) resolves
-    the outcome against its baseline and stand-alone runs.  The
-    historical ``run_mix(codes, scheme, runner=...)`` spelling keeps
-    working but emits a :class:`DeprecationWarning` once per process.
-    """
-    if isinstance(codes, RunSpec):
-        spec = codes
-        if runner is None:
-            runner = ExperimentRunner(**spec.runner_params())
-        return runner.outcome(spec.mix, spec.scheme)
-    _warn_legacy("run_mix")
-    return (runner or ExperimentRunner()).outcome(tuple(codes), scheme)
+def run_mix(spec: RunSpec, runner: Optional[ExperimentRunner] = None) -> MixOutcome:
+    """One spec's :class:`MixOutcome`, through ``runner``'s session if given."""
+    return (runner or ExperimentRunner()).session.outcome(spec)

@@ -52,20 +52,15 @@ def run(
     model: EnergyModel = EnergyModel(),
 ) -> EnergyResult:
     """Evaluate the energy model over the mixes for each scheme."""
-    from repro.api.session import Session
-
     runner = runner or ExperimentRunner()
     mixes = mixes if mixes is not None else all_mixes(num_cores)
     schemes = schemes if schemes is not None else list(SCHEMES)
-    session = Session.adopt(runner)
-    session.prewarm(
-        [runner.spec(tuple(mix), s) for mix in mixes for s in schemes + ["baseline"]]
-    )
+    runner.prewarm(mixes, schemes)
     reductions: dict[tuple[str, str], float] = {}
     for mix in mixes:
-        baseline = session.result(runner.spec(tuple(mix), "baseline"))
+        baseline = runner.run(mix, "baseline")
         for scheme in schemes:
-            result = session.result(runner.spec(tuple(mix), scheme))
+            result = runner.run(mix, scheme)
             reductions[(mix_name(mix), scheme)] = model.reduction(result, baseline)
     return EnergyResult(
         num_cores=num_cores,

@@ -8,8 +8,9 @@ consumes makes spill savings more valuable.
 
 from __future__ import annotations
 
+from repro.api.session import Session
 from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.parallel import make_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import PrefetchConfig, ScaleModel
 from repro.workloads.mixes import all_mixes
 
@@ -29,11 +30,8 @@ def run(
     retries: int = 2,
 ) -> ComparisonResult:
     """Run the prefetcher-sensitivity comparison."""
-    runner = make_runner(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        timeout=timeout,
-        retries=retries,
+    runner = ExperimentRunner(
+        session=Session(jobs=jobs, cache_dir=cache_dir, timeout=timeout, retries=retries),
         scale=scale,
         quota=quota,
         warmup=warmup,

@@ -34,18 +34,15 @@ def run(
     schemes: list[str] | None = None,
 ) -> list[BehaviorRow]:
     """Aggregate spill/swap/hit counters per scheme over the mixes."""
-    from repro.api.session import Session
-
     runner = runner or ExperimentRunner()
     mixes = mixes if mixes is not None else all_mixes(num_cores)
     schemes = schemes if schemes is not None else list(SCHEMES)
-    session = Session.adopt(runner)
-    session.prewarm([runner.spec(tuple(mix), s) for mix in mixes for s in schemes])
+    runner.prewarm(mixes, schemes)
     rows = []
     for scheme in schemes:
         spills = swaps = hits = 0
         for mix in mixes:
-            result = session.result(runner.spec(tuple(mix), scheme))
+            result = runner.run(mix, scheme)
             spills += result.total_spills
             swaps += sum(c.swaps for c in result.cores)
             hits += result.total_hits_on_spilled

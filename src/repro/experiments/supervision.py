@@ -5,7 +5,7 @@ task-level submission so a long (mix x scheme) campaign survives the
 failure modes that bare pools turn into lost work:
 
 * **Immediate durability** — every finished cell is handed to
-  ``on_result`` the moment its future resolves (the parallel runner
+  ``on_result`` the moment its future resolves (the batch scheduler
   stores it in memory *and* the disk cache), so nothing already computed
   is ever discarded by a later failure.
 * **Per-cell timeouts** — a cell that overruns ``timeout`` seconds is
@@ -34,8 +34,9 @@ when an interrupted sweep is re-invoked.
 
 Fault-free runs take the same simulation path as before — supervision
 only changes *scheduling*, and simulations are deterministic functions
-of their payload, so results stay bit-identical to the unsupervised
-serial runner.
+of their payload, so results stay bit-identical to a direct
+``simulate_spec`` call.  The one construction site is
+:class:`repro.service.executor.LocalPoolExecutor`.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ _UNSET = object()
 def cell_parts(cell) -> tuple[tuple, str]:
     """``(codes, scheme)`` of a cell, whatever its spelling.
 
-    The experiment runners schedule plain ``(codes, scheme)`` tuples;
-    the batch service schedules :class:`repro.api.spec.RunSpec` objects
-    directly.  Reports and metrics render both the same way.
+    The batch service schedules :class:`repro.api.spec.RunSpec` objects;
+    direct :class:`Supervisor` users may schedule plain ``(codes,
+    scheme)`` tuples.  Reports and metrics render both the same way.
     """
     mix = getattr(cell, "mix", None)
     if mix is not None:
@@ -145,7 +146,7 @@ class RunReport:
         self.started = time.time()
         self.finished: Optional[float] = None
         #: Disk result-cache traffic attributable to this run (folded in
-        #: by the parallel runner; stay zero for cache-less sweeps).
+        #: by the batch scheduler; stay zero for cache-less sweeps).
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_quarantined = 0

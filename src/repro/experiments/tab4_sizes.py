@@ -47,8 +47,7 @@ def run(
     from repro.api.spec import spec_grid
 
     # The whole table is one cross-size spec batch against one session:
-    # specs sharing an L2 size share a runner (and its supervised
-    # fan-out); all sizes share the disk cache.
+    # one run_batch call fans every size out together.
     session = Session(
         jobs=jobs, cache_dir=cache_dir, timeout=timeout, retries=retries
     )

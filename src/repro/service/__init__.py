@@ -24,7 +24,6 @@ stdio, HTTP, and the cluster TCP protocol — share the versioned message
 schema and error taxonomy in :mod:`~repro.service.wire`.
 """
 
-from repro.service.aio import AsyncClient
 from repro.service.executor import (
     Executor,
     ExecutorConfig,
@@ -52,7 +51,6 @@ from repro.service.scheduler import (
     ServiceStats,
     run_batch,
 )
-from repro.service.serve import BatchHTTPServer, serve_http, serve_jsonl
 from repro.service.wire import (
     PROTOCOL_VERSION,
     Request,
@@ -63,6 +61,27 @@ from repro.service.wire import (
     parse_request,
     result_record,
 )
+
+#: The asyncio and HTTP/JSONL front-ends pull in ``asyncio`` and
+#: ``http.server``; resolve them on first use so importing the
+#: scheduler (every :class:`~repro.api.session.Session` miss does)
+#: stays light.
+_FRONT_ENDS = {
+    "AsyncClient": "repro.service.aio",
+    "BatchHTTPServer": "repro.service.serve",
+    "serve_http": "repro.service.serve",
+    "serve_jsonl": "repro.service.serve",
+}
+
+
+def __getattr__(name: str):
+    module = _FRONT_ENDS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "AdmissionController",

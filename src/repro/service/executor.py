@@ -36,7 +36,6 @@ makes the acceptance property cheap to state: an executor only decides
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -47,33 +46,6 @@ from repro.experiments.supervision import (
     Supervisor,
     cell_name,
 )
-
-#: Distinguishes "kwarg not passed" from an explicit ``None``.
-_UNSET = object()
-
-#: The release that deletes the legacy kwargs this module still shims.
-#: Named in every deprecation message so callers know their horizon.
-REMOVAL_VERSION = "repro 2.0"
-
-#: Once-per-process latch for legacy-kwarg deprecation warnings (same
-#: policy as :mod:`repro.experiments.runner`): the first legacy use
-#: warns with migration guidance, the rest stay quiet so a sweep over
-#: thousands of specs does not drown its own output.
-_DEPRECATION_WARNED: set = set()
-
-
-def warn_legacy(name: str, replacement: str) -> None:
-    """Emit one :class:`DeprecationWarning` per process per kwarg."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated and will be removed in {REMOVAL_VERSION}; "
-        f"{replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class ExecutorError(SupervisionError):
     """Specs exhausted their retry budget under some executor.
@@ -179,12 +151,12 @@ class Executor:
         """Buffer one cell and its worker payload for the next drain."""
         raise NotImplementedError
 
-    def drain(self, timeout=_UNSET) -> dict:
+    def drain(self, timeout: Optional[float] = None) -> dict:
         """Execute everything buffered; return ``{cell: result}``.
 
         ``timeout`` overrides the configured per-cell timeout for this
         round only (the scheduler tightens it to the batch's nearest
-        deadline).  Completed cells reach ``on_result`` immediately;
+        deadline); ``None`` keeps the configured one.  Completed cells reach ``on_result`` immediately;
         cells that exhaust retries are raised in an
         :class:`ExecutorError` at the end.  Raises
         :class:`KeyboardInterrupt` if cancelled mid-drain.
@@ -200,12 +172,6 @@ class Executor:
 
     def close(self) -> None:
         """Release backend resources (listeners, connections, pools)."""
-
-    # Supervisor-compatible alias: the scheduler's abort path predates
-    # the protocol and anything holding a backend reference may still
-    # speak the old verb.
-    def request_stop(self) -> None:
-        self.cancel()
 
 
 class LocalPoolExecutor(Executor):
@@ -230,7 +196,7 @@ class LocalPoolExecutor(Executor):
     def submit(self, cell, payload: dict) -> None:
         self._buffer[cell] = payload
 
-    def drain(self, timeout=_UNSET) -> dict:
+    def drain(self, timeout: Optional[float] = None) -> dict:
         if self._worker is None:
             raise RuntimeError("executor is not bound; call bind() first")
         buffer, self._buffer = self._buffer, {}
@@ -264,7 +230,7 @@ class LocalPoolExecutor(Executor):
             self._worker,
             buffer.__getitem__,
             jobs=self.config.jobs,
-            timeout=self.config.timeout if timeout is _UNSET else timeout,
+            timeout=self.config.timeout if timeout is None else timeout,
             retries=self.config.retries,
             backoff=self.config.backoff,
             fault_plan=self.config.fault_plan,

@@ -14,8 +14,8 @@ pool into a *service* for them:
   one identical to a finished spec resolves from memory; and the
   content-addressed :class:`~repro.experiments.parallel.ResultCache`
   (keyed by the canonical :meth:`RunSpec.cache_key`) is consulted
-  before simulating, so results computed by *any* past run — serial
-  runner, parallel sweep or another service instance — are hits here.
+  before simulating, so results computed by *any* past run — a
+  session's figure sweep or another service instance — are hits here.
 * **Prioritisation** — lower ``priority`` values run earlier (ties in
   submission order); a duplicate submission at a more urgent priority
   promotes the queued spec.
@@ -24,6 +24,11 @@ pool into a *service* for them:
   per-spec timeouts, bounded retry, pool-death recovery.  The specs
   themselves are the supervisor's cells, so one drained batch can mix
   quotas, scales and cache sizes freely.
+* **One execution path** — :func:`run_batch` is how every spec grid
+  runs: :class:`~repro.api.session.Session` (and so the figure sweeps
+  and the CLI) answers its memo misses with one call, ``repro batch``
+  and ``repro serve`` drive a scheduler directly, and the cluster tier
+  plugs in underneath as an executor.
 * **Graceful shutdown** — ``close(drain=True)`` finishes everything
   queued; ``close(drain=False)`` (the SIGINT path of ``repro serve`` /
   ``repro batch``) cancels queued work, stops the in-flight batch at
@@ -31,7 +36,7 @@ pool into a *service* for them:
   :class:`~repro.experiments.supervision.RunReport`.
 
 Simulations are deterministic functions of their spec, so results are
-bit-identical to the serial ``run_mix`` path — the dedup/scheduling
+bit-identical to a direct ``simulate_spec`` call — the dedup/scheduling
 layer only changes *when* a cell runs, never what it computes.
 """
 
@@ -53,12 +58,7 @@ from repro.experiments.faults import fault_plan_from_env
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import simulate_spec
 from repro.experiments.supervision import RunReport, SupervisionError
-from repro.service.executor import (
-    _UNSET,
-    ExecutorConfig,
-    make_executor,
-    warn_legacy,
-)
+from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
@@ -191,12 +191,14 @@ class _Entry:
 
 
 def _run_spec(payload: dict):
-    """Worker entry point: rebuild the spec and simulate it.
+    """The one worker entry point: rebuild the spec and simulate it.
 
     Module-level and primitive-parameterised (picklable under any
-    multiprocessing start method).  Honours an injected fault payload
-    like the parallel runner's worker, so chaos plans cover the service
-    path too.
+    multiprocessing start method); local pool workers and cluster
+    workers both run it.  Shared-memory trace buffers in the payload
+    are attached (replayed instead of regenerated), a heartbeat
+    directory is beaten around the cell, and an injected fault (see
+    :mod:`repro.experiments.faults`) fires before the simulation.
     """
     spec = RunSpec.from_dict(payload["spec"])
     traces = payload.get("traces")
@@ -260,13 +262,10 @@ class BatchScheduler:
         cache_dir: str | os.PathLike | None = None,
         timeout: Optional[float] = None,
         retries: int = 2,
-        backoff=_UNSET,
         report_path: str | os.PathLike | None = None,
         metrics_path: str | os.PathLike | None = None,
         journal_dir: str | os.PathLike | None = None,
         journal: bool = True,
-        fault_plan=_UNSET,
-        hang_grace=_UNSET,
         max_queue_depth: Optional[int] = None,
         max_bytes: Optional[int] = None,
         shed_policy: str = "reject",
@@ -291,21 +290,7 @@ class BatchScheduler:
         self.tracer = tracer
         self.spans_path = spans_path
         self._span_specs: dict[str, RunSpec] = {}  # cell span_id -> spec
-        # Legacy execution-policy kwargs (pre-Executor API): honoured,
-        # but deprecated in favour of ``executor_options`` — the same
-        # once-per-process warning policy as the runner's legacy shims.
         options = dict(executor_options or {})
-        for name, value in (
-            ("backoff", backoff),
-            ("fault_plan", fault_plan),
-            ("hang_grace", hang_grace),
-        ):
-            if value is not _UNSET:
-                warn_legacy(
-                    f"BatchScheduler({name}=...)",
-                    f"pass executor_options={{'{name}': ...}} instead",
-                )
-                options.setdefault(name, value)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if cache_dir is not None and env_enabled():
             # Share one disk root with the result cache: trace buffers
@@ -394,21 +379,6 @@ class BatchScheduler:
         self._thread: Optional[threading.Thread] = None
         if start:
             self.start()
-
-    # Legacy attribute views: execution policy now lives on the
-    # executor's config, but pre-Executor callers read it off the
-    # scheduler directly.
-    @property
-    def backoff(self) -> float:
-        return self.executor.config.backoff
-
-    @property
-    def fault_plan(self):
-        return self.executor.config.fault_plan
-
-    @property
-    def hang_grace(self) -> Optional[float]:
-        return self.executor.config.hang_grace
 
     # ------------------------------------------------------------------ #
     # Submission side
@@ -829,11 +799,15 @@ class BatchScheduler:
         # buffers (content digests dedup them), and with jobs > 1 local
         # workers attach the parent's shared-memory copies instead of
         # generating.  Executors that cross a host boundary opt out
-        # (``wants_shared_traces``) — their workers regenerate traces
-        # locally, bit-identical because traces are deterministic
-        # functions of the spec.
+        # (``wants_shared_traces``) and skip the pass entirely — their
+        # workers regenerate traces locally, bit-identical because
+        # traces are deterministic functions of the spec.
         trace_map: dict[str, str] = {}
-        trace_cache = get_trace_cache() if env_enabled() else None
+        trace_cache = (
+            get_trace_cache()
+            if env_enabled() and self.executor.wants_shared_traces
+            else None
+        )
         if trace_cache is not None:
             streams = dict.fromkeys(
                 (spec.mix, spec.scale, spec.seed, spec.quota, spec.warmup)
@@ -845,7 +819,7 @@ class BatchScheduler:
                     make_workloads(mix, ScaleModel(scale)), seed, quota, warmup
                 )
             trace_cache.persist()
-            if self.jobs > 1 and self.executor.wants_shared_traces:
+            if self.jobs > 1:
                 trace_map = trace_cache.export_shared()
 
         def _payload(spec: RunSpec) -> dict:
@@ -1043,7 +1017,8 @@ def run_batch(
 
     Returns ``(outcomes, stats, report)`` where ``outcomes[i]`` is the
     :class:`SystemResult` for ``specs[i]`` (or the exception it failed
-    with).  Used by ``repro batch`` and the service smoke tests.
+    with).  The execution path behind every
+    :class:`~repro.api.session.Session` miss.
     """
     scheduler = BatchScheduler(**scheduler_kwargs)
     try:

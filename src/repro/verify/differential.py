@@ -4,13 +4,15 @@ The simulator promises that its result is a pure function of the
 :class:`~repro.api.spec.RunSpec` — independent of which
 :class:`~repro.cache.cache.CacheArray` backend stores the lines, whether
 trace buffers are replayed or regenerated, and which execution path
-(serial runner, supervised :class:`ParallelRunner` fan-out, batch
-scheduler) carries the simulation.  :func:`run_grid` turns that promise
-into a check: it runs the same spec across the full
+carries the simulation: a direct ``simulate_spec`` call, or
+:func:`~repro.service.scheduler.run_batch` fanning out to worker
+processes (the one path behind :class:`~repro.api.session.Session`,
+the figure sweeps, the CLI and the batch service).  :func:`run_grid`
+turns that promise into a check: it runs the same spec across the full
 
-    {slot, dict} x {trace-cache on, off} x {serial, parallel, batch}
+    {slot, dict} x {trace-cache on, off} x {serial, batch}
 
-grid (12 cells) and reports the result digest of every cell;
+grid (8 cells) and reports the result digest of every cell;
 :func:`assert_grid_identical` fails with a readable table when any cell
 diverges.  Available as a library, as ``repro verify --grid`` on the
 CLI, and as the ``differential_grid`` pytest fixture
@@ -33,11 +35,12 @@ from typing import Iterator, Optional, Sequence
 from repro.api.spec import RunSpec
 
 #: The grid axes.  ``BACKENDS`` mirrors ``repro.cache.cache.CACHE_BACKENDS``;
-#: ``PATHS`` are the three in-process execution paths (the HTTP service
-#: reuses the batch scheduler, so the grid covers its simulation path too).
+#: ``PATHS`` are the reference ``simulate_spec`` call and ``run_batch``
+#: (every other front-end — Session, the CLI, the HTTP service — runs
+#: through it, so the grid covers their simulation path too).
 BACKENDS: tuple[str, ...] = ("slot", "dict")
 TRACE_MODES: tuple[bool, ...] = (True, False)
-PATHS: tuple[str, ...] = ("serial", "parallel", "batch")
+PATHS: tuple[str, ...] = ("serial", "batch")
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,6 @@ def _run_serial(spec: RunSpec) -> str:
     return _digest(simulate_spec(spec))
 
 
-def _run_parallel(spec: RunSpec, jobs: int) -> str:
-    from repro.experiments.parallel import ParallelRunner
-
-    runner = ParallelRunner(jobs=jobs, **spec.runner_params())
-    runner.prewarm([spec.mix], [spec.scheme])  # raises on failed cells
-    return _digest(runner.run(spec.mix, spec.scheme))
-
-
 def _run_batch(spec: RunSpec, jobs: int) -> str:
     from repro.service.scheduler import run_batch
 
@@ -138,8 +133,6 @@ def run_cell(spec: RunSpec, backend: str, trace_cache: bool, path: str, jobs: in
     ):
         if path == "serial":
             digest = _run_serial(cell_spec)
-        elif path == "parallel":
-            digest = _run_parallel(cell_spec, jobs)
         elif path == "batch":
             digest = _run_batch(cell_spec, jobs)
         else:

@@ -3,7 +3,7 @@
 Synthetic benchmark traces are pure functions of ``(benchmark model,
 address base, scale, per-core RNG seed)`` — yet the simulator used to
 regenerate them record by record for every run, every benchmark repeat and
-every ``ParallelRunner``/``BatchScheduler`` worker, even when a sweep
+every batch worker, even when a sweep
 (fig1 ways, tab4 sizes) replays the *same* stream against dozens of cache
 configurations.  This module drains each generator once into a compact
 record buffer and replays it at C speed afterwards:
@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import threading
 from array import array
 from collections import OrderedDict
 from itertools import chain, islice
@@ -72,7 +73,8 @@ def env_enabled() -> bool:
     return os.environ.get(ENV_FLAG, "1") not in ("0", "false", "no", "off")
 
 
-def _shm_pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists (any owner)."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -110,7 +112,7 @@ def sweep_orphan_shared(shm_dir: str | os.PathLike = "/dev/shm") -> int:
             pid = int(name[len(SHM_PREFIX) + 1 :].split("_", 1)[0])
         except ValueError:
             continue
-        if pid == os.getpid() or _shm_pid_alive(pid):
+        if pid == os.getpid() or pid_alive(pid):
             continue
         try:
             shm = shared_memory.SharedMemory(name=name)
@@ -135,7 +137,7 @@ class MaterializedTrace:
     round trip).
     """
 
-    __slots__ = ("digest", "records", "_source", "_factory", "persisted_len")
+    __slots__ = ("digest", "records", "_source", "_factory", "persisted_len", "_lock")
 
     def __init__(
         self,
@@ -154,27 +156,31 @@ class MaterializedTrace:
         self._factory = factory
         #: Buffer length already on disk (skip rewrites that add nothing).
         self.persisted_len = len(self.records)
+        #: Serialises extension: replays on several threads (a worker's
+        #: slots) share one buffer and one generator.
+        self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
         """Extend the buffer to at least ``n`` records."""
         records = self.records
         if len(records) >= n:
             return
-        source = self._source
-        if source is None:
-            # Rebuild the generator and fast-forward past the prefix: the
-            # stream is deterministic, so skipping len(records) draws
-            # resumes exactly where the buffer ends.
-            source = self._factory()
-            skip = len(records)
-            if skip:
-                next(islice(source, skip - 1, skip), None)
-            self._source = source
-        while len(records) < n:
-            before = len(records)
-            records.extend(islice(source, _EXTEND_CHUNK))
-            if len(records) == before:  # finite source drained
-                break
+        with self._lock:
+            source = self._source
+            if source is None:
+                # Rebuild the generator and fast-forward past the prefix:
+                # the stream is deterministic, so skipping len(records)
+                # draws resumes exactly where the buffer ends.
+                source = self._factory()
+                skip = len(records)
+                if skip:
+                    next(islice(source, skip - 1, skip), None)
+                self._source = source
+            while len(records) < n:
+                before = len(records)
+                records.extend(islice(source, _EXTEND_CHUNK))
+                if len(records) == before:  # finite source drained
+                    break
 
     def iterator(self) -> Iterator[tuple[int, int, int, bool]]:
         """An engine-facing trace: replay the buffer, then keep generating."""
@@ -527,7 +533,7 @@ class TraceCache:
         self._shared.clear()
 
 
-#: The process-global cache ``simulate_spec`` and the runners share.
+#: The process-global cache ``simulate_spec`` and the scheduler share.
 _GLOBAL: Optional[TraceCache] = None
 
 

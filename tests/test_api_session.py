@@ -23,18 +23,56 @@ def test_outcome_normalises_against_baseline():
     assert isinstance(outcome.speedup_improvement, float)
 
 
-def test_adopt_reuses_the_runner_memory():
-    runner = ExperimentRunner(quota=2_000, warmup=1_000)
-    runner.run((471, 444), "avgcc")
-    session = Session.adopt(runner)
-    assert session.runner_for(runner.spec((471, 444), "avgcc")) is runner
-
-
-def test_runner_for_groups_by_parameters():
+def test_memo_answers_repeats_and_shares_outcome_cells():
     session = Session()
-    a = session.runner_for(SPEC)
-    assert session.runner_for(SPEC.replace(scheme="baseline")) is a
-    assert session.runner_for(SPEC.replace(quota=3_000)) is not a
+    outcome = session.outcome(SPEC)
+    assert session.result(SPEC) is outcome.result
+    assert session.result(SPEC.replace(scheme="baseline")) is outcome.baseline
+    assert session.outcome(SPEC).result is outcome.result
+
+
+def test_prewarm_returns_the_batch_report_and_covers_outcome_cells(tmp_path):
+    session = Session(cache_dir=tmp_path / "cells")
+    report = session.prewarm([SPEC])
+    # The spec, its mix baseline and one stand-alone run per member.
+    assert report.counts["simulated"] == 4 and report.counts["failed"] == 0
+    assert (tmp_path / "cells" / "run_report.json").exists()
+    # Everything is in the memo now: a second prewarm simulates nothing.
+    assert session.prewarm([SPEC]).counts["total"] == 0
+
+
+def test_prewarm_failure_names_the_failed_specs(monkeypatch):
+    from repro.experiments.supervision import SupervisionError
+
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "crash=1,seed=3")
+    session = Session(retries=0)
+    with pytest.raises(SupervisionError) as excinfo:
+        session.prewarm([SPEC])
+    (failed,) = excinfo.value.failed
+    assert isinstance(failed, RunSpec)
+    assert failed.name in str(excinfo.value)
+    # The cells that did finish stay answerable without re-simulating.
+    monkeypatch.delenv("REPRO_FAULT_PLAN")
+    assert session.prewarm([SPEC]).counts["simulated"] == 1
+
+
+def test_session_construction_does_not_import_the_service():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys; from repro.api import Session; Session(jobs=2); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_prewarm_full_product_and_ragged_batches(tmp_path):

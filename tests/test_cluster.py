@@ -301,6 +301,46 @@ def test_journal_resume_under_cluster_executor(tmp_path):
     assert digests == {s.name: result_digest(o) for s, o in zip(specs, clean)}
 
 
+def test_cluster_batch_skips_the_coordinator_trace_prepass(monkeypatch):
+    """Remote workers regenerate their traces, so the coordinator must
+    not materialize (or persist) any: its trace memo stays empty."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.workloads import trace_cache
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+    monkeypatch.setattr(trace_cache, "_GLOBAL", trace_cache.TraceCache())
+    specs = six_specs()[:2]
+    scheduler = cluster_scheduler()
+    host, port = scheduler.executor.address
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker", "--connect", f"{host}:{port}"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        futures = [scheduler.submit(s) for s in specs]
+        digests = [result_digest(f.result(timeout=300)) for f in futures]
+        scheduler.close(drain=True)
+        worker.wait(timeout=30)
+    finally:
+        scheduler.close(drain=False)
+        if worker.poll() is None:
+            worker.kill()
+            worker.wait()
+    assert trace_cache.get_trace_cache()._memo == {}
+    assert trace_cache.get_trace_cache().stats["materialized"] == 0
+
+    local, _stats, _report = run_batch(specs, jobs=1)
+    assert digests == [result_digest(o) for o in local]
+
+
 # --------------------------------------------------------------------- #
 # Shutdown
 # --------------------------------------------------------------------- #

@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.experiments.runner import simulate_mix
+from repro.api import RunSpec
+from repro.experiments.runner import simulate_spec
 from repro.obs import IntervalRecorder
 from repro.policies.registry import make_policy
 from repro.sim.config import SystemConfig
@@ -63,7 +64,9 @@ access_lists = st.lists(
 )
 def test_per_core_l2_conservation(scheme, seed, warmup):
     quota = 4_000
-    result = simulate_mix(MIX, scheme, quota=quota, warmup=warmup, seed=seed)
+    result = simulate_spec(
+        RunSpec(mix=MIX, scheme=scheme, quota=quota, warmup=warmup, seed=seed)
+    )
     for stats in result.cores:
         assert (
             stats.l2_local_hits + stats.l2_remote_hits + stats.l2_memory_fetches
@@ -112,8 +115,9 @@ def test_global_spill_conservation(scheme, accesses):
 @pytest.mark.parametrize("warmup", [0, 2_000])
 def test_interval_deltas_conserve_totals(scheme, warmup):
     recorder = IntervalRecorder(interval=1_000, snapshot_sets=False)
-    result = simulate_mix(
-        MIX, scheme, quota=6_000, warmup=warmup, seed=11, observer=recorder
+    result = simulate_spec(
+        RunSpec(mix=MIX, scheme=scheme, quota=6_000, warmup=warmup, seed=11),
+        observer=recorder,
     )
     by_core = recorder.by_core()
     for stats in result.cores:

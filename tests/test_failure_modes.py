@@ -1,10 +1,11 @@
 """End-to-end failure modes on the real (tiny) simulation stack.
 
-Acceptance bar for the fault-tolerant orchestration layer: every injected
-failure — a worker dying hard mid-``prewarm``, a cell hanging past its
-timeout, a corrupted cache entry — must leave the sweep *complete* with
-results identical to a fault-free run, and the :class:`RunReport` must
-account for the recovery.
+Acceptance bar for the fault-tolerant execution path (``run_batch`` and
+the :class:`~repro.api.Session` built on it): every injected failure — a
+worker dying hard mid-batch, a cell hanging past its timeout, a
+corrupted cache entry — must leave the sweep *complete* with results
+identical to a fault-free run, and the :class:`RunReport` must account
+for the recovery.
 """
 
 import json
@@ -12,79 +13,74 @@ import pickle
 
 import pytest
 
+from repro.api import RunSpec, Session, run_batch
 from repro.experiments.faults import Fault, FaultPlan
-from repro.experiments.parallel import (
-    ParallelRunner,
-    ResultCache,
-    cell_key,
-    runner_fingerprint,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.parallel import ResultCache
 from repro.experiments.supervision import SupervisionError
-from repro.sim.config import ScaleModel
 
-MIX = (471, 444)
-SCHEME = "ascc"
-PARAMS = dict(scale=ScaleModel(1 / 32), quota=3_000, warmup=1_000, seed=7)
+SPEC = RunSpec(mix=(471, 444), scheme="ascc", scale=1 / 32, quota=3_000, warmup=1_000, seed=7)
 
-#: Every cell ``prewarm`` covers for one (mix, scheme) request, in
-#: submission order.
+#: Every cell a session prewarms for ``SPEC``, in submission order.
 CELLS = [
-    (MIX, SCHEME),
-    (MIX, "baseline"),
-    ((471,), "baseline"),
-    ((444,), "baseline"),
+    SPEC,
+    SPEC.replace(scheme="baseline"),
+    SPEC.replace(mix=(471,), scheme="baseline"),
+    SPEC.replace(mix=(444,), scheme="baseline"),
 ]
 
 
 @pytest.fixture(scope="module")
 def fault_free_pickles():
-    runner = ExperimentRunner(**PARAMS)
-    return {cell: pickle.dumps(runner.run(*cell)) for cell in CELLS}
+    session = Session()
+    return {cell: pickle.dumps(session.result(cell)) for cell in CELLS}
 
 
-def chaos_runner(tmp_path, plan, **overrides):
+def chaos_batch(tmp_path, plan, **overrides):
+    """Run ``CELLS`` through ``run_batch`` under ``plan``; return
+    ``(outcomes, report)``."""
     kwargs = dict(
-        jobs=2, cache_dir=tmp_path, retries=2, backoff=0.01, fault_plan=plan
+        jobs=2,
+        cache_dir=tmp_path,
+        retries=2,
+        journal=False,
+        executor_options={"fault_plan": plan, "backoff": 0.01},
     )
     kwargs.update(overrides)
-    return ParallelRunner(**kwargs, **PARAMS)
+    outcomes, _stats, report = run_batch(CELLS, **kwargs)
+    return outcomes, report
 
 
-def assert_matches_fault_free(runner, fault_free_pickles):
-    for cell in CELLS:
-        assert pickle.dumps(runner.run(*cell)) == fault_free_pickles[cell], cell
+def assert_matches_fault_free(results, fault_free_pickles):
+    for cell, result in zip(CELLS, results):
+        assert pickle.dumps(result) == fault_free_pickles[cell], cell
 
 
 def test_worker_killed_mid_prewarm_recovers(tmp_path, fault_free_pickles):
     plan = FaultPlan({CELLS[2]: Fault("die")})
-    runner = chaos_runner(tmp_path, plan)
-    report = runner.prewarm([MIX], [SCHEME])
+    outcomes, report = chaos_batch(tmp_path, plan)
     assert report.pool_deaths >= 1
     assert report.counts["simulated"] == 4 and report.counts["failed"] == 0
-    assert_matches_fault_free(runner, fault_free_pickles)
+    assert_matches_fault_free(outcomes, fault_free_pickles)
 
 
 def test_hung_cell_hits_timeout_and_is_recomputed(tmp_path, fault_free_pickles):
     plan = FaultPlan({CELLS[1]: Fault("hang", seconds=30.0)})
-    runner = chaos_runner(tmp_path, plan, timeout=2.0)
-    report = runner.prewarm([MIX], [SCHEME])
+    outcomes, report = chaos_batch(tmp_path, plan, timeout=2.0)
     assert report.timeouts == 1
     assert report.counts["simulated"] == 4 and report.counts["failed"] == 0
-    assert_matches_fault_free(runner, fault_free_pickles)
+    assert_matches_fault_free(outcomes, fault_free_pickles)
 
 
 def test_seeded_chaos_sweep_completes_with_accurate_report(
     tmp_path, fault_free_pickles
 ):
     plan = FaultPlan.from_spec("crash=1,hang=1,corrupt=1", seed=3, hang_seconds=30.0)
-    runner = chaos_runner(tmp_path, plan, timeout=2.0)
-    report = runner.prewarm([MIX], [SCHEME])
+    outcomes, report = chaos_batch(tmp_path, plan, timeout=2.0)
     assert report.counts["simulated"] == 4 and report.counts["failed"] == 0
     # Three cells each needed one recovery attempt, all accounted for.
     assert report.retried + report.pool_deaths >= 3
     assert report.total_attempts >= 4 + 3 - report.pool_deaths
-    assert_matches_fault_free(runner, fault_free_pickles)
+    assert_matches_fault_free(outcomes, fault_free_pickles)
     # The JSON manifest next to the cache tells the same story.
     manifest = json.loads((tmp_path / "run_report.json").read_text())
     assert manifest["counts"] == report.counts
@@ -95,50 +91,50 @@ def test_seeded_chaos_sweep_completes_with_accurate_report(
 def test_corrupted_cache_entry_is_quarantined_and_recomputed(
     tmp_path, fault_free_pickles
 ):
-    runner = chaos_runner(tmp_path, plan=None, jobs=1)
-    runner.prewarm([MIX], [SCHEME])
+    Session(cache_dir=tmp_path).prewarm([SPEC])
     # Flip bytes inside one entry's payload (checksum now mismatches).
-    key = cell_key(runner_fingerprint(runner), *CELLS[0])
+    key = CELLS[0].cache_key()
     path = tmp_path / key[:2] / f"{key}.pkl"
     data = bytearray(path.read_bytes())
     data[-10] ^= 0xFF
     path.write_bytes(bytes(data))
 
-    fresh = chaos_runner(tmp_path, plan=None, jobs=1)
-    report = fresh.prewarm([MIX], [SCHEME])
-    assert fresh.cache.quarantined == 1
+    fresh = Session(cache_dir=tmp_path)
+    report = fresh.prewarm([SPEC])
+    assert report.cache_quarantined == 1
     assert (tmp_path / ResultCache.QUARANTINE / path.name).exists()
     assert report.counts["cache"] == 3 and report.counts["simulated"] == 1
-    assert_matches_fault_free(fresh, fault_free_pickles)
+    assert_matches_fault_free(map(fresh.result, CELLS), fault_free_pickles)
 
 
 def test_prewarm_preserves_completed_cells_when_a_later_cell_fails(
-    tmp_path, fault_free_pickles
+    tmp_path, fault_free_pickles, monkeypatch
 ):
-    # retries=0 + a crash on the last-submitted cell: the sweep fails,
-    # but the three cells that finished first must already be on disk.
-    plan = FaultPlan({CELLS[3]: Fault("crash")})
-    runner = chaos_runner(tmp_path, plan, jobs=1, retries=0)
+    # retries=0 + a crash on one cell: the sweep fails, but the three
+    # cells that finished must already be on disk.
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "crash=1,seed=3")
     with pytest.raises(SupervisionError) as excinfo:
-        runner.prewarm([MIX], [SCHEME])
-    assert list(excinfo.value.failed) == [CELLS[3]]
+        Session(cache_dir=tmp_path, retries=0).prewarm([SPEC])
+    (failed,) = excinfo.value.failed
+    assert failed in CELLS
 
-    resumed = chaos_runner(tmp_path, plan=None, jobs=1)
-    report = resumed.prewarm([MIX], [SCHEME])
+    monkeypatch.delenv("REPRO_FAULT_PLAN")
+    resumed = Session(cache_dir=tmp_path)
+    report = resumed.prewarm([SPEC])
     assert report.counts["cache"] == 3 and report.counts["simulated"] == 1
     assert report.counts["failed"] == 0
-    assert_matches_fault_free(resumed, fault_free_pickles)
+    assert report.records[failed].source == "simulated"
+    assert_matches_fault_free(map(resumed.result, CELLS), fault_free_pickles)
 
 
 def test_interrupted_sweep_resumes_from_cache(tmp_path, fault_free_pickles):
     # First invocation completes only part of the matrix (simulating the
     # state an interrupt leaves behind: completed cells flushed to disk).
-    partial = chaos_runner(tmp_path, plan=None, jobs=1)
-    partial.prewarm([[471]], ["baseline"])
+    Session(cache_dir=tmp_path).prewarm([CELLS[2]])
 
-    resumed = chaos_runner(tmp_path, plan=None, jobs=1)
-    report = resumed.prewarm([MIX], [SCHEME])
+    resumed = Session(cache_dir=tmp_path)
+    report = resumed.prewarm([SPEC])
     assert report.counts["cache"] == 1
     assert report.counts["simulated"] == 3
     assert report.counts["hits"] == 1
-    assert_matches_fault_free(resumed, fault_free_pickles)
+    assert_matches_fault_free(map(resumed.result, CELLS), fault_free_pickles)

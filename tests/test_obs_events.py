@@ -10,7 +10,8 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.ascc import ASCC
 from repro.core.avgcc import AVGCC
 from repro.core.qos import QoSAVGCC
-from repro.experiments.runner import simulate_mix
+from repro.api import RunSpec
+from repro.experiments.runner import simulate_spec
 from repro.obs import EventTracer
 from repro.obs.events import KNOWN_KINDS
 from repro.policies.registry import make_policy
@@ -73,7 +74,9 @@ def test_jsonl_export_parses_line_per_event():
 
 def test_spill_and_swap_events_match_traffic():
     tracer = EventTracer()
-    result = simulate_mix(MIX, "ascc", quota=5_000, warmup=2_000, seed=7, observer=tracer)
+    result = simulate_spec(
+        RunSpec(mix=MIX, scheme="ascc", quota=5_000, warmup=2_000, seed=7), observer=tracer
+    )
     counts = tracer.counts()
     # Emission is unconditional (not gated on recording), like traffic.
     assert counts.get("spill", 0) == result.traffic.spills
@@ -174,5 +177,8 @@ def test_qos_throttle_event_reports_ratio_change():
 
 def test_known_kinds_cover_all_emission_sites():
     tracer = EventTracer()
-    simulate_mix(MIX, "qos-avgcc", quota=5_000, warmup=2_000, seed=7, observer=tracer)
+    simulate_spec(
+        RunSpec(mix=MIX, scheme="qos-avgcc", quota=5_000, warmup=2_000, seed=7),
+        observer=tracer,
+    )
     assert set(tracer.counts()) <= set(KNOWN_KINDS)

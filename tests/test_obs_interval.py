@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.runner import simulate_mix
+from repro.api import RunSpec
+from repro.experiments.runner import simulate_spec
 from repro.obs import CompositeObserver, EventTracer, IntervalRecorder, Observer
 from repro.obs.interval import _COUNTER_FIELDS
 
@@ -13,8 +14,9 @@ MIX = (471, 444)
 
 def record(scheme, *, interval=1_000, warmup=2_000, quota=5_000, **kwargs):
     recorder = IntervalRecorder(interval=interval, **kwargs)
-    result = simulate_mix(
-        MIX, scheme, quota=quota, warmup=warmup, seed=7, observer=recorder
+    result = simulate_spec(
+        RunSpec(mix=MIX, scheme=scheme, quota=quota, warmup=warmup, seed=7),
+        observer=recorder,
     )
     return recorder, result
 
@@ -114,7 +116,10 @@ def test_composite_observer_fans_out():
     tracer = EventTracer()
     composite = CompositeObserver([recorder, tracer])
     assert composite.interval == 1_000  # min of the non-zero intervals
-    simulate_mix(MIX, "ascc", quota=4_000, warmup=1_000, seed=7, observer=composite)
+    simulate_spec(
+        RunSpec(mix=MIX, scheme="ascc", quota=4_000, warmup=1_000, seed=7),
+        observer=composite,
+    )
     assert recorder.samples
     assert tracer.emitted > 0
 
@@ -129,10 +134,9 @@ def test_composite_interval_is_min_of_children():
 
 def test_observer_base_is_inert():
     # The no-op base class must be attachable without changing results.
-    plain = simulate_mix(MIX, "ascc", quota=3_000, warmup=1_000, seed=7)
-    observed = simulate_mix(
-        MIX, "ascc", quota=3_000, warmup=1_000, seed=7, observer=Observer()
-    )
+    spec = RunSpec(mix=MIX, scheme="ascc", quota=3_000, warmup=1_000, seed=7)
+    plain = simulate_spec(spec)
+    observed = simulate_spec(spec, observer=Observer())
     for a, b in zip(plain.cores, observed.cores):
         assert a == b
     assert plain.traffic == observed.traffic

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner, ResultCache, make_runner
+from repro.api import RunSpec, Session
+from repro.experiments.parallel import ResultCache
 from repro.experiments.supervision import RunReport, Supervisor
 from repro.obs.metrics import report_to_prometheus
 from repro.sim.results import SystemResult
@@ -12,9 +13,13 @@ from repro.sim.results import SystemResult
 MIX = (444, 445)
 
 
-def tiny_runner(tmp_path, **kwargs):
+#: A tiny spec for the end-to-end reporting tests.
+TINY = RunSpec(mix=MIX, scheme="baseline", quota=2_000, warmup=1_000)
+
+
+def tiny_session(tmp_path, **kwargs):
     kwargs.setdefault("cache_dir", tmp_path / "cells")
-    return ParallelRunner(quota=2_000, warmup=1_000, **kwargs)
+    return Session(**kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -151,8 +156,7 @@ def test_result_cache_corruption_counts_as_miss(tmp_path):
 
 def test_prewarm_reports_cache_traffic_and_metrics(tmp_path):
     metrics = tmp_path / "run.prom"
-    runner = tiny_runner(tmp_path, metrics_path=metrics)
-    report = runner.prewarm([MIX], ["baseline"])
+    report = tiny_session(tmp_path, metrics_path=metrics).prewarm([TINY])
     # Fresh cache: every wanted cell was looked up and missed.
     assert report.cache_hits == 0
     assert report.cache_misses == report.counts["simulated"] > 0
@@ -161,9 +165,8 @@ def test_prewarm_reports_cache_traffic_and_metrics(tmp_path):
     text = metrics.read_text()
     assert 'repro_result_cache_lookups_total{result="miss"}' in text
 
-    # Second runner, same cache: all hits, ratio 1, metrics rewritten.
-    runner2 = tiny_runner(tmp_path, metrics_path=metrics)
-    report2 = runner2.prewarm([MIX], ["baseline"])
+    # Second session, same cache: all hits, ratio 1, metrics rewritten.
+    report2 = tiny_session(tmp_path, metrics_path=metrics).prewarm([TINY])
     assert report2.cache_misses == 0
     assert report2.cache_hits == report2.counts["cache"] > 0
     assert report2.cache_hit_ratio == 1.0
@@ -172,11 +175,6 @@ def test_prewarm_reports_cache_traffic_and_metrics(tmp_path):
     # The JSON manifest carries the same cache section.
     manifest = json.loads((tmp_path / "cells" / "run_report.json").read_text())
     assert manifest["cache"]["hit_ratio"] == 1.0
-
-
-def test_make_runner_metrics_flag_selects_parallel_runner(tmp_path):
-    runner = make_runner(metrics_path=tmp_path / "m.prom")
-    assert isinstance(runner, ParallelRunner)
 
 
 def test_cli_metrics_flag_writes_prometheus(tmp_path, capsys):

@@ -1,58 +1,50 @@
-"""ParallelRunner: determinism, disk cache, keying, prewarm fan-out.
+"""Fan-out and the result cache: determinism, keying, cache integrity.
 
 The acceptance bar for the parallel path is bit-identity: the
 :class:`~repro.sim.results.SystemResult` pickles produced serially, via
-worker processes, and via a warm disk cache must match byte for byte.
-Comparisons happen per result (not on the composite ``MixOutcome``)
-because pickle memoises shared string references differently depending
-on whether sub-objects were created in-process or unpickled from a
-worker — a stream-encoding artefact, not a data difference.
+worker processes (``Session(jobs=2)`` → ``run_batch``), and via a warm
+disk cache must match byte for byte.  Comparisons happen per result (not
+on the composite ``MixOutcome``) because pickle memoises shared string
+references differently depending on whether sub-objects were created
+in-process or unpickled from a worker — a stream-encoding artefact, not
+a data difference.
 """
 
 import pickle
 
 import pytest
 
-from repro.experiments.parallel import (
-    ParallelRunner,
-    ResultCache,
-    cell_key,
-    make_runner,
-    runner_fingerprint,
-)
-from repro.experiments.runner import ExperimentRunner
-from repro.sim.config import ScaleModel
+from repro.api import CACHE_FORMAT_VERSION, RunSpec, Session
+from repro.experiments.parallel import ResultCache
 
-MIX = (471, 444)
-SCHEME = "ascc"
-PARAMS = dict(scale=ScaleModel(1 / 32), quota=3_000, warmup=1_000, seed=7)
+SPEC = RunSpec(mix=(471, 444), scheme="ascc", scale=1 / 32, quota=3_000, warmup=1_000, seed=7)
 
-#: Every cell ``prewarm`` should cover for one (mix, scheme) request.
+#: Every cell ``prewarm`` should cover for one spec.
 CELLS = [
-    (MIX, SCHEME),
-    (MIX, "baseline"),
-    ((471,), "baseline"),
-    ((444,), "baseline"),
+    SPEC,
+    SPEC.replace(scheme="baseline"),
+    SPEC.replace(mix=(471,), scheme="baseline"),
+    SPEC.replace(mix=(444,), scheme="baseline"),
 ]
 
 
-def result_pickles(runner):
+def result_pickles(session):
     """Canonical per-cell pickles: the bit-identity yardstick."""
-    return {cell: pickle.dumps(runner.run(*cell)) for cell in CELLS}
+    return {cell: pickle.dumps(session.result(cell)) for cell in CELLS}
 
 
 @pytest.fixture(scope="module")
 def serial_pickles():
-    return result_pickles(ExperimentRunner(**PARAMS))
+    return result_pickles(Session())
 
 
 @pytest.fixture(scope="module")
 def warm_cache_dir(tmp_path_factory):
     """A cache directory populated by a jobs=2 prewarm run."""
     cache_dir = tmp_path_factory.mktemp("cellcache")
-    runner = ParallelRunner(jobs=2, cache_dir=cache_dir, **PARAMS)
-    runner.prewarm([MIX], [SCHEME])
-    return cache_dir, result_pickles(runner)
+    session = Session(jobs=2, cache_dir=cache_dir)
+    session.prewarm([SPEC])
+    return cache_dir, result_pickles(session)
 
 
 def test_parallel_matches_serial(serial_pickles, warm_cache_dir):
@@ -64,20 +56,20 @@ def test_warm_cache_matches_serial_without_simulating(
     serial_pickles, warm_cache_dir, monkeypatch
 ):
     cache_dir, _ = warm_cache_dir
-    runner = ParallelRunner(jobs=2, cache_dir=cache_dir, **PARAMS)
     monkeypatch.setattr(
-        ParallelRunner,
-        "_simulate",
+        "repro.service.scheduler.simulate_spec",
         lambda *a, **k: pytest.fail("warm cache must not simulate"),
     )
-    runner.prewarm([MIX], [SCHEME])
-    assert result_pickles(runner) == serial_pickles
+    session = Session(cache_dir=cache_dir)
+    report = session.prewarm([SPEC])
+    assert report.counts["cache"] == len(CELLS) and report.counts["simulated"] == 0
+    assert result_pickles(session) == serial_pickles
 
 
 def test_outcome_metrics_match_serial(warm_cache_dir):
     cache_dir, _ = warm_cache_dir
-    serial = ExperimentRunner(**PARAMS).outcome(MIX, SCHEME)
-    cached = ParallelRunner(cache_dir=cache_dir, **PARAMS).outcome(MIX, SCHEME)
+    serial = Session().outcome(SPEC)
+    cached = Session(cache_dir=cache_dir).outcome(SPEC)
     assert cached.alone_ipcs == serial.alone_ipcs
     assert cached.speedup_improvement == serial.speedup_improvement
     assert cached.fairness_improvement == serial.fairness_improvement
@@ -86,44 +78,30 @@ def test_outcome_metrics_match_serial(warm_cache_dir):
 def test_prewarm_covers_baseline_and_alone_cells(warm_cache_dir):
     cache_dir, _ = warm_cache_dir
     cache = ResultCache(cache_dir)
-    fingerprint = runner_fingerprint(ExperimentRunner(**PARAMS))
-    for codes, scheme in CELLS:
-        assert cache.get(cell_key(fingerprint, codes, scheme)) is not None
+    for cell in CELLS:
+        assert cache.get(cell.cache_key()) is not None
 
 
 def test_any_parameter_change_changes_the_key():
-    base = runner_fingerprint(ExperimentRunner(**PARAMS))
-    key = cell_key(base, MIX, SCHEME)
+    key = SPEC.cache_key()
     for change in (
         dict(seed=8),
         dict(quota=4_000),
         dict(warmup=2_000),
-        dict(scale=ScaleModel(1 / 16)),
+        dict(scale=1 / 16),
+        dict(scheme="avgcc"),
+        dict(mix=(444, 471)),
     ):
-        other = runner_fingerprint(ExperimentRunner(**{**PARAMS, **change}))
-        assert cell_key(other, MIX, SCHEME) != key
-    assert cell_key(base, MIX, "avgcc") != key
-    assert cell_key(base, (444, 471), SCHEME) != key
+        assert SPEC.replace(**change).cache_key() != key
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(ExperimentRunner(**PARAMS)), MIX, SCHEME)
+    key = SPEC.cache_key()
     path = tmp_path / key[:2] / f"{key}.pkl"
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a pickle")
     assert cache.get(key) is None
-
-
-def test_make_runner_picks_cheapest_class(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    assert type(make_runner()) is ExperimentRunner
-    assert isinstance(make_runner(jobs=2), ParallelRunner)
-    assert isinstance(make_runner(cache_dir=tmp_path), ParallelRunner)
-    # The supervision knobs and the chaos env knob also need supervision.
-    assert isinstance(make_runner(timeout=5.0), ParallelRunner)
-    monkeypatch.setenv("REPRO_FAULT_PLAN", "crash=1")
-    assert isinstance(make_runner(), ParallelRunner)
 
 
 # --------------------------------------------------------------------- #
@@ -136,10 +114,8 @@ def entry_path(cache_dir, key):
 
 
 def any_warm_key(cache_dir):
-    fingerprint = runner_fingerprint(ExperimentRunner(**PARAMS))
-    return cell_key(fingerprint, *CELLS[0]), entry_path(
-        cache_dir, cell_key(fingerprint, *CELLS[0])
-    )
+    key = CELLS[0].cache_key()
+    return key, entry_path(cache_dir, key)
 
 
 def test_entries_carry_magic_and_verified_checksum(warm_cache_dir):
@@ -174,10 +150,7 @@ def test_bitflip_and_truncation_quarantine_the_entry(warm_cache_dir, tmp_path):
 
 
 def test_unchecksummed_v1_style_entry_misses_cleanly(tmp_path):
-    import pickle
-
-    cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(ExperimentRunner(**PARAMS)), MIX, SCHEME)
+    key = SPEC.cache_key()
     path = entry_path(tmp_path, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(pickle.dumps({"v1": "raw pickle, no magic/checksum"}))
@@ -185,10 +158,7 @@ def test_unchecksummed_v1_style_entry_misses_cleanly(tmp_path):
 
 
 def test_format_version_bumped_for_checksummed_layout():
-    from repro.experiments.parallel import _FORMAT_VERSION
-
-    assert _FORMAT_VERSION >= 2
-    assert runner_fingerprint(ExperimentRunner(**PARAMS))[0] == _FORMAT_VERSION
+    assert CACHE_FORMAT_VERSION >= 2
 
 
 def test_stale_tmp_files_are_swept_on_init(tmp_path):
@@ -209,10 +179,10 @@ def test_stale_tmp_files_are_swept_on_init(tmp_path):
 
 
 def test_put_cleans_up_tmp_when_replace_fails(tmp_path, monkeypatch):
-    runner = ExperimentRunner(**PARAMS)
-    result = runner.run((471,), "baseline")
+    alone = CELLS[2]
+    result = Session().result(alone)
     cache = ResultCache(tmp_path)
-    key = cell_key(runner_fingerprint(runner), (471,), "baseline")
+    key = alone.cache_key()
 
     def boom(src, dst):
         raise OSError("injected replace failure")

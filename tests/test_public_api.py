@@ -4,7 +4,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_all_exports_resolve():
@@ -14,7 +14,7 @@ def test_all_exports_resolve():
 
 def test_top_level_workflow():
     runner = repro.ExperimentRunner(quota=4_000, warmup=2_000)
-    outcome = repro.run_mix((444, 445), scheme="baseline", runner=runner)
+    outcome = repro.run_mix(runner.spec((444, 445), "baseline"), runner=runner)
     assert isinstance(outcome, repro.MixOutcome)
     assert outcome.result.workload == "444+445"
 

@@ -42,5 +42,7 @@ def test_shared_scheme_builds_shared_hierarchy():
 
 
 def test_run_mix_wrapper():
-    out = run_mix((444, 445), scheme="baseline", runner=small_runner())
+    runner = small_runner()
+    out = run_mix(runner.spec((444, 445), "baseline"), runner=runner)
     assert out.result.workload == "444+445"
+    assert out.result is runner.run((444, 445), "baseline")  # one shared memo

@@ -321,3 +321,31 @@ def test_http_batch_metrics_and_health_endpoints():
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+def test_scheduler_import_leaves_the_front_ends_unloaded():
+    """``import repro.service.scheduler`` (every Session miss does it)
+    must not pay for asyncio or http.server; the front-ends still
+    resolve lazily from the package."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.service.scheduler; "
+        "print(sorted({'asyncio', 'http.server'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+    import repro.service as service
+
+    assert service.AsyncClient.__module__ == "repro.service.aio"
+    assert service.serve_jsonl.__module__ == "repro.service.serve"
+    with pytest.raises(AttributeError, match="no attribute"):
+        service.does_not_exist

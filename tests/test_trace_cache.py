@@ -188,3 +188,53 @@ def test_result_cache_sweep_leaves_trace_files_alone(tmp_path):
 
     assert keep.exists(), "sweep must not touch the trace store"
     assert not stale.exists(), "stranded result tmp files are swept"
+
+
+def test_concurrent_replays_past_the_prefix_share_one_generator():
+    """Several threads (a worker's slots) overrun one buffer at once.
+
+    The source sleeps inside ``next()`` so the other threads arrive
+    while one is mid-extension; every thread must still see the
+    reference stream, record for record.
+    """
+    import sys
+    import threading
+    import time
+
+    from repro.workloads.trace_cache import _EXTEND_CHUNK
+
+    length = 2 * _EXTEND_CHUNK + 100
+    slots = 4
+
+    def source(sleep: bool):
+        for i in range(length):
+            if sleep and i % _EXTEND_CHUNK == 0:
+                time.sleep(0.05)
+            yield (i % 7, i, i * 64, i % 3 == 0)
+
+    reference = list(source(False))
+    trace = MaterializedTrace("d", lambda: source(True), source=source(True))
+    start = threading.Barrier(slots)
+    seen: list = [None] * slots
+    errors: list = []
+
+    def replay(slot: int) -> None:
+        start.wait()
+        try:
+            seen[slot] = list(trace.iterator())
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=replay, args=(slot,)) for slot in range(slots)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert all(replayed == reference for replayed in seen)

@@ -52,7 +52,7 @@ def test_verify_grid_smoke(capsys):
     )
     captured = capsys.readouterr()
     assert "IDENTICAL" in captured.out
-    assert "12 cells" in captured.out
+    assert "8 cells" in captured.out
     # The progress stream named every cell as it finished.
     assert "slot/traces/serial" in captured.err
     assert "dict/gen/batch" in captured.err

@@ -1,7 +1,7 @@
 """Differential grid: every backend and execution path, one digest.
 
 One small spec is executed across the full {slot, dict} x {traces
-on, off} x {serial, parallel, batch} grid (12 cells) through the
+on, off} x {serial, batch} grid (8 cells) through the
 module-scoped ``differential_grid`` fixture — the same machinery
 ``repro verify --grid`` drives — and every structural property of the
 report is asserted against that single (expensive) run.
@@ -29,7 +29,7 @@ SPEC = RunSpec(mix=(471, 444), scheme="avgcc", quota=1_200, warmup=400)
 
 @pytest.fixture(scope="module")
 def differential_grid():
-    """The full 12-cell grid, simulated once for the whole module."""
+    """The full 8-cell grid, simulated once for the whole module."""
     return run_grid(SPEC, jobs=2)
 
 
