@@ -1,19 +1,16 @@
-"""End-to-end batch benchmark: kernel v2 + shared traces vs the seed stack.
+"""End-to-end batch benchmark: shared materialized traces vs regeneration.
 
 Runs a Table-4-style cross-size batch — one mix simulated at several L2
 sizes under several schemes, every cell sharing one workload trace —
 through the real :func:`repro.service.run_batch` scheduler twice:
 
 ``baseline``
-    The seed-era stack: original list-based cache arrays, original
-    ``min``-scan engine loop, original per-record trace generators, and
-    the trace cache disabled, so every cell regenerates its trace from
-    scratch (the pre-kernel-v2 cost profile).
+    The trace cache disabled: every cell generates its records from the
+    workloads' block sources.
 
 ``optimized``
-    The current stack: slot-backed cache arrays, the batched engine
-    loop, and the materialized trace cache — the shared trace is drained
-    once and every cell replays the same record buffers.
+    The materialized trace cache: the shared trace is drained once into
+    column buffers and every cell replays them.
 
 Before timing counts, the two legs' per-spec result digests are compared;
 any divergence fails the benchmark, so it doubles as an end-to-end
@@ -26,8 +23,7 @@ Usage::
 
 Appends a run to ``BENCH_batch.json`` (see ``--output``).  Exits non-zero
 if digests diverge or the improvement falls below ``--min-improvement``
-(default 3.0; ``--smoke`` lowers it to 1.0 because tiny batches are
-dominated by scheduler setup and timer noise).
+(default 1.0: replaying must not be slower than regenerating).
 """
 
 from __future__ import annotations
@@ -40,14 +36,10 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # executed as a script
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    import legacy
     import trajectory
 else:  # executed as a module (python -m benchmarks.perf.bench_batch)
-    from benchmarks.perf import legacy, trajectory
+    from benchmarks.perf import trajectory
 
-import repro.sim.engine as engine_mod
-import repro.sim.system as system_mod
-import repro.workloads.spec2006 as spec_mod
 from repro.api.session import result_digest
 from repro.api.spec import RunSpec
 from repro.service import run_batch
@@ -58,22 +50,6 @@ MB = 1 << 20
 SIZES_MB = [1, 2, 4]
 SCHEMES = ["avgcc", "baseline"]
 
-
-def _legacy_engine_run(self) -> None:
-    legacy.legacy_run(self)
-
-
-#: (module, attribute) -> seed-era replacement for the baseline leg.  The
-#: storage classes, the generator components and the engine loop together
-#: reconstruct the pre-kernel-v2 stack inside the live batch scheduler.
-_BASELINE_PATCHES = [
-    (system_mod, "CacheArray", legacy.LegacyCacheArray),
-    (system_mod, "L1Cache", legacy.LegacyL1Cache),
-    (spec_mod, "MixtureTrace", legacy.LegacyMixtureTrace),
-    (spec_mod, "RandomRegion", legacy.LegacyRandomRegion),
-    (spec_mod, "Dwell", legacy.LegacyDwell),
-    (engine_mod.Engine, "run", _legacy_engine_run),
-]
 
 
 def _grid(codes, quota, warmup, seed) -> list[RunSpec]:
@@ -94,23 +70,13 @@ def _grid(codes, quota, warmup, seed) -> list[RunSpec]:
 
 def _run_leg(kind: str, specs: list[RunSpec]) -> tuple[float, list[str]]:
     """One timed batch; returns (seconds, per-spec result digests)."""
-    saved = [
-        (obj, name, getattr(obj, name)) for obj, name, _ in _BASELINE_PATCHES
-    ]
     saved_env = os.environ.get(ENV_FLAG)
-    if kind == "baseline":
-        for obj, name, repl in _BASELINE_PATCHES:
-            setattr(obj, name, repl)
-        os.environ[ENV_FLAG] = "0"
-    else:
-        os.environ[ENV_FLAG] = "1"
+    os.environ[ENV_FLAG] = "0" if kind == "baseline" else "1"
     try:
         start = time.perf_counter()
         outcomes, stats, _report = run_batch(specs, jobs=1, retries=0)
         elapsed = time.perf_counter() - start
     finally:
-        for obj, name, orig in saved:
-            setattr(obj, name, orig)
         if saved_env is None:
             os.environ.pop(ENV_FLAG, None)
         else:
@@ -144,14 +110,12 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=None, help="default 30000")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--min-improvement", type=float, default=None, help="default 3.0"
-    )
+    parser.add_argument("--min-improvement", type=float, default=1.0)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny run for CI: defaults become quota=3000, warmup=1500, "
-        "min-improvement=1.0 (explicit flags still win)",
+        help="tiny run for CI: defaults become quota=3000, warmup=1500 "
+        "(explicit flags still win)",
     )
     parser.add_argument(
         "--output",
@@ -159,13 +123,11 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parents[2] / "BENCH_batch.json",
     )
     args = parser.parse_args(argv)
-    defaults = (3_000, 1_500, 1.0) if args.smoke else (60_000, 30_000, 3.0)
+    quota, warmup = (3_000, 1_500) if args.smoke else (60_000, 30_000)
     if args.quota is None:
-        args.quota = defaults[0]
+        args.quota = quota
     if args.warmup is None:
-        args.warmup = defaults[1]
-    if args.min_improvement is None:
-        args.min_improvement = defaults[2]
+        args.warmup = warmup
 
     codes = MIX2[0]
     specs = _grid(codes, args.quota, args.warmup, args.seed)
@@ -198,12 +160,12 @@ def main(argv=None) -> int:
         "baseline": {
             "seconds": base_s,
             "instructions_per_sec": instructions / base_s,
-            "stack": "legacy arrays + min-scan loop + per-cell regeneration",
+            "stack": "trace cache off: per-cell generation",
         },
         "optimized": {
             "seconds": opt_s,
             "instructions_per_sec": instructions / opt_s,
-            "stack": "slot arrays + batched loop + shared materialized traces",
+            "stack": "shared columnar trace buffers",
         },
         "improvement": improvement,
         "digests_identical": True,

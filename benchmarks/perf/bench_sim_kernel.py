@@ -1,24 +1,24 @@
-"""Microbenchmark: optimized vs. legacy simulation kernel.
+"""Microbenchmark: the simulation kernel, generating vs replaying traces.
 
-Runs the paper's 4-core AVGCC configuration on the first Table 1 mix twice —
-once with the original list-based cache arrays and ``min``-scan engine loop
-(:mod:`legacy`), once with the current kernel — and reports wall-clock time
-and trace records (accesses) per second for both, plus the speedup.
+Runs the paper's 4-core AVGCC configuration on the first Table 1 mix two
+ways — with the trace cache off (every run generates its records from the
+workload's block source) and on (records replay from the columnar trace
+memo) — and reports wall-clock time and trace records (accesses) per
+second for both.
 
-Before timing anything it asserts that the two kernels produce bit-identical
-statistics (per-core counters and bus traffic), so the benchmark doubles as
-a regression guard: a kernel "optimization" that changes simulated behaviour
-fails here before it can corrupt results.
+Before anything is recorded it asserts that the two paths produce
+bit-identical statistics (per-core counters, bus traffic and L1
+counters), so the benchmark doubles as a regression guard: a kernel or
+trace-layer change that alters simulated behaviour fails here before it
+can corrupt results.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_sim_kernel.py
     PYTHONPATH=src python benchmarks/perf/bench_sim_kernel.py --smoke
 
-Writes ``BENCH_sim_kernel.json`` (see ``--output``) with the raw numbers.
-Exits non-zero if counters diverge or the speedup falls below
-``--min-speedup`` (default 2.0; ``--smoke`` lowers it to 1.0 because tiny
-runs are dominated by setup and timer noise).
+Appends a run to ``BENCH_sim_kernel.json`` (see ``--output``).  Exits
+non-zero if the counters diverge.
 """
 
 from __future__ import annotations
@@ -31,34 +31,31 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # executed as a script
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    import legacy
     import trajectory
 else:  # executed as a module (python -m benchmarks.perf.bench_sim_kernel)
-    from benchmarks.perf import legacy, trajectory
+    from benchmarks.perf import trajectory
 
-import repro.sim.system as system_mod
-import repro.workloads.spec2006 as spec_mod
 from repro.policies.registry import make_policy
 from repro.sim.config import ScaleModel, default_config
 from repro.sim.engine import Engine
 from repro.sim.system import PrivateHierarchy
 from repro.workloads.mixes import MIX4, make_workloads
-from repro.workloads.trace_cache import get_trace_cache
+from repro.workloads.trace_cache import TraceCache
 
 SCHEME = "avgcc"
 
+#: Legs in timing order: trace cache off, then on.
+LEGS = ("generated", "replayed")
 
-def _build_engine(codes, quota, warmup, seed, use_traces=False):
+
+def _build_engine(codes, quota, warmup, seed, traces=None):
     scale = ScaleModel()
     workloads = make_workloads(codes, scale)
-    if use_traces:
-        # The kernel-v2 fast path: replay materialized record buffers.
-        # Only the optimized build gets this — the legacy side models the
-        # original regenerate-every-run stack.  The first optimized repeat
-        # pays materialization; later repeats replay the warm memo, and
-        # best-of-N reports the replay speed (the steady state of every
-        # sweep after its first cell).
-        workloads = get_trace_cache().wrap_workloads(workloads, seed, quota, warmup)
+    if traces is not None:
+        # The first replayed repeat pays materialization; later repeats
+        # replay the warm memo, and best-of-N reports the replay speed
+        # (the steady state of every sweep after its first cell).
+        workloads = traces.wrap_workloads(workloads, seed, quota, warmup)
     config = default_config(num_cores=len(codes), scale=scale, quota=quota, seed=seed)
     hierarchy = PrivateHierarchy(config, make_policy(SCHEME))
     return Engine(hierarchy, workloads, quota, seed, warmup)
@@ -78,54 +75,30 @@ def _accesses(hierarchy) -> int:
     return sum(l1.hits + l1.misses for l1 in hierarchy.l1s)
 
 
-#: (module, attribute) -> legacy replacement.  Patched for the whole legacy
-#: build + run (traces restart mid-run, so construction happens during the
-#: run too) and always restored afterwards.
-_LEGACY_PATCHES = [
-    (system_mod, "CacheArray", legacy.LegacyCacheArray),
-    (system_mod, "L1Cache", legacy.LegacyL1Cache),
-    (spec_mod, "MixtureTrace", legacy.LegacyMixtureTrace),
-    (spec_mod, "RandomRegion", legacy.LegacyRandomRegion),
-    (spec_mod, "Dwell", legacy.LegacyDwell),
-]
-
-
-def _run_once(kind, codes, quota, warmup, seed):
+def _run_once(codes, quota, warmup, seed, traces):
     """One timed simulation; returns (seconds, snapshot, accesses)."""
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in _LEGACY_PATCHES]
-    if kind == "legacy":
-        for mod, name, repl in _LEGACY_PATCHES:
-            setattr(mod, name, repl)
-    try:
-        engine = _build_engine(codes, quota, warmup, seed, use_traces=kind != "legacy")
-        start = time.perf_counter()
-        if kind == "legacy":
-            legacy.legacy_run(engine)
-        else:
-            engine.run()
-        elapsed = time.perf_counter() - start
-    finally:
-        for mod, name, orig in saved:
-            setattr(mod, name, orig)
+    engine = _build_engine(codes, quota, warmup, seed, traces)
+    start = time.perf_counter()
+    engine.run()
+    elapsed = time.perf_counter() - start
     return elapsed, _snapshot(engine.hierarchy), _accesses(engine.hierarchy)
 
 
-def _run_kernels(codes, quota, warmup, seed, repeats):
-    """Time both kernels with interleaved repeats (best-of-``repeats``).
+def _run_legs(codes, quota, warmup, seed, repeats):
+    """Time both legs with interleaved repeats (best-of-``repeats``).
 
-    Alternating legacy/optimized runs means slow drift in machine speed
-    (frequency scaling, background load) biases both sides equally instead
-    of whichever kernel happened to run last.
+    Alternating the legs means slow drift in machine speed (frequency
+    scaling, background load) biases both equally instead of whichever
+    leg happened to run last.
     """
-    results = {}
-    for kind in ("legacy", "optimized"):
-        results[kind] = _run_once(kind, codes, quota, warmup, seed)
-    for _ in range(repeats - 1):
-        for kind in ("legacy", "optimized"):
-            elapsed, snapshot, accesses = _run_once(kind, codes, quota, warmup, seed)
-            if elapsed < results[kind][0]:
-                results[kind] = (elapsed, snapshot, accesses)
-    return results["legacy"], results["optimized"]
+    traces = {"generated": None, "replayed": TraceCache()}
+    results: dict = {}
+    for _ in range(repeats):
+        for leg in LEGS:
+            run = _run_once(codes, quota, warmup, seed, traces[leg])
+            if leg not in results or run[0] < results[leg][0]:
+                results[leg] = run
+    return results
 
 
 def main(argv=None) -> int:
@@ -134,12 +107,11 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=None, help="default 50000")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--min-speedup", type=float, default=None, help="default 2.0")
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny run for CI: defaults become quota=4000, warmup=2000, "
-        "min-speedup=1.0 (explicit flags still win)",
+        help="tiny run for CI: defaults become quota=4000, warmup=2000 "
+        "(explicit flags still win)",
     )
     parser.add_argument(
         "--output",
@@ -147,29 +119,26 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parents[2] / "BENCH_sim_kernel.json",
     )
     args = parser.parse_args(argv)
-    defaults = (4_000, 2_000, 1.0) if args.smoke else (100_000, 50_000, 2.0)
+    quota, warmup = (4_000, 2_000) if args.smoke else (100_000, 50_000)
     if args.quota is None:
-        args.quota = defaults[0]
+        args.quota = quota
     if args.warmup is None:
-        args.warmup = defaults[1]
-    if args.min_speedup is None:
-        args.min_speedup = defaults[2]
+        args.warmup = warmup
 
     codes = MIX4[0]
     print(f"mix={codes} scheme={SCHEME} quota={args.quota} warmup={args.warmup}")
 
-    (legacy_s, legacy_snap, legacy_acc), (opt_s, opt_snap, opt_acc) = _run_kernels(
-        codes, args.quota, args.warmup, args.seed, args.repeats
+    results = _run_legs(codes, args.quota, args.warmup, args.seed, args.repeats)
+    (gen_s, gen_snap, accesses), (rep_s, rep_snap, rep_acc) = (
+        results[leg] for leg in LEGS
     )
-
-    if legacy_snap != opt_snap:
-        print("FAIL: kernels disagree on simulated statistics", file=sys.stderr)
-        print(f"  legacy:    {legacy_snap}", file=sys.stderr)
-        print(f"  optimized: {opt_snap}", file=sys.stderr)
+    if gen_snap != rep_snap:
+        print("FAIL: generated and replayed runs disagree on statistics", file=sys.stderr)
+        print(f"  generated: {gen_snap}", file=sys.stderr)
+        print(f"  replayed:  {rep_snap}", file=sys.stderr)
         return 1
-    assert legacy_acc == opt_acc  # implied by the snapshot match
+    assert accesses == rep_acc  # implied by the snapshot match
 
-    speedup = legacy_s / opt_s
     run = {
         "mix": list(codes),
         "scheme": SCHEME,
@@ -177,25 +146,17 @@ def main(argv=None) -> int:
         "warmup": args.warmup,
         "seed": args.seed,
         "repeats": args.repeats,
-        "accesses": opt_acc,
-        "legacy": {"seconds": legacy_s, "accesses_per_sec": legacy_acc / legacy_s},
-        "optimized": {"seconds": opt_s, "accesses_per_sec": opt_acc / opt_s},
-        "speedup": speedup,
+        "accesses": accesses,
+        "generated": {"seconds": gen_s, "accesses_per_sec": accesses / gen_s},
+        "replayed": {"seconds": rep_s, "accesses_per_sec": accesses / rep_s},
         "counters_identical": True,
     }
     trajectory.append_run(args.output, "sim_kernel", run)
 
-    print(f"legacy:    {legacy_s:.3f}s  {legacy_acc / legacy_s:>12,.0f} accesses/s")
-    print(f"optimized: {opt_s:.3f}s  {opt_acc / opt_s:>12,.0f} accesses/s")
-    print(f"speedup:   {speedup:.2f}x  (counters identical: yes)")
+    print(f"generated: {gen_s:.3f}s  {accesses / gen_s:>12,.0f} accesses/s")
+    print(f"replayed:  {rep_s:.3f}s  {accesses / rep_s:>12,.0f} accesses/s")
+    print("counters identical: yes")
     print(f"wrote {args.output}")
-
-    if speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from heapq import heapify, heapreplace
 from itertools import islice
 from random import Random
-from typing import Iterator, Protocol, Tuple
+from typing import Iterable, Iterator, Protocol, Sequence, Tuple
 
 from repro.cpu.timing import TimingModel
 from repro.sim.system import MemoryHierarchy
@@ -38,9 +38,29 @@ from repro.sim.system import MemoryHierarchy
 #: One trace record: (non-memory instruction gap, pc, byte address, is_write).
 TraceRecord = Tuple[int, int, int, bool]
 
+#: A run of consecutive records as four equal-length columns
+#: ``(gaps, pcs, addrs, writes)``.
+Block = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+#: Records the engine pulls from a core's source per refill.
+BLOCK = 1024
+
+
+class BlockSource(Protocol):
+    """A record stream handed out in column blocks."""
+
+    def fill(self, n: int) -> Block:
+        """The next ``n`` records; fewer (down to none) only at the end."""
+        ...
+
 
 class Workload(Protocol):
-    """What the engine needs from a per-core workload."""
+    """What the engine needs from a per-core workload.
+
+    A workload may also offer ``source(rng) -> BlockSource`` producing the
+    same stream as ``trace(rng)`` in column blocks; the engine prefers it
+    (see :func:`open_source`).
+    """
 
     name: str
     timing: TimingModel
@@ -48,6 +68,32 @@ class Workload(Protocol):
     def trace(self, rng: Random) -> Iterator[TraceRecord]:
         """A fresh (practically infinite) access trace."""
         ...
+
+
+class RecordSource:
+    """A tuple-record iterator served as column blocks."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: Iterable[TraceRecord]) -> None:
+        self._records = iter(records)
+
+    def fill(self, n: int) -> Block:
+        chunk = list(islice(self._records, n))
+        return (
+            [r[0] for r in chunk],
+            [r[1] for r in chunk],
+            [r[2] for r in chunk],
+            [r[3] for r in chunk],
+        )
+
+
+def open_source(workload: Workload, rng: Random) -> BlockSource:
+    """A fresh block source for ``workload``'s trace under ``rng``."""
+    source = getattr(workload, "source", None)
+    if source is not None:
+        return source(rng)
+    return RecordSource(workload.trace(rng))
 
 
 class _CoreRun:
@@ -61,7 +107,7 @@ class _CoreRun:
     __slots__ = (
         "core_id",
         "workload",
-        "trace",
+        "source",
         "rng",
         "cycles",
         "cycle_offset",
@@ -74,8 +120,6 @@ class _CoreRun:
         "mlp",
         "stats",
         "l1",
-        "chunk",
-        "chunk_pos",
         "threshold",
         "state_threshold",
         "next_sample",
@@ -87,7 +131,7 @@ class _CoreRun:
         self.core_id = core_id
         self.workload = workload
         self.rng = rng
-        self.trace = iter(workload.trace(rng))
+        self.source = open_source(workload, rng)
         self.cycles = 0.0
         self.cycle_offset = 0.0
         self.instructions = 0
@@ -97,10 +141,6 @@ class _CoreRun:
         self.done = False
         self.base_cpi = workload.timing.base_cpi
         self.mlp = workload.timing.mlp
-        #: Current record batch and the index of the next unconsumed
-        #: record — a list cursor, cheaper per record than an iterator.
-        self.chunk: list[TraceRecord] = []
-        self.chunk_pos = 0
         #: Next instruction count at which a state transition can happen:
         #: first the end of warmup, then the quota, then never again.
         self.state_threshold: float = warmup if warmup else quota
@@ -199,10 +239,10 @@ class Engine:
         # Cores hand the lead back and forth every few records, so the
         # swap itself is hot.  Each core's loop state lives in one flat
         # list; a switch is then three list stores plus a single
-        # 12-element unpack instead of a dozen attribute accesses.
+        # 15-element unpack instead of a dozen attribute accesses.
         # Layout: [cycles, instructions, threshold, base_cpi, mlp,
-        #          chunk, chunk_pos, chunk_len, l1, l1_mru, l1_sets,
-        #          core_stats].
+        #          gaps, pcs, addrs, writes, pos, block_len, l1, l1_mru,
+        #          l1_sets, core_stats].
         states = []
         for c in cores:
             c_l1 = l1s[c.core_id]
@@ -213,9 +253,12 @@ class Engine:
                     c.threshold,
                     c.base_cpi,
                     c.mlp,
-                    c.chunk,
-                    c.chunk_pos,
-                    len(c.chunk),
+                    (),
+                    (),
+                    (),
+                    (),
+                    0,
+                    0,
                     c_l1,
                     c_l1._mru,
                     c_l1._sets,
@@ -231,9 +274,12 @@ class Engine:
             threshold,
             base_cpi,
             mlp,
-            chunk,
-            chunk_pos,
-            chunk_len,
+            gaps,
+            pcs,
+            addrs,
+            writes,
+            pos,
+            block_len,
             l1,
             l1_mru,
             l1_sets,
@@ -242,25 +288,26 @@ class Engine:
         recording = core_stats.recording
 
         while remaining:
-            # Traces are consumed in per-core batches: each core's record
-            # stream depends only on its own RNG and component state, so
-            # draining the generator a chunk at a time yields the same
-            # records while amortising the per-record resume cost.  The
-            # batch is walked with a list cursor — one index and one
-            # compare per record instead of an iterator call.
-            if chunk_pos < chunk_len:
-                record = chunk[chunk_pos]
-                chunk_pos += 1
-            else:
-                chunk = list(islice(core.trace, 1024))
-                if not chunk:  # trace exhausted: restart it, like the paper
-                    core.trace = iter(core.workload.trace(core.rng))
+            # Traces are consumed in per-core column blocks: each core's
+            # record stream depends only on its own RNG and component
+            # state, so pulling BLOCK records at a time yields the same
+            # records while amortising the per-record production cost.
+            # The block is walked with one cursor over its columns; the pc
+            # is read only on an L1 miss.
+            if pos == block_len:
+                block = core.source.fill(BLOCK)
+                block_len = len(block[0])
+                if not block_len:  # trace exhausted: restart it, like the paper
+                    core.source = open_source(core.workload, core.rng)
+                    pos = 0
                     continue
-                state[5] = core.chunk = chunk
-                state[7] = chunk_len = len(chunk)
-                record = chunk[0]
-                chunk_pos = 1
-            gap, pc, addr, is_write = record
+                gaps, pcs, addrs, writes = block
+                state[5:11] = gaps, pcs, addrs, writes, 0, block_len
+                pos = 0
+            gap = gaps[pos]
+            addr = addrs[pos]
+            is_write = writes[pos]
+            pos += 1
             committed = gap + 1
             instructions += committed
             cycles += committed * base_cpi
@@ -297,7 +344,9 @@ class Engine:
                     core_stats.l1_misses += 1
                 # The hierarchy allocates into the L1 itself (a spilled
                 # line served remotely in place never enters this L1).
-                latency = hierarchy_access(core_id, line_addr, is_write, pc)
+                latency = hierarchy_access(
+                    core_id, line_addr, is_write, pcs[pos - 1]
+                )
                 cycles += latency / mlp
 
             if instructions >= threshold:
@@ -361,7 +410,7 @@ class Engine:
                 ):
                     state[0] = core.cycles = cycles
                     state[1] = core.instructions = instructions
-                    state[6] = chunk_pos
+                    state[9] = pos
                     heapreplace(heap, (cycles, core_id))
                     core_id = root[1]
                     core = cores[core_id]
@@ -372,9 +421,12 @@ class Engine:
                         threshold,
                         base_cpi,
                         mlp,
-                        chunk,
-                        chunk_pos,
-                        chunk_len,
+                        gaps,
+                        pcs,
+                        addrs,
+                        writes,
+                        pos,
+                        block_len,
                         l1,
                         l1_mru,
                         l1_sets,
@@ -384,7 +436,6 @@ class Engine:
 
         core.cycles = cycles
         core.instructions = instructions
-        core.chunk_pos = chunk_pos
         if observer is not None:
             observer.finish()
         if self._sanitizer is not None:

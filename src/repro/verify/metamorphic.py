@@ -105,7 +105,7 @@ def simulate_permuted(spec: RunSpec, perm: Sequence[int]) -> SystemResult:
     """
     from repro.policies.registry import make_policy
     from repro.sim.config import default_config
-    from repro.sim.engine import Engine
+    from repro.sim.engine import Engine, open_source
     from repro.sim.system import PrivateHierarchy
     from repro.workloads.mixes import make_workloads, mix_name
 
@@ -127,7 +127,7 @@ def simulate_permuted(spec: RunSpec, perm: Sequence[int]) -> SystemResult:
     engine = Engine(hierarchy, workloads, config.quota, config.seed, spec.warmup)
     for i, core in enumerate(engine.cores):
         core.rng = Random((spec.seed << 8) + perm[i])
-        core.trace = iter(core.workload.trace(core.rng))
+        core.source = open_source(core.workload, core.rng)
     engine.run()
     return SystemResult(
         scheme=spec.scheme,

@@ -255,9 +255,12 @@ class Dwell(AddressComponent):
 class MixtureTrace:
     """Weighted mixture of components with gaps and store flags.
 
-    Yields engine trace records ``(gap, pc, byte_addr, is_write)``.  The gap
-    (non-memory instructions before the access) is uniform over
-    ``[gap_min, gap_max]``; stores occur with ``write_fraction`` probability.
+    Produces engine trace records ``(gap, pc, byte_addr, is_write)``.  The
+    gap (non-memory instructions before the access) is uniform over
+    ``[gap_min, gap_max]``; stores occur with ``write_fraction``
+    probability.  :meth:`fill` hands out the stream as column blocks (what
+    the engine and the trace cache consume); iterating yields the same
+    stream as tuples.
     """
 
     def __init__(
@@ -285,36 +288,48 @@ class MixtureTrace:
         self.gap_min = gap_min
         self.gap_max = gap_max
         self.write_fraction = write_fraction
+        # :class:`Dwell` wrappers are unrolled into per-part repeat state
+        # (seeded from the wrapper, carried across fill() calls here):
+        # repeating the previous access is the dominant record, and this
+        # turns it from a method call into a couple of list indexings.
+        # Components are built fresh for every ``trace()`` call, so the
+        # wrapper object never needs the state written back.
+        parts = self._parts
+        self._next = [
+            p._inner_next if type(p) is Dwell else p.next_access for p in parts
+        ]
+        self._counts = [p.count if type(p) is Dwell else 0 for p in parts]
+        self._remaining = [p._remaining if type(p) is Dwell else 0 for p in parts]
+        self._current = [p._current if type(p) is Dwell else (0, 0) for p in parts]
 
-    def __iter__(self):
+    def fill(self, n: int) -> tuple[list, list, list, list]:
+        """The next ``n`` records as four columns ``(gaps, pcs, addrs, writes)``.
+
+        The stream is infinite, so every column has exactly ``n`` entries;
+        consecutive calls continue it exactly where the last one stopped.
+        """
         # Hot loop: every simulated memory access of every core flows
         # through here.  Bound methods are hoisted, the component draw uses
         # C bisect over the cumulative weights, and the gap draw inlines
         # ``randrange(gap_span + 1)`` as the getrandbits rejection loop that
         # Random._randbelow runs — all three produce streams bit-identical
-        # to the straightforward formulation.
-        #
-        # :class:`Dwell` wrappers are unrolled into per-part repeat state
-        # (seeded from the wrapper, advanced in locals): repeating the
-        # previous access is the dominant record, and this turns it from a
-        # method call into a couple of list indexings.  Components are
-        # built fresh for every ``trace()`` call, so the wrapper object
-        # never needs the state written back.
+        # to the straightforward formulation.  The columns are preallocated
+        # and written by index, which is cheaper per record than append.
+        gaps = [0] * n
+        pcs = [0] * n
+        addrs = [0] * n
+        writes = [False] * n
         random = self.rng.random
         getrandbits = self.rng.getrandbits
-        cum = self._cum
-        parts = self._parts
-        parts_next = [
-            p._inner_next if type(p) is Dwell else p.next_access for p in parts
-        ]
-        counts = [p.count if type(p) is Dwell else 0 for p in parts]
-        remaining = [p._remaining if type(p) is Dwell else 0 for p in parts]
-        current = [p._current if type(p) is Dwell else (0, 0) for p in parts]
+        parts_next = self._next
+        counts = self._counts
+        remaining = self._remaining
+        current = self._current
         gap_min, gap_span = self.gap_min, self.gap_max - self.gap_min
         span = gap_span + 1
         span_bits = span.bit_length()
         wfrac = self.write_fraction
-        if len(parts) == 1:
+        if len(parts_next) == 1:
             # Single-component models skip the weight draw entirely, so
             # the dwell repeat state can live in plain locals — no list
             # indexing per record.  The rng call sequence (gap, write
@@ -323,7 +338,7 @@ class MixtureTrace:
             count = counts[0]
             rem = remaining[0]
             cur = current[0]
-            while True:
+            for k in range(n):
                 if count:
                     if rem == 0:
                         cur = part_next()
@@ -336,11 +351,17 @@ class MixtureTrace:
                     r = getrandbits(span_bits)
                     while r >= span:
                         r = getrandbits(span_bits)
-                    gap = gap_min + r
+                    gaps[k] = gap_min + r
                 else:
-                    gap = gap_min
-                yield gap, pc, addr, random() < wfrac
-        while True:
+                    gaps[k] = gap_min
+                pcs[k] = pc
+                addrs[k] = addr
+                writes[k] = random() < wfrac
+            remaining[0] = rem
+            current[0] = cur
+            return gaps, pcs, addrs, writes
+        cum = self._cum
+        for k in range(n):
             i = bisect_left(cum, random())
             count = counts[i]
             if count:
@@ -356,7 +377,14 @@ class MixtureTrace:
                 r = getrandbits(span_bits)
                 while r >= span:
                     r = getrandbits(span_bits)
-                gap = gap_min + r
+                gaps[k] = gap_min + r
             else:
-                gap = gap_min
-            yield gap, pc, addr, random() < wfrac
+                gaps[k] = gap_min
+            pcs[k] = pc
+            addrs[k] = addr
+            writes[k] = random() < wfrac
+        return gaps, pcs, addrs, writes
+
+    def __iter__(self):
+        while True:
+            yield from zip(*self.fill(1024))

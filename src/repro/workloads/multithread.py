@@ -80,6 +80,10 @@ class ThreadInstance:
         return f"{self.spec.name}#t{self.thread}"
 
     def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
+        return iter(self.source(rng))
+
+    def source(self, rng: Random) -> MixtureTrace:
+        """The record stream as a column-block source (see :meth:`MixtureTrace.fill`)."""
         spec = self.spec
         shared_ws = self.scale.bytes(spec.shared_ws_bytes)
         pc_base = hash(spec.name) & 0xFFFF00
@@ -98,7 +102,7 @@ class ThreadInstance:
         parts.append((private_weight, Dwell(private, spec.private_dwell)))
         if spec.stream_weight > 0:
             parts.append((spec.stream_weight, Stream(private_base + (1 << 30), pc_base + 2)))
-        return iter(MixtureTrace(parts, rng, 1, 3, spec.write_fraction))
+        return MixtureTrace(parts, rng, 1, 3, spec.write_fraction)
 
 
 #: The four kernels of the sensitivity study.

@@ -151,6 +151,10 @@ class BenchmarkInstance:
         return (repr(self.spec), self.scale.scale, self.base)
 
     def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
+        return iter(self.source(rng))
+
+    def source(self, rng: Random) -> MixtureTrace:
+        """The record stream as a column-block source (see :meth:`MixtureTrace.fill`)."""
         parts = []
         for i, comp_spec in enumerate(self.spec.components):
             comp_base = self.base + i * _COMPONENT_SPAN
@@ -159,9 +163,7 @@ class BenchmarkInstance:
                 (comp_spec.weight, comp_spec.build(comp_base, pc, rng, self.scale))
             )
         gap_min, gap_max = self.spec.gap
-        return iter(
-            MixtureTrace(parts, rng, gap_min, gap_max, self.spec.write_fraction)
-        )
+        return MixtureTrace(parts, rng, gap_min, gap_max, self.spec.write_fraction)
 
 
 def _spec(

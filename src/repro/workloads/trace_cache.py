@@ -5,31 +5,33 @@ address base, scale, per-core RNG seed)`` — yet the simulator used to
 regenerate them record by record for every run, every benchmark repeat and
 every batch worker, even when a sweep
 (fig1 ways, tab4 sizes) replays the *same* stream against dozens of cache
-configurations.  This module drains each generator once into a compact
-record buffer and replays it at C speed afterwards:
+configurations.  This module drains each stream once into compact column
+buffers and replays them at C speed afterwards:
 
-* :class:`MaterializedTrace` — one per-core record stream: a growing list
-  of ``(gap, pc, addr, is_write)`` tuples plus the live generator that
-  extends it on demand.  Replay iterators are ``chain(islice(list_iter),
-  tail)`` — the materialized prefix is consumed by C iterators with zero
-  per-record Python work, and only the (rare) overflow past the prefix
-  falls back to generation.
+* :class:`MaterializedTrace` — one per-core record stream held as four
+  packed ``array`` columns (gap ``'h'``, pc ``'q'``, addr ``'q'``, write
+  ``'b'``: 19 bytes per record) plus the block source that extends them
+  on demand.  The engine replays a buffer through :meth:`replay`, a
+  cursor that hands out column slices; reading past the end calls
+  :meth:`MaterializedTrace.ensure`, the one overflow path.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
-  by content digest, optional persistence as ``array('q')`` blocks beside
-  the result cache (``<cache_dir>/_traces/``), and
-  ``multiprocessing.shared_memory`` export/import so pool workers attach
-  a parent's buffers instead of regenerating per worker.
+  by content digest and bounded by buffer bytes, optional persistence as
+  raw column blocks beside the result cache (``<cache_dir>/_traces/``),
+  and ``multiprocessing.shared_memory`` export/import so pool workers
+  attach a parent's buffers instead of regenerating per worker.  Loads
+  copy each column out of the payload with one ``frombytes``.
 
 Everything is bit-identical by construction: buffers hold exactly the
-tuples the generator yielded, the content digest covers every parameter
-the stream depends on, and overflow continues the original generator (or
-an identically seeded rebuild, fast-forwarded past the prefix).
+records the generator produced, the content digest covers every parameter
+the stream depends on, and overflow continues the original source (or an
+identically seeded rebuild, fast-forwarded past the prefix).
 
 Workloads opt in by exposing ``trace_signature()`` (a stable description
 of their deterministic stream — see
-:meth:`repro.workloads.spec2006.BenchmarkInstance.trace_signature`);
-workloads without it (multithreaded kernels share one RNG across
-components and hash process-dependent PC bases) keep the generator path.
+:meth:`repro.workloads.spec2006.BenchmarkInstance.trace_signature`) and
+``source(rng)``, a block source of that stream; workloads without a
+signature (multithreaded kernels share one RNG across components and hash
+process-dependent PC bases) keep the generator path.
 """
 
 from __future__ import annotations
@@ -40,23 +42,27 @@ import struct
 import threading
 from array import array
 from collections import OrderedDict
-from itertools import chain, islice
 from pathlib import Path
 from random import Random
 from typing import Iterator, Optional
 
 #: Bump when the record layout or the digest inputs change.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
-#: Serialized buffer magic ("Repro TRace v1").
-_MAGIC = b"RTR1"
+#: Serialized buffer magic ("Repro TRace v2": header + four column blocks).
+_MAGIC = b"RTR2"
 _HEADER = struct.Struct("<4sQ")
 
-#: Records appended per extension pull once a replay overruns the buffer.
-_EXTEND_CHUNK = 32_768
+#: Column typecodes, in buffer and file order: gap, pc, addr, write.
+_TYPECODES = ("h", "q", "q", "b")
 
-#: In-process memo bound: streams beyond this are dropped LRU-first.
-_DEFAULT_MAX_STREAMS = 128
+#: Records requested from a source per ``fill`` while extending a buffer:
+#: bounds the Python lists one step builds before they are packed.
+_FILL_STEP = 16_384
+
+#: In-process memo bound on summed column bytes (about 14M records);
+#: streams beyond it are dropped LRU-first.
+_DEFAULT_MAX_BYTES = 256 << 20
 
 #: Environment kill-switch (``REPRO_TRACE_CACHE=0`` disables the layer).
 ENV_FLAG = "REPRO_TRACE_CACHE"
@@ -128,122 +134,188 @@ def sweep_orphan_shared(shm_dir: str | os.PathLike = "/dev/shm") -> int:
 
 
 class MaterializedTrace:
-    """One benchmark's per-core record stream, drained into a buffer.
+    """One benchmark's per-core record stream, drained into column buffers.
 
-    ``records`` holds the stream prefix produced so far; ``iterator``
-    replays it and transparently extends past the end by continuing the
-    original generator (kept live in-process) or an identically seeded
-    rebuild fast-forwarded past the prefix (after a disk/shared-memory
-    round trip).
+    ``columns`` holds the stream prefix produced so far as four packed
+    arrays; ``length`` is the number of complete records in them.  Replays
+    read through :meth:`replay` and extend the buffer via :meth:`ensure`,
+    which continues the original source (kept live in-process) or an
+    identically seeded rebuild fast-forwarded past the prefix (after a
+    disk/shared-memory round trip).
     """
 
-    __slots__ = ("digest", "records", "_source", "_factory", "persisted_len", "_lock")
+    __slots__ = (
+        "digest",
+        "columns",
+        "length",
+        "records",
+        "persisted_len",
+        "_source",
+        "_factory",
+        "_grow",
+        "_lock",
+    )
 
     def __init__(
         self,
         digest: str,
         factory,
-        records: Optional[list] = None,
-        source: Optional[Iterator] = None,
+        columns: Optional[tuple] = None,
+        source=None,
+        first_extension: int = 0,
     ) -> None:
         self.digest = digest
-        self.records: list[tuple[int, int, int, bool]] = records if records is not None else []
-        #: Live generator positioned exactly at ``len(records)`` draws, or
+        if columns is None:
+            columns = tuple(array(code) for code in _TYPECODES)
+        self.columns: tuple[array, array, array, array] = columns
+        self.length = len(columns[0])
+        #: Read-only record view: ``len()`` and ``(gap, pc, addr, w)`` items.
+        self.records = _Records(self)
+        #: Buffer length already on disk (skip rewrites that add nothing).
+        self.persisted_len = self.length
+        #: Block source positioned exactly at ``length`` records, or
         #: ``None`` when the buffer was loaded without one.
         self._source = source
         #: Zero-argument callable producing a fresh, identically seeded
-        #: generator (used to rebuild ``_source`` after a load).
+        #: block source (used to rebuild ``_source`` after a load).  Its
+        #: ``fill`` must return lists: they are packed with ``fromlist``.
         self._factory = factory
-        #: Buffer length already on disk (skip rewrites that add nothing).
-        self.persisted_len = len(self.records)
+        #: Lower bound on the buffer length after the next extension: the
+        #: run's own estimate at first, then geometric growth.
+        self._grow = first_extension
         #: Serialises extension: replays on several threads (a worker's
-        #: slots) share one buffer and one generator.
+        #: slots) share one buffer and one source.
         self._lock = threading.Lock()
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the materialized records (all four columns)."""
+        return sum(len(column) * column.itemsize for column in self.columns)
+
     def ensure(self, n: int) -> None:
-        """Extend the buffer to at least ``n`` records."""
-        records = self.records
-        if len(records) >= n:
+        """Extend the buffer to at least ``n`` records.
+
+        The only way a buffer grows.  Readers never take the lock: columns
+        only ever grow at the end, and ``length`` is raised only after all
+        four hold the new records.
+        """
+        if self.length >= n:
             return
         with self._lock:
             source = self._source
             if source is None:
-                # Rebuild the generator and fast-forward past the prefix:
-                # the stream is deterministic, so skipping len(records)
-                # draws resumes exactly where the buffer ends.
+                # Rebuild the source and fast-forward past the prefix: the
+                # stream is deterministic, so skipping ``length`` records
+                # resumes exactly where the buffer ends.
                 source = self._factory()
-                skip = len(records)
-                if skip:
-                    next(islice(source, skip - 1, skip), None)
+                skip = self.length
+                while skip > 0:
+                    skipped = len(source.fill(min(skip, _FILL_STEP))[0])
+                    if not skipped:
+                        break
+                    skip -= skipped
                 self._source = source
-            while len(records) < n:
-                before = len(records)
-                records.extend(islice(source, _EXTEND_CHUNK))
-                if len(records) == before:  # finite source drained
+            target = max(n, self._grow)
+            columns = self.columns
+            while self.length < target:
+                want = min(target - self.length, _FILL_STEP)
+                block = source.fill(want)
+                for column, values in zip(columns, block):
+                    column.fromlist(values)
+                got = len(block[0])
+                self.length += got
+                if got < want:  # finite source drained
                     break
+            self._grow = self.length + self.length // 2  # geometric, x1.5
 
-    def iterator(self) -> Iterator[tuple[int, int, int, bool]]:
-        """An engine-facing trace: replay the buffer, then keep generating."""
-        n0 = len(self.records)
-        # islice bounds the list iterator to the current prefix so records
-        # appended by the tail are never yielded twice.
-        return chain(islice(iter(self.records), n0), self._tail(n0))
-
-    def _tail(self, start: int) -> Iterator[tuple[int, int, int, bool]]:
-        records = self.records
-        i = start
-        while True:
-            n = len(records)
-            if i >= n:
-                self.ensure(n + _EXTEND_CHUNK)
-                if len(records) <= i:  # finite source: stop replaying
-                    return
-                n = len(records)
-            while i < n:
-                yield records[i]
-                i += 1
+    def replay(self) -> "_Replay":
+        """An engine-facing block source over this buffer, from record 0."""
+        return _Replay(self)
 
     # ------------------------------------------------------------------ #
     # Serialization (disk files and shared-memory segments share it)
     # ------------------------------------------------------------------ #
 
     def to_bytes(self) -> bytes:
-        """Serialize the buffer: header + four int64 blocks (gap/pc/addr/w)."""
-        records = self.records
-        if records:
-            gaps, pcs, addrs, writes = zip(*records)
-        else:
-            gaps = pcs = addrs = writes = ()
-        parts = [_HEADER.pack(_MAGIC, len(records))]
-        for column in (gaps, pcs, addrs):
-            parts.append(array("q", column).tobytes())
-        parts.append(array("q", map(int, writes)).tobytes())
-        return b"".join(parts)
+        """Serialize the buffer: header + the four raw column blocks."""
+        with self._lock:
+            header = _HEADER.pack(_MAGIC, self.length)
+            return header + b"".join(column.tobytes() for column in self.columns)
 
     @staticmethod
-    def decode(payload) -> list[tuple[int, int, int, bool]]:
-        """Parse :meth:`to_bytes` output back into record tuples."""
+    def decode(payload) -> tuple[array, array, array, array]:
+        """Parse :meth:`to_bytes` output back into the four columns."""
         magic, count = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise ValueError(f"bad trace buffer magic {magic!r}")
-        offset = _HEADER.size
-        block = count * 8
         columns = []
-        for i in range(4):
-            col = array("q")
-            col.frombytes(bytes(payload[offset + i * block: offset + (i + 1) * block]))
-            if len(col) != count:
-                raise ValueError("truncated trace buffer")
-            columns.append(col.tolist())
-        gaps, pcs, addrs, writes = columns
-        return list(zip(gaps, pcs, addrs, map(bool, writes)))
+        offset = _HEADER.size
+        with memoryview(payload) as view:
+            for code in _TYPECODES:
+                column = array(code)
+                size = count * column.itemsize
+                if offset + size > len(view):
+                    raise ValueError("truncated trace buffer")
+                column.frombytes(view[offset : offset + size])
+                offset += size
+                columns.append(column)
+        return tuple(columns)
+
+
+class _Replay:
+    """A cursor handing out one buffer's records as column blocks.
+
+    gap, addr and write come out as lists (read for every record); pc stays
+    an array slice, indexed only on an L1 miss.
+    """
+
+    __slots__ = ("trace", "pos")
+
+    def __init__(self, trace: MaterializedTrace) -> None:
+        self.trace = trace
+        self.pos = 0
+
+    def fill(self, n: int) -> tuple:
+        trace = self.trace
+        start = self.pos
+        stop = start + n
+        if stop > trace.length:
+            trace.ensure(stop)
+            stop = min(stop, trace.length)
+        self.pos = stop
+        gaps, pcs, addrs, writes = trace.columns
+        return (
+            gaps[start:stop].tolist(),
+            pcs[start:stop],
+            addrs[start:stop].tolist(),
+            writes[start:stop].tolist(),
+        )
+
+
+class _Records:
+    """Tuple view of a buffer's materialized prefix (tests, inspection)."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: MaterializedTrace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.length
+
+    def __getitem__(self, index):
+        length = self._trace.length
+        gap, pc, addr, write = (column[:length][index] for column in self._trace.columns)
+        if isinstance(index, slice):
+            return list(zip(gap, pc, addr, map(bool, write)))
+        return gap, pc, addr, bool(write)
 
 
 class _CachedTraceWorkload:
-    """A workload whose ``trace()`` replays a materialized buffer.
+    """A workload whose stream replays a materialized buffer.
 
     Proxies ``name``/``timing`` (all the engine reads) and ignores the
-    engine's RNG: the buffer was produced by a generator seeded with the
+    engine's RNG: the buffer was produced by a source seeded with the
     identical ``Random((seed << 8) + core_id)``, so replay is bit-identical
     to handing that RNG to the raw workload.
     """
@@ -256,8 +328,16 @@ class _CachedTraceWorkload:
         self.name = inner.name
         self.timing = inner.timing
 
+    def source(self, rng: Random) -> _Replay:
+        return self.materialized.replay()
+
     def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
-        return self.materialized.iterator()
+        replay = self.materialized.replay()
+        while True:
+            gaps, pcs, addrs, writes = replay.fill(_FILL_STEP)
+            if not gaps:
+                return
+            yield from zip(gaps, pcs, addrs, map(bool, writes))
 
 
 class TraceCache:
@@ -266,16 +346,18 @@ class TraceCache:
     Layers, consulted in order: in-process memo, attached shared-memory
     segments (worker side of a parallel run), the on-disk store under
     ``<cache_dir>/_traces/``.  A miss everywhere materializes lazily from
-    the workload's generator.
+    the workload's block source.  The memo holds at most ``max_bytes`` of
+    column data (checked whenever a stream joins it); the least recently
+    used streams go first, the newest always stays.
     """
 
     def __init__(
         self,
         cache_dir: Optional[os.PathLike] = None,
-        max_streams: int = _DEFAULT_MAX_STREAMS,
+        max_bytes: int = _DEFAULT_MAX_BYTES,
     ) -> None:
         self._memo: OrderedDict[str, MaterializedTrace] = OrderedDict()
-        self._max_streams = max_streams
+        self._max_bytes = max_bytes
         #: digest -> shared-memory segment name, set by :meth:`attach_shared`.
         self._shared: dict[str, str] = {}
         #: Exported segments owned by this (parent) process.
@@ -335,24 +417,43 @@ class TraceCache:
             self.stats["memo_hits"] += 1
             return entry
         factory = self._factory(workload, core_seed)
-        records = self._load_shared(digest)
-        if records is None:
-            records = self._load_disk(digest)
+        source = None
+        columns = self._load_shared(digest)
+        if columns is None:
+            columns = self._load_disk(digest)
         else:
             self.stats["shm_hits"] += 1
-        if records is None:
+        if columns is None:
             self.stats["materialized"] += 1
-            entry = MaterializedTrace(digest, factory, source=factory())
-        else:
-            entry = MaterializedTrace(digest, factory, records=records)
+            source = factory()
+        entry = MaterializedTrace(
+            digest,
+            factory,
+            columns=columns,
+            source=source,
+            first_extension=self._estimate(workload, quota, warmup),
+        )
         memo[digest] = entry
-        while len(memo) > self._max_streams:
-            memo.popitem(last=False)
+        total = sum(e.nbytes for e in memo.values())
+        while total > self._max_bytes and len(memo) > 1:
+            total -= memo.popitem(last=False)[1].nbytes
         return entry
 
     @staticmethod
     def _factory(workload, core_seed: int):
-        return lambda: iter(workload.trace(Random(core_seed)))
+        return lambda: workload.source(Random(core_seed))
+
+    @staticmethod
+    def _estimate(workload, quota: int, warmup: int, slack: float = 1.4) -> int:
+        """Records one run of ``quota``/``warmup`` is expected to replay.
+
+        The committed-instruction budget over the smallest possible
+        per-record commit (``gap_min + 1``) times ``slack`` (the
+        post-quota keep-running phase), plus one engine block.
+        """
+        gap = getattr(getattr(workload, "spec", None), "gap", None)
+        gap_min = gap[0] if gap else 1
+        return int((quota + warmup) / (gap_min + 1) * slack) + 1024
 
     def wrap_workloads(
         self, workloads: list, seed: int, quota: int, warmup: int
@@ -378,20 +479,16 @@ class TraceCache:
 
         Used by fan-out parents before exporting shared memory: workers
         cannot extend a parent's buffer, so the prefix must already cover
-        the run.  The record-count estimate is the committed-instruction
-        budget over the smallest possible per-record commit (``gap_min +
-        1``) times ``slack`` (the post-quota keep-running phase); a run
-        that still outlives the prefix falls back to generation in the
-        worker — slower, never wrong.
+        the run (see :meth:`_estimate`); a run that still outlives the
+        prefix falls back to generation in the worker — slower, never
+        wrong.
         """
         entries = []
         for core_id, workload in enumerate(workloads):
             entry = self.get(workload, core_id, seed, quota, warmup)
             if entry is None:
                 continue
-            gap = getattr(getattr(workload, "spec", None), "gap", None)
-            gap_min = gap[0] if gap else 1
-            entry.ensure(int((quota + warmup) / (gap_min + 1) * slack) + 1024)
+            entry.ensure(self._estimate(workload, quota, warmup, slack))
             entries.append(entry)
         return entries
 
@@ -403,7 +500,7 @@ class TraceCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{digest}.trc"
 
-    def _load_disk(self, digest: str) -> Optional[list]:
+    def _load_disk(self, digest: str) -> Optional[tuple]:
         if self.cache_dir is None:
             return None
         path = self._path(digest)
@@ -412,7 +509,7 @@ class TraceCache:
         except OSError:
             return None
         try:
-            records = MaterializedTrace.decode(payload)
+            columns = MaterializedTrace.decode(payload)
         except (ValueError, struct.error):
             # A torn or foreign file is not worth failing a run over; the
             # stream regenerates and the file is rewritten by persist().
@@ -422,7 +519,7 @@ class TraceCache:
                 pass
             return None
         self.stats["disk_hits"] += 1
-        return records
+        return columns
 
     def persist(self) -> int:
         """Write grown buffers to the disk layer; returns files written.
@@ -436,16 +533,15 @@ class TraceCache:
         # Snapshot: another scheduler thread sharing the process-global
         # cache may be materializing (inserting) concurrently.
         for entry in list(self._memo.values()):
-            if len(entry.records) <= entry.persisted_len and entry.persisted_len > 0:
-                continue
-            if not entry.records:
+            length = entry.length
+            if not length or length == entry.persisted_len:
                 continue
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             path = self._path(entry.digest)
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmp.write_bytes(entry.to_bytes())
             os.replace(tmp, path)
-            entry.persisted_len = len(entry.records)
+            entry.persisted_len = length
             written += 1
         return written
 
@@ -463,7 +559,7 @@ class TraceCache:
 
         mapping: dict[str, str] = {}
         for digest, entry in list(self._memo.items()):
-            if not entry.records:
+            if not entry.length:
                 continue
             payload = entry.to_bytes()
             # Pid-stamped names make stranded segments attributable (and
@@ -500,7 +596,7 @@ class TraceCache:
         """Register parent-exported segments (worker side, attached lazily)."""
         self._shared.update(mapping)
 
-    def _load_shared(self, digest: str) -> Optional[list]:
+    def _load_shared(self, digest: str) -> Optional[tuple]:
         name = self._shared.get(digest)
         if name is None:
             return None
@@ -520,10 +616,10 @@ class TraceCache:
                 resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:  # pragma: no cover - tracker internals moved
                 pass
-            records = MaterializedTrace.decode(shm.buf)
+            columns = MaterializedTrace.decode(shm.buf)
         finally:
             shm.close()
-        return records
+        return columns
 
     # ------------------------------------------------------------------ #
 

@@ -2,17 +2,22 @@
 
 The contract under test is the one every speedup in the layer rests on:
 a materialized stream replayed through any storage hop (in-process memo,
-``array('q')`` disk blocks, a shared-memory segment) yields exactly the
+raw column blocks on disk, a shared-memory segment) yields exactly the
 records the raw generator would have produced with the engine's RNG
-seeding, record for record.
+seeding, record for record — whether the replay stays inside the
+buffer, overflows it, or rebuilds the source after a load.
 """
 
+import subprocess
+import sys
 from itertools import islice
 from random import Random
 
 import pytest
 
 from repro.api.spec import RunSpec
+from repro.policies.registry import available_schemes
+from repro.sim.engine import BLOCK, RecordSource
 from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import (
     MaterializedTrace,
@@ -31,6 +36,17 @@ def _reference(workload, core_id: int) -> list:
     """What the engine would consume without the trace layer."""
     rng = Random((SEED << 8) + core_id)
     return list(islice(iter(workload.trace(rng)), K))
+
+
+def _drain(source, limit=None, block=BLOCK) -> list:
+    """Flatten a block source into tuple records (up to ``limit``)."""
+    out: list = []
+    while limit is None or len(out) < limit:
+        gaps, pcs, addrs, writes = source.fill(block)
+        if not len(gaps):
+            break
+        out.extend(zip(gaps, pcs, addrs, map(bool, writes)))
+    return out if limit is None else out[:limit]
 
 
 @pytest.fixture()
@@ -73,9 +89,9 @@ def test_serialization_round_trip(workloads):
     cache = TraceCache()
     entry = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP)
     entry.ensure(K)
-    assert MaterializedTrace.decode(entry.to_bytes()) == entry.records
-    empty = MaterializedTrace("d", lambda: iter(()))
-    assert MaterializedTrace.decode(empty.to_bytes()) == []
+    assert MaterializedTrace.decode(entry.to_bytes()) == entry.columns
+    empty = MaterializedTrace("d", lambda: RecordSource(()))
+    assert [len(column) for column in MaterializedTrace.decode(empty.to_bytes())] == [0] * 4
 
 
 def test_disk_round_trip(tmp_path, workloads):
@@ -91,7 +107,7 @@ def test_disk_round_trip(tmp_path, workloads):
     assert reader.stats["materialized"] == 0
     assert loaded.records[:K] == entry.records[:K]
     # Replay past the persisted prefix continues via a seeded rebuild.
-    replayed = list(islice(loaded.iterator(), K + 500))
+    replayed = _drain(loaded.replay(), K + 500)
     raw = Random((SEED << 8) + 0)
     expected = list(islice(iter(workloads[0].trace(raw)), K + 500))
     assert replayed == expected
@@ -110,7 +126,7 @@ def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
     assert reader.stats["disk_hits"] == 0
     assert reader.stats["materialized"] == 1
     assert not path.exists()  # torn file dropped, not trusted
-    assert list(islice(loaded.iterator(), 256)) == _reference(workloads[0], 0)[:256]
+    assert _drain(loaded.replay(), 256) == _reference(workloads[0], 0)[:256]
 
 
 def test_shared_memory_view_equals_generator_output(workloads):
@@ -131,9 +147,12 @@ def test_shared_memory_view_equals_generator_output(workloads):
 
 def test_finite_source_replay_terminates():
     finite = [(0, 1, 2, False), (1, 3, 4, True)]
-    trace = MaterializedTrace("d", lambda: iter(finite), source=iter(finite))
-    assert list(trace.iterator()) == finite
-    assert list(trace.iterator()) == finite  # replays, does not re-drain
+    trace = MaterializedTrace(
+        "d", lambda: RecordSource(finite), source=RecordSource(finite)
+    )
+    assert _drain(trace.replay()) == finite
+    assert _drain(trace.replay()) == finite  # replays, does not re-drain
+    assert len(trace.records) == 2
 
 
 def test_non_materializable_workloads_pass_through():
@@ -201,19 +220,21 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
     import threading
     import time
 
-    from repro.workloads.trace_cache import _EXTEND_CHUNK
+    from repro.workloads.trace_cache import _FILL_STEP
 
-    length = 2 * _EXTEND_CHUNK + 100
+    length = 2 * _FILL_STEP + 100
     slots = 4
 
     def source(sleep: bool):
         for i in range(length):
-            if sleep and i % _EXTEND_CHUNK == 0:
+            if sleep and i % _FILL_STEP == 0:
                 time.sleep(0.05)
             yield (i % 7, i, i * 64, i % 3 == 0)
 
     reference = list(source(False))
-    trace = MaterializedTrace("d", lambda: source(True), source=source(True))
+    trace = MaterializedTrace(
+        "d", lambda: RecordSource(source(True)), source=RecordSource(source(True))
+    )
     start = threading.Barrier(slots)
     seen: list = [None] * slots
     errors: list = []
@@ -221,7 +242,7 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
     def replay(slot: int) -> None:
         start.wait()
         try:
-            seen[slot] = list(trace.iterator())
+            seen[slot] = _drain(trace.replay())
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -238,3 +259,148 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert all(replayed == reference for replayed in seen)
+
+
+# --------------------------------------------------------------------- #
+# Columnar buffers: every way a block can be produced
+# --------------------------------------------------------------------- #
+
+
+def test_fresh_stream_blocks_equal_generator_output(workloads):
+    cache = TraceCache()
+    for core_id, raw in enumerate(workloads):
+        entry = cache.get(raw, core_id, SEED, QUOTA, WARMUP)
+        assert len(entry.records) == 0  # nothing is generated until replay
+        assert _drain(entry.replay(), K) == _reference(raw, core_id)
+
+
+def test_prefix_plus_overflow_equals_generator_output(workloads):
+    entry = TraceCache().get(workloads[1], 1, SEED, QUOTA, WARMUP)
+    entry.ensure(700)
+    prefix = len(entry.records)
+    # Odd block sizes straddle the prefix end; the overflow grows the
+    # buffer instead of yielding records one by one.
+    replayed = _drain(entry.replay(), prefix + 2_500, block=333)
+    assert replayed == list(
+        islice(iter(workloads[1].trace(Random((SEED << 8) + 1))), prefix + 2_500)
+    )
+    assert len(entry.records) >= prefix + 2_500
+    assert entry.records[prefix] == replayed[prefix]
+
+
+def test_shared_memory_load_rebuilds_past_the_prefix(workloads):
+    parent = TraceCache()
+    entry = parent.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    entry.ensure(1)  # the first extension: the run's own estimate
+    prefix = len(entry.records)
+    n = prefix + 2_000
+    mapping = parent.export_shared()
+    try:
+        worker = TraceCache()
+        worker.attach_shared(mapping)
+        loaded = worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+        assert worker.stats["shm_hits"] == 1
+        assert len(loaded.records) == prefix
+        expected = list(islice(iter(workloads[0].trace(Random(SEED << 8))), n))
+        assert _drain(loaded.replay(), n) == expected
+    finally:
+        parent.close_shared()
+
+
+def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
+    import threading
+
+    entry = TraceCache().get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    n = 20_000  # several extensions beyond the first (about 5.2k records)
+    reference = list(islice(iter(workloads[0].trace(Random(SEED << 8))), n))
+    seen: list = [None, None]
+
+    def replay(slot: int) -> None:
+        seen[slot] = _drain(entry.replay(), n, block=BLOCK + slot)
+
+    threads = [threading.Thread(target=replay, args=(slot,)) for slot in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert seen == [reference, reference]
+
+
+def test_columns_cost_at_most_24_bytes_per_record(workloads):
+    for entry in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
+        records = len(entry.records)
+        assert records > 0
+        assert entry.nbytes / records <= 24
+        allocated = sum(sys.getsizeof(column) for column in entry.columns)
+        assert allocated / records <= 24
+
+
+def test_memo_evicts_least_recently_used_streams_by_bytes(workloads):
+    probe = TraceCache().get(workloads[0], 0, 1, QUOTA, WARMUP)
+    probe.ensure(1)
+    stream_bytes = probe.nbytes
+    cache = TraceCache(max_bytes=int(2.5 * stream_bytes))
+    first = cache.get(workloads[0], 0, 1, QUOTA, WARMUP)
+    second = cache.get(workloads[0], 0, 2, QUOTA, WARMUP)
+    for entry in (first, second):
+        entry.ensure(1)
+    assert cache.get(workloads[0], 0, 1, QUOTA, WARMUP) is first  # now MRU
+    third = cache.get(workloads[0], 0, 3, QUOTA, WARMUP)
+    third.ensure(1)
+    # Three full streams exceed the bound: the next insertion drops the
+    # least recently used one (the second), and only that one.
+    cache.get(workloads[0], 0, 4, QUOTA, WARMUP)
+    materialized = cache.stats["materialized"]
+    assert cache.get(workloads[0], 0, 1, QUOTA, WARMUP) is first
+    assert cache.get(workloads[0], 0, 3, QUOTA, WARMUP) is third
+    assert cache.stats["materialized"] == materialized
+    assert cache.get(workloads[0], 0, 2, QUOTA, WARMUP) is not second
+    assert cache.stats["materialized"] == materialized + 1
+
+
+def test_first_extension_follows_the_run_estimate():
+    """A short cell generates about its own need, not a fixed extension."""
+    from repro.api.session import result_digest
+    from repro.experiments.runner import simulate_spec
+    from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
+
+    mix = (429, 401)  # balanced: neither core runs far past its quota
+    spec = RunSpec(mix=mix, scheme="avgcc", quota=4_000, warmup=2_000, seed=SEED)
+    reset_trace_cache()
+    try:
+        replayed = simulate_spec(spec.replace(trace_cache=True))
+        cache = get_trace_cache()
+        for core_id, raw in enumerate(make_workloads(mix)):
+            entry = cache.get(raw, core_id, SEED, 4_000, 2_000)
+            assert 0 < len(entry.records) < 8_000
+    finally:
+        reset_trace_cache()
+    generated = simulate_spec(spec.replace(trace_cache=False))
+    assert result_digest(replayed) == result_digest(generated)
+
+
+SCHEMES = sorted(available_schemes()) + ["shared"]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_engine_digest_identical_with_trace_cache_on_and_off(scheme):
+    from repro.api.session import result_digest
+    from repro.experiments.runner import simulate_spec
+
+    spec = RunSpec(mix=MIX, scheme=scheme, quota=1_500, warmup=500, seed=SEED)
+    on = simulate_spec(spec.replace(trace_cache=True))
+    off = simulate_spec(spec.replace(trace_cache=False))
+    assert result_digest(on) == result_digest(off)
+
+
+def test_import_path_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "import repro.api\n"
+        "from repro.api import RunSpec, Session\n"
+        "from repro.experiments.runner import simulate_spec\n"
+        "Session()\n"
+        "simulate_spec(RunSpec(mix=(471, 444), quota=500, warmup=100))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
