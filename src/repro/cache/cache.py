@@ -23,6 +23,9 @@ inserting a line at position *p* places it *p* steps from the top of the
 stack — and when constructed with a
 :class:`~repro.coherence.directory.PresenceDirectory` they keep the
 chip-wide presence map in sync on every fill, eviction and invalidation.
+The slot backend writes the directory's holder map directly (its cache id
+is validated once, at construction); the reference backend goes through
+the directory's checked ``add``/``remove``.
 
 ``CacheArray`` names the default backend; :func:`resolve_backend` maps a
 config string (``"slot"``/``"dict"``) to a class, honouring the
@@ -92,6 +95,8 @@ class SlotCacheArray:
         ``directory`` is ``None``).
     directory:
         Optional chip-wide presence map kept in sync with the contents.
+        Fills, evictions and invalidations update its holder map in
+        place, so ``cache_id`` is range-checked here, once.
     """
 
     def __init__(
@@ -103,6 +108,11 @@ class SlotCacheArray:
         self.geometry = geometry
         self.cache_id = cache_id
         self.directory = directory
+        #: The directory's ``line addr -> holder ids`` map, or ``None``.
+        self._holders: Optional[dict[int, set[int]]] = None
+        if directory is not None:
+            directory._check_id(cache_id)
+            self._holders = directory._holders
         #: ``line_addr & set_mask`` is the set index (sets are a power of two).
         self.set_mask = geometry.sets - 1
         self._ways = geometry.ways
@@ -174,13 +184,18 @@ class SlotCacheArray:
         stack = self._stacks[addr & self.set_mask]
         victim: Optional[Line] = None
         occupancy = len(stack)
+        holders = self._holders
         if occupancy >= self._ways:
             victim = stack.pop(
                 occupancy - 1 if victim_position is None else victim_position
             )
             del index[victim.addr]
-            if self.directory is not None:
-                self.directory.remove(victim.addr, self.cache_id)
+            if holders is not None:
+                # Inlined PresenceDirectory.remove (KeyError on desync).
+                held = holders[victim.addr]
+                held.remove(self.cache_id)
+                if not held:
+                    del holders[victim.addr]
             occupancy -= 1
         if position <= 0:
             stack.insert(0, line)
@@ -189,8 +204,12 @@ class SlotCacheArray:
         else:
             stack.insert(position, line)
         index[addr] = line
-        if self.directory is not None:
-            self.directory.add(addr, self.cache_id)
+        if holders is not None:
+            held = holders.get(addr)
+            if held is None:
+                holders[addr] = {self.cache_id}
+            else:
+                held.add(self.cache_id)
         return victim
 
     def fill_fields(
@@ -235,9 +254,17 @@ class SlotCacheArray:
         line = self._index.pop(line_addr, None)
         if line is None:
             raise KeyError(f"line {line_addr:#x} not present")
-        self._stacks[line_addr & self.set_mask].remove(line)
-        if self.directory is not None:
-            self.directory.remove(line_addr, self.cache_id)
+        stack = self._stacks[line_addr & self.set_mask]
+        if stack[-1] is line:  # the usual victim: the LRU end, no scan
+            stack.pop()
+        else:
+            stack.remove(line)
+        holders = self._holders
+        if holders is not None:
+            held = holders[line_addr]
+            held.remove(self.cache_id)
+            if not held:
+                del holders[line_addr]
         return line
 
     def invalidate(self, line_addr: int) -> Optional[Line]:
@@ -246,8 +273,12 @@ class SlotCacheArray:
         if line is None:
             return None
         self._stacks[line_addr & self.set_mask].remove(line)
-        if self.directory is not None:
-            self.directory.remove(line_addr, self.cache_id)
+        holders = self._holders
+        if holders is not None:
+            held = holders[line_addr]
+            held.remove(self.cache_id)
+            if not held:
+                del holders[line_addr]
         return line
 
     def victim_candidate(self, set_idx: int, position: Optional[int] = None) -> Optional[Line]:

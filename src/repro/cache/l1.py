@@ -7,18 +7,22 @@ back-invalidated when the inclusive L2 drops a line.  This module models
 exactly that: LRU, write-through (stores never create dirty L1 state),
 write-allocate, with an ``invalidate`` hook for inclusion.
 
-The L1 never needs line state or flags — membership and recency are the
-whole model — so kernel v2 stores bare line addresses in per-set ordered
-mappings (first key = MRU): no :class:`~repro.cache.cache.Line` object is
-ever allocated on this path, which previously cost one allocation per L1
-fill (one per L1 miss, i.e. per simulated L2 access).
+Membership and recency are the whole L1 model, so each set is an ordered
+mapping keyed by line address with the most recently used key *last*:
+an allocation is one store and an eviction one ``popitem(last=False)``.
+The value is the inclusive L2's :class:`~repro.cache.cache.Line` for that
+address (``None`` when the caller has none).  The engine reads it on a
+store hit: a line already in M needs no trip to the L2.  Inclusion keeps
+the pointer honest — the L2 back-invalidates this L1 whenever it drops a
+line — and callers still compare ``line.addr`` before trusting it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterator, Optional
 
+from repro.cache.cache import Line
 from repro.cache.geometry import CacheGeometry
 
 
@@ -29,10 +33,10 @@ class L1Cache:
         self.geometry = geometry
         self._mask = geometry.sets - 1
         self._ways = geometry.ways
-        #: Per-set recency stacks: ordered ``line addr -> None`` mappings,
-        #: first key = MRU.  The L1 filters every single trace record, so
-        #: ``access`` runs directly against these.
-        self._sets: list[OrderedDict[int, None]] = [
+        #: Per-set recency stacks: ordered ``line addr -> L2 Line``
+        #: mappings, last key = MRU.  The L1 filters every single trace
+        #: record, so the engine probes these directly.
+        self._sets: list[OrderedDict[int, Optional[Line]]] = [
             OrderedDict() for _ in range(geometry.sets)
         ]
         # Per-set MRU line address: consecutive touches of the same line
@@ -57,27 +61,27 @@ class L1Cache:
             return True
         lines = self._sets[set_idx]
         if line_addr in lines:
-            lines.move_to_end(line_addr, last=False)
+            lines.move_to_end(line_addr)
             self._mru[set_idx] = line_addr
             self.hits += 1
             return True
         self.misses += 1
         return False
 
-    def allocate(self, line_addr: int) -> None:
-        """Install a line fetched from the L2 (silent LRU eviction)."""
+    def allocate(self, line_addr: int, line: Optional[Line] = None) -> None:
+        """Install a line fetched from the L2 (silent LRU eviction).
+
+        ``line`` is the L2's copy, kept as the entry's value.
+        """
         set_idx = line_addr & self._mask
         lines = self._sets[set_idx]
         if line_addr in lines:
             return
         if len(lines) >= self._ways:
-            evicted = lines.popitem()[0]
-            if self._mru[set_idx] == evicted:  # only possible when ways == 1
-                self._mru[set_idx] = -1
+            lines.popitem(last=False)
         else:
             self._len += 1
-        lines[line_addr] = None
-        lines.move_to_end(line_addr, last=False)
+        lines[line_addr] = line
         self._mru[set_idx] = line_addr
 
     def invalidate(self, line_addr: int) -> bool:

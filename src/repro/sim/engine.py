@@ -30,8 +30,9 @@ from __future__ import annotations
 from heapq import heapify, heapreplace
 from itertools import islice
 from random import Random
-from typing import Iterable, Iterator, Protocol, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Protocol, Sequence, Tuple
 
+from repro.coherence.protocol import Mesi
 from repro.cpu.timing import TimingModel
 from repro.sim.system import MemoryHierarchy
 
@@ -99,9 +100,11 @@ def open_source(workload: Workload, rng: Random) -> BlockSource:
 class _CoreRun:
     """Execution state of one core.
 
-    ``base_cpi``/``mlp`` mirror ``workload.timing`` and ``stats``/
-    ``l1_access`` mirror the hierarchy's per-core objects, hoisted here once
-    so the per-record loop does no attribute chasing.
+    ``base_cpi``/``mlp`` mirror ``workload.timing`` and ``stats`` is the
+    hierarchy's per-core :class:`~repro.sim.results.CoreStats`.  While
+    :meth:`Engine.run` executes, ``cycles``/``instructions`` are written
+    only before observer calls and at the end of the run; use
+    :meth:`Engine.live_cycles` for a mid-run reading.
     """
 
     __slots__ = (
@@ -119,7 +122,8 @@ class _CoreRun:
         "base_cpi",
         "mlp",
         "stats",
-        "l1",
+        "warm_counts",
+        "fetched",
         "threshold",
         "state_threshold",
         "next_sample",
@@ -141,6 +145,12 @@ class _CoreRun:
         self.done = False
         self.base_cpi = workload.timing.base_cpi
         self.mlp = workload.timing.mlp
+        #: Loop counters (instructions, records, L1 misses, store hits
+        #: retired in the loop) at the warm transition: the start of the
+        #: recorded window.
+        self.warm_counts = (0, 0, 0, 0)
+        #: Records pulled from the core's sources so far.
+        self.fetched = 0
         #: Next instruction count at which a state transition can happen:
         #: first the end of warmup, then the quota, then never again.
         self.state_threshold: float = warmup if warmup else quota
@@ -174,7 +184,8 @@ class Engine:
         ]
         for core in self.cores:
             core.stats = hierarchy.stats[core.core_id]  # type: ignore[attr-defined]
-            core.l1 = hierarchy.l1s[core.core_id]
+        #: Per-core loop state lists while (and after) :meth:`run` executes.
+        self._states: Optional[list[list]] = None
         self._offset_bits = hierarchy.l1s[0].geometry.offset_bits
         self._warming = warmup > 0
         self.observer = observer
@@ -209,6 +220,18 @@ class Engine:
             if policy is not None:
                 policy.begin_warmup()
 
+    def live_cycles(self) -> list[float]:
+        """Each core's cycle count, readable while :meth:`run` executes.
+
+        Mid-run a core's entry is its count when it last handed the lead
+        to another core (the running core's own count lives in a local),
+        so the values lag by at most one scheduling quantum.
+        """
+        states = self._states
+        if states is None:
+            return [core.cycles for core in self.cores]
+        return [state[0] for state in states]
+
     def run(self) -> None:
         """Execute until every core has committed warmup + quota."""
         cores = self.cores
@@ -220,36 +243,45 @@ class Engine:
         remaining = len(cores)
         observer = self.observer
         sample_interval = self._sample_interval
+        modified = Mesi.MODIFIED
 
         # Scheduler state: the heap holds one (cycles, core_id) entry per
-        # core EXCEPT the one currently executing.  After each record the
-        # current core keeps running while its (cycles, core_id) is still
-        # <= the heap root — the same total order a ``min`` scan over all
-        # cores produces — and the heap is only touched on a switch.  The
-        # hot per-core state (cycles, instruction count, bound methods)
-        # lives in locals for the duration of a run and is written back
-        # when the core is swapped out.
-        core = cores[0]  # all cores start at 0 cycles; the tie goes to id 0
+        # core EXCEPT the one currently executing, and its root is cached
+        # in two locals (refreshed after each heapreplace; ``inf`` for a
+        # single core).  After each record the current core keeps running
+        # while its (cycles, core_id) is still <= the root — the same
+        # total order a ``min`` scan over all cores produces.  All cores
+        # start at 0 cycles, so the tie goes to core 0.
+        core_id = 0
         heap = [(c.cycles, c.core_id) for c in cores[1:]]
         heapify(heap)
-        multi = len(cores) > 1
+        root_cycles, root_id = heap[0] if heap else (float("inf"), 0)
         # Every L1 shares one geometry, so the set mask is loop-invariant.
         l1_mask = l1s[0]._mask
 
         # Cores hand the lead back and forth every few records, so the
         # swap itself is hot.  Each core's loop state lives in one flat
-        # list; a switch is then three list stores plus a single
-        # 15-element unpack instead of a dozen attribute accesses.
-        # Layout: [cycles, instructions, threshold, base_cpi, mlp,
-        #          gaps, pcs, addrs, writes, pos, block_len, l1, l1_mru,
-        #          l1_sets, core_stats].
-        states = []
+        # list whose first five entries are the ones a record changes; a
+        # switch is five item stores plus one unpack (a slice store costs
+        # more than the five stores together).  Layout:
+        #   [cycles, instructions, pos, misses, wt_hits,
+        #    threshold, base_cpi, mlp, gaps, pcs, addrs, writes,
+        #    core, l1_mru, l1_sets]
+        # ``misses`` counts L1 misses and ``wt_hits`` store hits retired
+        # here on a line already in M; records consumed are
+        # ``core.fetched - len(gaps) + pos``.  L1 hits and the recorded
+        # CoreStats counters are derived from these at the warm and done
+        # transitions and at the end of the run, not bumped per record.
+        states = self._states = []
         for c in cores:
             c_l1 = l1s[c.core_id]
             states.append(
                 [
                     c.cycles,
                     c.instructions,
+                    0,
+                    0,
+                    0,
                     c.threshold,
                     c.base_cpi,
                     c.mlp,
@@ -257,20 +289,19 @@ class Engine:
                     (),
                     (),
                     (),
-                    0,
-                    0,
-                    c_l1,
+                    c,
                     c_l1._mru,
                     c_l1._sets,
-                    c.stats,
                 ]
             )
 
-        core_id = core.core_id
         state = states[core_id]
         (
             cycles,
             instructions,
+            pos,
+            misses,
+            wt_hits,
             threshold,
             base_cpi,
             mlp,
@@ -278,85 +309,85 @@ class Engine:
             pcs,
             addrs,
             writes,
-            pos,
-            block_len,
-            l1,
+            core,
             l1_mru,
             l1_sets,
-            core_stats,
         ) = state
-        recording = core_stats.recording
 
-        while remaining:
+        while True:
             # Traces are consumed in per-core column blocks: each core's
             # record stream depends only on its own RNG and component
             # state, so pulling BLOCK records at a time yields the same
             # records while amortising the per-record production cost.
             # The block is walked with one cursor over its columns; the pc
-            # is read only on an L1 miss.
-            if pos == block_len:
-                block = core.source.fill(BLOCK)
-                block_len = len(block[0])
-                if not block_len:  # trace exhausted: restart it, like the paper
+            # is read only on an L1 miss.  Running off the end of a block
+            # raises IndexError, which costs nothing until it happens
+            # (once per block) and spares a bounds compare per record.
+            try:
+                committed = gaps[pos] + 1
+            except IndexError:
+                gaps, pcs, addrs, writes = block = core.source.fill(BLOCK)
+                if gaps:
+                    core.fetched += len(gaps)
+                    state[8:12] = block
+                else:  # trace exhausted: restart it, like the paper
                     core.source = open_source(core.workload, core.rng)
-                    pos = 0
-                    continue
-                gaps, pcs, addrs, writes = block
-                state[5:11] = gaps, pcs, addrs, writes, 0, block_len
                 pos = 0
-            gap = gaps[pos]
-            addr = addrs[pos]
+                continue
+            line_addr = addrs[pos] >> offset_bits
             is_write = writes[pos]
             pos += 1
-            committed = gap + 1
             instructions += committed
             cycles += committed * base_cpi
-
-            if recording:
-                core_stats.instructions += committed
-
-            line_addr = addr >> offset_bits
             set_idx = line_addr & l1_mask
-            # Fully inlined L1 probe.  Most records re-touch the line the
-            # set served last (dwell) — one list index and one compare;
-            # the rest do the membership test and promotion here, saving
-            # a method call per record.
-            if l1_mru[set_idx] == line_addr:
-                l1.hits += 1
-                hit = True
-            else:
+            # Fully inlined L1 probe (last key = MRU).  Most records
+            # re-touch the line the set served last (dwell) — one list
+            # index and one compare; the rest do the membership test and
+            # promotion here, saving a method call per record.
+            if l1_mru[set_idx] != line_addr:
                 lines = l1_sets[set_idx]
                 if line_addr in lines:
-                    lines.move_to_end(line_addr, False)
+                    lines.move_to_end(line_addr)
                     l1_mru[set_idx] = line_addr
-                    l1.hits += 1
-                    hit = True
                 else:
-                    l1.misses += 1
-                    hit = False
-            if hit:
-                if is_write:
+                    # L1 miss: the hierarchy resolves the access, store
+                    # included, and allocates into the L1 itself (a
+                    # spilled line served remotely in place never enters
+                    # this L1).
+                    misses += 1
+                    cycles += (
+                        hierarchy_access(core_id, line_addr, is_write, pcs[pos - 1])
+                        / mlp
+                    )
+                    is_write = False
+            if is_write:
+                # Store hit.  The L1 entry holds the inclusive L2's line;
+                # one already in M only counts the write-through.  The
+                # address check catches a slot recycled for another line
+                # (inclusion back-invalidates the L1 first, so it never
+                # should be); anything else takes the full path.
+                line = l1_sets[set_idx][line_addr]
+                if line.state is modified and line.addr == line_addr:
+                    wt_hits += 1
+                else:
                     write_through(core_id, line_addr)
-                if recording:
-                    core_stats.l1_hits += 1
-            else:
-                if recording:
-                    core_stats.l1_misses += 1
-                # The hierarchy allocates into the L1 itself (a spilled
-                # line served remotely in place never enters this L1).
-                latency = hierarchy_access(
-                    core_id, line_addr, is_write, pcs[pos - 1]
-                )
-                cycles += latency / mlp
 
             if instructions >= threshold:
                 if instructions >= core.state_threshold:
                     if not core.warmed:
                         core.warmed = True
                         core.cycle_offset = cycles
-                        core_stats.recording = recording = True
+                        core.warm_counts = (
+                            instructions,
+                            core.fetched - len(gaps) + pos,
+                            misses,
+                            wt_hits,
+                        )
+                        core.stats.recording = True
                         core.state_threshold = core.warmup + core.quota
                         if observer is not None:
+                            core.cycles = cycles
+                            core.instructions = instructions
                             observer.on_phase(
                                 core_id, "measure", instructions, cycles
                             )
@@ -371,8 +402,14 @@ class Engine:
                                 policy.end_warmup()
                     elif not core.done:
                         core.done = True
-                        core_stats.cycles = cycles - core.cycle_offset
-                        core_stats.recording = recording = False
+                        _record_window(
+                            core,
+                            cycles,
+                            instructions,
+                            core.fetched - len(gaps) + pos,
+                            misses,
+                            wt_hits,
+                        )
                         core.state_threshold = float("inf")
                         core.next_sample = float("inf")
                         remaining -= 1
@@ -392,51 +429,80 @@ class Engine:
                     core.next_sample = next_sample
                 # With no observer next_sample is inf, so this is the old
                 # state threshold and the compare sequence is unchanged.
-                state[2] = core.threshold = threshold = (
+                state[5] = core.threshold = threshold = (
                     core.state_threshold
                     if core.state_threshold <= core.next_sample
                     else core.next_sample
                 )
+                if not remaining:
+                    break
 
-            if multi:
-                # Same total order as ``(root < (cycles, core_id))`` but
-                # without allocating the entry tuple unless the lead
-                # actually changes hands (the root's id never equals
-                # ``core_id`` — the running core is not in the heap).
-                root = heap[0]
-                root_cycles = root[0]
-                if root_cycles < cycles or (
-                    root_cycles == cycles and root[1] < core_id
-                ):
-                    state[0] = core.cycles = cycles
-                    state[1] = core.instructions = instructions
-                    state[9] = pos
-                    heapreplace(heap, (cycles, core_id))
-                    core_id = root[1]
-                    core = cores[core_id]
-                    state = states[core_id]
-                    (
-                        cycles,
-                        instructions,
-                        threshold,
-                        base_cpi,
-                        mlp,
-                        gaps,
-                        pcs,
-                        addrs,
-                        writes,
-                        pos,
-                        block_len,
-                        l1,
-                        l1_mru,
-                        l1_sets,
-                        core_stats,
-                    ) = state
-                    recording = core_stats.recording
+            # Same total order as ``(root < (cycles, core_id))`` (the
+            # root's id never equals ``core_id``: the running core is not
+            # in the heap), allocating the entry tuple only on a switch.
+            if cycles >= root_cycles and (cycles > root_cycles or core_id > root_id):
+                state[0] = cycles
+                state[1] = instructions
+                state[2] = pos
+                state[3] = misses
+                state[4] = wt_hits
+                heapreplace(heap, (cycles, core_id))
+                core_id = root_id
+                state = states[core_id]
+                (
+                    cycles,
+                    instructions,
+                    pos,
+                    misses,
+                    wt_hits,
+                    threshold,
+                    base_cpi,
+                    mlp,
+                    gaps,
+                    pcs,
+                    addrs,
+                    writes,
+                    core,
+                    l1_mru,
+                    l1_sets,
+                ) = state
+                root_cycles, root_id = heap[0]
 
-        core.cycles = cycles
-        core.instructions = instructions
+        state[0:5] = cycles, instructions, pos, misses, wt_hits
+        for c, st in zip(cores, states):
+            c.cycles = st[0]
+            c.instructions = st[1]
+            l1 = l1s[c.core_id]
+            l1.misses += st[3]
+            l1.hits += c.fetched - len(st[8]) + st[2] - st[3]
         if observer is not None:
             observer.finish()
         if self._sanitizer is not None:
             self._sanitizer.final_check()
+
+
+def _record_window(
+    core: _CoreRun,
+    cycles: float,
+    instructions: int,
+    records: int,
+    misses: int,
+    wt_hits: int,
+) -> None:
+    """Freeze a core's recorded stats at its done transition.
+
+    The recorded window runs from the record after the warm transition
+    through the one that reached the quota; its counts are the
+    differences between the loop counters now and the snapshot taken at
+    the warm transition (all zero when there was no warmup).
+    """
+    warm_instructions, warm_records, warm_misses, warm_wt_hits = core.warm_counts
+    stats = core.stats
+    stats.cycles = cycles - core.cycle_offset
+    stats.instructions = instructions - warm_instructions
+    stats.l1_misses = misses - warm_misses
+    stats.l1_hits = records - warm_records - stats.l1_misses
+    # write_through bumps wt_writes itself while recording; add the
+    # store hits the loop retired without calling it.
+    stats.wt_writes += wt_hits - warm_wt_hits
+    stats.recording = False

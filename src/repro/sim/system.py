@@ -16,7 +16,17 @@ LLCPolicy`, and implements the complete access flow of the paper's system:
   migrating line (ASCC Section 3.2), spill to a receiver chosen by the
   policy, or eviction to memory with writeback of dirty lines;
 * inclusion: the owning L1 is back-invalidated whenever its L2 loses a
-  line, including when the line is spilled away.
+  line, including when the line is spilled away.  Every L1 fill carries
+  the L2's :class:`~repro.cache.cache.Line`, so the engine can retire a
+  store hit on a line already in M without calling :meth:`write_through`.
+
+The directory's holder map is read directly on the miss path: after a
+local miss the requester is never a holder, so the holder set *is* the
+peer list, and a victim (held by its own cache) is the last copy exactly
+when it is the only holder.  Policy hooks the scheme inherits from
+:class:`~repro.policies.base.LLCPolicy` (``on_access``, ``tick``, and the
+``choose_victim_position``/``insertion_position`` defaults) are bound to
+``None`` and skipped, with the default's answer inlined.
 
 :class:`SharedHierarchy` models the Section 6.1 comparison point — a banked
 shared LLC of the same aggregate capacity accessed at an interleaved-bank
@@ -68,7 +78,12 @@ class MemoryHierarchy(abc.ABC):
 
     @abc.abstractmethod
     def write_through(self, core_id: int, line_addr: int) -> None:
-        """Propagate an L1 store hit to the level below (write-through L1)."""
+        """Propagate an L1 store hit to the level below (write-through L1).
+
+        The engine skips the call when the L1 entry's line is already
+        MODIFIED and only bumps ``wt_writes``, which is all this method
+        would do for such a line.
+        """
 
 
 class PrivateHierarchy(MemoryHierarchy):
@@ -79,11 +94,7 @@ class PrivateHierarchy(MemoryHierarchy):
         self.policy = policy
         self.rng = Random(config.seed)
         self.directory = PresenceDirectory(config.num_cores)
-        # The module-global ``CacheArray`` (not the registry) names the
-        # default backend so the legacy benchmark can patch it; "dict"
-        # explicitly selects the reference backend for differential runs.
-        backend = getattr(config, "cache_backend", "slot")
-        array_cls = CacheArray if backend == "slot" else resolve_backend(backend)
+        array_cls = resolve_backend(config.cache_backend)
         self.l2s = [
             array_cls(config.l2_geometry, cache_id=i, directory=self.directory)
             for i in range(config.num_cores)
@@ -106,9 +117,16 @@ class PrivateHierarchy(MemoryHierarchy):
         self._l2_lookup = [l2.lookup for l2 in self.l2s]
         self._l2_probe = [l2.probe for l2 in self.l2s]
         self._l1_allocate = [l1.allocate for l1 in self.l1s]
+        #: ``line addr -> holder ids``, shared with the directory.
+        self._holders = self.directory._holders
         policy.attach(config.num_cores, config.l2_geometry, Random(config.seed ^ 0x5BD1))
         policy.bind(self)
-        self._policy_on_access = policy.on_access
+        # Hooks the scheme inherits are no-ops (or constant answers): bind
+        # them to None so the access path skips the call.
+        self._policy_on_access = _own_hook(policy, "on_access")
+        self._policy_tick = _own_hook(policy, "tick")
+        self._policy_victim_position = _own_hook(policy, "choose_victim_position")
+        self._policy_insertion_position = _own_hook(policy, "insertion_position")
 
     # ------------------------------------------------------------------ #
     # Main access path
@@ -117,13 +135,14 @@ class PrivateHierarchy(MemoryHierarchy):
     def access(self, core_id: int, line_addr: int, is_write: bool, pc: int) -> float:
         stats = self.stats[core_id]
         set_idx = line_addr & self._set_mask
-        # Inlined _bump_tick: this runs on every L2 access.
-        ticks = self._accesses_since_tick + 1
-        if ticks >= self._tick_interval:
-            self._accesses_since_tick = 0
-            self.policy.tick()
-        else:
-            self._accesses_since_tick = ticks
+        tick = self._policy_tick
+        if tick is not None:
+            ticks = self._accesses_since_tick + 1
+            if ticks >= self._tick_interval:
+                self._accesses_since_tick = 0
+                tick()
+            else:
+                self._accesses_since_tick = ticks
         if stats.recording:
             stats.l2_accesses += 1
 
@@ -132,23 +151,29 @@ class PrivateHierarchy(MemoryHierarchy):
             self._run_prefetcher(core_id, pc, line_addr)
 
         if line is not None:
-            self._policy_on_access(core_id, set_idx, "local")
+            on_access = self._policy_on_access
+            if on_access is not None:
+                on_access(core_id, set_idx, "local")
             self.traffic.local_hits += 1
             if stats.recording:
                 stats.l2_local_hits += 1
-                if line.prefetched:
+            if line.prefetched:
+                if stats.recording:
                     stats.prefetches_useful += 1
-            line.prefetched = False
-            if is_write:
+                line.prefetched = False
+            if is_write and line.state is not Mesi.MODIFIED:
                 self._write_upgrade(core_id, line)
-            self._l1_allocate[core_id](line_addr)
+            self._l1_allocate[core_id](line_addr, line)
             return self._lat_local
 
-        # Local miss: snoop the chip (functional broadcast).
+        # Local miss: snoop the chip (functional broadcast).  The
+        # requester holds no copy, so every holder is a peer.
         self.traffic.snoop_broadcasts += 1
-        holders = self.directory.peers(line_addr, core_id)
+        holders = self._holders.get(line_addr)
         if holders:
-            return self._remote_hit(core_id, line_addr, set_idx, is_write, holders)
+            return self._remote_hit(
+                core_id, line_addr, set_idx, is_write, list(holders)
+            )
         return self._memory_fetch(core_id, line_addr, set_idx, is_write)
 
     def write_through(self, core_id: int, line_addr: int) -> None:
@@ -185,7 +210,9 @@ class PrivateHierarchy(MemoryHierarchy):
             if remote_line.spilled:
                 stats.hits_on_spilled += 1
 
-        self.policy.on_access(core_id, set_idx, "remote")
+        on_access = self._policy_on_access
+        if on_access is not None:
+            on_access(core_id, set_idx, "remote")
 
         if remote_line.spilled and len(holders) == 1:
             if not self.policy.wants_swap(core_id, set_idx):
@@ -213,7 +240,6 @@ class PrivateHierarchy(MemoryHierarchy):
             )
             self._invalidate_at(holder, line_addr)
             self._allocate_local(core_id, line_addr, set_idx, new_state, holder)
-            self.l1s[core_id].allocate(line_addr)
             return lat.l2_remote_hit
 
         migrated_holder: Optional[int] = None
@@ -242,7 +268,6 @@ class PrivateHierarchy(MemoryHierarchy):
                     peer.state = Mesi.SHARED
 
         self._allocate_local(core_id, line_addr, set_idx, new_state, migrated_holder)
-        self.l1s[core_id].allocate(line_addr)
         return lat.l2_remote_hit
 
     def _memory_fetch(
@@ -250,13 +275,14 @@ class PrivateHierarchy(MemoryHierarchy):
     ) -> float:
         lat = self.config.latencies
         stats = self.stats[core_id]
-        self.policy.on_access(core_id, set_idx, "miss")
+        on_access = self._policy_on_access
+        if on_access is not None:
+            on_access(core_id, set_idx, "miss")
         self.traffic.memory_fetches += 1
         if stats.recording:
             stats.l2_memory_fetches += 1
         new_state = Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE
         self._allocate_local(core_id, line_addr, set_idx, new_state, None)
-        self.l1s[core_id].allocate(line_addr)
         # The broadcast that found nobody ran concurrently with the fetch.
         return lat.l2_remote_hit + lat.memory
 
@@ -272,15 +298,22 @@ class PrivateHierarchy(MemoryHierarchy):
         state: Mesi,
         migrated_holder: Optional[int],
     ) -> None:
+        """Fill the requester's L2 (disposing of a victim) and its L1."""
         cache = self.l2s[core_id]
-        policy = self.policy
-        victim: Optional[Line] = None
-        if cache.occupancy(set_idx) >= cache.geometry.ways:
-            victim_pos = policy.choose_victim_position(core_id, set_idx, "demand")
-            victim = cache.victim_candidate(set_idx, victim_pos)
+        choose = self._policy_victim_position
+        if choose is None:  # plain LRU; None while the set has a free way
+            victim = cache.victim_candidate(set_idx)
+        elif cache.occupancy(set_idx) >= cache.geometry.ways:
+            victim = cache.victim_candidate(
+                set_idx, choose(core_id, set_idx, "demand")
+            )
+        else:
+            victim = None
         san = self.sanitizer
         if victim is not None:
-            last_copy = self.directory.is_last_copy(victim.addr, core_id)
+            # The victim is resident here, so it is the last on-chip
+            # copy exactly when this cache is its only holder.
+            last_copy = len(self._holders[victim.addr]) == 1
             cache.evict(victim.addr)
             self.l1s[core_id].invalidate(victim.addr)
             if san is not None:
@@ -290,8 +323,10 @@ class PrivateHierarchy(MemoryHierarchy):
             # Disposal copied whatever it needed (spill fills build a new
             # line from the victim's fields), so the slot can be recycled.
             cache.release(victim)
-        pos = policy.insertion_position(core_id, set_idx)
+        insertion = self._policy_insertion_position
+        pos = 0 if insertion is None else insertion(core_id, set_idx)
         cache.fill_fields(line_addr, state, position=pos)
+        self._l1_allocate[core_id](line_addr, cache.probe(line_addr))
         if san is not None:
             san.after_access(core_id, line_addr)
 
@@ -327,7 +362,8 @@ class PrivateHierarchy(MemoryHierarchy):
         cache = self.l2s[dst]
         policy = self.policy
         if cache.occupancy(set_idx) >= cache.geometry.ways:
-            r_pos = policy.choose_victim_position(dst, set_idx, "spill")
+            choose = self._policy_victim_position
+            r_pos = None if choose is None else choose(dst, set_idx, "spill")
             if r_pos is None and policy.spill_victim_prefers_spilled:
                 # ASCC-family receiver rule: recycle the least-recent line
                 # that was itself spilled in, before touching any of the
@@ -340,7 +376,7 @@ class PrivateHierarchy(MemoryHierarchy):
                         break
             r_victim = cache.victim_candidate(set_idx, r_pos)
             if r_victim is not None:
-                r_last = self.directory.is_last_copy(r_victim.addr, dst)
+                r_last = len(self._holders[r_victim.addr]) == 1
                 cache.evict(r_victim.addr)
                 self.l1s[dst].invalidate(r_victim.addr)
                 san = self.sanitizer
@@ -388,17 +424,17 @@ class PrivateHierarchy(MemoryHierarchy):
     # ------------------------------------------------------------------ #
 
     def _write_upgrade(self, core_id: int, line: Line) -> None:
-        """Local write hit: invalidate remote copies, go to M."""
-        if line.state is not Mesi.MODIFIED:
-            san = self.sanitizer
-            if san is not None:
-                san.on_transition(core_id, line.addr, line.state, "write_hit")
-            peers = self.directory.peers(line.addr, core_id)
-            for h in peers:
-                self._invalidate_at(h, line.addr)
-            if peers and self.stats[core_id].recording:
-                self.stats[core_id].invalidations_sent += len(peers)
-            line.state = Mesi.MODIFIED
+        """Local write hit on a line not yet in M: invalidate remote
+        copies, go to M."""
+        san = self.sanitizer
+        if san is not None:
+            san.on_transition(core_id, line.addr, line.state, "write_hit")
+        peers = [h for h in self._holders[line.addr] if h != core_id]
+        for h in peers:
+            self._invalidate_at(h, line.addr)
+        if peers and self.stats[core_id].recording:
+            self.stats[core_id].invalidations_sent += len(peers)
+        line.state = Mesi.MODIFIED
 
     def _invalidate_at(self, holder: int, line_addr: int) -> None:
         cache = self.l2s[holder]
@@ -431,14 +467,14 @@ class PrivateHierarchy(MemoryHierarchy):
         cache = self.l2s[core_id]
         stats = self.stats[core_id]
         for target in self.prefetchers[core_id].observe(pc, line_addr):
-            if target < 0 or cache.contains(target) or self.directory.is_on_chip(target):
+            if target < 0 or cache.contains(target) or target in self._holders:
                 continue
             set_idx = target & cache.set_mask
             san = self.sanitizer
             if cache.occupancy(set_idx) >= cache.geometry.ways:
                 victim = cache.victim_candidate(set_idx)
                 assert victim is not None
-                last = self.directory.is_last_copy(victim.addr, core_id)
+                last = len(self._holders[victim.addr]) == 1
                 cache.evict(victim.addr)
                 self.l1s[core_id].invalidate(victim.addr)
                 if san is not None:
@@ -455,13 +491,6 @@ class PrivateHierarchy(MemoryHierarchy):
             self.traffic.prefetch_fills += 1
             if stats.recording:
                 stats.prefetches_issued += 1
-
-    def _bump_tick(self) -> None:
-        # Kept for callers outside the hot path; ``access`` inlines this.
-        self._accesses_since_tick += 1
-        if self._accesses_since_tick >= self._tick_interval:
-            self._accesses_since_tick = 0
-            self.policy.tick()
 
     # ------------------------------------------------------------------ #
     # Invariant checks (used by tests)
@@ -488,6 +517,18 @@ class PrivateHierarchy(MemoryHierarchy):
                     raise AssertionError(
                         f"inclusion violated: L1[{i}] holds {addr:#x}"
                     )
+
+
+def _own_hook(policy: LLCPolicy, name: str):
+    """``policy``'s bound hook ``name``, or ``None`` when its class
+    inherits :class:`LLCPolicy`'s default.
+
+    Class-level wrappers installed before the hierarchy is built (the
+    layer-ledger benchmark's) keep the identity test valid.
+    """
+    if getattr(type(policy), name) is getattr(LLCPolicy, name):
+        return None
+    return getattr(policy, name)
 
 
 class SharedHierarchy(MemoryHierarchy):
@@ -522,7 +563,7 @@ class SharedHierarchy(MemoryHierarchy):
             self.traffic.local_hits += 1
             if stats.recording:
                 stats.l2_local_hits += 1
-            self.l1s[core_id].allocate(line_addr)
+            self.l1s[core_id].allocate(line_addr, line)
             return self._latency
         self.traffic.memory_fetches += 1
         if stats.recording:
@@ -537,7 +578,7 @@ class SharedHierarchy(MemoryHierarchy):
                 if stats.recording:
                     stats.writebacks += 1
             self.llc.release(victim)
-        self.l1s[core_id].allocate(line_addr)
+        self.l1s[core_id].allocate(line_addr, self.llc.probe(line_addr))
         return self._latency + self.config.latencies.memory
 
     def write_through(self, core_id: int, line_addr: int) -> None:

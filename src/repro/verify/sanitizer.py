@@ -215,10 +215,12 @@ class InvariantChecker:
         self._engine = engine
 
     def _cycle(self) -> Optional[int]:
+        # The engine's live per-core counts: core objects only see their
+        # cycles at observer calls and at the end of the run.
         if self._engine is None:
             return None
         try:
-            return int(max(core.cycles for core in self._engine.cores))
+            return int(max(self._engine.live_cycles()))
         except (AttributeError, ValueError):  # pragma: no cover - defensive
             return None
 

@@ -3,7 +3,11 @@
 One small fixed-seed simulation per scheme in the policy registry (plus
 the parameterised families and the shared LLC) is digested — every
 per-core counter, the bus traffic and the L1 counters hashed with
-SHA-256 — and compared against ``tests/golden_digests.json``.
+SHA-256 — and compared against ``tests/golden_digests.json``.  Two
+extra cells widen the coverage beyond that multiprogrammed mix: a
+multithreaded shared-data kernel (S->M store upgrades that must
+invalidate peers) and a prefetch-enabled mix (L1 entries pointing at
+lines filled without a demand access).
 
 The stored digests were generated on the pre-observability kernel, so
 they certify two things at once:
@@ -50,12 +54,65 @@ SEED = 7
 #: shared LLC (the runner handles "shared" outside the registry).
 SCHEMES = sorted(available_schemes()) + ["ascc/64", "avgcc/128", "shared"]
 
+#: Cells outside the scheme sweep, keyed as stored in the digest table.
+MULTITHREAD_CELL = "multithread:lu/ascc"
+PREFETCH_CELL = "prefetch:471+444/avgcc"
+CELLS = SCHEMES + [MULTITHREAD_CELL, PREFETCH_CELL]
+
 
 def simulate(scheme: str) -> SystemResult:
     from repro.experiments.runner import ExperimentRunner
 
     runner = ExperimentRunner(quota=QUOTA, warmup=WARMUP, seed=SEED)
     return runner.run(MIX, scheme)
+
+
+def simulate_multithread() -> SystemResult:
+    """Four ``lu`` threads sharing one matrix on 512 kB private LLCs.
+
+    Built like the Section 6.3 sweep (these workloads bypass the trace
+    cache); the sanitizer follows ``REPRO_SANITIZE`` as in every other
+    cell.
+    """
+    from repro.experiments.sec63_multithread import MT_L2_PAPER_BYTES
+    from repro.policies.registry import make_policy
+    from repro.sim.config import ScaleModel, default_config
+    from repro.sim.engine import Engine
+    from repro.sim.system import PrivateHierarchy
+    from repro.verify.sanitizer import attach_sanitizer, env_sanitize_enabled
+    from repro.workloads.multithread import make_threads
+
+    scale = ScaleModel()
+    config = default_config(
+        num_cores=4, scale=scale, quota=QUOTA, seed=SEED,
+        l2_paper_bytes=MT_L2_PAPER_BYTES,
+    )
+    hierarchy = PrivateHierarchy(config, make_policy("ascc"))
+    if env_sanitize_enabled():
+        attach_sanitizer(hierarchy)
+    Engine(hierarchy, make_threads("lu", 4, scale), QUOTA, SEED, WARMUP).run()
+    return SystemResult(
+        scheme="ascc", workload="lu", cores=hierarchy.stats,
+        traffic=hierarchy.traffic, latencies=config.latencies,
+    )
+
+
+def simulate_prefetch() -> SystemResult:
+    from repro.experiments.runner import ExperimentRunner
+    from repro.sim.config import PrefetchConfig
+
+    runner = ExperimentRunner(
+        quota=QUOTA, warmup=WARMUP, seed=SEED, prefetch=PrefetchConfig()
+    )
+    return runner.run(MIX, "avgcc")
+
+
+def simulate_cell(cell: str) -> SystemResult:
+    if cell == MULTITHREAD_CELL:
+        return simulate_multithread()
+    if cell == PREFETCH_CELL:
+        return simulate_prefetch()
+    return simulate(cell)
 
 
 def digest(result: SystemResult) -> str:
@@ -79,10 +136,10 @@ def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", CELLS)
 def test_fixed_seed_run_matches_golden_digest(scheme):
     golden = load_golden()
-    measured = digest(simulate(scheme))
+    measured = digest(simulate_cell(scheme))
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         assert not os.environ.get("CI"), (
             "REPRO_UPDATE_GOLDEN must never run in CI: golden digests are "

@@ -92,6 +92,40 @@ def test_armed_corruption_caught_as_invariant_violation():
     assert f"[{violation.invariant}]" in str(violation)
 
 
+def test_violation_reports_live_mid_run_cycle():
+    """The violation's cycle context is live, not the pre-run zero."""
+    from repro.policies.registry import make_policy
+    from repro.sim.config import default_config
+    from repro.sim.engine import Engine
+    from repro.sim.system import PrivateHierarchy
+    from repro.workloads.mixes import make_workloads
+
+    params = SPEC.runner_params()
+
+    def engine(sanitize: bool) -> Engine:
+        config = default_config(
+            num_cores=2, scale=params["scale"], quota=SPEC.quota, seed=SPEC.seed
+        )
+        hierarchy = PrivateHierarchy(config, make_policy(SPEC.scheme))
+        if sanitize:
+            attach_sanitizer(hierarchy)
+        workloads = make_workloads(SPEC.mix, params["scale"])
+        return Engine(hierarchy, workloads, config.quota, config.seed, SPEC.warmup)
+
+    clean = engine(sanitize=False)
+    clean.run()
+    final_max = max(core.cycles for core in clean.cores)
+    # Seed 7 corrupts a line the run touches again long before the end,
+    # so the violation is raised mid-run, not by the final sweep.
+    arm_state_corruption(seed=7)
+    corrupted = engine(sanitize=True)
+    with pytest.raises(InvariantViolation) as exc_info:
+        corrupted.run()
+    assert corrupted.hierarchy.sanitizer.sweeps == 0
+    cycle = exc_info.value.cycle
+    assert cycle is not None and 0 < cycle <= final_max
+
+
 def test_corruption_through_fault_injection_path():
     """The seeded ``corrupt_state`` fault kind arms the same corruption."""
     fault = Fault("corrupt_state", seconds=7)
