@@ -28,7 +28,7 @@ import pstats
 import pytest
 
 from repro.api import RunSpec
-from repro.experiments.runner import simulate_spec
+from repro.execution.simulate import simulate_spec
 
 KB = 1024
 

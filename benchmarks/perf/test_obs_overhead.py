@@ -36,7 +36,7 @@ from pathlib import Path
 
 from benchmarks.perf import bench_sim_kernel
 from repro.api import RunSpec
-from repro.experiments.runner import simulate_spec
+from repro.execution.simulate import simulate_spec
 from repro.obs import CompositeObserver, EventTracer, IntervalRecorder, Observer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

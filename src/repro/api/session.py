@@ -15,7 +15,7 @@ timeouts, retries, reporting) once, then answers any
 Every answer comes from one ``{RunSpec: SystemResult}`` memo.  A miss
 is filled by one :func:`repro.service.scheduler.run_batch` call — the
 single execution path shared with the batch service and the cluster —
-so fan-out, the disk-cache and trace pre-passes, supervision and the
+so fan-out, the disk-cache and trace pre-passes, retries and the
 run report are the scheduler's.  Specs with different parameters
 (quota, scale, L2 size, prefetcher...) share one session freely: the
 canonical :meth:`RunSpec.cache_key` keys both the memo and the disk
@@ -28,7 +28,8 @@ import os
 from typing import Iterable, Iterator, Optional
 
 from repro.api.spec import RunSpec
-from repro.experiments.runner import MixOutcome, simulate_spec
+from repro.execution.simulate import simulate_spec
+from repro.experiments.runner import MixOutcome
 from repro.sim.results import SystemResult
 
 
@@ -141,9 +142,9 @@ class Session:
         Every spec's outcome cells (the spec, its mix's baseline and
         each member's stand-alone run) not yet in the memo go through
         one ``run_batch`` call, whose
-        :class:`~repro.experiments.supervision.RunReport` is returned
+        :class:`~repro.execution.report.RunReport` is returned
         (and written to ``report_path``/``metrics_path``).  Raises
-        :class:`~repro.experiments.supervision.SupervisionError` naming
+        :class:`~repro.execution.report.ExecutorError` naming
         the specs that exhausted their retries; every other cell stays
         in the memo and the disk cache.
         """
@@ -172,9 +173,9 @@ class Session:
             else:
                 self._results[spec] = outcome
         if failed:
-            from repro.experiments.supervision import SupervisionError
+            from repro.execution.report import ExecutorError
 
-            raise SupervisionError(failed, report)
+            raise ExecutorError(failed, report)
         return report
 
     # ------------------------------------------------------------------ #

@@ -41,7 +41,8 @@ from repro.sim.config import PAPER_L2, PrefetchConfig, ScaleModel
 CACHE_FORMAT_VERSION = 3
 
 #: Scheme name handled outside the policy registry (Section 6.1's
-#: banked shared LLC).  Mirrored by ``repro.experiments.runner``.
+#: banked shared LLC); :func:`repro.execution.simulate.simulate_spec`
+#: builds it.
 SHARED_SCHEME = "shared"
 
 
@@ -131,7 +132,7 @@ class RunSpec:
     trace_cache: Optional[bool] = field(default=None, compare=False)
     #: Per-request deadline in seconds (from submission): the batch
     #: service fails the spec with ``DeadlineExceeded`` instead of
-    #: starting it past this budget, and caps the supervisor's per-cell
+    #: starting it past this budget, and caps the executor's per-cell
     #: timeout with it.  Excluded from the cache key — *when* a result
     #: must arrive never changes what it is.
     deadline: Optional[float] = field(default=None, compare=False)

@@ -91,7 +91,7 @@ overriding the ``REPRO_TRACE_CACHE`` environment default (on).
 invariant checker from :mod:`repro.verify` — zero-cost when off,
 ``REPRO_SANITIZE=1`` is the environment equivalent.  The hidden ``REPRO_FAULT_PLAN`` environment variable (e.g.
 ``"crash=1,hang=1,seed=7"``) injects deterministic worker faults for
-chaos runs; see :mod:`repro.experiments.faults`.
+chaos runs; see :mod:`repro.execution.faults`.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ import sys
 from typing import Callable, Mapping
 
 from repro.api.spec import RunSpec, SpecError, _check_codes, parse_mix
+from repro.execution.report import ExecutorError
 from repro.experiments import (
     fig1_ways,
     fig2_sets,
@@ -124,7 +125,6 @@ from repro.experiments import (
     tab5_cost,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.supervision import SupervisionError
 from repro.policies.registry import available_schemes
 from repro.workloads.mixes import MIX2, MIX4, mix_name
 
@@ -651,7 +651,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(report.describe())
         return 0 if report.ok else 1
 
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     result = simulate_spec(spec.replace(sanitize=True))
     print(f"{spec.name}: sanitized run clean, digest {result_digest(result)}")
@@ -812,8 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--executor",
             choices=("local", "cluster"),
             default="local",
-            help="execution backend: 'local' runs the supervised process "
-            "pool in this process (bit-identical to previous releases); "
+            help="execution backend: 'local' runs cells on this host "
+            "(a process pool when --jobs > 1); "
             "'cluster' leases cells to remote 'repro worker' processes "
             "over TCP (default: local)",
         )
@@ -1078,11 +1078,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except KeyboardInterrupt:
-        # The supervisor already flushed completed cells and printed the
+        # The scheduler already flushed completed cells and printed the
         # resumable-state summary; exit with the conventional SIGINT code.
         print("interrupted", file=sys.stderr)
         return 130
-    except SupervisionError as exc:
+    except ExecutorError as exc:
         # Completed cells are cached; only the listed ones are missing.
         print(f"error: {exc}", file=sys.stderr)
         print(exc.report.summary(), file=sys.stderr)

@@ -11,10 +11,11 @@ reaches this module, and results flow back through the same
 Life of a cell here:
 
 1. ``submit`` buffers ``(spec, payload)``; ``drain`` runs the batch.
-2. Dispatch charges an attempt, resolves any injected fault for that
-   attempt (exactly like the local Supervisor, so chaos plans cover
-   the cluster path too) and sends a ``lease`` frame to a worker with
-   a free slot.
+2. Dispatch charges an attempt on the drain's
+   :class:`~repro.service.executor.AttemptLedger` — the same one the
+   local pool keeps, so retry, refund and fault-injection rules are
+   identical — and sends a ``lease`` frame to a worker with a free
+   slot.
 3. The worker streams back a ``result`` or ``error`` frame; results
    are validated and delivered immediately, failures are retried with
    exponential backoff up to the configured budget.
@@ -37,18 +38,15 @@ from __future__ import annotations
 import itertools
 import queue
 import socket
-import sys
 import threading
 import time
-from collections import deque
 from typing import Optional
 
-from repro.experiments.supervision import RunReport, cell_name
 from repro.service import wire
 from repro.service.executor import (
+    AttemptLedger,
     Executor,
     ExecutorConfig,
-    ExecutorError,
     ExecutorStats,
 )
 
@@ -113,76 +111,13 @@ class RemoteWorker:
 class _Lease:
     """One dispatched cell: who is running it and until when."""
 
-    __slots__ = ("cell", "worker", "deadline", "dispatched", "span", "attempt_span")
+    __slots__ = ("cell", "worker", "deadline", "dispatched")
 
-    def __init__(
-        self,
-        cell,
-        worker: RemoteWorker,
-        deadline,
-        dispatched,
-        span=None,
-        attempt_span=None,
-    ) -> None:
+    def __init__(self, cell, worker: RemoteWorker, deadline, dispatched) -> None:
         self.cell = cell
         self.worker = worker
         self.deadline = deadline
         self.dispatched = dispatched
-        self.span = span  # live "lease" span (tracing on only)
-        self.attempt_span = attempt_span  # its parent "attempt" span
-
-
-class _Drain:
-    """Per-drain bookkeeping, mirroring the Supervisor's charging rules."""
-
-    def __init__(self, buffer: dict, report: RunReport, retries: int, backoff: float):
-        self.buffer = buffer
-        self.report = report
-        self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
-        self.pending: deque = deque((cell, 0.0) for cell in buffer)
-        ready = time.monotonic()
-        self.enqueued = {cell: ready for cell in buffer}
-        self.attempts = {cell: 0 for cell in buffer}
-        self.leases: dict[str, _Lease] = {}
-        self.results: dict = {}
-        self.failed: dict = {}
-        for cell in buffer:
-            report.record(cell)
-
-    def charge(self, cell) -> int:
-        self.attempts[cell] += 1
-        self.report.record(cell).attempts += 1
-        return self.attempts[cell]
-
-    def uncharge(self, cell) -> None:
-        """Refund an attempt that never really ran (worker expelled)."""
-        self.attempts[cell] -= 1
-        self.report.record(cell).attempts -= 1
-
-    def register_failure(self, cell, kind: str) -> bool:
-        """Record a failed attempt; True if the cell has retries left."""
-        rec = self.report.record(cell)
-        rec.errors.append(kind)
-        if self.attempts[cell] >= 1 + self.retries:
-            rec.status = "failed"
-            self.failed[cell] = kind
-            return False
-        self.report.retried += 1
-        return True
-
-    def fail_or_requeue(self, cell, kind: str) -> None:
-        if self.register_failure(cell, kind):
-            not_before = time.monotonic() + self.backoff * (
-                2 ** max(0, self.attempts[cell] - 1)
-            )
-            self.pending.append((cell, not_before))
-            self.enqueued[cell] = not_before
-
-    def requeue_uncharged(self, cell) -> None:
-        self.uncharge(cell)
-        self.pending.append((cell, 0.0))
-        self.enqueued[cell] = time.monotonic()
 
 
 class ClusterExecutor(Executor):
@@ -221,8 +156,6 @@ class ClusterExecutor(Executor):
         self._workers: list[RemoteWorker] = []
         self._events: queue.Queue = queue.Queue()
         self._lease_seq = itertools.count(1)
-        self._buffer: dict = {}
-        self._cancelled = False
         self._closing = False
         self._leases_active = 0
         self._redispatches = 0
@@ -322,43 +255,23 @@ class ClusterExecutor(Executor):
     # Executor protocol
     # ------------------------------------------------------------------ #
 
-    def submit(self, cell, payload: dict) -> None:
-        self._buffer[cell] = payload
-
     def drain(self, timeout: Optional[float] = None) -> dict:
-        if self._worker is None:
-            raise RuntimeError("executor is not bound; call bind() first")
-        buffer, self._buffer = self._buffer, {}
+        buffer = self._take_buffer()
         if not buffer:
             return {}
-        report = self._report if self._report is not None else RunReport()
         effective = self.config.timeout if timeout is None else timeout
-        state = _Drain(buffer, report, self.config.retries, self.config.backoff)
-        if self.config.fault_plan is not None:
-            self.config.fault_plan.bind(list(buffer))
+        state = AttemptLedger(self, buffer)
         try:
-            while (state.pending or state.leases) and not self._cancelled:
+            while (state.pending or state.inflight) and not self._cancelled:
                 self._dispatch(state, effective)
                 self._pump_events(state)
                 self._check_stale(state)
                 with self._lock:
-                    self._leases_active = len(state.leases)
+                    self._leases_active = len(state.inflight)
         finally:
             with self._lock:
                 self._leases_active = 0
-            report.interrupted = self._cancelled
-            report.finalize()
-            if self._report_path is not None:
-                report.write(self._report_path)
-        if self._cancelled:
-            print(report.summary(), file=sys.stderr)
-            raise KeyboardInterrupt
-        if state.failed:
-            raise ExecutorError(state.failed, report)
-        return dict(state.results)
-
-    def cancel(self) -> None:
-        self._cancelled = True
+        return state.settle(self._cancelled)
 
     def stats(self) -> ExecutorStats:
         with self._lock:
@@ -404,10 +317,9 @@ class ClusterExecutor(Executor):
     # Drain internals
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, state: _Drain, effective) -> None:
+    def _dispatch(self, state: AttemptLedger, effective) -> None:
         """Lease ready cells onto free worker slots (FIFO, like the pool)."""
-        rotations = 0
-        while state.pending and rotations <= len(state.pending):
+        while state.pending:
             with self._lock:
                 target = next(
                     (
@@ -420,57 +332,32 @@ class ClusterExecutor(Executor):
             if target is None:
                 return
             now = time.monotonic()
-            cell, not_before = state.pending[0]
-            if now < not_before:  # still backing off; look at the next one
-                state.pending.rotate(-1)
-                rotations += 1
-                continue
-            state.pending.popleft()
-            attempt = state.charge(cell)
-            payload = dict(state.buffer[cell])
-            if self.config.fault_plan is not None:
-                fault = self.config.fault_plan.fault_for(cell, attempt)
-                if fault is not None:
-                    payload["fault"] = fault.as_payload()
+            cell = state.next_ready(now)
+            if cell is None:
+                return
             lease_id = f"L{next(self._lease_seq)}"
-            attempt_span = lease_span = None
+            payload = state.charge(cell, worker=target.name)
             if self._tracer is not None:
-                # One attempt span per charge — a redispatch after a
-                # worker loss creates a fresh one under the same cell
-                # context, so both attempts show in the cell's trace.
-                attempt_span = self._tracer.begin(
-                    "attempt",
-                    state.buffer[cell].get("trace"),
-                    cell=cell_name(cell),
-                    attempt=attempt,
-                    worker=target.name,
-                    executor="cluster",
-                )
-                lease_span = self._tracer.begin(
-                    "lease", attempt_span, lease=lease_id, worker=target.name
-                )
-                payload["trace"] = lease_span.context()
+                # The lease span nests under this charge's attempt span;
+                # a redispatch charges again, so both attempts show in
+                # the cell's trace.
+                payload["trace"] = state.child_span(
+                    cell, "lease", lease=lease_id, worker=target.name
+                ).context()
             try:
                 target.send(wire.make_frame("lease", lease=lease_id, payload=payload))
             except OSError:
                 # Connection died under the send: refund the cell and
                 # expel the worker (its other leases requeue uncharged).
-                if self._tracer is not None:
-                    self._tracer.finish(lease_span, status="send-failed")
-                    self._tracer.finish(attempt_span, status="send-failed")
-                state.requeue_uncharged(cell)
+                state.refund(cell, "send-failed")
                 self._expel(target, state, kind=None)
                 continue
-            state.report.record(cell).queue_seconds += max(
-                0.0, now - state.enqueued.pop(cell, now)
-            )
+            state.started(cell, now)
             deadline = None if effective is None else now + effective
-            state.leases[lease_id] = _Lease(
-                cell, target, deadline, now, lease_span, attempt_span
-            )
+            state.inflight[lease_id] = _Lease(cell, target, deadline, now)
             target.leases.add(lease_id)
 
-    def _pump_events(self, state: _Drain) -> None:
+    def _pump_events(self, state: AttemptLedger) -> None:
         """Apply queued connection events; blocks at most one tick."""
         try:
             event = self._events.get(timeout=_TICK)
@@ -498,16 +385,10 @@ class ClusterExecutor(Executor):
             if isinstance(record, dict):
                 self._tracer.adopt(record)
 
-    def _finish_lease_spans(self, lease: _Lease, status: str, **attrs) -> None:
-        if self._tracer is None:
-            return
-        if lease.span is not None:
-            self._tracer.finish(lease.span, status=status, **attrs)
-        if lease.attempt_span is not None:
-            self._tracer.finish(lease.attempt_span, status=status)
-
-    def _handle_result(self, state: _Drain, worker: RemoteWorker, frame: dict) -> None:
-        lease = state.leases.pop(frame.get("lease"), None)
+    def _handle_result(
+        self, state: AttemptLedger, worker: RemoteWorker, frame: dict
+    ) -> None:
+        lease = state.inflight.pop(frame.get("lease"), None)
         if lease is None:
             return  # stale: redispatched already, or from a prior drain
         worker.leases.discard(frame.get("lease"))
@@ -515,31 +396,21 @@ class ClusterExecutor(Executor):
         try:
             result = wire.decode_result(frame["result"])
         except (KeyError, wire.WireError):
-            self._finish_lease_spans(lease, "undecodable-result")
             state.fail_or_requeue(lease.cell, "undecodable-result")
             return
-        duration = time.monotonic() - lease.dispatched
-        if self._validate is not None and not self._validate(result):
-            self._finish_lease_spans(lease, "invalid-result")
-            state.fail_or_requeue(lease.cell, "invalid-result")
-            return
-        self._finish_lease_spans(lease, "ok")
-        state.results[lease.cell] = result
-        state.report.mark_ok(lease.cell, duration)
-        state.report.record(lease.cell).worker = worker.name
-        if self._on_result is not None:
-            self._on_result(lease.cell, result)
+        state.deliver(lease.cell, result, lease.dispatched, worker=worker.name)
 
-    def _handle_error(self, state: _Drain, worker: RemoteWorker, frame: dict) -> None:
-        lease = state.leases.pop(frame.get("lease"), None)
+    def _handle_error(
+        self, state: AttemptLedger, worker: RemoteWorker, frame: dict
+    ) -> None:
+        lease = state.inflight.pop(frame.get("lease"), None)
         if lease is None:
             return
         worker.leases.discard(frame.get("lease"))
         self._adopt_spans(frame)
-        self._finish_lease_spans(lease, "error")
         state.fail_or_requeue(lease.cell, f"error: {frame.get('error', 'unknown')}")
 
-    def _check_stale(self, state: _Drain) -> None:
+    def _check_stale(self, state: AttemptLedger) -> None:
         now = time.monotonic()
         # Heartbeat staleness: a worker holding leases but silent past
         # hang_grace is presumed frozen — expel it, charge its leases.
@@ -559,21 +430,20 @@ class ClusterExecutor(Executor):
         # requeue the worker's innocent leases uncharged.
         overdue = [
             (lid, lease)
-            for lid, lease in state.leases.items()
+            for lid, lease in state.inflight.items()
             if lease.deadline is not None and now > lease.deadline
         ]
         for lease_id, lease in overdue:
-            if lease_id not in state.leases:
+            if lease_id not in state.inflight:
                 continue  # sibling cleanup below already reclaimed it
-            del state.leases[lease_id]
+            del state.inflight[lease_id]
             lease.worker.leases.discard(lease_id)
             state.report.timeouts += 1
             budget = now - lease.dispatched
-            self._finish_lease_spans(lease, "timeout")
             state.fail_or_requeue(lease.cell, f"timeout after {budget:.1f}s")
             self._expel(lease.worker, state, kind=None)
 
-    def _reclaim(self, worker: RemoteWorker, state: _Drain, *, kind) -> None:
+    def _reclaim(self, worker: RemoteWorker, state: AttemptLedger, *, kind) -> None:
         """Recover every lease a departed worker held.
 
         ``kind`` names the failure charged to each lease
@@ -582,25 +452,24 @@ class ClusterExecutor(Executor):
         """
         held = [
             (lid, lease)
-            for lid, lease in list(state.leases.items())
+            for lid, lease in list(state.inflight.items())
             if lease.worker is worker
         ]
         for lease_id, lease in held:
-            del state.leases[lease_id]
+            del state.inflight[lease_id]
             worker.leases.discard(lease_id)
             with self._lock:
                 self._redispatches += 1
-            # The respan site: this attempt's spans end with the loss
-            # status; the redispatch creates a fresh attempt span under
-            # the same cell context, so a kill-mid-lease run shows both
-            # attempts stitched into one cell trace.
-            self._finish_lease_spans(lease, kind or "requeued")
+            # The respan site: the ledger closes this attempt's spans
+            # with the loss status; the redispatch opens a fresh attempt
+            # span under the same cell context, so a kill-mid-lease run
+            # shows both attempts stitched into one cell trace.
             if kind is None:
-                state.requeue_uncharged(lease.cell)
+                state.refund(lease.cell)
             else:
                 state.fail_or_requeue(lease.cell, kind)
 
-    def _expel(self, worker: RemoteWorker, state: _Drain, *, kind) -> None:
+    def _expel(self, worker: RemoteWorker, state: AttemptLedger, *, kind) -> None:
         """Drop a worker's connection and reclaim its leases."""
         with self._lock:
             if worker in self._workers:

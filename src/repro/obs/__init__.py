@@ -10,7 +10,7 @@ Three layers, one package:
   JSONL export;
 * **Pipeline profiling** (:mod:`repro.obs.metrics`) — Prometheus-style
   text export of the experiment stack's
-  :class:`~repro.experiments.supervision.RunReport` (per-cell timings,
+  :class:`~repro.execution.report.RunReport` (per-cell timings,
   queue latency, worker utilization, result-cache hit rates);
 * **Span tracing** (:mod:`repro.obs.spans`) — end-to-end request
   tracing for the batch/cluster tier: every submitted cell gets a span

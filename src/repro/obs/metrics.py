@@ -1,6 +1,6 @@
 """Prometheus-style text export for run reports.
 
-Renders a :class:`~repro.experiments.supervision.RunReport` in the
+Renders a :class:`~repro.execution.report.RunReport` in the
 Prometheus text exposition format (``# HELP`` / ``# TYPE`` comments plus
 ``name{labels} value`` lines), so a cron-driven experiment campaign can
 drop a ``.prom`` file for a node-exporter textfile collector — or a
@@ -115,7 +115,7 @@ def report_to_prometheus(report, per_cell: bool = True) -> str:
     _sample(lines, "result_cache_hit_ratio", report.cache_hit_ratio)
 
     if per_cell and report.records:
-        from repro.experiments.supervision import cell_parts
+        from repro.execution.report import cell_parts
 
         _metric(lines, "cell_seconds", "gauge", "Simulation wall time per cell.")
         for rec in report.records.values():

@@ -1,9 +1,9 @@
-"""``repro.service`` — batch simulation service over the supervised pool.
+"""``repro.service`` — batch simulation service over pluggable executors.
 
 :class:`BatchScheduler` accepts :class:`~repro.api.spec.RunSpec`
 submissions, deduplicates them against the content-addressed result
 cache (including in-flight dedup), prioritizes, fans out through the
-supervised worker pool, and resolves a future per submission.
+execution backend, and resolves a future per submission.
 :class:`AsyncClient` adapts those futures to asyncio; the
 :mod:`~repro.service.serve` front-ends expose the scheduler over JSONL
 stdio and a loopback HTTP batch endpoint (``repro serve``).
@@ -16,8 +16,7 @@ overload, and a worker heartbeat watchdog for silent hangs.
 
 Execution itself is pluggable: the :class:`Executor` protocol
 (:mod:`~repro.service.executor`) lets the scheduler drive either the
-local supervised pool (:class:`LocalPoolExecutor`, bit-identical to the
-pre-protocol behaviour) or a multi-node worker fleet
+local process pool (:class:`LocalPoolExecutor`) or a multi-node worker fleet
 (:class:`repro.cluster.ClusterExecutor`), selected with
 ``BatchScheduler(executor="local"|"cluster")``.  All front-ends — JSONL
 stdio, HTTP, and the cluster TCP protocol — share the versioned message

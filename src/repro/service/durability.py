@@ -1,7 +1,7 @@
 """Durability and overload protection for the batch service.
 
 The scheduler in :mod:`repro.service.scheduler` made batches *correct*
-(dedup, priorities, supervised retry); this module makes them survive
+(dedup, priorities, bounded retry); this module makes them survive
 the failure modes a long campaign actually hits — the serving process
 dying mid-batch, a traffic burst outrunning the worker pool, one broken
 scheme poisoning every batch it rides in, and a worker wedging silently
@@ -27,7 +27,7 @@ with no per-cell timeout armed.  Four pieces, each usable on its own:
   per-pid heartbeat file when they pick up and finish a cell; a
   monitor thread declares a worker hung once its heartbeat has been
   ``busy`` for longer than ``hang_grace`` and SIGKILLs it, letting the
-  supervisor's existing :class:`BrokenProcessPool` path respawn the
+  local executor's :class:`BrokenProcessPool` path respawn the
   pool and resubmit the lost cells.
 
 Everything is stdlib-only, and none of it touches the simulation hot
@@ -561,13 +561,13 @@ class WorkerWatchdog:
     touched for ``hang_grace`` seconds started a cell and never came
     back — hung in native code, swallowed by a deadlock, or stalled on
     I/O.  It cannot be cancelled through the pool API, so the watchdog
-    kills the process; the supervisor's existing
+    kills the process; the local executor's
     :class:`~concurrent.futures.process.BrokenProcessPool` recovery
     respawns the pool and resubmits the lost cells.  Idle workers never
     read ``busy``, so a quiet pool is never culled.
 
     ``procs_fn`` returns the live ``{pid: Process}`` mapping of the
-    *current* pool (the supervisor re-arms a fresh watchdog whenever it
+    *current* pool (the executor re-arms a fresh watchdog whenever it
     recycles the pool, clearing stale heartbeats with it).
     """
 

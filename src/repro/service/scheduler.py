@@ -2,8 +2,8 @@
 
 Large cache-simulation campaigns are throughput problems: thousands of
 independent ``(mix, scheme, parameters)`` cells whose only coupling is
-the shared result cache.  The scheduler turns the existing supervised
-pool into a *service* for them:
+the shared result cache.  The scheduler turns an execution backend
+into a *service* for them:
 
 * **Submission** — ``submit(spec, priority=...)`` returns a
   :class:`concurrent.futures.Future` immediately; callers block on it,
@@ -12,18 +12,18 @@ pool into a *service* for them:
 * **Deduplication** — a submission identical to a *pending or
   in-flight* spec joins its execution (two futures, one simulation);
   one identical to a finished spec resolves from memory; and the
-  content-addressed :class:`~repro.experiments.parallel.ResultCache`
+  content-addressed :class:`ResultCache`
   (keyed by the canonical :meth:`RunSpec.cache_key`) is consulted
   before simulating, so results computed by *any* past run — a
   session's figure sweep or another service instance — are hits here.
 * **Prioritisation** — lower ``priority`` values run earlier (ties in
   submission order); a duplicate submission at a more urgent priority
   promotes the queued spec.
-* **Supervised fan-out** — execution goes through the existing
-  :class:`~repro.experiments.supervision.Supervisor`: worker pool,
-  per-spec timeouts, bounded retry, pool-death recovery.  The specs
-  themselves are the supervisor's cells, so one drained batch can mix
-  quotas, scales and cache sizes freely.
+* **Pluggable fan-out** — execution goes through an
+  :class:`~repro.service.executor.Executor` (the local pool by
+  default): per-spec timeouts, bounded retry, pool-death recovery.
+  The specs themselves are the executor's cells, so one drained batch
+  can mix quotas, scales and cache sizes freely.
 * **One execution path** — :func:`run_batch` is how every spec grid
   runs: :class:`~repro.api.session.Session` (and so the figure sweeps
   and the CLI) answers its memo misses with one call, ``repro batch``
@@ -33,7 +33,7 @@ pool into a *service* for them:
   queued; ``close(drain=False)`` (the SIGINT path of ``repro serve`` /
   ``repro batch``) cancels queued work, stops the in-flight batch at
   the next cell boundary, and still writes the cumulative
-  :class:`~repro.experiments.supervision.RunReport`.
+  :class:`~repro.execution.report.RunReport`.
 
 Simulations are deterministic functions of their spec, so results are
 bit-identical to a direct ``simulate_spec`` call — the dedup/scheduling
@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -54,10 +55,10 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.api.spec import RunSpec
-from repro.experiments.faults import fault_plan_from_env
+from repro.execution.faults import fault_plan_from_env
+from repro.execution.report import ExecutorError, RunReport
+from repro.execution.simulate import simulate_spec
 from repro.experiments.parallel import ResultCache
-from repro.experiments.runner import simulate_spec
-from repro.experiments.supervision import RunReport, SupervisionError
 from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import (
     AdmissionController,
@@ -198,7 +199,7 @@ def _run_spec(payload: dict):
     workers both run it.  Shared-memory trace buffers in the payload
     are attached (replayed instead of regenerated), a heartbeat
     directory is beaten around the cell, and an injected fault (see
-    :mod:`repro.experiments.faults`) fires before the simulation.
+    :mod:`repro.execution.faults`) fires before the simulation.
     """
     spec = RunSpec.from_dict(payload["spec"])
     traces = payload.get("traces")
@@ -212,7 +213,7 @@ def _run_spec(payload: dict):
     try:
         fault = payload.get("fault")
         if fault is not None:
-            from repro.experiments.faults import apply_fault
+            from repro.execution.faults import apply_fault
 
             injected = apply_fault(
                 fault,
@@ -247,7 +248,7 @@ def _notify_cancel(future: Future) -> None:
 
 
 class BatchScheduler:
-    """Asynchronous batch scheduler over the supervised worker pool.
+    """Asynchronous batch scheduler over a pluggable execution backend.
 
     Parameters mirror the CLI orchestration flags.  With
     ``start=False`` the scheduler queues submissions without executing
@@ -350,7 +351,6 @@ class BatchScheduler:
                 spec, result, simulated=True
             ),
             report=self.report,
-            report_path=self.report_path,
             tracer=self.tracer,
         )
 
@@ -600,8 +600,8 @@ class BatchScheduler:
 
         ``drain=True`` completes everything already submitted.
         ``drain=False`` — the interrupt path — cancels queued specs
-        (their futures report cancelled), asks the in-flight supervisor
-        to stop at the next cell boundary, and returns once the
+        (their futures report cancelled), asks the executor to stop the
+        in-flight batch at the next cell boundary, and returns once the
         scheduler thread exits.  Both paths write the cumulative run
         report (and the metrics file, when configured).
         """
@@ -851,9 +851,7 @@ class BatchScheduler:
         interrupted = False
         try:
             self.executor.drain(timeout=timeout)
-        except SupervisionError as exc:
-            # ExecutorError subclasses SupervisionError, so local and
-            # cluster retry exhaustion land here identically.
+        except ExecutorError as exc:
             for spec, kind in exc.failed.items():
                 self._fail(spec, JobFailed(spec, kind))
         except KeyboardInterrupt:
@@ -861,8 +859,10 @@ class BatchScheduler:
         finally:
             if trace_cache is not None:
                 trace_cache.close_shared()
+        self.report.interrupted = interrupted
         if interrupted:
-            # Cells the stopped supervisor never reached: cancel their
+            print(self.report.summary(), file=sys.stderr)
+            # Cells the stopped executor never reached: cancel their
             # futures but keep their journal records — an interrupted
             # batch is resumable by definition.
             for entry in todo:

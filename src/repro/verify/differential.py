@@ -109,7 +109,7 @@ def _digest(result) -> str:
 
 
 def _run_serial(spec: RunSpec) -> str:
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     return _digest(simulate_spec(spec))
 

@@ -88,7 +88,7 @@ def simulate_plain(spec: RunSpec) -> SystemResult:
     the position-keyed trace buffers, so both sides of a permutation
     comparison run the raw workload generators.
     """
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     return simulate_spec(spec.replace(trace_cache=False))
 
@@ -146,7 +146,7 @@ def simulate_permuted(spec: RunSpec, perm: Sequence[int]) -> SystemResult:
 def check_seed_stability(spec: RunSpec) -> None:
     """Two simulations of one spec are bit-identical."""
     from repro.api.session import result_digest
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     first = result_digest(simulate_spec(spec))
     second = result_digest(simulate_spec(spec))
@@ -174,7 +174,7 @@ def check_core_permutation(spec: RunSpec, perm: Sequence[int]) -> None:
 
 def check_warmup_monotonicity(spec: RunSpec, warmups: Sequence[int]) -> None:
     """Measure onset per core is non-decreasing in the warmup length."""
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
     from repro.obs.observer import Observer
 
     class _MeasureOnset(Observer):
@@ -211,7 +211,7 @@ def check_warmup_monotonicity(spec: RunSpec, warmups: Sequence[int]) -> None:
 
 def check_alone_equivalence(spec: RunSpec) -> None:
     """A 1-core mix under any scheme equals the private-LLC baseline."""
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     if len(spec.mix) != 1:
         raise ValueError("alone-run equivalence is a 1-core property")

@@ -138,7 +138,7 @@ _ARMED_CORRUPTION_SEED: Optional[int] = None
 def arm_state_corruption(seed: int = 0) -> None:
     """Arm a one-shot line-state corruption for the next sanitized run.
 
-    Called by :func:`repro.experiments.faults.apply_fault` for the
+    Called by :func:`repro.execution.faults.apply_fault` for the
     ``"corrupt_state"`` kind.  The next :class:`InvariantChecker` to be
     constructed consumes the armed seed and injects the corruption at a
     deterministic access ordinal, proving the sanitizer catches it.

@@ -1,6 +1,6 @@
 """Shared test infrastructure: per-test timeouts and hypothesis profiles.
 
-A regression that hangs the supervisor (or any simulation loop) must
+A regression that hangs an executor (or any simulation loop) must
 fail fast instead of stalling the whole run.  CI installs
 ``pytest-timeout``; when that plugin is absent (e.g. a bare local
 checkout) this fallback arms a ``SIGALRM`` per test with the same

@@ -42,11 +42,11 @@ def test_prewarm_returns_the_batch_report_and_covers_outcome_cells(tmp_path):
 
 
 def test_prewarm_failure_names_the_failed_specs(monkeypatch):
-    from repro.experiments.supervision import SupervisionError
+    from repro.execution.report import ExecutorError
 
     monkeypatch.setenv("REPRO_FAULT_PLAN", "crash=1,seed=3")
     session = Session(retries=0)
-    with pytest.raises(SupervisionError) as excinfo:
+    with pytest.raises(ExecutorError) as excinfo:
         session.prewarm([SPEC])
     (failed,) = excinfo.value.failed
     assert isinstance(failed, RunSpec)
@@ -105,7 +105,7 @@ def test_session_validates_specs():
 
 
 def test_stats_and_trace_are_bit_identical_to_plain_run():
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     plain = result_digest(simulate_spec(SPEC))
     session = Session()

@@ -72,7 +72,7 @@ def test_validate_accepts_boundary_legal_values():
 
 def test_quota_smaller_than_warmup_actually_runs():
     """Regression: quota < warmup must simulate, not be rejected."""
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     spec = RunSpec(mix=(471,), quota=500, warmup=2_000).validate()
     result = simulate_spec(spec)

@@ -229,7 +229,7 @@ def test_killed_worker_leases_redispatch_and_digests_match():
     holding that lease when the kill lands — no timing race against
     sub-50ms simulations.  The retry runs attempt 2, which is clean.
     """
-    from repro.experiments.faults import Fault, FaultPlan
+    from repro.execution.faults import Fault, FaultPlan
 
     specs = six_specs()
     local, _stats, _report = run_batch(specs, jobs=2)

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.api import RunSpec
-from repro.experiments.runner import simulate_spec
+from repro.execution.simulate import simulate_spec
 from repro.obs import IntervalRecorder
 from repro.policies.registry import make_policy
 from repro.sim.config import SystemConfig

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.api import RunSpec, result_digest
-from repro.experiments.faults import Fault, FaultPlan
+from repro.execution.faults import Fault, FaultPlan
 from repro.service import BatchScheduler, JobFailed
 from repro.service.durability import DeadlineExceeded
 from repro.cluster import WorkerClient

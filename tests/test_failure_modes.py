@@ -14,9 +14,9 @@ import pickle
 import pytest
 
 from repro.api import RunSpec, Session, run_batch
-from repro.experiments.faults import Fault, FaultPlan
+from repro.execution.faults import Fault, FaultPlan
+from repro.execution.report import ExecutorError
 from repro.experiments.parallel import ResultCache
-from repro.experiments.supervision import SupervisionError
 
 SPEC = RunSpec(mix=(471, 444), scheme="ascc", scale=1 / 32, quota=3_000, warmup=1_000, seed=7)
 
@@ -113,7 +113,7 @@ def test_prewarm_preserves_completed_cells_when_a_later_cell_fails(
     # retries=0 + a crash on one cell: the sweep fails, but the three
     # cells that finished must already be on disk.
     monkeypatch.setenv("REPRO_FAULT_PLAN", "crash=1,seed=3")
-    with pytest.raises(SupervisionError) as excinfo:
+    with pytest.raises(ExecutorError) as excinfo:
         Session(cache_dir=tmp_path, retries=0).prewarm([SPEC])
     (failed,) = excinfo.value.failed
     assert failed in CELLS

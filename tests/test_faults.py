@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.faults import (
+from repro.execution.faults import (
     CORRUPTED_RESULT,
     Fault,
     FaultPlan,

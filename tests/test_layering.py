@@ -1,0 +1,46 @@
+"""Package layering: the service tiers never import the figure package.
+
+``repro.service``, ``repro.cluster`` and ``repro.obs`` run cells through
+the neutral :mod:`repro.execution` core; :mod:`repro.experiments` holds
+figure code only.  The one allowed crossing is the scheduler's
+``ResultCache`` import, which stays at its module path while the layer
+benchmark wraps it there.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+SERVICE_TIERS = ("service", "cluster", "obs")
+ALLOWED = {("repro/service/scheduler.py", "repro.experiments.parallel", ("ResultCache",))}
+
+
+def experiment_imports(source: str) -> list[tuple]:
+    """``(module, names)`` of every import of the figure package in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names: tuple = ()
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = tuple(alias.name for alias in node.names)
+            modules = [node.module]
+            if node.module == "repro":
+                modules = [f"repro.{name}" for name in names]
+        else:
+            continue
+        for module in modules:
+            if module == "repro.experiments" or module.startswith("repro.experiments."):
+                found.append((module, names))
+    return found
+
+
+def test_service_tiers_do_not_import_the_figure_package():
+    crossings = {
+        (str(path.relative_to(SRC)), module, names)
+        for tier in SERVICE_TIERS
+        for path in sorted((SRC / "repro" / tier).rglob("*.py"))
+        for module, names in experiment_imports(path.read_text())
+    }
+    assert crossings <= ALLOWED, sorted(crossings - ALLOWED)
+

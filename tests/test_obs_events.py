@@ -11,7 +11,7 @@ from repro.core.ascc import ASCC
 from repro.core.avgcc import AVGCC
 from repro.core.qos import QoSAVGCC
 from repro.api import RunSpec
-from repro.experiments.runner import simulate_spec
+from repro.execution.simulate import simulate_spec
 from repro.obs import EventTracer
 from repro.obs.events import KNOWN_KINDS
 from repro.policies.registry import make_policy

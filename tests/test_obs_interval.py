@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api import RunSpec
-from repro.experiments.runner import simulate_spec
+from repro.execution.simulate import simulate_spec
 from repro.obs import CompositeObserver, EventTracer, IntervalRecorder, Observer
 from repro.obs.interval import _COUNTER_FIELDS
 

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.api import RunSpec, Session
+from repro.execution.report import RunReport
 from repro.experiments.parallel import ResultCache
-from repro.experiments.supervision import RunReport, Supervisor
 from repro.obs.metrics import report_to_prometheus
+from repro.service.executor import LocalPoolExecutor
 from repro.sim.results import SystemResult
 
 MIX = (444, 445)
@@ -76,13 +77,15 @@ def test_to_dict_carries_timing_and_cache_sections():
     json.dumps(payload)
 
 
-def test_supervisor_charges_queue_latency():
+def test_local_executor_charges_queue_latency():
     def worker(payload):
         return payload["cell"], payload["cell"]
 
     report = RunReport()
-    sup = Supervisor(worker, lambda cell: {"cell": cell}, jobs=1, report=report)
-    sup.run([("a",), ("b",)])
+    executor = LocalPoolExecutor().bind(worker=worker, report=report)
+    for cell in (("a",), ("b",)):
+        executor.submit(cell, {"cell": cell})
+    executor.drain()
     for rec in report.records.values():
         assert rec.queue_seconds >= 0.0
     assert report.queue_seconds >= 0.0

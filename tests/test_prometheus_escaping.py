@@ -6,7 +6,7 @@ scrape page, not a torn one.  Covers both exporters (run report and
 service stats) plus the new cluster gauges.
 """
 
-from repro.experiments.supervision import RunReport
+from repro.execution.report import RunReport
 from repro.obs.metrics import (
     escape_help,
     escape_label_value,

@@ -54,7 +54,7 @@ def test_six_spec_batch_with_two_duplicates_executes_four():
 
 
 def test_batch_results_bit_identical_to_serial_run():
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     specs = six_spec_batch()
     outcomes, _stats, _report = run_batch(specs, jobs=1)

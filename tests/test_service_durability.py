@@ -15,7 +15,7 @@ from concurrent.futures import CancelledError
 import pytest
 
 from repro.api import RunSpec, SpecError, result_digest
-from repro.experiments.faults import Fault, FaultPlan
+from repro.execution.faults import Fault, FaultPlan
 from repro.service import (
     AdmissionRejected,
     BatchHTTPServer,

@@ -246,7 +246,7 @@ def test_dedup_and_cache_hits_show_up_as_spans(tmp_path):
 
 
 def test_report_v4_carries_per_cell_phase_timings(tmp_path):
-    from repro.experiments.supervision import RunReport
+    from repro.execution.report import RunReport
 
     one = spec()
     _outcomes, _stats, report, _records = run_traced(tmp_path, [one], jobs=1)
@@ -339,11 +339,33 @@ def test_remote_leases_stitch_into_the_cell_trace(tmp_path):
         assert execute["worker"] == "w0"
 
 
+def test_local_retry_respans_as_second_attempt_under_one_cell(tmp_path):
+    """A local cell crashing on attempt 1 shows one attempt span per
+    charge under its cell: the failed one, then the successful retry."""
+    from repro.execution.faults import Fault, FaultPlan
+
+    victim = spec()
+    plan = FaultPlan({victim: Fault("crash", attempt=1)})
+    outcomes, _stats, report, records = run_traced(
+        tmp_path, [victim], jobs=1,
+        executor_options={"fault_plan": plan, "backoff": 0.0},
+    )
+    assert not isinstance(outcomes[0], Exception)
+    assert report.record(victim).attempts == 2
+    by_id = {record["span_id"]: record for record in records}
+    attempts = [record for record in records if record["name"] == "attempt"]
+    assert [record["attempt"] for record in attempts] == [1, 2]
+    assert [record["status"] for record in attempts] == ["error", "ok"]
+    cells = {by_id[record["parent_id"]]["span_id"] for record in attempts}
+    assert len(cells) == 1 and by_id[cells.pop()]["name"] == "cell"
+    assert len({record["trace_id"] for record in attempts}) == 1
+
+
 def test_killed_worker_respans_as_second_attempt_under_one_cell(tmp_path):
     """Kill a worker provably mid-lease: the redispatched lease appears
     as a *second* attempt span under the same cell trace, the first
     marked ``worker-lost`` — and the digests still match a local run."""
-    from repro.experiments.faults import Fault, FaultPlan
+    from repro.execution.faults import Fault, FaultPlan
 
     specs = [
         spec(scheme=s) for s in ("baseline", "avgcc", "ascc", "dsr", "ecc", "cc")

@@ -361,7 +361,7 @@ def test_memo_evicts_least_recently_used_streams_by_bytes(workloads):
 def test_first_extension_follows_the_run_estimate():
     """A short cell generates about its own need, not a fixed extension."""
     from repro.api.session import result_digest
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
     from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
 
     mix = (429, 401)  # balanced: neither core runs far past its quota
@@ -385,7 +385,7 @@ SCHEMES = sorted(available_schemes()) + ["shared"]
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_engine_digest_identical_with_trace_cache_on_and_off(scheme):
     from repro.api.session import result_digest
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     spec = RunSpec(mix=MIX, scheme=scheme, quota=1_500, warmup=500, seed=SEED)
     on = simulate_spec(spec.replace(trace_cache=True))
@@ -398,7 +398,7 @@ def test_import_path_leaves_numpy_unloaded():
         "import sys\n"
         "import repro.api\n"
         "from repro.api import RunSpec, Session\n"
-        "from repro.experiments.runner import simulate_spec\n"
+        "from repro.execution.simulate import simulate_spec\n"
         "Session()\n"
         "simulate_spec(RunSpec(mix=(471, 444), quota=500, warmup=100))\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"

@@ -17,8 +17,8 @@ import pickle
 import pytest
 
 from repro.api import RunSpec, result_digest
-from repro.experiments.faults import Fault, apply_fault
-from repro.experiments.runner import simulate_spec
+from repro.execution.faults import Fault, apply_fault
+from repro.execution.simulate import simulate_spec
 from repro.verify import (
     InvariantChecker,
     InvariantViolation,

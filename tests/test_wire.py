@@ -223,7 +223,7 @@ def test_error_record_merges_extra_fields():
 
 def test_encode_decode_result_roundtrip_preserves_digest():
     from repro.api import result_digest
-    from repro.experiments.runner import simulate_spec
+    from repro.execution.simulate import simulate_spec
 
     result = simulate_spec(RunSpec.from_dict(SPEC_DICT).validate())
     clone = wire.decode_result(wire.encode_result(result))
