@@ -1048,7 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         action="store_true",
         help="run the spec across {slot,dict} x {traces on,off} x "
-        "{serial,parallel,batch} (12 cells) and assert every result "
+        "{serial,batch} (8 cells) and assert every result "
         "digest is identical",
     )
     verify_p.add_argument(

@@ -222,12 +222,6 @@ class RunReport:
             "cells": [rec.to_dict() for rec in self.records.values()],
         }
 
-    def to_prometheus(self, per_cell: bool = True) -> str:
-        """Prometheus text-exposition rendering of this report."""
-        from repro.obs.metrics import report_to_prometheus
-
-        return report_to_prometheus(self, per_cell=per_cell)
-
     def write(self, path: str | os.PathLike) -> Path:
         """Atomically write the report as JSON (tmp file + replace)."""
         path = Path(path)

@@ -3,10 +3,9 @@
 The simulator's interesting moments are sparse relative to its access
 stream — spills, swaps, insertion-policy flips, re-grains, QoS
 throttles.  :class:`EventTracer` records them as typed
-:class:`TraceEvent` records in a ``deque(maxlen=capacity)`` ring, so a
+:class:`TraceEvent` records in a :class:`~repro.obs.ring.Ring`, so a
 runaway run can never exhaust memory: once full, the oldest events are
-dropped (and counted) while the newest are kept — the end of a run is
-usually where a divergence is being diagnosed.
+dropped (and counted) while the newest are kept.
 
 Events export as JSONL (one JSON object per line) for replay, diffing
 and ad-hoc ``jq`` analysis; ``repro trace`` on the CLI wires this to a
@@ -28,15 +27,11 @@ Event kinds and fields
 
 from __future__ import annotations
 
-import json
-from collections import Counter, deque
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.obs.observer import Observer
-
-#: Default ring capacity: enough for every event of a laptop-sized run.
-DEFAULT_CAPACITY = 65_536
+from repro.obs.ring import DEFAULT_CAPACITY, Ring
 
 #: The event kinds the instrumented simulator emits today.  ``emit``
 #: accepts unknown kinds (forward compatibility), but CLI filters
@@ -52,14 +47,15 @@ class TraceEvent:
     kind: str
     data: dict
 
+    @property
+    def name(self) -> str:
+        return self.kind
+
     def to_dict(self) -> dict:
         return {"seq": self.seq, "kind": self.kind, **self.data}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
-
-class EventTracer(Observer):
+class EventTracer(Ring, Observer):
     """Observer recording typed events in a bounded ring buffer.
 
     Parameters
@@ -78,50 +74,12 @@ class EventTracer(Observer):
         capacity: int = DEFAULT_CAPACITY,
         kinds: Optional[Iterable[str]] = None,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.kinds = frozenset(kinds) if kinds is not None else None
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
         self.emitted = 0
-        self.recorded = 0
-
-    # -- Observer hooks ------------------------------------------------- #
 
     def emit(self, kind: str, **data) -> None:
         self.emitted += 1
         if self.kinds is not None and kind not in self.kinds:
             return
-        self.recorded += 1
-        self.events.append(TraceEvent(self.emitted, kind, data))
-
-    # -- reading -------------------------------------------------------- #
-
-    @property
-    def dropped(self) -> int:
-        """Events recorded but pushed out of the full ring."""
-        return self.recorded - len(self.events)
-
-    def counts(self) -> dict[str, int]:
-        """Recorded (still-buffered) events per kind."""
-        return dict(Counter(event.kind for event in self.events))
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    # -- export --------------------------------------------------------- #
-
-    def write_jsonl(self, stream: IO[str]) -> int:
-        """Write one JSON object per line; returns the line count."""
-        count = 0
-        for event in self.events:
-            stream.write(event.to_json())
-            stream.write("\n")
-            count += 1
-        return count
-
-    def to_jsonl(self) -> str:
-        return "".join(f"{event.to_json()}\n" for event in self.events)
+        self.append(TraceEvent(self.emitted, kind, data))

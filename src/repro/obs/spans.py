@@ -13,14 +13,17 @@ spec, ``attempt`` is one dispatch (local pool or cluster lease),
 the worker-side simulation, shipped home inside the result frame and
 adopted by the coordinator so the whole tree shares one ``trace_id``.
 
-Design rules (mirroring :mod:`repro.obs.events`):
+Design rules (shared with :mod:`repro.obs.events`):
 
 * **Zero cost when off.**  Nothing in the request path imports or
   touches this module unless a tracer was configured; every emission
   site is guarded by ``tracer is not None``.
-* **Bounded memory.**  Finished spans live in a ``deque(maxlen=...)``
-  ring; overflow drops the oldest spans and counts them, it never
-  raises or blocks the scheduler.
+* **Bounded memory.**  Finished spans live in a
+  :class:`~repro.obs.ring.Ring`; overflow drops the oldest spans and
+  counts them, it never raises or blocks the scheduler.
+* **One record schema.**  :class:`Span` alone spells out the core
+  record keys (:attr:`Span.CORE_KEYS`); live spans, adopted remote records
+  and the worker-side :func:`completed_span` all go through it.
 * **Monotonic durations, wall-clock anchors.**  Durations come from
   ``time.monotonic`` within one process; each span also records a
   ``time.time`` start so spans from different processes (coordinator
@@ -38,13 +41,13 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from collections import deque
 from collections.abc import Mapping
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.obs.metrics import latency_quantiles
+from repro.obs.ring import DEFAULT_CAPACITY, Ring
 
 __all__ = [
     "Span",
@@ -57,8 +60,6 @@ __all__ = [
     "phase_breakdown",
     "slowest_cells",
 ]
-
-DEFAULT_CAPACITY = 65_536
 
 #: Attr keys promoted into the rendered tree / summary lines.
 _DISPLAY_ATTRS = ("cell", "attempt", "worker", "lease", "executor", "source")
@@ -78,17 +79,9 @@ class Span:
     set marks it finished and further ``finish`` calls are no-ops.
     """
 
-    __slots__ = (
-        "trace_id",
-        "span_id",
-        "parent_id",
-        "name",
-        "wall",
-        "start",
-        "duration",
-        "status",
-        "attrs",
-    )
+    #: The keys every span record carries; any other record key is an attr.
+    CORE_KEYS = ("trace_id", "span_id", "parent_id", "name", "wall", "duration", "status")
+    __slots__ = CORE_KEYS + ("start", "attrs")
 
     def __init__(
         self,
@@ -122,15 +115,9 @@ class Span:
         return self.duration is not None
 
     def to_dict(self) -> dict:
-        record = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "wall": round(self.wall, 6),
-            "duration": round(self.duration or 0.0, 6),
-            "status": self.status,
-        }
+        record = {key: getattr(self, key) for key in self.CORE_KEYS}
+        record["wall"] = round(self.wall, 6)
+        record["duration"] = round(self.duration or 0.0, 6)
         record.update(self.attrs)
         return record
 
@@ -155,26 +142,25 @@ def _parent_ids(parent: ParentLike) -> tuple[Optional[str], Optional[str]]:
     return str(trace_id), str(span_id) if span_id is not None else None
 
 
-class SpanTracer:
+class SpanTracer(Ring):
     """Thread-safe collector of request-path spans.
 
-    Finished spans accumulate in a bounded ring (oldest dropped first);
-    live spans are owned by their call sites and only enter the ring on
-    :meth:`finish`.  All methods are cheap and never raise on overflow.
+    Finished spans accumulate in the bounded ring (oldest dropped
+    first); live spans are owned by their call sites and only enter the
+    ring on :meth:`finish`.  All methods are cheap and never raise on
+    overflow.
     """
 
-    __slots__ = ("capacity", "spans", "started", "finished", "adopted", "_recorded", "_lock")
-
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if not isinstance(capacity, int) or capacity <= 0:
-            raise ValueError(f"capacity must be a positive int, got {capacity!r}")
-        self.capacity = capacity
-        self.spans: deque[Span] = deque(maxlen=capacity)
+        super().__init__(capacity)
         self.started = 0
         self.finished = 0
         self.adopted = 0
-        self._recorded = 0
-        self._lock = threading.Lock()
+
+    @property
+    def spans(self) -> deque:
+        """The ring's deque of finished :class:`Span` objects."""
+        return self.items
 
     # ------------------------------------------------------------- #
     # Span lifecycle
@@ -218,7 +204,7 @@ class SpanTracer:
             span.status = status
         if attrs:
             span.attrs.update(attrs)
-        self._record(span, finished=True)
+        self._record(span, finished=1)
 
     def complete(
         self,
@@ -247,7 +233,7 @@ class SpanTracer:
             status=status,
             attrs=attrs,
         )
-        self._record(span, finished=True, started=True)
+        self._record(span, started=1, finished=1)
         return span
 
     def event(self, name: str, parent: ParentLike = None, **attrs) -> Span:
@@ -286,39 +272,23 @@ class SpanTracer:
                 wall=float(record.get("wall") or 0.0),
                 duration=max(0.0, float(record.get("duration") or 0.0)),
                 status=str(record.get("status") or "ok"),
-                attrs={
-                    key: value
-                    for key, value in record.items()
-                    if key
-                    not in ("trace_id", "span_id", "parent_id", "name", "wall", "duration", "status")
-                },
+                attrs={key: value for key, value in record.items() if key not in Span.CORE_KEYS},
             )
         except (KeyError, TypeError, ValueError):
             return None
-        self._record(span, adopted=True)
+        self._record(span, adopted=1)
         return span
 
-    def _record(
-        self, span: Span, *, finished: bool = False, adopted: bool = False, started: bool = False
-    ) -> None:
+    def _record(self, span: Span, *, started: int = 0, finished: int = 0, adopted: int = 0) -> None:
         with self._lock:
-            if started:
-                self.started += 1
-            if finished:
-                self.finished += 1
-            if adopted:
-                self.adopted += 1
-            self._recorded += 1
-            self.spans.append(span)
+            self.started += started
+            self.finished += finished
+            self.adopted += adopted
+            self._append_locked(span)
 
     # ------------------------------------------------------------- #
-    # Introspection / export
+    # Introspection
     # ------------------------------------------------------------- #
-
-    @property
-    def dropped(self) -> int:
-        """Finished spans pushed out of the bounded ring."""
-        return self._recorded - len(self.spans)
 
     def counters(self) -> dict:
         with self._lock:
@@ -326,26 +296,8 @@ class SpanTracer:
                 "started": self.started,
                 "finished": self.finished,
                 "adopted": self.adopted,
-                "dropped": self._recorded - len(self.spans),
+                "dropped": self.dropped,
             }
-
-    def counts(self) -> dict:
-        """Finished-span counts per phase name."""
-        out: dict[str, int] = {}
-        with self._lock:
-            spans = list(self.spans)
-        for span in spans:
-            out[span.name] = out.get(span.name, 0) + 1
-        return out
-
-    def phase_quantiles(self) -> dict:
-        """Per-phase duration quantile summaries (for Prometheus)."""
-        with self._lock:
-            spans = list(self.spans)
-        samples: dict[str, list[float]] = {}
-        for span in spans:
-            samples.setdefault(span.name, []).append(span.duration or 0.0)
-        return {name: latency_quantiles(values) for name, values in sorted(samples.items())}
 
     def rollup(self, root_name: str = "cell") -> dict:
         """Sum span durations per phase under each ``root_name`` ancestor.
@@ -354,8 +306,7 @@ class SpanTracer:
         ``root_name`` ancestor in the ring (e.g. the batch span itself)
         are skipped.  Feeds the per-cell phase timings in RunReport v4.
         """
-        with self._lock:
-            spans = list(self.spans)
+        spans = self.snapshot()
         by_id = {span.span_id: span for span in spans}
         out: dict[str, dict[str, float]] = {}
         for span in spans:
@@ -369,22 +320,6 @@ class SpanTracer:
             phases = out.setdefault(node.span_id, {})
             phases[span.name] = phases.get(span.name, 0.0) + (span.duration or 0.0)
         return out
-
-    def write_jsonl(self, stream: IO[str]) -> int:
-        """Write every buffered span as one JSON object per line."""
-        with self._lock:
-            spans = list(self.spans)
-        for span in spans:
-            stream.write(json.dumps(span.to_dict(), sort_keys=True))
-            stream.write("\n")
-        return len(spans)
-
-    def to_jsonl(self) -> str:
-        import io
-
-        buffer = io.StringIO()
-        self.write_jsonl(buffer)
-        return buffer.getvalue()
 
 
 # ----------------------------------------------------------------- #
@@ -408,17 +343,16 @@ def completed_span(
     so the worker's span stitches into the coordinator's trace.
     """
     ctx = context if isinstance(context, Mapping) else {}
-    record = {
-        "trace_id": str(ctx.get("trace_id") or new_id()),
-        "span_id": new_id(),
-        "parent_id": str(ctx["span_id"]) if ctx.get("span_id") is not None else None,
-        "name": name,
-        "wall": round(float(wall), 6),
-        "duration": round(max(0.0, float(duration)), 6),
-        "status": status,
-    }
-    record.update(attrs)
-    return record
+    return Span(
+        name,
+        trace_id=str(ctx.get("trace_id") or new_id()),
+        span_id=new_id(),
+        parent_id=str(ctx["span_id"]) if ctx.get("span_id") is not None else None,
+        wall=float(wall),
+        duration=max(0.0, float(duration)),
+        status=status,
+        attrs=attrs,
+    ).to_dict()
 
 
 # ----------------------------------------------------------------- #
@@ -443,11 +377,15 @@ def load_spans(path) -> list[dict]:
     return records
 
 
-def phase_breakdown(records: Iterable[Mapping]) -> dict:
-    """Per-phase quantile summary over span records."""
+def phase_breakdown(durations: Iterable[tuple]) -> dict:
+    """Per-phase duration quantiles over ``(name, duration)`` pairs.
+
+    The one phase summary: ``/metrics`` feeds it the tracer's live
+    spans, ``repro spans`` the records of a JSONL file.
+    """
     samples: dict[str, list[float]] = {}
-    for record in records:
-        samples.setdefault(str(record["name"]), []).append(float(record.get("duration") or 0.0))
+    for name, duration in durations:
+        samples.setdefault(str(name), []).append(float(duration or 0.0))
     return {name: latency_quantiles(values) for name, values in sorted(samples.items())}
 
 
@@ -474,7 +412,7 @@ def format_summary(records: list, top: int = 10) -> str:
     """Human-readable per-phase breakdown plus the top-N slowest cells."""
     lines = [f"{len(records)} spans across {len({r.get('trace_id') for r in records})} traces", ""]
     lines.append("phase breakdown (seconds):")
-    breakdown = phase_breakdown(records)
+    breakdown = phase_breakdown((r["name"], r.get("duration")) for r in records)
     width = max((len(name) for name in breakdown), default=5)
     lines.append(
         f"  {'phase'.ljust(width)}  {'count':>6}  {'p50':>9}  {'p90':>9}  {'p99':>9}  {'max':>9}  {'total':>10}"

@@ -154,11 +154,6 @@ class ServiceStats:
 
         return {"stats_version": STATS_SCHEMA_VERSION, **asdict(self)}
 
-    def to_prometheus(self) -> str:
-        from repro.obs.metrics import service_to_prometheus
-
-        return service_to_prometheus(self)
-
 
 class _Entry:
     """One unique spec's lifecycle: its futures and queue state."""
@@ -465,7 +460,7 @@ class BatchScheduler:
                     raise
                 if victim is not None:
                     self.shed += 1
-                    self._shed_entry_locked(victim)
+                    self._cancel_locked(victim, "shed", detail="shed")
             entry = _Entry(spec, priority, next(self._seq))
             entry.futures.append(future)
             entry.size = size
@@ -495,18 +490,6 @@ class BatchScheduler:
         per_spec = sorted(samples)[len(samples) // 2] if samples else 1.0
         backlog = len(self._entries)
         return min(60.0, max(1.0, per_spec * (1 + backlog) / self.jobs))
-
-    def _shed_entry_locked(self, entry: _Entry) -> None:
-        """Drop a queued victim to admit a more urgent submission."""
-        entry.state = "done"
-        self._entries.pop(entry.spec, None)
-        self._pending_bytes -= entry.size
-        self.cancelled += 1
-        self._finish_cell_span(entry, "shed")
-        if self._journal is not None and entry.key is not None:
-            self._journal.append("cancelled", entry.key, detail="shed")
-        for future in entry.futures:
-            _notify_cancel(future)
 
     def map(self, specs: Iterable[RunSpec], priority: int = 0) -> list[Future]:
         """Submit a whole batch; futures in submission order."""
@@ -613,7 +596,7 @@ class BatchScheduler:
                 # Cancelled-by-abort specs keep their ``submitted``
                 # journal records: an aborted batch is exactly what
                 # ``--resume`` is for.
-                self._cancel_queued_locked(journal=False)
+                self._cancel_queued_locked()
             self._wake.notify_all()
         if self._thread is not None:
             self._thread.join(timeout)
@@ -642,8 +625,12 @@ class BatchScheduler:
         span_counters: dict = {}
         span_phases: dict = {}
         if self.tracer is not None:
+            from repro.obs.spans import phase_breakdown
+
             span_counters = self.tracer.counters()
-            span_phases = self.tracer.phase_quantiles()
+            span_phases = phase_breakdown(
+                (span.name, span.duration) for span in self.tracer.snapshot()
+            )
         with self._lock:
             queued = sum(1 for e in self._entries.values() if e.state == "queued")
             inflight = sum(1 for e in self._entries.values() if e.state == "inflight")
@@ -688,7 +675,7 @@ class BatchScheduler:
                 while not self._queue and not self._closing:
                     self._wake.wait(0.1)
                 if self._abort:
-                    self._cancel_queued_locked(journal=False)
+                    self._cancel_queued_locked()
                 if not self._queue and self._closing:
                     self._idle.notify_all()
                     return
@@ -713,15 +700,7 @@ class BatchScheduler:
             if entry is None or entry.state != "queued" or spec in seen:
                 continue  # stale heap tuple (promoted, resolved, cancelled)
             if all(f.cancelled() for f in entry.futures):
-                entry.state = "done"
-                del self._entries[spec]
-                self._pending_bytes -= entry.size
-                self.cancelled += 1
-                self._finish_cell_span(entry, "cancelled")
-                if self._journal is not None and entry.key is not None:
-                    self._journal.append("cancelled", entry.key)
-                for future in entry.futures:
-                    _notify_cancel(future)
+                self._cancel_locked(entry)
                 continue
             entry.state = "inflight"
             seen.add(spec)
@@ -865,8 +844,11 @@ class BatchScheduler:
             # Cells the stopped executor never reached: cancel their
             # futures but keep their journal records — an interrupted
             # batch is resumable by definition.
-            for entry in todo:
-                self._cancel_entry(entry.spec, journal=False)
+            with self._lock:
+                for entry in todo:
+                    pending = self._entries.get(entry.spec)
+                    if pending is not None:
+                        self._cancel_locked(pending, journal=False)
         if batch_span is not None:
             self.tracer.finish(
                 batch_span, executed=len(todo), interrupted=interrupted
@@ -941,34 +923,37 @@ class BatchScheduler:
             if not future.cancelled():
                 future.set_exception(error)
 
-    def _cancel_entry(self, spec: RunSpec, journal: bool = True) -> None:
-        with self._lock:
-            entry = self._entries.pop(spec, None)
-            if entry is None:
-                return
-            entry.state = "done"
-            self._pending_bytes -= entry.size
-            self.cancelled += 1
-            futures = list(entry.futures)
-        self._finish_cell_span(entry, "cancelled")
+    def _cancel_locked(
+        self,
+        entry: _Entry,
+        status: str = "cancelled",
+        *,
+        journal: bool = True,
+        detail: Optional[str] = None,
+    ) -> None:
+        """Retire an entry without a result — the one cancel path.
+
+        Shed victims (``status="shed"``), entries whose every future was
+        cancelled, and the cells an abort stops all land here: the entry
+        leaves the work set, its cell span finishes with ``status``, a
+        ``cancelled`` journal record is written when ``journal`` is set
+        (an abort keeps the ``submitted`` record for ``--resume``), and
+        its futures are cancelled.
+        """
+        entry.state = "done"
+        self._entries.pop(entry.spec, None)
+        self._pending_bytes -= entry.size
+        self.cancelled += 1
+        self._finish_cell_span(entry, status)
         if journal and self._journal is not None and entry.key is not None:
-            self._journal.append("cancelled", entry.key)
-        for future in futures:
+            self._journal.append("cancelled", entry.key, detail=detail)
+        for future in entry.futures:
             _notify_cancel(future)
 
-    def _cancel_queued_locked(self, journal: bool = True) -> None:
-        for spec, entry in list(self._entries.items()):
-            if entry.state != "queued":
-                continue
-            entry.state = "done"
-            del self._entries[spec]
-            self._pending_bytes -= entry.size
-            self.cancelled += 1
-            self._finish_cell_span(entry, "cancelled")
-            if journal and self._journal is not None and entry.key is not None:
-                self._journal.append("cancelled", entry.key)
-            for future in entry.futures:
-                _notify_cancel(future)
+    def _cancel_queued_locked(self) -> None:
+        """Abort: cancel every queued entry, keeping its journal records."""
+        for entry in [e for e in self._entries.values() if e.state == "queued"]:
+            self._cancel_locked(entry, journal=False)
         self._queue.clear()
 
     def _flush_report(self) -> None:
@@ -997,9 +982,9 @@ class BatchScheduler:
         if self.metrics_path is not None:
             path = Path(self.metrics_path)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                self.stats().to_prometheus() + self.report.to_prometheus()
-            )
+            from repro.obs.metrics import prometheus_text
+
+            path.write_text(prometheus_text(self.stats(), self.report))
         if self.tracer is not None and self.spans_path is not None:
             path = Path(self.spans_path)
             path.parent.mkdir(parents=True, exist_ok=True)

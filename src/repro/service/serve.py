@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Optional
 
 from repro.api.spec import RunSpec, SpecError
+from repro.obs.metrics import prometheus_text
 from repro.service import wire
 from repro.service.durability import AdmissionRejected, BreakerOpen
 from repro.service.scheduler import BatchScheduler, SchedulerClosed
@@ -180,8 +181,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/healthz":
             self._send_json(200, wire.stats_record(self.scheduler.stats()))
         elif self.path == "/metrics":
-            text = self.scheduler.stats().to_prometheus()
-            text += self.scheduler.report.to_prometheus(per_cell=False)
+            text = prometheus_text(
+                self.scheduler.stats(), self.scheduler.report, per_cell=False
+            )
             self._send(200, text.encode(), "text/plain; version=0.0.4")
         else:
             self._send_json(404, {"ok": False, "error": f"no route {self.path!r}"})

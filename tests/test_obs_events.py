@@ -1,5 +1,6 @@
 """Event tracing: the ring buffer, filters, and every emission site."""
 
+import io
 import json
 from dataclasses import replace
 from random import Random
@@ -60,7 +61,9 @@ def test_jsonl_export_parses_line_per_event():
     tracer = EventTracer()
     tracer.emit("spill", src=0, dst=1, set=3, addr=42)
     tracer.emit("regrain", cache=1, old_d=8, new_d=7, counters=2)
-    lines = tracer.to_jsonl().splitlines()
+    stream = io.StringIO()
+    tracer.write_jsonl(stream)
+    lines = stream.getvalue().splitlines()
     assert len(lines) == 2
     first, second = (json.loads(line) for line in lines)
     assert first == {"seq": 1, "kind": "spill", "src": 0, "dst": 1, "set": 3, "addr": 42}

@@ -7,12 +7,25 @@ import pytest
 from repro.api import RunSpec, Session
 from repro.execution.report import RunReport
 from repro.experiments.parallel import ResultCache
-from repro.obs.metrics import report_to_prometheus
+from repro.obs.metrics import prometheus_text
 from repro.service.executor import LocalPoolExecutor
+from repro.service.scheduler import ServiceStats
 from repro.sim.results import SystemResult
 
 MIX = (444, 445)
 
+
+#: An idle service snapshot to render reports beside.
+IDLE = ServiceStats(
+    submitted=0,
+    dedup_hits=0,
+    cache_hits=0,
+    executed=0,
+    failed=0,
+    cancelled=0,
+    queue_depth=0,
+    inflight=0,
+)
 
 #: A tiny spec for the end-to-end reporting tests.
 TINY = RunSpec(mix=MIX, scheme="baseline", quota=2_000, warmup=1_000)
@@ -103,7 +116,7 @@ def test_prometheus_exposition_shape():
     report.record((MIX, "avgcc")).attempts = 2
     report.cache_hits, report.cache_misses = 1, 1
     report.finalize()
-    text = report.to_prometheus()
+    text = prometheus_text(IDLE, report)
     lines = text.splitlines()
     assert text.endswith("\n")
     # Every sample line is preceded by HELP/TYPE for its metric family.
@@ -122,8 +135,8 @@ def test_prometheus_per_cell_suppression():
     report = RunReport()
     report.mark_ok((MIX, "avgcc"), 1.0)
     report.finalize()
-    assert "repro_cell_seconds" in report.to_prometheus()
-    assert "repro_cell_seconds" not in report_to_prometheus(report, per_cell=False)
+    assert "repro_cell_seconds" in prometheus_text(IDLE, report)
+    assert "repro_cell_seconds" not in prometheus_text(IDLE, report, per_cell=False)
 
 
 # --------------------------------------------------------------------- #

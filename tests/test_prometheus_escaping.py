@@ -2,17 +2,12 @@
 
 Regression tests for the exporter hardening: a scheme or mix name
 containing a backslash, quote or newline must render as a parseable
-scrape page, not a torn one.  Covers both exporters (run report and
-service stats) plus the new cluster gauges.
+scrape page, not a torn one.  Covers both halves of the one exporter
+(service stats and run report) plus the cluster gauges.
 """
 
 from repro.execution.report import RunReport
-from repro.obs.metrics import (
-    escape_help,
-    escape_label_value,
-    report_to_prometheus,
-    service_to_prometheus,
-)
+from repro.obs.metrics import escape_help, escape_label_value, prometheus_text
 from repro.service.scheduler import ServiceStats
 
 
@@ -59,7 +54,7 @@ def test_report_exporter_escapes_hostile_scheme_labels():
     cell = ((471, 444), 'we"ird\\sch\neme')
     report.record(cell).duration = 1.25
     report.finalize()
-    text = report_to_prometheus(report, per_cell=True)
+    text = prometheus_text(stats(), report, per_cell=True)
     sample = next(
         line for line in text.splitlines() if line.startswith("repro_cell_seconds{")
     )
@@ -80,14 +75,15 @@ def test_service_exporter_escapes_hostile_latency_labels():
             }
         }
     )
-    text = snapshot.to_prometheus()
+    text = prometheus_text(snapshot, RunReport())
     assert 'scheme="bad\\"scheme\\n"' in text
     assert "\n\n" not in text  # no sample line torn by a raw newline
 
 
 def test_service_exporter_renders_cluster_gauges():
-    text = service_to_prometheus(
-        stats(executor="cluster", workers_connected=3, leases_active=5, redispatches=2)
+    text = prometheus_text(
+        stats(executor="cluster", workers_connected=3, leases_active=5, redispatches=2),
+        RunReport(),
     )
     assert "repro_cluster_workers_connected 3" in text
     assert "repro_cluster_leases_active 5" in text
@@ -95,6 +91,6 @@ def test_service_exporter_renders_cluster_gauges():
 
 
 def test_local_stats_render_zero_cluster_gauges():
-    text = service_to_prometheus(stats())
+    text = prometheus_text(stats(), RunReport())
     assert "repro_cluster_workers_connected 0" in text
     assert "repro_cluster_redispatches_total 0" in text

@@ -16,6 +16,8 @@ import pytest
 
 from repro.api import RunSpec, SpecError, result_digest
 from repro.execution.faults import Fault, FaultPlan
+from repro.obs.metrics import prometheus_text
+from repro.obs.spans import SpanTracer
 from repro.service import (
     AdmissionRejected,
     BatchHTTPServer,
@@ -276,6 +278,71 @@ def test_drop_oldest_sheds_less_urgent_victim():
     assert sched.drain(timeout=300)
     sched.close()
     assert admitted.result().scheme == "baseline"
+
+
+def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeypatch):
+    """Shed, withdrawn, aborted and interrupted entries leave the same
+    records: a ``cancelled`` journal line only for the first two (an
+    abort or interrupt keeps the spec resumable), and a cell span whose
+    status says which path retired it."""
+    tracer = SpanTracer()
+    journaled = []
+
+    def scheduler(name, **kwargs):
+        sched = BatchScheduler(
+            jobs=1, cache_dir=tmp_path / name, start=False, tracer=tracer, **kwargs
+        )
+        append = sched._journal.append
+
+        def spy(event, key, **fields):
+            if event == "cancelled":
+                journaled.append((key, fields.get("detail")))
+            append(event, key, **fields)
+
+        monkeypatch.setattr(sched._journal, "append", spy)
+        return sched
+
+    shed, withdrawn, kept = spec(scheme="baseline"), spec(scheme="dsr"), spec()
+    sched = scheduler("admission", max_queue_depth=2, shed_policy="drop-oldest")
+    shed_future = sched.submit(shed, priority=5)
+    withdrawn_future = sched.submit(withdrawn, priority=1)
+    kept_future = sched.submit(kept, priority=0)  # sheds the least urgent
+    assert shed_future.cancelled()
+    assert withdrawn_future.cancel()
+    sched.start()
+    assert kept_future.result(timeout=300).scheme == "avgcc"
+    sched.close()
+    assert sched.stats().cancelled == 2 and sched.stats().shed == 1
+
+    aborted = spec(mix="444+445")
+    sched = scheduler("abort")
+    aborted_future = sched.submit(aborted)
+    sched.close(drain=False)
+    assert aborted_future.cancelled() and sched.stats().cancelled == 1
+
+    interrupted = spec(mix="444+445", scheme="dsr")
+    sched = scheduler("interrupt")
+
+    def interrupt(timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sched.executor, "drain", interrupt)
+    interrupted_future = sched.submit(interrupted)
+    sched.start()
+    with pytest.raises(CancelledError):
+        interrupted_future.result(timeout=300)
+    sched.close()
+    assert sched.stats().cancelled == 1
+
+    assert journaled == [(shed.cache_key(), "shed"), (withdrawn.cache_key(), None)]
+    statuses = {span.attrs["cell"]: span.status for span in tracer.spans if span.name == "cell"}
+    assert statuses == {
+        shed.name: "shed",
+        withdrawn.name: "cancelled",
+        kept.name: "ok",
+        aborted.name: "cancelled",
+        interrupted.name: "cancelled",
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -587,7 +654,7 @@ def test_new_counters_render_in_prometheus(tmp_path):
     sched.start()
     sched.drain(timeout=300)
     sched.close()
-    text = sched.stats().to_prometheus()
+    text = prometheus_text(sched.stats(), sched.report)
     assert "repro_service_shed_total 1" in text
     assert "repro_service_recovered_total 0" in text
     assert "repro_watchdog_kills_total 0" in text

@@ -8,6 +8,7 @@ the ``repro spans`` CLI and — the invariant everything hangs off —
 that tracing never perturbs simulation results.
 """
 
+import io
 import json
 import threading
 import time
@@ -24,6 +25,7 @@ from repro.obs.spans import (
     load_spans,
     new_id,
 )
+from repro.obs.metrics import prometheus_text
 from repro.service import BatchScheduler, run_batch, wire
 
 Q, W = 1_500, 500
@@ -135,7 +137,9 @@ def test_jsonl_round_trip():
     tracer = SpanTracer()
     span = tracer.begin("cell", cell="471+444/avgcc")
     tracer.finish(span)
-    records = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+    stream = io.StringIO()
+    tracer.write_jsonl(stream)
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
     assert len(records) == 1
     assert records[0]["name"] == "cell"
     assert records[0]["cell"] == "471+444/avgcc"
@@ -490,14 +494,14 @@ def test_http_batch_echoes_trace_header_and_stitches(tmp_path):
 
 
 def test_prometheus_export_carries_span_metrics(tmp_path):
-    _outcomes, stats, _report, _records = run_traced(tmp_path, [spec()], jobs=1)
-    text = stats.to_prometheus()
+    _outcomes, stats, report, _records = run_traced(tmp_path, [spec()], jobs=1)
+    text = prometheus_text(stats, report)
     assert 'repro_spans_total{state="started"}' in text
     assert 'repro_span_seconds{phase="cell",quantile="0.5"}' in text
     assert "repro_span_seconds_count" in text
     # An untraced snapshot omits the span families entirely.
-    _plain, plain_stats, _r = run_batch([spec()], jobs=1)
-    assert "repro_spans_total" not in plain_stats.to_prometheus()
+    _plain, plain_stats, plain_report = run_batch([spec()], jobs=1)
+    assert "repro_spans_total" not in prometheus_text(plain_stats, plain_report)
 
 
 def test_spans_cli_summary_and_tree(tmp_path, capsys):

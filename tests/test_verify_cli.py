@@ -58,6 +58,15 @@ def test_verify_grid_smoke(capsys):
     assert "dict/gen/batch" in captured.err
 
 
+def test_verify_grid_help_names_the_real_grid():
+    from repro.verify.differential import BACKENDS, PATHS, TRACE_MODES
+
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    grid = next(action for action in verify._actions if "--grid" in action.option_strings)
+    cells = len(BACKENDS) * len(TRACE_MODES) * len(PATHS)
+    assert f"{{{','.join(PATHS)}}} ({cells} cells)" in grid.help
+
+
 def test_verify_grid_exits_nonzero_on_divergence(monkeypatch, capsys):
     import repro.verify as verify
 
