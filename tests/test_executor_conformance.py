@@ -182,3 +182,35 @@ def test_stats_name_the_backend(make_scheduler):
         assert stats.workers_connected == 1
     else:
         assert stats.workers_connected == 0
+
+
+def test_sibling_deadline_does_not_cap_a_deadline_free_cell(make_scheduler):
+    """A deadline bounds its own cell only: a deadline-free sibling that
+    runs longer than that deadline must still succeed."""
+    slow = spec()
+    plan = FaultPlan({slow: Fault("hang", seconds=2.0)})
+    scheduler = make_scheduler(
+        start=False, jobs=2, retries=0, executor_options={"fault_plan": plan}
+    )
+    free = scheduler.submit(slow)
+    bounded = scheduler.submit(spec(scheme="baseline"), deadline=1.0)
+    scheduler.start()
+    assert free.result(timeout=300).scheme == "avgcc"
+    bounded.exception(timeout=300)  # resolves either way; only its own budget
+    assert scheduler.report.record(slow).attempts == 1
+
+
+def test_cell_submitted_mid_flight_resolves_before_slow_sibling(make_scheduler):
+    """Streaming: a free slot takes new work while a slow cell runs."""
+    slow = spec()
+    plan = FaultPlan({slow: Fault("hang", seconds=3.0)})
+    scheduler = make_scheduler(jobs=2, executor_options={"fault_plan": plan})
+    slow_future = scheduler.submit(slow)
+    deadline = time.monotonic() + 60
+    while scheduler.stats().inflight < 1:
+        assert time.monotonic() < deadline, "slow cell never dispatched"
+        time.sleep(0.01)
+    fast = scheduler.submit(spec(scheme="baseline"))
+    assert fast.result(timeout=300).scheme == "baseline"
+    assert not slow_future.done(), "fast cell waited for its slow sibling"
+    assert slow_future.result(timeout=300).scheme == "avgcc"
