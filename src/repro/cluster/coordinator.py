@@ -10,15 +10,17 @@ reaches this module, and results flow back through the same
 
 Life of a cell here:
 
-1. ``submit`` buffers ``(spec, payload)``; ``drain`` runs the batch.
-2. Dispatch charges an attempt on the drain's
+1. ``submit`` queues ``(spec, payload)`` on the executor's
    :class:`~repro.service.executor.AttemptLedger` — the same one the
-   local pool keeps, so retry, refund and fault-injection rules are
-   identical — and sends a ``lease`` frame to a worker with a free
-   slot.
-3. The worker streams back a ``result`` or ``error`` frame; results
-   are validated and delivered immediately, failures are retried with
-   exponential backoff up to the configured budget.
+   local pool keeps, so retry, refund, timeout and fault-injection
+   rules are identical.
+2. Dispatch charges an attempt and sends a ``lease`` frame to a worker
+   with a free slot, at once if one is free.
+3. The worker streams back a ``result`` or ``error`` frame; its reader
+   thread queues the frame and wakes the scheduler's loop, whose
+   :meth:`~ClusterExecutor.poll` validates and delivers results and
+   retries failures with exponential backoff up to the configured
+   budget.
 4. Leases are *recovered*, never lost: a worker whose connection dies
    charges its leases one ``worker-lost`` attempt and re-queues them;
    a worker silent past ``hang_grace`` (heartbeats stale) is expelled
@@ -36,22 +38,14 @@ availability; a version mismatch is answered with a structured
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import threading
 import time
+from collections import deque
 from typing import Optional
 
 from repro.service import wire
-from repro.service.executor import (
-    AttemptLedger,
-    Executor,
-    ExecutorConfig,
-    ExecutorStats,
-)
-
-#: Poll interval for the dispatch/reap/staleness loop (seconds).
-_TICK = 0.05
+from repro.service.executor import Executor, ExecutorConfig, ExecutorStats
 
 
 def parse_address(value) -> tuple[str, int]:
@@ -108,27 +102,15 @@ class RemoteWorker:
             pass
 
 
-class _Lease:
-    """One dispatched cell: who is running it and until when."""
-
-    __slots__ = ("cell", "worker", "deadline", "dispatched")
-
-    def __init__(self, cell, worker: RemoteWorker, deadline, dispatched) -> None:
-        self.cell = cell
-        self.worker = worker
-        self.deadline = deadline
-        self.dispatched = dispatched
-
-
 class ClusterExecutor(Executor):
     """Executor backend that leases cells to remote workers over TCP.
 
     ``listen`` is the coordinator's bind address (``"host:port"``;
     port 0 picks a free one — the bound address is on ``.address``).
-    Workers may connect before, during or between drains; a drain with
-    no workers connected simply waits for one (or for ``cancel``).
-    ``config.jobs`` is ignored — the fleet's width is the sum of
-    connected workers' slots.
+    Workers may connect at any time; with none connected,
+    :meth:`free_slots` is zero and submitted cells wait for one (or for
+    ``cancel``).  ``config.jobs`` is ignored — the fleet's width is the
+    sum of connected workers' slots.
     """
 
     kind = "cluster"
@@ -154,18 +136,15 @@ class ClusterExecutor(Executor):
 
         self._lock = threading.Lock()
         self._workers: list[RemoteWorker] = []
-        self._events: queue.Queue = queue.Queue()
+        #: Reader-thread events for :meth:`poll`: ``(kind, worker, frame)``.
+        self._events: deque = deque()
         self._lease_seq = itertools.count(1)
         self._closing = False
-        self._leases_active = 0
         self._redispatches = 0
-        self._threads: list[threading.Thread] = []
 
-        accept = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name="repro-cluster-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        ).start()
 
     # ------------------------------------------------------------------ #
     # Connection handling (accept + per-worker reader threads)
@@ -177,14 +156,12 @@ class ClusterExecutor(Executor):
                 conn, addr = self._listener.accept()
             except OSError:
                 return  # listener closed
-            reader = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection,
                 args=(conn, addr),
                 name=f"repro-cluster-conn-{addr[0]}:{addr[1]}",
                 daemon=True,
-            )
-            reader.start()
-            self._threads.append(reader)
+            ).start()
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         rfile = conn.makefile("rb")
@@ -224,7 +201,7 @@ class ClusterExecutor(Executor):
             return
         with self._lock:
             self._workers.append(worker)
-        self._events.put(("joined", worker, None))
+        self._post("joined", worker)
         try:
             while worker.alive:
                 frame = wire.read_frame(rfile)
@@ -235,7 +212,7 @@ class ClusterExecutor(Executor):
                 if kind == "heartbeat":
                     continue
                 if kind in ("result", "error"):
-                    self._events.put((kind, worker, frame))
+                    self._post(kind, worker, frame)
                 elif kind == "goodbye":
                     break
         except (wire.WireError, OSError):
@@ -249,36 +226,26 @@ class ClusterExecutor(Executor):
                 conn.close()
             except OSError:
                 pass
-            self._events.put(("left", worker, None))
+            self._post("left", worker)
+
+    def _post(self, kind: str, worker: RemoteWorker, frame=None) -> None:
+        self._events.append((kind, worker, frame))
+        self.notify()
 
     # ------------------------------------------------------------------ #
     # Executor protocol
     # ------------------------------------------------------------------ #
 
-    def drain(self, timeout: Optional[float] = None) -> dict:
-        buffer = self._take_buffer()
-        if not buffer:
-            return {}
-        effective = self.config.timeout if timeout is None else timeout
-        state = AttemptLedger(self, buffer)
-        try:
-            while (state.pending or state.inflight) and not self._cancelled:
-                self._dispatch(state, effective)
-                self._pump_events(state)
-                self._check_stale(state)
-                with self._lock:
-                    self._leases_active = len(state.inflight)
-        finally:
-            with self._lock:
-                self._leases_active = 0
-        return state.settle(self._cancelled)
+    def capacity(self) -> int:
+        with self._lock:
+            return sum(w.slots for w in self._workers if w.alive)
 
     def stats(self) -> ExecutorStats:
         with self._lock:
             return ExecutorStats(
                 kind=self.kind,
                 workers_connected=sum(1 for w in self._workers if w.alive),
-                leases_active=self._leases_active,
+                leases_active=sum(len(w.leases) for w in self._workers if w.alive),
                 redispatches=self._redispatches,
             )
 
@@ -299,7 +266,7 @@ class ClusterExecutor(Executor):
 
     def close(self) -> None:
         self._closing = True
-        self._cancelled = True
+        self.cancelled = True
         with self._lock:
             workers = list(self._workers)
         for worker in workers:
@@ -308,40 +275,42 @@ class ClusterExecutor(Executor):
             except OSError:
                 pass
             worker.drop()
+        # Shut down before closing: a close alone leaves the accept
+        # thread blocked on the old socket, and once the fd number is
+        # reused by a new listener, that thread would accept for it.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
             pass
 
     # ------------------------------------------------------------------ #
-    # Drain internals
+    # Dispatch and completion (driven by poll)
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, state: AttemptLedger, effective) -> None:
+    def _dispatch(self) -> None:
         """Lease ready cells onto free worker slots (FIFO, like the pool)."""
-        while state.pending:
+        ledger = self.ledger
+        while ledger.pending and not self.cancelled:
             with self._lock:
-                target = next(
-                    (
-                        w
-                        for w in self._workers
-                        if w.alive and len(w.leases) < w.slots
-                    ),
-                    None,
-                )
-            if target is None:
+                free = [w for w in self._workers if w.alive and len(w.leases) < w.slots]
+            if not free:
                 return
+            target = free[0]
             now = time.monotonic()
-            cell = state.next_ready(now)
+            cell = ledger.next_ready(now)
             if cell is None:
                 return
             lease_id = f"L{next(self._lease_seq)}"
-            payload = state.charge(cell, worker=target.name)
+            payload = ledger.charge(cell, worker=target.name)
             if self._tracer is not None:
                 # The lease span nests under this charge's attempt span;
                 # a redispatch charges again, so both attempts show in
                 # the cell's trace.
-                payload["trace"] = state.child_span(
+                payload["trace"] = ledger.child_span(
                     cell, "lease", lease=lease_id, worker=target.name
                 ).context()
             try:
@@ -349,68 +318,59 @@ class ClusterExecutor(Executor):
             except OSError:
                 # Connection died under the send: refund the cell and
                 # expel the worker (its other leases requeue uncharged).
-                state.refund(cell, "send-failed")
-                self._expel(target, state, kind=None)
+                ledger.refund(cell, "send-failed")
+                self._expel(target, kind=None)
                 continue
-            state.started(cell, now)
-            deadline = None if effective is None else now + effective
-            state.inflight[lease_id] = _Lease(cell, target, deadline, now)
+            ledger.start(lease_id, cell, now, worker=target)
             target.leases.add(lease_id)
 
-    def _pump_events(self, state: AttemptLedger) -> None:
-        """Apply queued connection events; blocks at most one tick."""
-        try:
-            event = self._events.get(timeout=_TICK)
-        except queue.Empty:
-            return
-        while True:
-            kind, worker, frame = event
-            if kind == "result":
-                self._handle_result(state, worker, frame)
-            elif kind == "error":
-                self._handle_error(state, worker, frame)
+    def _collect(self) -> None:
+        """Apply queued connection events, then the staleness checks."""
+        while self._events:
+            kind, worker, frame = self._events.popleft()
+            if kind in ("result", "error"):
+                self._handle_outcome(worker, frame)
             elif kind == "left":
-                self._reclaim(worker, state, kind="worker-lost")
+                self._reclaim(worker, kind="worker-lost")
             # "joined" needs no action: the next dispatch pass sees it.
-            try:
-                event = self._events.get_nowait()
-            except queue.Empty:
-                return
+        self._check_stale()
 
-    def _adopt_spans(self, frame: dict) -> None:
-        """Ingest worker-side execute spans riding a result/error frame."""
-        if self._tracer is None:
+    def _next_deadline(self, now: float) -> Optional[float]:
+        """The ledger's next deadline, or the next heartbeat check."""
+        deadline = self.ledger.next_deadline(now)
+        grace = self.config.hang_grace
+        if grace is not None:
+            with self._lock:
+                seen = [w.last_seen for w in self._workers if w.alive and w.leases]
+            if seen:
+                hang = min(seen) + grace
+                deadline = hang if deadline is None else min(deadline, hang)
+        return deadline
+
+    def _handle_outcome(self, worker: RemoteWorker, frame: dict) -> None:
+        lease_id = frame.get("lease")
+        attempt = self.ledger.inflight.pop(lease_id, None)
+        if attempt is None:
+            return  # stale: redispatched already
+        worker.leases.discard(lease_id)
+        if self._tracer is not None:
+            # Worker-side execute spans ride the frame home.
+            for record in frame.get("spans") or []:
+                if isinstance(record, dict):
+                    self._tracer.adopt(record)
+        if frame.get("type") == "error":
+            self.ledger.fail_or_requeue(
+                attempt.cell, f"error: {frame.get('error', 'unknown')}"
+            )
             return
-        for record in frame.get("spans") or []:
-            if isinstance(record, dict):
-                self._tracer.adopt(record)
-
-    def _handle_result(
-        self, state: AttemptLedger, worker: RemoteWorker, frame: dict
-    ) -> None:
-        lease = state.inflight.pop(frame.get("lease"), None)
-        if lease is None:
-            return  # stale: redispatched already, or from a prior drain
-        worker.leases.discard(frame.get("lease"))
-        self._adopt_spans(frame)
         try:
             result = wire.decode_result(frame["result"])
         except (KeyError, wire.WireError):
-            state.fail_or_requeue(lease.cell, "undecodable-result")
+            self.ledger.fail_or_requeue(attempt.cell, "undecodable-result")
             return
-        state.deliver(lease.cell, result, lease.dispatched, worker=worker.name)
+        self.ledger.deliver(attempt.cell, result, attempt.started, worker=worker.name)
 
-    def _handle_error(
-        self, state: AttemptLedger, worker: RemoteWorker, frame: dict
-    ) -> None:
-        lease = state.inflight.pop(frame.get("lease"), None)
-        if lease is None:
-            return
-        worker.leases.discard(frame.get("lease"))
-        self._adopt_spans(frame)
-        state.fail_or_requeue(lease.cell, f"error: {frame.get('error', 'unknown')}")
-
-    def _check_stale(self, state: AttemptLedger) -> None:
+    def _check_stale(self) -> None:
         now = time.monotonic()
         # Heartbeat staleness: a worker holding leases but silent past
         # hang_grace is presumed frozen — expel it, charge its leases.
@@ -424,39 +384,32 @@ class ClusterExecutor(Executor):
                     and now - w.last_seen > self.config.hang_grace
                 ]
             for worker in hung:
-                self._expel(worker, state, kind="worker-hung")
+                self._expel(worker, kind="worker-hung")
         # Per-cell timeout: charge the overdue lease, expel its worker
         # (a wedged remote cell cannot be cancelled individually) and
         # requeue the worker's innocent leases uncharged.
-        overdue = [
-            (lid, lease)
-            for lid, lease in state.inflight.items()
-            if lease.deadline is not None and now > lease.deadline
-        ]
-        for lease_id, lease in overdue:
-            if lease_id not in state.inflight:
+        for lease_id in self.ledger.overdue(now):
+            if lease_id not in self.ledger.inflight:
                 continue  # sibling cleanup below already reclaimed it
-            del state.inflight[lease_id]
-            lease.worker.leases.discard(lease_id)
-            state.report.timeouts += 1
-            budget = now - lease.dispatched
-            state.fail_or_requeue(lease.cell, f"timeout after {budget:.1f}s")
-            self._expel(lease.worker, state, kind=None)
+            attempt = self.ledger.time_out(lease_id)
+            attempt.worker.leases.discard(lease_id)
+            self._expel(attempt.worker, kind=None)
 
-    def _reclaim(self, worker: RemoteWorker, state: AttemptLedger, *, kind) -> None:
+    def _reclaim(self, worker: RemoteWorker, *, kind) -> None:
         """Recover every lease a departed worker held.
 
         ``kind`` names the failure charged to each lease
         (``worker-lost`` / ``worker-hung``); ``None`` refunds the
         attempt instead (innocent siblings of a timed-out lease).
         """
+        ledger = self.ledger
         held = [
-            (lid, lease)
-            for lid, lease in list(state.inflight.items())
-            if lease.worker is worker
+            (lid, attempt)
+            for lid, attempt in list(ledger.inflight.items())
+            if attempt.worker is worker
         ]
-        for lease_id, lease in held:
-            del state.inflight[lease_id]
+        for lease_id, attempt in held:
+            del ledger.inflight[lease_id]
             worker.leases.discard(lease_id)
             with self._lock:
                 self._redispatches += 1
@@ -465,14 +418,14 @@ class ClusterExecutor(Executor):
             # span under the same cell context, so a kill-mid-lease run
             # shows both attempts stitched into one cell trace.
             if kind is None:
-                state.refund(lease.cell)
+                ledger.refund(attempt.cell)
             else:
-                state.fail_or_requeue(lease.cell, kind)
+                ledger.fail_or_requeue(attempt.cell, kind)
 
-    def _expel(self, worker: RemoteWorker, state: AttemptLedger, *, kind) -> None:
+    def _expel(self, worker: RemoteWorker, *, kind) -> None:
         """Drop a worker's connection and reclaim its leases."""
         with self._lock:
             if worker in self._workers:
                 self._workers.remove(worker)
         worker.drop()
-        self._reclaim(worker, state, kind=kind)
+        self._reclaim(worker, kind=kind)

@@ -19,7 +19,7 @@ Plans come from two constructors:
 
 * explicit — ``FaultPlan({cell: Fault("crash")})`` for precise tests;
 * seeded — ``FaultPlan.from_spec("crash=1,hang=1", seed=42)`` picks
-  victim cells pseudo-randomly (but reproducibly) once the executor
+  victim cells pseudo-randomly (but reproducibly) once the scheduler
   binds the plan to a concrete cell list.
 
 The hidden ``REPRO_FAULT_PLAN`` environment variable feeds
@@ -168,7 +168,8 @@ class FaultPlan:
     ``faults`` maps a cell — ``((codes...), scheme)`` — to the
     :class:`Fault` injected for it.  A plan built by :meth:`from_spec`
     starts empty and assigns victims when :meth:`bind` is called with
-    the concrete cell list (the executor does this once per drain).
+    the concrete cell list (the scheduler does this once, when its
+    first busy period begins, with every cell then queued to run).
     """
 
     faults: dict = field(default_factory=dict)

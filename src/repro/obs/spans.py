@@ -4,11 +4,12 @@ The simulator already has an observability layer (events, intervals);
 this module covers the *service* request path instead: every submitted
 cell produces a tree of spans
 
-    batch -> cell -> attempt -> lease -> execute
-                  -> queue / cache / dedup
+    cell -> attempt -> lease -> execute
+         -> queue / cache / dedup
 
-where ``batch`` is the scheduler drain round, ``cell`` is one submitted
-spec, ``attempt`` is one dispatch (local pool or cluster lease),
+where ``cell`` is one submitted spec (a trace root unless the caller
+sent an inbound context), ``attempt`` is one dispatch (local pool or
+cluster lease),
 ``lease`` is the wire round-trip to a remote worker and ``execute`` is
 the worker-side simulation, shipped home inside the result frame and
 adopted by the coordinator so the whole tree shares one ``trace_id``.
@@ -219,8 +220,7 @@ class SpanTracer(Ring):
         """Record an already-elapsed operation as a finished span.
 
         Used when the duration is known only in hindsight (e.g. queue
-        wait measured at batch pickup) so the span can be created after
-        its parent's final trace identity is settled.
+        wait, measured when the cell is handed to its executor).
         """
         parent_trace, parent_span = _parent_ids(parent)
         span = Span(
@@ -239,19 +239,6 @@ class SpanTracer(Ring):
     def event(self, name: str, parent: ParentLike = None, **attrs) -> Span:
         """Record an instantaneous (zero-duration) span."""
         return self.complete(name, parent, duration=0.0, **attrs)
-
-    def reparent(self, span: Span, parent: Span) -> None:
-        """Attach a parentless live span under ``parent``.
-
-        No-op when the span already has a parent (e.g. a cell submitted
-        with an inbound wire context keeps the caller's trace).  Must be
-        called before the span acquires children of its own, otherwise
-        the children would keep the old ``trace_id``.
-        """
-        if span.parent_id is not None or span.finished:
-            return
-        span.parent_id = parent.span_id
-        span.trace_id = parent.trace_id
 
     def adopt(self, record: Mapping) -> Optional[Span]:
         """Ingest a completed span record produced by a remote peer.
@@ -303,8 +290,8 @@ class SpanTracer(Ring):
         """Sum span durations per phase under each ``root_name`` ancestor.
 
         Returns ``{root_span_id: {phase: seconds}}``.  Spans with no
-        ``root_name`` ancestor in the ring (e.g. the batch span itself)
-        are skipped.  Feeds the per-cell phase timings in RunReport v4.
+        ``root_name`` ancestor in the ring (e.g. dedup events of a memory
+        hit) are skipped.  Feeds the per-cell phase timings in RunReport v4.
         """
         spans = self.snapshot()
         by_id = {span.span_id: span for span in spans}

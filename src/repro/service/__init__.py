@@ -23,10 +23,10 @@ stdio, HTTP, and the cluster TCP protocol — share the versioned message
 schema and error taxonomy in :mod:`~repro.service.wire`.
 """
 
+from repro.execution.report import ExecutorError
 from repro.service.executor import (
     Executor,
     ExecutorConfig,
-    ExecutorError,
     ExecutorStats,
     LocalPoolExecutor,
     make_executor,

@@ -63,7 +63,7 @@ JOURNAL_EVENTS = ("submitted", "started", "done", "failed", "cancelled")
 _TERMINAL = frozenset(("done", "failed", "cancelled"))
 
 #: Buffered records that force a flush+fsync even without an explicit
-#: batch boundary, bounding how much terminal-event history a crash can
+#: flush point, bounding how much terminal-event history a crash can
 #: lose.  Submissions are made durable explicitly before execution.
 DEFAULT_FLUSH_EVERY = 64
 
@@ -164,10 +164,11 @@ class BatchJournal:
 
     Appends are buffered in memory and written + fsync'd in batches:
     every ``flush_every`` records, at explicit :meth:`flush` points
-    (the scheduler flushes right before executing a batch, making its
-    submissions durable before any work starts, and again when the
-    batch completes), and on :meth:`close`.  One fsync covers many
-    records, keeping the journal entirely off the simulation hot path.
+    (the scheduler flushes right before handing a cell to its executor,
+    making its ``submitted`` and ``started`` records durable before any
+    work starts, and again when a busy period ends, for the terminal
+    records), and on :meth:`close`.  One fsync covers many records,
+    keeping the journal entirely off the simulation hot path.
 
     The file tolerates its own failure modes: a torn final line (killed
     mid-write) or a bit-flipped record fails its per-line checksum and

@@ -1,27 +1,25 @@
 """The :class:`Executor` protocol, its shared attempt ledger, and the
 local process-pool backend.
 
-The :class:`~repro.service.scheduler.BatchScheduler` needs four things
-from whatever runs its cells:
+The :class:`~repro.service.scheduler.BatchScheduler` streams cells to
+whatever runs them through:
 
-* :meth:`Executor.submit` — buffer one ``(spec, payload)`` for the next
-  drain;
-* :meth:`Executor.drain` — execute everything buffered, delivering each
-  result through the bound ``on_result`` callback the moment it exists,
-  and raise :class:`~repro.execution.report.ExecutorError` for specs
-  that exhausted retries;
+* :meth:`Executor.submit` — start one ``(cell, payload)`` under its own
+  timeout as soon as a slot is free (:meth:`Executor.free_slots`);
+* :meth:`Executor.poll` — apply finished attempts, timeouts and
+  retries, delivering each result through the bound ``on_result`` and
+  each cell that exhausted its retries through ``on_failed``;
+* :meth:`Executor.drain` — wait until idle, ending the busy period;
 * :meth:`Executor.cancel` — stop at the next cell boundary (the
-  ``close(drain=False)`` path);
-* :meth:`Executor.stats` — a :class:`ExecutorStats` snapshot folded
-  into the service's metrics.
+  ``close(drain=False)`` path).
 
-Every backend keeps its books in one :class:`AttemptLedger` per drain,
-so retry, backoff, refund, fault-injection and queue-latency rules are
-written once:
+Every backend keeps its books in one :class:`AttemptLedger` for its
+whole lifetime, so retry, backoff, refund, timeout, fault-injection and
+queue-latency rules are written once:
 
-* :class:`LocalPoolExecutor` runs cells in-process (``jobs=1``) or on a
-  process pool with per-cell timeouts, pool-death respawn, a heartbeat
-  watchdog and degradation to in-process execution;
+* :class:`LocalPoolExecutor` runs cells in-process (``jobs=1``) or on
+  one long-lived process pool with per-cell timeouts, pool-death
+  respawn, a heartbeat watchdog and degradation to in-process execution;
 * :class:`~repro.cluster.ClusterExecutor` (see :mod:`repro.cluster`)
   leases the same payloads to worker processes on other hosts over the
   length-prefixed wire protocol.
@@ -37,21 +35,19 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque, namedtuple
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.execution.faults import FaultPlan
-from repro.execution.report import ExecutorError, RunReport, cell_name
+from repro.execution.report import RunReport, cell_name
 
-#: Poll interval for the pool's completion/timeout/cancel checks (seconds).
-_TICK = 0.05
-
-#: Unexpected pool deaths one local drain survives by respawning; the
-#: next one finishes the drain in-process (``degraded_serial``).
+#: Unexpected pool deaths one local busy period survives by respawning;
+#: the next one finishes the busy period in-process (``degraded_serial``).
 MAX_POOL_DEATHS = 3
 
 
@@ -86,69 +82,92 @@ class ExecutorStats:
     redispatches: int = 0
 
 
-class AttemptLedger:
-    """One drain's attempt bookkeeping — the charging rules of every backend.
+#: One dispatched attempt: its cell, deadline, start and worker.
+Attempt = namedtuple("Attempt", "cell deadline started worker", defaults=(None,))
 
-    ``pending`` holds ``(cell, not_before)`` pairs in FIFO order; a cell
-    still backing off is skipped, not waited on.  ``inflight`` is the
-    backend's own map of running attempts (futures locally, leases on a
-    cluster).  Attempts are charged per dispatch and mirrored into the
-    :class:`RunReport`; an attempt that never really ran (its pool was
-    recycled, its worker expelled for a sibling's fault) is refunded.
-    A failed attempt is requeued after ``backoff * 2^(attempt-1)``
-    seconds until ``1 + retries`` attempts are spent, then the cell is
-    failed.  With tracing on, every charge opens one ``attempt`` span
-    under the cell's context, closed with the attempt's outcome.
+
+class AttemptLedger:
+    """A backend's attempt bookkeeping — the charging rules of every backend.
+
+    One ledger lives as long as its backend.  ``pending`` holds
+    ``(cell, ready_at)`` pairs in FIFO order; a cell still backing off
+    is skipped, not waited on, and the wait from ``ready_at`` to
+    dispatch is charged as its queue latency.  ``inflight`` maps the backend's handle
+    of each running attempt (a pool future, a lease id) to its
+    :class:`Attempt`.  Attempts are charged per dispatch and mirrored
+    into the :class:`RunReport`; an attempt that never really ran (its
+    pool was recycled, its worker expelled for a sibling's fault) is
+    refunded.  A failed attempt is requeued after
+    ``backoff * 2^(attempt-1)`` seconds until ``1 + retries`` attempts
+    are spent, then the cell goes to ``on_failed``.  A resolved cell
+    leaves the ledger.  With tracing on, every charge opens one
+    ``attempt`` span under the cell's context, closed with the
+    attempt's outcome.
     """
 
-    def __init__(self, executor: "Executor", buffer: dict) -> None:
+    def __init__(
+        self, executor: "Executor", report=None, validate=None, on_result=None, on_failed=None
+    ) -> None:
         config = executor.config
-        self.buffer = buffer
-        self.report = executor._report if executor._report is not None else RunReport()
+        self.report = report if report is not None else RunReport()
         self.retries = max(0, int(config.retries))
         self.backoff = max(0.0, float(config.backoff))
         self.fault_plan = config.fault_plan
-        self.validate = executor._validate
-        self.on_result = executor._on_result
-        self.tracer = executor._tracer
         self.kind = executor.kind
-        ready = time.monotonic()
-        self.pending: deque = deque((cell, 0.0) for cell in buffer)
-        #: cell -> instant it last became ready; the gap to dispatch is
-        #: charged as the cell's queue latency.
-        self.enqueued = dict.fromkeys(buffer, ready)
-        self.attempts = dict.fromkeys(buffer, 0)
+        self.tracer = executor._tracer
+        self.validate, self.on_result, self.on_failed = validate, on_result, on_failed
+        self.pending: deque = deque()
+        #: cell -> (payload, timeout) of every live cell.
+        self.cells: dict = {}
+        self.attempts: dict = {}
         self.inflight: dict = {}
-        self.results: dict = {}
-        self.failed: dict = {}
         #: cell -> open spans of its live attempt, outermost first.
         self.spans: dict = {}
-        for cell in buffer:
-            self.report.record(cell)
-        if self.fault_plan is not None:
-            self.fault_plan.bind(list(buffer))
+
+    @property
+    def idle(self) -> bool:
+        return not self.pending and not self.inflight
+
+    def add(self, cell, payload: dict, timeout: Optional[float]) -> None:
+        """Take a new cell, ready at once."""
+        self.cells[cell] = (payload, timeout)
+        self.attempts[cell] = 0
+        self.report.record(cell)
+        self.pending.append((cell, time.monotonic()))
 
     def next_ready(self, now: float):
         """Pop the first pending cell past its backoff, or ``None``."""
         for _ in range(len(self.pending)):
-            cell, not_before = self.pending[0]
-            if now >= not_before:
+            cell, ready_at = self.pending[0]
+            if now >= ready_at:
                 self.pending.popleft()
+                self.report.record(cell).queue_seconds += now - ready_at
                 return cell
             self.pending.rotate(-1)
         return None
 
+    def ready(self, now: float) -> int:
+        """Pending cells past their backoff."""
+        return sum(1 for _cell, ready_at in self.pending if now >= ready_at)
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        """The earliest backoff expiry or attempt deadline still ahead."""
+        times = [t for _cell, t in self.pending if t > now]
+        times.extend(a.deadline for a in self.inflight.values() if a.deadline is not None)
+        return min(times, default=None)
+
     def charge(self, cell, **attrs) -> dict:
         """Charge one attempt and return its payload.
 
-        The payload is the buffered one plus the fault the plan injects
+        The payload is the submitted one plus the fault the plan injects
         on this attempt, if any.  With tracing on, the charge opens the
         attempt's span, carrying ``attrs``.
         """
         self.attempts[cell] += 1
         self.report.record(cell).attempts += 1
         attempt = self.attempts[cell]
-        payload = dict(self.buffer[cell])
+        submitted = self.cells[cell][0]
+        payload = dict(submitted)
         if self.fault_plan is not None:
             fault = self.fault_plan.fault_for(cell, attempt)
             if fault is not None:
@@ -156,7 +175,7 @@ class AttemptLedger:
         if self.tracer is not None:
             span = self.tracer.begin(
                 "attempt",
-                self.buffer[cell].get("trace"),
+                submitted.get("trace"),
                 cell=cell_name(cell),
                 attempt=attempt,
                 executor=self.kind,
@@ -172,19 +191,34 @@ class AttemptLedger:
         stack.append(span)
         return span
 
-    def started(self, cell, now: float) -> None:
-        """The attempt was dispatched at ``now``: charge its queue wait."""
-        self.report.record(cell).queue_seconds += max(
-            0.0, now - self.enqueued.pop(cell, now)
-        )
+    def start(self, key, cell, now: float, worker=None) -> None:
+        """Track an attempt dispatched at ``now`` under the backend's ``key``."""
+        timeout = self.cells[cell][1]
+        deadline = None if timeout is None else now + timeout
+        self.inflight[key] = Attempt(cell, deadline, now, worker)
+
+    def overdue(self, now: float) -> list:
+        """Keys of in-flight attempts past their cell's timeout."""
+        return [
+            key
+            for key, attempt in self.inflight.items()
+            if attempt.deadline is not None and now > attempt.deadline
+        ]
 
     def refund(self, cell, status: str = "requeued") -> None:
         """Refund an attempt that never really ran; requeue at once."""
         self.attempts[cell] -= 1
         self.report.record(cell).attempts -= 1
         self._close_spans(cell, status)
-        self.pending.append((cell, 0.0))
-        self.enqueued[cell] = time.monotonic()
+        self.pending.append((cell, time.monotonic()))
+
+    def time_out(self, key) -> Attempt:
+        """Charge the in-flight attempt ``key`` for overrunning its timeout."""
+        attempt = self.inflight.pop(key)
+        self.report.timeouts += 1
+        timeout = self.cells[attempt.cell][1]
+        self.fail_or_requeue(attempt.cell, f"timeout after {round(timeout, 3):g}s")
+        return attempt
 
     def fail_or_requeue(self, cell, kind: str) -> None:
         """Record a failed attempt; requeue with backoff or fail the cell.
@@ -197,13 +231,15 @@ class AttemptLedger:
         rec.errors.append(kind)
         if self.attempts[cell] >= 1 + self.retries:
             rec.status = "failed"
-            self.failed[cell] = kind
+            self._forget(cell)
+            if self.on_failed is not None:
+                self.on_failed(cell, kind)
             return
         self.report.retried += 1
-        not_before = time.monotonic() + self.backoff * 2 ** (self.attempts[cell] - 1)
-        self.pending.append((cell, not_before))
         # The cell only becomes *ready* once its backoff elapses.
-        self.enqueued[cell] = not_before
+        self.pending.append(
+            (cell, time.monotonic() + self.backoff * 2 ** (self.attempts[cell] - 1))
+        )
 
     def deliver(self, cell, result, started: float, worker: str = "") -> bool:
         """Validate, then record and deliver a result; False if rejected."""
@@ -211,7 +247,7 @@ class AttemptLedger:
             self.fail_or_requeue(cell, "invalid-result")
             return False
         self._close_spans(cell, "ok")
-        self.results[cell] = result
+        self._forget(cell)
         self.report.mark_ok(cell, time.monotonic() - started)
         if worker:
             self.report.record(cell).worker = worker
@@ -219,15 +255,17 @@ class AttemptLedger:
             self.on_result(cell, result)
         return True
 
-    def settle(self, cancelled: bool) -> dict:
-        """End the drain: raise what it owes, else return its results."""
+    def abandon(self) -> None:
+        """Drop every live cell (the cancel path); the report keeps them
+        pending and their open spans close ``interrupted``."""
         for cell in list(self.spans):
             self._close_spans(cell, "interrupted")
-        if cancelled:
-            raise KeyboardInterrupt
-        if self.failed:
-            raise ExecutorError(self.failed, self.report)
-        return dict(self.results)
+        for table in (self.pending, self.cells, self.attempts, self.inflight):
+            table.clear()
+
+    def _forget(self, cell) -> None:
+        self.cells.pop(cell, None)
+        self.attempts.pop(cell, None)
 
     def _close_spans(self, cell, status: str) -> None:
         for span in reversed(self.spans.pop(cell, ())):
@@ -237,31 +275,36 @@ class AttemptLedger:
 class Executor:
     """Abstract execution backend for the batch scheduler.
 
-    Lifecycle: construct → :meth:`bind` once (the scheduler wires in
-    its worker callable and completion plumbing) → any number of
-    ``submit×N; drain()`` rounds → :meth:`close`.  :meth:`cancel` may
-    arrive from another thread at any point and makes the active (or
-    next) drain wind down at a cell boundary and raise
-    :class:`KeyboardInterrupt`.
+    Lifecycle: construct → :meth:`bind` once (the scheduler wires in its
+    worker callable, completion callbacks and wake-up condition) → any
+    number of :meth:`submit` calls, with :meth:`poll` run whenever
+    ``wakeup`` is notified or the deadline it returned passes →
+    :meth:`close`.  A pool future's done-callback or a cluster reader
+    thread only calls :meth:`notify`; :meth:`poll` applies the work on
+    the driving thread, so the ledger has one writer.  :meth:`cancel`
+    may arrive from another thread at any point: the backend abandons
+    its live cells at the next cell boundary, leaving them pending in
+    the report.
     """
 
     kind = "abstract"
-    #: Whether drain payloads may carry a shared-memory trace map.
-    #: Local pools attach the parent's /dev/shm buffers; anything that
-    #: crosses a host boundary must regenerate traces worker-side
-    #: (bit-identical by construction — traces are deterministic
-    #: functions of the spec).
+    #: Whether payloads may carry a shared-memory trace map.  Local
+    #: pools attach the parent's /dev/shm buffers; anything that crosses
+    #: a host boundary must regenerate traces worker-side (bit-identical
+    #: by construction — traces are deterministic functions of the spec).
     wants_shared_traces = False
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
+        self.ledger: Optional[AttemptLedger] = None
+        self.cancelled = False
+        #: Set under ``wakeup`` by every event :meth:`poll` must apply;
+        #: cleared when a poll starts, so a waiter that sees it unset
+        #: under the lock cannot miss a completion.
+        self.signalled = False
+        self.wakeup = threading.Condition()
         self._worker: Optional[Callable] = None
-        self._validate: Optional[Callable] = None
-        self._on_result: Optional[Callable] = None
-        self._report: Optional[RunReport] = None
         self._tracer = None
-        self._buffer: dict = {}
-        self._cancelled = False
 
     def bind(
         self,
@@ -269,42 +312,81 @@ class Executor:
         worker: Callable,
         validate: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
+        on_failed: Optional[Callable] = None,
         report: Optional[RunReport] = None,
         tracer=None,
+        wakeup: Optional[threading.Condition] = None,
     ) -> "Executor":
         """Wire in the scheduler's worker callable and result plumbing.
 
-        ``tracer`` is the scheduler's :class:`~repro.obs.spans.SpanTracer`
-        or ``None``; backends emit attempt/lease spans only when set.
+        ``on_result(cell, result)`` receives every result,
+        ``on_failed(cell, kind)`` every cell that exhausted its retries.
+        ``wakeup`` is the condition the driving loop waits on (the
+        scheduler's own; a private one by default).  ``tracer`` is the
+        scheduler's :class:`~repro.obs.spans.SpanTracer` or ``None``;
+        backends emit attempt/lease spans only when set.
         """
         self._worker = worker
-        self._validate = validate
-        self._on_result = on_result
-        self._report = report
         self._tracer = tracer
+        if wakeup is not None:
+            self.wakeup = wakeup
+        self.ledger = AttemptLedger(self, report, validate, on_result, on_failed)
         return self
 
     # -- the protocol --------------------------------------------------- #
 
-    def submit(self, cell, payload: dict) -> None:
-        """Buffer one cell and its worker payload for the next drain."""
-        self._buffer[cell] = payload
+    def submit(self, cell, payload: dict, timeout: Optional[float] = None) -> None:
+        """Start one cell as soon as a slot is free.
 
-    def drain(self, timeout: Optional[float] = None) -> dict:
-        """Execute everything buffered; return ``{cell: result}``.
-
-        ``timeout`` overrides the configured per-cell timeout for this
-        round only (the scheduler tightens it to the batch's nearest
-        deadline); ``None`` keeps the configured one.  Completed cells
-        reach ``on_result`` immediately; cells that exhaust retries are
-        raised in an :class:`ExecutorError` at the end.  Raises
-        :class:`KeyboardInterrupt` if cancelled mid-drain.
+        ``timeout`` bounds each of its attempts (``None`` keeps the
+        configured one); the scheduler passes the smaller of that and
+        the cell's own remaining deadline.
         """
-        raise NotImplementedError
+        if self.ledger is None:
+            raise RuntimeError("executor is not bound; call bind() first")
+        self.ledger.add(cell, payload, self.config.timeout if timeout is None else timeout)
+        self._dispatch()
+
+    def free_slots(self) -> int:
+        """Cells that would start now, after the ledger's ready retries."""
+        ledger = self.ledger
+        return self.capacity() - len(ledger.inflight) - ledger.ready(time.monotonic())
+
+    def poll(self) -> Optional[float]:
+        """Apply completions, timeouts and ready retries; return the
+        seconds until the next deadline (a backoff expiry, a cell
+        timeout or a hang check), ``None`` if only a :meth:`notify` can
+        change anything."""
+        self.signalled = False
+        if self.cancelled:
+            self.ledger.abandon()  # close() kills what still runs
+            return None
+        self._collect()
+        self._dispatch()
+        now = time.monotonic()
+        deadline = self._next_deadline(now)
+        return None if deadline is None else max(0.0, deadline - now)
+
+    def drain(self) -> None:
+        """Wait until idle: the busy period ends."""
+        while True:
+            wait = self.poll()
+            if self.ledger.idle:
+                return
+            with self.wakeup:
+                if not self.signalled:
+                    self.wakeup.wait(wait)
+
+    def notify(self) -> None:
+        """Wake the driving loop: :meth:`poll` has work to apply."""
+        with self.wakeup:
+            self.signalled = True
+            self.wakeup.notify_all()
 
     def cancel(self) -> None:
-        """Stop the active (or next) drain at the next cell boundary."""
-        self._cancelled = True
+        """Abandon live cells at the next cell boundary; start no more."""
+        self.cancelled = True
+        self.notify()
 
     def stats(self) -> ExecutorStats:
         return ExecutorStats(kind=self.kind)
@@ -312,27 +394,39 @@ class Executor:
     def close(self) -> None:
         """Release backend resources (listeners, connections, pools)."""
 
-    def _take_buffer(self) -> dict:
-        if self._worker is None:
-            raise RuntimeError("executor is not bound; call bind() first")
-        buffer, self._buffer = self._buffer, {}
-        return buffer
+    # -- backend hooks -------------------------------------------------- #
+
+    def capacity(self) -> int:
+        """Cells the backend can run at once."""
+        raise NotImplementedError
+
+    def _dispatch(self) -> None:
+        """Start ready pending cells on free slots."""
+        raise NotImplementedError
+
+    def _collect(self) -> None:
+        """Apply finished attempts, timeouts and lost workers."""
+        raise NotImplementedError
+
+    def _next_deadline(self, now: float) -> Optional[float]:
+        return self.ledger.next_deadline(now)
 
 
 class LocalPoolExecutor(Executor):
     """Runs cells on this host: in-process for ``jobs=1``, else a pool.
 
-    Each drain runs the buffered cells through one
-    :class:`AttemptLedger`.  In-process execution enforces no timeout —
-    there is no second process to kill.  The pool mode, one pool per
-    drain, adds:
+    One :class:`ProcessPoolExecutor` serves the executor's lifetime; it
+    is replaced only by a timeout recycle or a pool death.  In-process
+    execution enforces no timeout — there is no second process to kill.
+    The pool mode adds:
 
     * a per-cell timeout: the overdue cell is charged ``timeout`` and
       the pool recycled (a hung worker cannot be cancelled alone), its
       innocent in-flight siblings refunded and resubmitted;
     * pool-death recovery: :class:`BrokenProcessPool` charges every
       in-flight cell ``pool-death`` and respawns the pool; past
-      :data:`MAX_POOL_DEATHS` deaths the drain finishes in-process;
+      :data:`MAX_POOL_DEATHS` deaths in one busy period the rest of it
+      runs in-process;
     * with ``hang_grace``, a heartbeat watchdog that SIGKILLs a worker
       silent mid-cell past the grace, turning a hang into a pool death.
     """
@@ -342,166 +436,138 @@ class LocalPoolExecutor(Executor):
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         super().__init__(config)
+        self._pool = None
         self._watchdog = None
+        self._hb_dir: Optional[str] = None
+        self._deaths = 0
+        self._serial = False
 
-    def drain(self, timeout: Optional[float] = None) -> dict:
-        buffer = self._take_buffer()
-        if not buffer:
-            return {}
-        ledger = AttemptLedger(self, buffer)
-        # In-process for jobs=1, and to finish a drain whose pool degraded.
-        if self.config.jobs <= 1 or not self._run_pool(
-            ledger, self.config.timeout if timeout is None else timeout
-        ):
-            self._run_serial(ledger)
-        return ledger.settle(self._cancelled)
+    def capacity(self) -> int:
+        return 1 if self.config.jobs <= 1 or self._serial else self.config.jobs
 
-    def _run_serial(self, ledger: AttemptLedger) -> None:
-        while ledger.pending and not self._cancelled:
-            cell = ledger.next_ready(time.monotonic())
-            if cell is None:  # everything left is backing off
-                time.sleep(_TICK)
-                continue
-            payload = ledger.charge(cell)
-            if "fault" in payload:
-                payload["fault_in_process"] = True
-            start = time.monotonic()
-            ledger.started(cell, start)
-            try:
-                _, result = self._worker(payload)
-            except Exception as exc:
-                ledger.fail_or_requeue(cell, f"error: {exc!r}")
-                continue
-            ledger.deliver(cell, result, start)
-
-    def _run_pool(self, ledger: AttemptLedger, timeout: Optional[float]) -> bool:
-        """Drain through a process pool; False once it must degrade."""
-        grace = self.config.hang_grace
-        hb_dir = None if grace is None else tempfile.mkdtemp(prefix="repro-hb-")
-        inflight = ledger.inflight  # future -> (cell, deadline, submitted)
-        deaths = 0
-        pool = self._spawn(ledger.report, hb_dir)
-        try:
-            while (ledger.pending or inflight) and not self._cancelled:
-                death = self._top_up(pool, ledger, hb_dir, timeout)
-                if not death:
-                    if not inflight:
-                        time.sleep(_TICK)
-                        continue
-                    death = self._harvest(ledger)
-                if not death:
-                    now = time.monotonic()
-                    overdue = [
-                        fut
-                        for fut, (_cell, deadline, _t0) in inflight.items()
-                        if deadline is not None and now > deadline
-                    ]
-                    if not overdue:
-                        continue
-                    for fut in overdue:
-                        cell, _deadline, _t0 = inflight.pop(fut)
-                        ledger.report.timeouts += 1
-                        ledger.fail_or_requeue(cell, f"timeout after {timeout:g}s")
-                # Recycle: the innocent in-flight cells go back uncharged.
-                for cell, _deadline, _t0 in inflight.values():
-                    ledger.refund(cell)
-                inflight.clear()
-                _kill_pool(pool)
-                pool = None
-                if death:
-                    ledger.report.pool_deaths += 1
-                    deaths += 1
-                    if deaths > MAX_POOL_DEATHS:
-                        ledger.report.degraded_serial = True
-                        return False
-                pool = self._spawn(ledger.report, hb_dir)
-        finally:
-            self._disarm_watchdog()
-            if pool is not None:
-                if self._cancelled or inflight:
-                    _kill_pool(pool)  # don't wait on hung workers
-                else:
-                    pool.shutdown(wait=True)
-            if hb_dir is not None:
-                shutil.rmtree(hb_dir, ignore_errors=True)
-        return True
-
-    def _top_up(self, pool, ledger: AttemptLedger, hb_dir, timeout) -> bool:
-        """Submit ready cells until ``jobs`` run; True if the pool broke."""
-        now = time.monotonic()
-        while len(ledger.inflight) < self.config.jobs:
+    def _dispatch(self) -> None:
+        ledger = self.ledger
+        while not self.cancelled and len(ledger.inflight) < self.capacity():
+            now = time.monotonic()
             cell = ledger.next_ready(now)
             if cell is None:
-                return False
+                return
             payload = ledger.charge(cell)
-            if hb_dir is not None:
-                payload["heartbeat"] = hb_dir
+            if self.capacity() == 1:
+                self._run_in_process(cell, payload, now)
+                continue
+            pool = self._spawn()
+            if self._hb_dir is not None:
+                payload["heartbeat"] = self._hb_dir
             try:
-                fut = pool.submit(self._worker, payload)
+                future = pool.submit(self._worker, payload)
             except BrokenProcessPool:
                 ledger.refund(cell)
-                return True
-            ledger.started(cell, now)
-            deadline = None if timeout is None else now + timeout
-            ledger.inflight[fut] = (cell, deadline, now)
-        return False
+                self._recycle(death=True)
+                continue
+            ledger.start(future, cell, now)
+            future.add_done_callback(lambda _future: self.notify())
 
-    def _harvest(self, ledger: AttemptLedger) -> bool:
-        """Collect finished futures (one tick at most); True on pool death."""
-        done, _ = wait(list(ledger.inflight), timeout=_TICK, return_when=FIRST_COMPLETED)
+    def _run_in_process(self, cell, payload: dict, now: float) -> None:
+        if "fault" in payload:
+            payload["fault_in_process"] = True
+        try:
+            _, result = self._worker(payload)
+        except Exception as exc:
+            self.ledger.fail_or_requeue(cell, f"error: {exc!r}")
+        else:
+            self.ledger.deliver(cell, result, now)
+
+    def _collect(self) -> None:
+        ledger = self.ledger
         death = False
-        for fut in done:
-            cell, _deadline, submitted = ledger.inflight.pop(fut)
+        for future in [f for f in ledger.inflight if f.done()]:
+            attempt = ledger.inflight.pop(future)
             try:
-                _, result = fut.result()
+                _, result = future.result()
             except BrokenProcessPool:
                 death = True
-                ledger.fail_or_requeue(cell, "pool-death")
+                ledger.fail_or_requeue(attempt.cell, "pool-death")
             except Exception as exc:
-                ledger.fail_or_requeue(cell, f"error: {exc!r}")
+                ledger.fail_or_requeue(attempt.cell, f"error: {exc!r}")
             else:
-                ledger.deliver(cell, result, submitted)
-        return death
+                ledger.deliver(attempt.cell, result, attempt.started)
+        overdue = ledger.overdue(time.monotonic())
+        for future in overdue:
+            ledger.time_out(future)
+        if death or overdue:
+            self._recycle(death)
 
-    def _spawn(self, report: RunReport, hb_dir):
-        """A fresh pool, with the heartbeat watchdog (re)armed on it.
+    def _recycle(self, death: bool) -> None:
+        """Kill the pool, refunding its innocent in-flight cells."""
+        ledger = self.ledger
+        for attempt in ledger.inflight.values():
+            ledger.refund(attempt.cell)
+        ledger.inflight.clear()
+        self._kill()
+        if death:
+            ledger.report.pool_deaths += 1
+            self._deaths += 1
+            if self._deaths > MAX_POOL_DEATHS:
+                ledger.report.degraded_serial = True
+                self._serial = True
+
+    def drain(self) -> None:
+        super().drain()
+        self._deaths = 0  # the death budget is per busy period
+        self._serial = False
+
+    def _spawn(self):
+        """The live pool, spawned with the heartbeat watchdog on first use.
 
         Heartbeat files are cleared first — pids can be reused across
         pool generations, and a stale "busy" beat from a dead worker
         must never condemn its successor.
         """
-        pool = ProcessPoolExecutor(max_workers=self.config.jobs)
-        if hb_dir is not None:
+        if self._pool is not None:
+            return self._pool
+        self._pool = pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+        if self.config.hang_grace is not None:
             from repro.service.durability import WorkerWatchdog, clear_heartbeats
+
+            report = self.ledger.report
 
             def on_kill(_pid: int) -> None:
                 report.watchdog_kills += 1
 
-            self._disarm_watchdog()
-            clear_heartbeats(hb_dir)
+            if self._hb_dir is None:
+                self._hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
+            clear_heartbeats(self._hb_dir)
             self._watchdog = WorkerWatchdog(
-                hb_dir,
+                self._hb_dir,
                 max(0.05, float(self.config.hang_grace)),
                 lambda: getattr(pool, "_processes", None),
                 on_kill=on_kill,
             ).start()
         return pool
 
-    def _disarm_watchdog(self) -> None:
+    def _kill(self) -> None:
         if self._watchdog is not None:
             self._watchdog.stop()
             self._watchdog = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # Grab worker handles before shutdown clears them; terminate
+            # so hung workers (sleeping past their timeout) die at once.
+            procs = list((getattr(pool, "_processes", None) or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
 
-
-def _kill_pool(pool) -> None:
-    # Grab worker handles before shutdown clears them; terminate so
-    # hung workers (sleeping past their timeout) die immediately.
-    procs_attr = getattr(pool, "_processes", None)
-    procs = list(procs_attr.values()) if isinstance(procs_attr, dict) else []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
+    def close(self) -> None:
+        if self._pool is not None and not self.cancelled and self.ledger.idle:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        self._kill()
+        if self._hb_dir is not None:
+            shutil.rmtree(self._hb_dir, ignore_errors=True)
+            self._hb_dir = None
 
 
 def make_executor(

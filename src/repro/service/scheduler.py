@@ -19,11 +19,18 @@ into a *service* for them:
 * **Prioritisation** — lower ``priority`` values run earlier (ties in
   submission order); a duplicate submission at a more urgent priority
   promotes the queued spec.
-* **Pluggable fan-out** — execution goes through an
+* **Streaming fan-out** — execution goes through an
   :class:`~repro.service.executor.Executor` (the local pool by
   default): per-spec timeouts, bounded retry, pool-death recovery.
-  The specs themselves are the executor's cells, so one drained batch
-  can mix quotas, scales and cache sizes freely.
+  The scheduler thread hands over one queued spec whenever the
+  executor has a free slot, so priority promotion and dedup apply
+  until that moment and a finished cell frees its slot for the next
+  at once.  The specs themselves are the executor's cells, so cells in
+  flight together can mix quotas, scales and cache sizes freely.
+* **Busy periods** — work runs in busy periods, each ending when
+  nothing is queued or in flight.  The end of one is where terminal
+  journal records are fsync'd, shared-memory trace segments closed and
+  the run report rewritten.
 * **One execution path** — :func:`run_batch` is how every spec grid
   runs: :class:`~repro.api.session.Session` (and so the figure sweeps
   and the CLI) answers its memo misses with one call, ``repro batch``
@@ -31,8 +38,8 @@ into a *service* for them:
   plugs in underneath as an executor.
 * **Graceful shutdown** — ``close(drain=True)`` finishes everything
   queued; ``close(drain=False)`` (the SIGINT path of ``repro serve`` /
-  ``repro batch``) cancels queued work, stops the in-flight batch at
-  the next cell boundary, and still writes the cumulative
+  ``repro batch``) cancels queued work, stops in-flight cells at the
+  next cell boundary, and still writes the cumulative
   :class:`~repro.execution.report.RunReport`.
 
 Simulations are deterministic functions of their spec, so results are
@@ -56,7 +63,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.api.spec import RunSpec
 from repro.execution.faults import fault_plan_from_env
-from repro.execution.report import ExecutorError, RunReport
+from repro.execution.report import RunReport
 from repro.execution.simulate import simulate_spec
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
@@ -170,6 +177,7 @@ class _Entry:
         "deadline",
         "deadline_s",
         "span",
+        "started",
     )
 
     def __init__(self, spec: RunSpec, priority: int, seq: int) -> None:
@@ -177,7 +185,8 @@ class _Entry:
         self.priority = priority
         self.seq = seq
         self.futures: list[Future] = []
-        self.created = time.monotonic()
+        # ``started``: handed to the executor (submit-to-result latency).
+        self.created = self.started = time.monotonic()
         self.state = "queued"  # queued | inflight | done
         self.key: Optional[str] = None  # cache key, set when journaling
         self.size = 0  # serialized spec bytes (admission accounting)
@@ -330,7 +339,7 @@ class BatchScheduler:
             if breaker_threshold is not None
             else None
         )
-        #: Cumulative report across every batch this scheduler drains.
+        #: Cumulative report across every busy period of this scheduler.
         self.report = RunReport(
             config={
                 "jobs": self.jobs,
@@ -339,26 +348,29 @@ class BatchScheduler:
                 "executor": self.executor.kind,
             }
         )
+        self._lock = threading.Lock()
+        #: The one condition: the scheduler thread waits on it for
+        #: submissions, executor completions and close; ``drain`` waits
+        #: on it for the end of the busy period.
+        self._wake = threading.Condition(self._lock)
         self.executor.bind(
             worker=_run_spec,
             validate=lambda result: isinstance(result, SystemResult),
             on_result=lambda spec, result: self._resolve(
                 spec, result, simulated=True
             ),
+            on_failed=lambda spec, kind: self._fail(spec, JobFailed(spec, kind)),
             report=self.report,
             tracer=self.tracer,
+            wakeup=self._wake,
         )
-
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
         self._queue: list[tuple[int, int, RunSpec]] = []  # (priority, seq, spec)
         self._entries: dict[RunSpec, _Entry] = {}
         self._results: dict[RunSpec, SystemResult] = {}
         self._seq = itertools.count()
         self._closing = False
         self._abort = False
-        self._batch_started: dict[RunSpec, float] = {}
+        self._busy = False  # a busy period is open (see _dispatch)
 
         self.submitted = 0
         self.dedup_hits = 0
@@ -566,16 +578,16 @@ class BatchScheduler:
         return self
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until nothing is queued or in flight; True on success."""
+        """Block until the busy period ends; True on success."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._entries or self._queue:
+        with self._wake:
+            while self._entries or self._queue or self._busy:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
-                self._idle.wait(remaining if remaining is not None else 0.5)
+                self._wake.wait(remaining if remaining is not None else 0.5)
         return True
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
@@ -583,20 +595,17 @@ class BatchScheduler:
 
         ``drain=True`` completes everything already submitted.
         ``drain=False`` — the interrupt path — cancels queued specs
-        (their futures report cancelled), asks the executor to stop the
-        in-flight batch at the next cell boundary, and returns once the
+        (their futures report cancelled), asks the executor to stop its
+        in-flight cells at the next cell boundary, and returns once the
         scheduler thread exits.  Both paths write the cumulative run
         report (and the metrics file, when configured).
         """
+        if not drain:
+            self.executor.cancel()
         with self._lock:
             self._closing = True
             if not drain:
-                self._abort = True
-                self.executor.cancel()
-                # Cancelled-by-abort specs keep their ``submitted``
-                # journal records: an aborted batch is exactly what
-                # ``--resume`` is for.
-                self._cancel_queued_locked()
+                self._interrupt_locked(inflight=False)
             self._wake.notify_all()
         if self._thread is not None:
             self._thread.join(timeout)
@@ -670,192 +679,147 @@ class BatchScheduler:
     # ------------------------------------------------------------------ #
 
     def _loop(self) -> None:
+        executor = self.executor
         while True:
+            # Completions resolve here, on this thread, outside the lock.
+            wait = executor.poll()
             with self._wake:
-                while not self._queue and not self._closing:
-                    self._wake.wait(0.1)
-                if self._abort:
-                    self._cancel_queued_locked()
-                if not self._queue and self._closing:
-                    self._idle.notify_all()
-                    return
-                batch = self._pop_batch_locked()
-            if not batch:
-                with self._idle:
-                    if not self._entries and not self._queue:
-                        self._idle.notify_all()
-                continue
-            self._execute(batch)
-            with self._idle:
-                if not self._entries and not self._queue:
-                    self._idle.notify_all()
+                if self._abort or executor.cancelled:
+                    self._interrupt_locked(inflight=True)
+                entry = self._next_locked() if executor.free_slots() > 0 else None
+                ended = self._busy and not self._queue and executor.ledger.idle
+                if entry is None and not ended:
+                    if not self._busy:
+                        self._wake.notify_all()  # drain() waiters
+                        if self._closing and not self._queue:
+                            return
+                    if not executor.signalled:
+                        self._wake.wait(wait)
+                    continue
+            if entry is not None:
+                self._dispatch(entry)
+            else:
+                self._end_busy_period()
 
-    def _pop_batch_locked(self) -> list[_Entry]:
-        """Drain the priority queue into an ordered, deduplicated batch."""
-        batch: list[_Entry] = []
-        seen: set[RunSpec] = set()
+    def _next_locked(self) -> Optional[_Entry]:
+        """Pop the most urgent queued entry and mark it in flight."""
         while self._queue:
             _priority, _seq, spec = heappop(self._queue)
             entry = self._entries.get(spec)
-            if entry is None or entry.state != "queued" or spec in seen:
+            if entry is None or entry.state != "queued":
                 continue  # stale heap tuple (promoted, resolved, cancelled)
             if all(f.cancelled() for f in entry.futures):
                 self._cancel_locked(entry)
                 continue
             entry.state = "inflight"
-            seen.add(spec)
-            batch.append(entry)
-        return batch
+            return entry
+        return None
 
-    def _execute(self, batch: list[_Entry]) -> None:
-        batch_span = None
-        if self.tracer is not None:
-            batch_span = self.tracer.begin("batch", cells=len(batch))
-        # Disk-cache pass first: anything already content-addressed on
-        # disk resolves without occupying a worker.
-        todo: list[_Entry] = []
-        for entry in batch:
-            if self.tracer is not None and entry.span is not None:
-                # Cells submitted without an inbound context root under
-                # this drain round's batch span; cells carrying a
-                # caller's trace keep it (reparent is a no-op).  The
-                # queue phase is recorded in hindsight — created after
-                # reparenting so it lands in the cell's final trace.
-                self.tracer.reparent(entry.span, batch_span)
-                self.tracer.complete(
-                    "queue",
-                    entry.span,
-                    duration=time.monotonic() - entry.created,
-                )
-            if self.cache is not None:
-                lookup_started = time.monotonic()
-                found = self.cache.get(entry.spec.cache_key())
-                if self.tracer is not None and entry.span is not None:
-                    self.tracer.complete(
-                        "cache",
-                        entry.span,
-                        duration=time.monotonic() - lookup_started,
-                        hit=found is not None,
-                    )
-                if found is not None:
-                    with self._lock:
-                        self.cache_hits += 1
-                    self.report.mark_hit(entry.spec, "cache")
-                    self._resolve(entry.spec, found, simulated=False)
-                    continue
-            todo.append(entry)
-
-        # Expired deadlines fail fast instead of occupying a worker.
+    def _dispatch(self, entry: _Entry) -> None:
+        """Hand one entry to the executor, unless it resolves without one:
+        cache pre-pass and deadline check first, then the durable
+        ``started`` record (one fsync) and trace preparation."""
+        spec = entry.spec
+        if not self._busy:
+            self._begin_busy_period()
         now = time.monotonic()
-        expired = [
-            entry for entry in todo if entry.deadline is not None and now >= entry.deadline
-        ]
-        for entry in expired:
-            self._fail(
-                entry.spec, DeadlineExceeded(entry.spec.name, entry.deadline_s or 0.0)
-            )
-        if expired:
-            todo = [entry for entry in todo if entry not in expired]
-        if not todo:
-            if batch_span is not None:
-                self.tracer.finish(batch_span, executed=0)
-            self._flush_report()
-            return
-
-        # Durability point: every spec this batch will run is on disk as
-        # ``submitted``+``started`` before any work begins — one fsync
-        # for the whole batch, nothing on the simulation hot path.
-        if self._journal is not None:
-            for entry in todo:
-                self._journal.append("started", entry.key)
-            self._journal.flush()
-
-        started = time.monotonic()
-        self._batch_started = {entry.spec: started for entry in todo}
-
-        # Materialize each distinct workload's record streams once before
-        # the fan-out; specs differing only in scheme or cache size share
-        # buffers (content digests dedup them), and with jobs > 1 local
-        # workers attach the parent's shared-memory copies instead of
-        # generating.  Executors that cross a host boundary opt out
-        # (``wants_shared_traces``) and skip the pass entirely — their
-        # workers regenerate traces locally, bit-identical because
-        # traces are deterministic functions of the spec.
-        trace_map: dict[str, str] = {}
-        trace_cache = (
-            get_trace_cache()
-            if env_enabled() and self.executor.wants_shared_traces
-            else None
-        )
-        if trace_cache is not None:
-            streams = dict.fromkeys(
-                (spec.mix, spec.scale, spec.seed, spec.quota, spec.warmup)
-                for spec in (entry.spec for entry in todo)
-                if spec.trace_cache is not False
-            )
-            for mix, scale, seed, quota, warmup in streams:
-                trace_cache.materialize_for_run(
-                    make_workloads(mix, ScaleModel(scale)), seed, quota, warmup
-                )
-            trace_cache.persist()
-            if self.jobs > 1:
-                trace_map = trace_cache.export_shared()
-
-        def _payload(spec: RunSpec) -> dict:
-            payload = {"spec": spec.to_dict()}
-            if trace_map and spec.trace_cache is not False:
-                payload["traces"] = trace_map
-            return payload
-
-        # The tightest deadline in the batch caps the per-cell timeout:
-        # a spec that cannot finish inside its budget should time out
-        # (and fail) rather than run long past the caller's patience.
-        timeout = self.timeout
-        deadlines = [e.deadline for e in todo if e.deadline is not None]
-        if deadlines:
-            remaining = max(0.1, min(deadlines) - time.monotonic())
-            timeout = remaining if timeout is None else min(timeout, remaining)
-
-        for entry in todo:
-            payload = _payload(entry.spec)
+        if self.tracer is not None and entry.span is not None:
+            # Recorded in hindsight: the wait ends at this handover.
+            self.tracer.complete("queue", entry.span, duration=now - entry.created)
+        if self.cache is not None:
+            found = self.cache.get(spec.cache_key())
             if self.tracer is not None and entry.span is not None:
-                # The cell's context rides the payload: the executor
-                # parents its attempt/lease spans under it, and a remote
-                # worker's execute span stitches home through it.
-                payload["trace"] = entry.span.context()
-            self.executor.submit(entry.spec, payload)
-        with self._lock:
-            if self._abort:
-                self.executor.cancel()
-        interrupted = False
-        try:
-            self.executor.drain(timeout=timeout)
-        except ExecutorError as exc:
-            for spec, kind in exc.failed.items():
-                self._fail(spec, JobFailed(spec, kind))
-        except KeyboardInterrupt:
-            interrupted = True
-        finally:
-            if trace_cache is not None:
-                trace_cache.close_shared()
-        self.report.interrupted = interrupted
-        if interrupted:
-            print(self.report.summary(), file=sys.stderr)
-            # Cells the stopped executor never reached: cancel their
-            # futures but keep their journal records — an interrupted
-            # batch is resumable by definition.
+                self.tracer.complete(
+                    "cache",
+                    entry.span,
+                    duration=time.monotonic() - now,
+                    hit=found is not None,
+                )
+            if found is not None:
+                with self._lock:
+                    self.cache_hits += 1
+                self.report.mark_hit(spec, "cache")
+                self._resolve(spec, found, simulated=False)
+                return
+        if entry.deadline is not None and time.monotonic() >= entry.deadline:
+            # Expired deadlines fail fast instead of occupying a worker.
+            self._fail(spec, DeadlineExceeded(spec.name, entry.deadline_s or 0.0))
+            return
+        if self._journal is not None:
+            self._journal.append("started", entry.key)
+            self._journal.flush()
+        payload = {"spec": spec.to_dict()}
+        traces = self._prepare_traces(spec)
+        if traces:
+            payload["traces"] = traces
+        if self.tracer is not None and entry.span is not None:
+            # The cell's context rides the payload: the executor parents
+            # its attempt/lease spans under it, and a remote worker's
+            # execute span stitches home through it.
+            payload["trace"] = entry.span.context()
+        # The cell's own deadline caps its timeout: a spec that cannot
+        # finish inside its budget times out (and fails) rather than run
+        # long past the caller's patience.
+        timeout = self.timeout
+        if entry.deadline is not None:
+            remaining = max(0.1, entry.deadline - time.monotonic())
+            timeout = remaining if timeout is None else min(timeout, remaining)
+        entry.started = time.monotonic()
+        self.executor.submit(spec, payload, timeout)
+
+    def _prepare_traces(self, spec: RunSpec) -> dict:
+        """Materialize the spec's record streams before its handover;
+        with jobs > 1, local workers attach the parent's shared-memory
+        copies named by the returned map.  Executors that cross a host
+        boundary opt out (``wants_shared_traces``): their workers
+        regenerate traces, bit-identical by construction."""
+        if spec.trace_cache is False or not (
+            self.executor.wants_shared_traces and env_enabled()
+        ):
+            return {}
+        trace_cache = get_trace_cache()
+        workloads = make_workloads(spec.mix, ScaleModel(spec.scale))
+        trace_cache.materialize_for_run(workloads, spec.seed, spec.quota, spec.warmup)
+        trace_cache.persist()
+        return trace_cache.export_shared() if self.jobs > 1 else {}
+
+    def _begin_busy_period(self) -> None:
+        """Open a busy period; bind a seeded fault plan to its cells.
+
+        The plan binds once, against the specs queued now that will
+        really run (not expired, not cache-resident), so its victim
+        count is exact; :func:`run_batch` queues its whole grid first.
+        """
+        self._busy = True
+        plan = self.executor.config.fault_plan
+        if plan is not None and plan.spec:
+            now, cache = time.monotonic(), self.cache
             with self._lock:
-                for entry in todo:
-                    pending = self._entries.get(entry.spec)
-                    if pending is not None:
-                        self._cancel_locked(pending, journal=False)
-        if batch_span is not None:
-            self.tracer.finish(
-                batch_span, executed=len(todo), interrupted=interrupted
+                entries = list(self._entries.values())
+            plan.bind(
+                [
+                    e.spec
+                    for e in entries
+                    if (e.deadline is None or e.deadline > now)
+                    and (cache is None or not cache.contains(e.spec.cache_key()))
+                ]
             )
+
+    def _end_busy_period(self) -> None:
+        """Nothing is queued or in flight: fsync the terminal journal
+        records, close the shared trace segments (no in-flight worker
+        can still need one) and rewrite the report."""
+        self.executor.drain()
         if self._journal is not None:
             self._journal.flush()
+        if self.jobs > 1 and self.executor.wants_shared_traces:
+            get_trace_cache().close_shared()
+        if self.report.interrupted:
+            print(self.report.summary(), file=sys.stderr)
         self._flush_report()
+        with self._lock:
+            self._busy = False
+            self._wake.notify_all()
 
     # ------------------------------------------------------------------ #
     # Completion plumbing
@@ -883,9 +847,8 @@ class BatchScheduler:
             if simulated:
                 self.executed += 1
                 if entry is not None:
-                    started = self._batch_started.get(spec, entry.created)
                     self._latencies.setdefault(spec.scheme, []).append(
-                        time.monotonic() - started
+                        time.monotonic() - entry.started
                     )
             futures = list(entry.futures) if entry is not None else []
             if entry is not None:
@@ -950,10 +913,19 @@ class BatchScheduler:
         for future in entry.futures:
             _notify_cancel(future)
 
-    def _cancel_queued_locked(self) -> None:
-        """Abort: cancel every queued entry, keeping its journal records."""
-        for entry in [e for e in self._entries.values() if e.state == "queued"]:
-            self._cancel_locked(entry, journal=False)
+    def _interrupt_locked(self, *, inflight: bool) -> None:
+        """Abort: retire outstanding entries, keeping their journal records
+        for ``--resume``.  In-flight ones (``inflight=True``) go only from
+        the scheduler thread, once the executor has abandoned them.  A
+        busy period cut short is reported interrupted, its cells pending."""
+        self._abort = True
+        if self._busy and self._entries:
+            self.report.interrupted = True
+        for entry in list(self._entries.values()):
+            if inflight or entry.state == "queued":
+                if self._busy:
+                    self.report.record(entry.spec)
+                self._cancel_locked(entry, journal=False)
         self._queue.clear()
 
     def _flush_report(self) -> None:
@@ -1003,9 +975,11 @@ def run_batch(
     Returns ``(outcomes, stats, report)`` where ``outcomes[i]`` is the
     :class:`SystemResult` for ``specs[i]`` (or the exception it failed
     with).  The execution path behind every
-    :class:`~repro.api.session.Session` miss.
+    :class:`~repro.api.session.Session` miss.  Every spec is queued
+    before the scheduler thread starts, so the first busy period sees
+    the whole grid.
     """
-    scheduler = BatchScheduler(**scheduler_kwargs)
+    scheduler = BatchScheduler(**scheduler_kwargs, start=False)
     try:
         futures = [
             scheduler.submit(
@@ -1013,6 +987,7 @@ def run_batch(
             )
             for i, spec in enumerate(specs)
         ]
+        scheduler.start()
         outcomes: list = []
         for future in futures:
             try:

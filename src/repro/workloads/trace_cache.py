@@ -362,6 +362,8 @@ class TraceCache:
         self._shared: dict[str, str] = {}
         #: Exported segments owned by this (parent) process.
         self._exports: list = []
+        #: digest -> (records, segment name) of its newest export.
+        self._exported: dict[str, tuple[int, str]] = {}
         self._export_seq = 0
         self.cache_dir: Optional[Path] = None
         self.stats = {
@@ -550,16 +552,18 @@ class TraceCache:
     # ------------------------------------------------------------------ #
 
     def export_shared(self) -> dict[str, str]:
-        """Copy every memoized buffer into a shared-memory segment.
+        """Copy memoized buffers that are new or have grown into shared memory.
 
-        Returns ``{digest: segment_name}`` for worker payloads.  Segments
-        stay alive until :meth:`close_shared`; the parent owns the unlink.
+        Returns ``{digest: segment_name}`` naming the newest segment of
+        every buffer exported since :meth:`close_shared`, for worker
+        payloads.  Segments stay alive until :meth:`close_shared` — a
+        grown buffer's older segment too, since an in-flight worker may
+        still attach it; the parent owns the unlink.
         """
         from multiprocessing import shared_memory
 
-        mapping: dict[str, str] = {}
         for digest, entry in list(self._memo.items()):
-            if not entry.length:
+            if entry.length <= self._exported.get(digest, (0, ""))[0]:
                 continue
             payload = entry.to_bytes()
             # Pid-stamped names make stranded segments attributable (and
@@ -579,18 +583,25 @@ class TraceCache:
                 shm = shared_memory.SharedMemory(create=True, size=len(payload))
             shm.buf[: len(payload)] = payload
             self._exports.append(shm)
-            mapping[digest] = shm.name
-        return mapping
+            self._exported[digest] = (entry.length, shm.name)
+        return {digest: name for digest, (_length, name) in self._exported.items()}
 
     def close_shared(self) -> None:
         """Release (close + unlink) every segment this process exported."""
+        from multiprocessing import resource_tracker
+
         for shm in self._exports:
             try:
                 shm.close()
+                # A forked worker shares this process's resource tracker,
+                # so its attach-then-deregister (see _load_shared) dropped
+                # our registration; restore it for unlink to deregister.
+                resource_tracker.register(shm._name, "shared_memory")
                 shm.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
         self._exports.clear()
+        self._exported.clear()
 
     def attach_shared(self, mapping: dict[str, str]) -> None:
         """Register parent-exported segments (worker side, attached lazily)."""

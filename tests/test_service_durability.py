@@ -323,10 +323,13 @@ def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeyp
     interrupted = spec(mix="444+445", scheme="dsr")
     sched = scheduler("interrupt")
 
-    def interrupt(timeout=None):
-        raise KeyboardInterrupt
+    submit = sched.executor.submit
 
-    monkeypatch.setattr(sched.executor, "drain", interrupt)
+    def interrupt(cell, payload, timeout=None):
+        sched.executor.cancel()  # the interrupt lands as the cell is handed over
+        submit(cell, payload, timeout)
+
+    monkeypatch.setattr(sched.executor, "submit", interrupt)
     interrupted_future = sched.submit(interrupted)
     sched.start()
     with pytest.raises(CancelledError):

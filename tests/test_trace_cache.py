@@ -145,6 +145,30 @@ def test_shared_memory_view_equals_generator_output(workloads):
         parent.close_shared()
 
 
+def test_export_shared_copies_only_new_or_grown_buffers(workloads):
+    parent = TraceCache()
+    (first, *_rest) = parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
+    try:
+        mapping = parent.export_shared()
+        assert len(parent._exports) == len(workloads)
+        assert parent.export_shared() == mapping  # nothing new: no copies
+        assert len(parent._exports) == len(workloads)
+        first.ensure(first.length + BLOCK)  # one buffer grows
+        grown = parent.export_shared()
+        assert len(parent._exports) == len(workloads) + 1
+        assert grown[first.digest] != mapping[first.digest]
+        assert {d: n for d, n in grown.items() if d != first.digest} == {
+            d: n for d, n in mapping.items() if d != first.digest
+        }
+        worker = TraceCache()
+        worker.attach_shared(grown)
+        entry = worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+        assert entry.length == first.length
+    finally:
+        parent.close_shared()
+    assert parent._exported == {} and parent._exports == []
+
+
 def test_finite_source_replay_terminates():
     finite = [(0, 1, 2, False), (1, 3, 4, True)]
     trace = MaterializedTrace(
