@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _parse_mix, build_parser, main
+from repro import cli
+from repro.cli import build_parser, main
 
 
 def test_schemes_command(capsys):
@@ -31,21 +32,59 @@ def test_experiment_tab5(capsys):
     assert "Table 5" in capsys.readouterr().out
 
 
+#: Experiments that simulate through a Session: each must get the one
+#: session carrying every orchestration flag.
+SESSION_EXPERIMENTS = (
+    "fig4", "fig5", "tab1", "fig7", "fig8", "fig9", "fig10", "fig11",
+    "tab4", "sec61", "sec62", "sec63pf", "sec64", "sec7",
+)
+
+
+@pytest.mark.parametrize("name", SESSION_EXPERIMENTS)
+def test_experiment_session_carries_every_orchestration_flag(name, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append((args, kwargs))
+
+    monkeypatch.setitem(
+        cli._EXPERIMENTS, name, (fake_run, lambda _result: "", *cli._EXPERIMENTS[name][2:])
+    )
+    paths = {flag: str(tmp_path / flag) for flag in ("cells", "report.json", "run.prom")}
+    assert main([
+        "experiment", name, "--jobs", "3", "--cache-dir", paths["cells"],
+        "--timeout", "7.5", "--retries", "4", "--report", paths["report.json"],
+        "--metrics", paths["run.prom"],
+    ]) == 0
+    ((args, kwargs),) = calls
+    handed = [*args, *kwargs.values()]
+    session = next((getattr(a, "session", a) for a in handed), None)
+    assert session is not None, f"{name} got no session: {kwargs}"
+    assert session._knobs == dict(
+        jobs=3,
+        cache_dir=paths["cells"],
+        timeout=7.5,
+        retries=4,
+        report_path=paths["report.json"],
+        metrics_path=paths["run.prom"],
+    )
+
+
 def test_bad_mix_rejected():
     with pytest.raises(SystemExit):
-        _parse_mix("abc")
+        main(["run", "--mix", "abc"])
 
 
 @pytest.mark.parametrize("text", ["", "   ", "471+", "+444", "471++444"])
 def test_empty_mix_components_get_usage_message(text):
     with pytest.raises(SystemExit) as excinfo:
-        _parse_mix(text)
+        main(["run", "--mix", text])
     assert "expected '+'-separated SPEC codes like 471+444" in str(excinfo.value)
 
 
 def test_non_numeric_mix_names_the_bad_part():
     with pytest.raises(SystemExit) as excinfo:
-        _parse_mix("abc+444")
+        main(["run", "--mix", "abc+444"])
     message = str(excinfo.value)
     assert "'abc' is not a number" in message
     assert "471+444" in message  # shows the expected shape

@@ -88,14 +88,3 @@ def test_apply_fault_crash_process_downgrades_in_process():
     # it, so the in-process path must degrade to a plain crash.
     with pytest.raises(InjectedCrash):
         apply_fault(("crash_process", 0.0), in_process=True)
-
-
-def test_apply_fault_stall_heartbeat_backdates_file(tmp_path):
-    import os
-
-    apply_fault(("stall_heartbeat", 0.0), heartbeat=str(tmp_path))
-    hb = tmp_path / f"{os.getpid()}.hb"
-    assert hb.read_text() == "busy"
-    assert hb.stat().st_mtime < 10  # backdated to the epoch
-    # Without a heartbeat directory it degrades to a plain hang.
-    assert apply_fault(("stall_heartbeat", 0.0)) is None

@@ -10,6 +10,9 @@ benchmark wraps it there.
 :mod:`repro.obs.spans` to build span records, so the telemetry package
 imports nothing from ``repro.service``, ``repro.cluster`` or
 ``repro.api``.
+
+:mod:`repro.execution` is the core both service tiers stand on, so it
+imports nothing from ``repro.service`` or ``repro.cluster``.
 """
 
 import ast
@@ -19,6 +22,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SERVICE_TIERS = ("service", "cluster", "obs")
 ALLOWED = {("repro/service/scheduler.py", "repro.experiments.parallel", ("ResultCache",))}
 OBS_FORBIDDEN = ("repro.service", "repro.cluster", "repro.api")
+EXECUTION_FORBIDDEN = ("repro.service", "repro.cluster")
 
 
 def imports_of(source: str, packages: tuple) -> list[tuple]:
@@ -56,5 +60,14 @@ def test_obs_imports_no_service_tier():
         (str(path.relative_to(SRC)), module)
         for path in sorted((SRC / "repro" / "obs").rglob("*.py"))
         for module, _names in imports_of(path.read_text(), OBS_FORBIDDEN)
+    ]
+    assert crossings == []
+
+
+def test_execution_core_imports_no_service_tier():
+    crossings = [
+        (str(path.relative_to(SRC)), module)
+        for path in sorted((SRC / "repro" / "execution").rglob("*.py"))
+        for module, _names in imports_of(path.read_text(), EXECUTION_FORBIDDEN)
     ]
     assert crossings == []

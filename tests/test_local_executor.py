@@ -10,6 +10,7 @@ a second.  Real-simulation failure modes live in
 import json
 import sys
 import threading
+import time
 
 from repro.api import RunSpec
 from repro.execution.faults import Fault, FaultPlan, apply_fault
@@ -31,6 +32,7 @@ def toy_worker(payload):
             return cell, out
     if payload.get("always_crash"):
         raise RuntimeError("permanent failure")
+    time.sleep(payload.get("sleep", 0.0))
     return cell, payload["codes"][0] * 10
 
 
@@ -221,6 +223,32 @@ def test_hung_cell_trips_timeout_and_recovers():
     assert report.timeouts == 1
     rec = report.record(CELLS[1])
     assert rec.status == "ok" and any("timeout" in err for err in rec.errors)
+
+
+def test_hung_cell_is_charged_alone_and_its_sibling_refunded():
+    """``hang_grace`` charges only the attempt in flight past the grace.
+
+    The sibling starts half a grace after the victim and is still
+    running when the victim is declared hung, so the pool recycle takes
+    it down too; it is refunded (one attempt, no error) instead of
+    being charged a pool death.  Its retry sleeps under the grace.
+    """
+    grace = 2.0
+    victim, sibling = CELLS[0], CELLS[1]
+    plan = FaultPlan({victim: Fault("hang", seconds=10.0)})
+    report = RunReport()
+    executor = make_executor(report, jobs=2, retries=2, hang_grace=grace, fault_plan=plan)
+    executor.submit(victim, payload_for(victim))
+    time.sleep(grace / 2)
+    executor.submit(sibling, payload_for(sibling, sleep=0.7 * grace))
+    executor.drain()
+    executor.close()
+    assert executor.results == {victim: 10, sibling: 20}
+    assert report.record(victim).errors == ["worker-hung"]
+    rec = report.record(sibling)
+    assert rec.attempts == 1 and rec.errors == [] and rec.status == "ok"
+    assert report.pool_deaths == 0
+    assert report.watchdog_kills == 1
 
 
 def test_streamed_completions_are_never_lost():

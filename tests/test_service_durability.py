@@ -440,7 +440,7 @@ def test_spec_deadline_field_validates_and_rides_to_dict():
 
 def test_watchdog_kills_stalled_worker_and_batch_completes(tmp_path):
     victim = spec()
-    plan = FaultPlan({victim: Fault("stall_heartbeat", seconds=120.0)})
+    plan = FaultPlan({victim: Fault("hang", seconds=120.0)})
     sched = BatchScheduler(
         jobs=2,
         cache_dir=tmp_path,
