@@ -102,7 +102,7 @@ import os
 import sys
 from typing import Callable, Mapping
 
-from repro.api.spec import RunSpec, SpecError, _check_codes, parse_mix
+from repro.api.spec import RunSpec, SpecError
 from repro.execution.report import ExecutorError
 from repro.experiments import (
     fig1_ways,
@@ -128,26 +128,36 @@ from repro.experiments.runner import ExperimentRunner
 from repro.policies.registry import available_schemes
 from repro.workloads.mixes import MIX2, MIX4, mix_name
 
-#: Experiment name -> (run, format) pair.  Entries taking a runner get one.
-_EXPERIMENTS: dict[str, tuple[Callable, Callable, bool]] = {
-    "fig1": (fig1_ways.run, fig1_ways.format_result, False),
-    "fig2": (fig2_sets.run, fig2_sets.format_result, False),
-    "fig4": (fig4_breakdown.run, fig4_breakdown.format_result, True),
-    "fig5": (fig5_neutral.run, fig5_neutral.format_result, True),
-    "tab1": (tab1_granularity.run, tab1_granularity.format_result, True),
-    "fig7": (fig7_twocore.run, fig7_twocore.format_result, True),
-    "fig8": (fig8_fourcore.run, fig8_fourcore.format_result, True),
-    "fig9": (fig9_fairness.run, fig9_fairness.format_result, True),
-    "fig10": (fig10_latency.run, fig10_latency.format_result, True),
-    "tab4": (tab4_sizes.run, tab4_sizes.format_result, False),
-    "tab5": (tab5_cost.run, tab5_cost.format_result, False),
-    "fig11": (fig11_qos.run, fig11_qos.format_result, True),
-    "sec61": (sec61_shared.run, sec61_shared.format_result, False),
-    "sec62": (sec62_energy.run, sec62_energy.format_result, False),
-    "sec63mt": (sec63_multithread.run, sec63_multithread.format_result, False),
-    "sec63pf": (sec63_prefetch.run, sec63_prefetch.format_result, False),
-    "sec64": (sec64_behavior.run, sec64_behavior.format_result, False),
-    "sec7": (sec7_limited.run, sec7_limited.format_result, True),
+def _runner(session) -> dict:
+    return {"runner": ExperimentRunner(session=session)}
+
+
+def _session_kwarg(session) -> dict:
+    return {"session": session}
+
+
+#: Experiment name -> (run, format, wrap).  A Session-backed experiment's
+#: ``wrap`` turns the command's one session into ``run``'s keyword
+#: arguments; ``None`` marks one that simulates nothing through a Session.
+_EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable | None]] = {
+    "fig1": (fig1_ways.run, fig1_ways.format_result, None),
+    "fig2": (fig2_sets.run, fig2_sets.format_result, None),
+    "fig4": (fig4_breakdown.run, fig4_breakdown.format_result, _runner),
+    "fig5": (fig5_neutral.run, fig5_neutral.format_result, _runner),
+    "tab1": (tab1_granularity.run, tab1_granularity.format_result, _runner),
+    "fig7": (fig7_twocore.run, fig7_twocore.format_result, _runner),
+    "fig8": (fig8_fourcore.run, fig8_fourcore.format_result, _runner),
+    "fig9": (fig9_fairness.run, fig9_fairness.format_result, _runner),
+    "fig10": (fig10_latency.run, fig10_latency.format_result, _runner),
+    "tab4": (tab4_sizes.run, tab4_sizes.format_result, _session_kwarg),
+    "tab5": (tab5_cost.run, tab5_cost.format_result, None),
+    "fig11": (fig11_qos.run, fig11_qos.format_result, _runner),
+    "sec61": (sec61_shared.run, sec61_shared.format_result, _runner),
+    "sec62": (sec62_energy.run, sec62_energy.format_result, _runner),
+    "sec63mt": (sec63_multithread.run, sec63_multithread.format_result, None),
+    "sec63pf": (sec63_prefetch.run, sec63_prefetch.format_result, _session_kwarg),
+    "sec64": (sec64_behavior.run, sec64_behavior.format_result, _runner),
+    "sec7": (sec7_limited.run, sec7_limited.format_result, _runner),
 }
 
 
@@ -195,21 +205,6 @@ _FLAG_FOR_FIELD = {
     "trace_cache": "--trace-cache",
     "sanitize": "--sanitize",
 }
-
-
-def _parse_mix(text: str) -> tuple[int, ...]:
-    """Parse ``471+444`` into benchmark codes, failing with usable messages.
-
-    A thin exit-code shim over :func:`repro.api.parse_mix` — the single
-    parser/validator for mix strings — kept so scripts (and tests) that
-    used the CLI helper directly keep working.
-    """
-    try:
-        codes = parse_mix(text)
-        _check_codes(codes)
-        return codes
-    except SpecError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _spec_from_args(args: argparse.Namespace, **overrides) -> RunSpec:
@@ -279,24 +274,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        run, fmt, needs_runner = _EXPERIMENTS[args.name]
+        run, fmt, wrap = _EXPERIMENTS[args.name]
     except KeyError:
         raise SystemExit(
             f"unknown experiment {args.name!r}; available: {', '.join(sorted(_EXPERIMENTS))}"
         )
-    if needs_runner:
-        result = run(ExperimentRunner(session=_session(args)))
-    elif args.name in ("sec63pf", "tab4"):
-        # These build their own sessions (special prefetch / L2-size
-        # parameters); pass the orchestration knobs through instead.
-        result = run(
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-        )
-    else:
-        result = run()
+    result = run() if wrap is None else run(**wrap(_session(args)))
     print(fmt(result))
     return 0
 
@@ -761,9 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_float("--hang-grace"),
             default=None,
             metavar="SECONDS",
-            help="worker heartbeat grace: a worker silent (busy, no "
-            "heartbeat) this long is killed and its cell retried "
-            "(default: watchdog off)",
+            help="hang grace: a local cell in flight this long is charged "
+            "worker-hung and retried on a fresh pool; a cluster worker "
+            "holding leases and silent this long is expelled "
+            "(default: off)",
         )
         p.add_argument(
             "--max-queue",

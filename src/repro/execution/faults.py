@@ -45,7 +45,6 @@ FAULT_KINDS = (
     "hang",
     "die",
     "corrupt",
-    "stall_heartbeat",
     "crash_process",
     "corrupt_state",
 )
@@ -66,17 +65,12 @@ class Fault:
     ``kind``
         ``crash``   — raise :class:`InjectedCrash` (transient failure).
         ``hang``    — sleep ``seconds`` before simulating (trips the
-        executor's per-cell timeout).
+        executor's per-cell timeout or its ``hang_grace``).
         ``die``     — ``os._exit(1)`` the worker (breaks the process
         pool; downgraded to ``crash`` when applied in-process so a
         serial run is never killed).
         ``corrupt`` — return a non-result sentinel instead of the
         simulation output (fails the executor's validation).
-        ``stall_heartbeat`` — backdate the worker's heartbeat file to
-        the epoch and sleep ``seconds``: the worker looks silently hung
-        to the watchdog (which kills it) long before any per-cell
-        timeout fires.  Without a heartbeat directory it degrades to a
-        plain ``hang``.
         ``crash_process`` — ``SIGKILL`` the worker's own process (the
         hardest death: no Python teardown, breaks the pool; downgraded
         to ``crash`` when applied in-process).
@@ -114,19 +108,14 @@ class Fault:
 CORRUPTED_RESULT = "<<injected-corrupt-result>>"
 
 
-def apply_fault(
-    fault: tuple[str, float],
-    in_process: bool = False,
-    heartbeat: Optional[str] = None,
-):
+def apply_fault(fault: tuple[str, float], in_process: bool = False):
     """Execute a fault payload inside a worker.
 
     Returns :data:`CORRUPTED_RESULT` for ``corrupt`` faults and ``None``
-    for ``hang``/``stall_heartbeat`` (after sleeping); raises or exits
-    for the rest.  With ``in_process=True`` the hard deaths (``die``,
-    ``crash_process``) are downgraded to ``crash`` so an injected death
-    can never kill the executing process itself.  ``heartbeat`` is
-    the worker's heartbeat directory, if the watchdog is armed.
+    for ``hang`` (after sleeping) and ``corrupt_state``; raises or
+    exits for the rest.  With ``in_process=True`` the hard deaths
+    (``die``, ``crash_process``) are downgraded to ``crash`` so an
+    injected death can never kill the executing process itself.
     """
     kind, seconds = fault
     if kind == "crash":
@@ -140,12 +129,6 @@ def apply_fault(
             raise InjectedCrash("injected process kill (downgraded in-process)")
         os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
     if kind == "hang":
-        time.sleep(seconds)
-        return None
-    if kind == "stall_heartbeat":
-        from repro.service.durability import stall_heartbeat
-
-        stall_heartbeat(heartbeat)
         time.sleep(seconds)
         return None
     if kind == "corrupt":

@@ -96,7 +96,8 @@ class RunReport:
         self.pool_deaths = 0
         self.timeouts = 0
         self.retried = 0
-        #: Workers SIGKILLed by the heartbeat watchdog (hung mid-cell).
+        #: Attempts charged ``worker-hung``: in flight past the local
+        #: ``hang_grace``, their pool recycled.
         self.watchdog_kills = 0
         self.degraded_serial = False
         self.interrupted = False

@@ -24,14 +24,15 @@ def run(
     scale: ScaleModel = ScaleModel(),
     quota: int = 150_000,
     warmup: int = 150_000,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    timeout: float | None = None,
-    retries: int = 2,
+    session: Session | None = None,
 ) -> ComparisonResult:
-    """Run the prefetcher-sensitivity comparison."""
+    """Run the prefetcher-sensitivity comparison.
+
+    ``session`` carries the orchestration knobs (a serial, cache-less
+    one when ``None``).
+    """
     runner = ExperimentRunner(
-        session=Session(jobs=jobs, cache_dir=cache_dir, timeout=timeout, retries=retries),
+        session=session,
         scale=scale,
         quota=quota,
         warmup=warmup,

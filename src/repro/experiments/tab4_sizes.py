@@ -37,20 +37,19 @@ def run(
     scale: ScaleModel = ScaleModel(),
     quota: int = 150_000,
     warmup: int = 150_000,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    timeout: float | None = None,
-    retries: int = 2,
+    session=None,
 ) -> list[Table4Row]:
-    """Measure the off-chip reduction for each cache size and core count."""
+    """Measure the off-chip reduction for each cache size and core count.
+
+    ``session`` carries the orchestration knobs (a serial, cache-less
+    :class:`~repro.api.session.Session` when ``None``).
+    """
     from repro.api.session import Session
     from repro.api.spec import spec_grid
 
     # The whole table is one cross-size spec batch against one session:
     # one run_batch call fans every size out together.
-    session = Session(
-        jobs=jobs, cache_dir=cache_dir, timeout=timeout, retries=retries
-    )
+    session = session if session is not None else Session()
     grids: dict[tuple[int, int], list] = {}
     for size_mb in sizes_mb or SIZES_MB:
         for cores, mixes in ((4, mixes4), (2, mixes2)):

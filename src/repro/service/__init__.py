@@ -12,7 +12,8 @@ The :mod:`~repro.service.durability` layer makes the service survive its
 production failure modes: a write-ahead :class:`BatchJournal` plus
 :meth:`BatchScheduler.recover` for crash-safe resumption, an
 :class:`AdmissionController` and per-scheme :class:`CircuitBreaker` for
-overload, and a worker heartbeat watchdog for silent hangs.
+overload.  A worker hung mid-cell is caught by the executors
+themselves: ``hang_grace`` charges any attempt in flight past it.
 
 Execution itself is pluggable: the :class:`Executor` protocol
 (:mod:`~repro.service.executor`) lets the scheduler drive either the
@@ -40,7 +41,6 @@ from repro.service.durability import (
     DeadlineExceeded,
     JournalError,
     JournalReplay,
-    WorkerWatchdog,
     replay_journal,
 )
 from repro.service.scheduler import (
@@ -106,7 +106,6 @@ __all__ = [
     "ServiceError",
     "ServiceStats",
     "WireError",
-    "WorkerWatchdog",
     "classify_error",
     "error_record",
     "make_executor",

@@ -3,9 +3,11 @@
 The scheduler in :mod:`repro.service.scheduler` made batches *correct*
 (dedup, priorities, bounded retry); this module makes them survive
 the failure modes a long campaign actually hits — the serving process
-dying mid-batch, a traffic burst outrunning the worker pool, one broken
-scheme poisoning every batch it rides in, and a worker wedging silently
-with no per-cell timeout armed.  Four pieces, each usable on its own:
+dying mid-batch, a traffic burst outrunning the worker pool, and one
+broken scheme poisoning every batch it rides in.  (A worker wedged
+mid-cell is the executors' business: ``hang_grace`` is a rule of their
+:class:`~repro.service.executor.AttemptLedger`.)  Three pieces, each
+usable on its own:
 
 * :class:`BatchJournal` — a write-ahead JSONL journal of every spec's
   lifecycle (``submitted`` / ``started`` / ``done`` / ``failed`` /
@@ -23,17 +25,10 @@ with no per-cell timeout armed.  Four pieces, each usable on its own:
   consecutive execution failures open the breaker (submissions for
   that scheme fail fast), a timer half-opens it for a single probe,
   and a probe success closes it again.
-* :class:`WorkerWatchdog` + :func:`beat` — pool workers touch a
-  per-pid heartbeat file when they pick up and finish a cell; a
-  monitor thread declares a worker hung once its heartbeat has been
-  ``busy`` for longer than ``hang_grace`` and SIGKILLs it, letting the
-  local executor's :class:`BrokenProcessPool` path respawn the
-  pool and resubmit the lost cells.
 
 Everything is stdlib-only, and none of it touches the simulation hot
-path: journal appends are buffered in memory, heartbeats are two tiny
-file writes per *cell* (not per access), and admission checks run at
-submission time only.  Fault-free results stay bit-identical.
+path: journal appends are buffered in memory and admission checks run
+at submission time only.  Fault-free results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 #: Bump when the journal record layout changes; replay skips records
 #: from other versions instead of misreading them.
@@ -66,10 +61,6 @@ _TERMINAL = frozenset(("done", "failed", "cancelled"))
 #: flush point, bounding how much terminal-event history a crash can
 #: lose.  Submissions are made durable explicitly before execution.
 DEFAULT_FLUSH_EVERY = 64
-
-#: Heartbeat file states a worker reports (see :func:`beat`).
-HEARTBEAT_BUSY = "busy"
-HEARTBEAT_IDLE = "idle"
 
 
 class JournalError(RuntimeError):
@@ -515,130 +506,3 @@ class CircuitBreaker:
         """``{scheme: state}`` for every scheme seen (snapshot)."""
         with self._lock:
             return {scheme: entry[1] for scheme, entry in self._schemes.items()}
-
-
-# --------------------------------------------------------------------- #
-# Worker heartbeats and the watchdog
-# --------------------------------------------------------------------- #
-
-
-def beat(heartbeat_dir: Optional[str], state: str = HEARTBEAT_BUSY) -> None:
-    """Worker side: record this process's liveness state.
-
-    Called when a worker picks up a cell (``busy``) and when it hands
-    the result back (``idle``) — two tiny writes per cell, nothing per
-    simulated access.  Failures are swallowed: a read-only or vanished
-    heartbeat directory must never fail a simulation.
-    """
-    if not heartbeat_dir:
-        return
-    try:
-        Path(heartbeat_dir, f"{os.getpid()}.hb").write_text(state)
-    except OSError:
-        pass
-
-
-def stall_heartbeat(heartbeat_dir: Optional[str]) -> None:
-    """Fault hook: backdate this worker's heartbeat to the epoch.
-
-    Makes the worker look like it has been silently busy forever, so a
-    watchdog test trips immediately instead of sleeping out a real
-    ``hang_grace``.
-    """
-    if not heartbeat_dir:
-        return
-    path = Path(heartbeat_dir, f"{os.getpid()}.hb")
-    try:
-        path.write_text(HEARTBEAT_BUSY)
-        os.utime(path, (1.0, 1.0))
-    except OSError:
-        pass
-
-
-class WorkerWatchdog:
-    """Monitor thread that SIGKILLs silently hung pool workers.
-
-    A worker whose heartbeat file reads ``busy`` and has not been
-    touched for ``hang_grace`` seconds started a cell and never came
-    back — hung in native code, swallowed by a deadlock, or stalled on
-    I/O.  It cannot be cancelled through the pool API, so the watchdog
-    kills the process; the local executor's
-    :class:`~concurrent.futures.process.BrokenProcessPool` recovery
-    respawns the pool and resubmits the lost cells.  Idle workers never
-    read ``busy``, so a quiet pool is never culled.
-
-    ``procs_fn`` returns the live ``{pid: Process}`` mapping of the
-    *current* pool (the executor re-arms a fresh watchdog whenever it
-    recycles the pool, clearing stale heartbeats with it).
-    """
-
-    def __init__(
-        self,
-        heartbeat_dir: str | os.PathLike,
-        hang_grace: float,
-        procs_fn: Callable[[], Optional[dict]],
-        on_kill: Optional[Callable[[int], None]] = None,
-        poll: Optional[float] = None,
-    ) -> None:
-        self.heartbeat_dir = Path(heartbeat_dir)
-        self.hang_grace = float(hang_grace)
-        self.procs_fn = procs_fn
-        self.on_kill = on_kill
-        self.poll = poll if poll is not None else max(0.05, self.hang_grace / 4.0)
-        self.kills = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "WorkerWatchdog":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-worker-watchdog", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll):
-            self.check()
-
-    def check(self) -> int:
-        """One scan; returns how many workers were killed (tests call this)."""
-        procs = self.procs_fn() or {}
-        killed = 0
-        now = time.time()
-        for pid, proc in list(procs.items()):
-            path = self.heartbeat_dir / f"{pid}.hb"
-            try:
-                stale = now - path.stat().st_mtime > self.hang_grace
-                state = path.read_text().strip()
-            except OSError:
-                continue  # never beat: worker hasn't picked up a cell yet
-            if state != HEARTBEAT_BUSY or not stale:
-                continue
-            if not proc.is_alive():
-                continue
-            try:
-                proc.kill()
-            except OSError:  # pragma: no cover - raced with normal exit
-                continue
-            path.unlink(missing_ok=True)
-            killed += 1
-            self.kills += 1
-            if self.on_kill is not None:
-                self.on_kill(pid)
-        return killed
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-
-def clear_heartbeats(heartbeat_dir: str | os.PathLike) -> None:
-    """Drop every heartbeat file (pool recycle: pids may be reused)."""
-    try:
-        for path in Path(heartbeat_dir).glob("*.hb"):
-            path.unlink(missing_ok=True)
-    except OSError:
-        pass

@@ -131,7 +131,7 @@ class ServiceStats:
     shed: int = 0
     #: Specs re-enqueued from the journal by ``recover``/``--resume``.
     recovered: int = 0
-    #: Hung workers SIGKILLed by the heartbeat watchdog.
+    #: Attempts charged ``worker-hung`` past the local ``hang_grace``.
     watchdog_kills: int = 0
     #: Submissions refused because their scheme's breaker was open.
     breaker_rejected: int = 0
@@ -201,37 +201,22 @@ def _run_spec(payload: dict):
     Module-level and primitive-parameterised (picklable under any
     multiprocessing start method); local pool workers and cluster
     workers both run it.  Shared-memory trace buffers in the payload
-    are attached (replayed instead of regenerated), a heartbeat
-    directory is beaten around the cell, and an injected fault (see
-    :mod:`repro.execution.faults`) fires before the simulation.
+    are attached (replayed instead of regenerated), and an injected
+    fault (see :mod:`repro.execution.faults`) fires before the
+    simulation.
     """
     spec = RunSpec.from_dict(payload["spec"])
     traces = payload.get("traces")
     if traces:
         get_trace_cache().attach_shared(traces)
-    heartbeat = payload.get("heartbeat")
-    if heartbeat:
-        from repro.service.durability import beat
+    fault = payload.get("fault")
+    if fault is not None:
+        from repro.execution.faults import apply_fault
 
-        beat(heartbeat)
-    try:
-        fault = payload.get("fault")
-        if fault is not None:
-            from repro.execution.faults import apply_fault
-
-            injected = apply_fault(
-                fault,
-                in_process=payload.get("fault_in_process", False),
-                heartbeat=heartbeat,
-            )
-            if injected is not None:
-                return spec, injected
-        return spec, simulate_spec(spec)
-    finally:
-        if heartbeat:
-            from repro.service.durability import HEARTBEAT_IDLE, beat
-
-            beat(heartbeat, HEARTBEAT_IDLE)
+        injected = apply_fault(fault, in_process=payload.get("fault_in_process", False))
+        if injected is not None:
+            return spec, injected
+    return spec, simulate_spec(spec)
 
 
 def _notify_cancel(future: Future) -> None:
