@@ -10,7 +10,9 @@ Before anything is recorded it asserts that the two paths produce
 bit-identical statistics (per-core counters, bus traffic and L1
 counters), so the benchmark doubles as a regression guard: a kernel or
 trace-layer change that alters simulated behaviour fails here before it
-can corrupt results.
+can corrupt results.  It also records the memo's footprint
+(``memo_bytes``, ``memo_bytes_per_record``) and fails when a record
+costs more than :data:`MAX_BYTES_PER_RECORD` bytes.
 
 Usage::
 
@@ -46,6 +48,9 @@ SCHEME = "avgcc"
 
 #: Legs in timing order: trace cache off, then on.
 LEGS = ("generated", "replayed")
+
+#: Column bytes one memoized record may cost (gap, pc, line, write).
+MAX_BYTES_PER_RECORD = 10
 
 
 def _build_engine(codes, quota, warmup, seed, traces=None):
@@ -98,7 +103,16 @@ def _run_legs(codes, quota, warmup, seed, repeats):
             run = _run_once(codes, quota, warmup, seed, traces[leg])
             if leg not in results or run[0] < results[leg][0]:
                 results[leg] = run
-    return results
+    return results, traces["replayed"]
+
+
+def _memo_footprint(traces, codes, quota, warmup, seed):
+    """Column bytes and records the replayed leg's memo holds."""
+    entries = [
+        traces.get(workload, core_id, seed, quota, warmup)
+        for core_id, workload in enumerate(make_workloads(codes, ScaleModel()))
+    ]
+    return sum(e.nbytes for e in entries), sum(e.length for e in entries)
 
 
 def main(argv=None) -> int:
@@ -128,7 +142,7 @@ def main(argv=None) -> int:
     codes = MIX4[0]
     print(f"mix={codes} scheme={SCHEME} quota={args.quota} warmup={args.warmup}")
 
-    results = _run_legs(codes, args.quota, args.warmup, args.seed, args.repeats)
+    results, traces = _run_legs(codes, args.quota, args.warmup, args.seed, args.repeats)
     (gen_s, gen_snap, accesses), (rep_s, rep_snap, rep_acc) = (
         results[leg] for leg in LEGS
     )
@@ -138,6 +152,17 @@ def main(argv=None) -> int:
         print(f"  replayed:  {rep_snap}", file=sys.stderr)
         return 1
     assert accesses == rep_acc  # implied by the snapshot match
+    memo_bytes, memo_records = _memo_footprint(
+        traces, codes, args.quota, args.warmup, args.seed
+    )
+    per_record = memo_bytes / memo_records
+    if per_record > MAX_BYTES_PER_RECORD:
+        print(
+            f"FAIL: the trace memo costs {per_record:.2f} bytes per record "
+            f"(at most {MAX_BYTES_PER_RECORD})",
+            file=sys.stderr,
+        )
+        return 1
 
     run = {
         "mix": list(codes),
@@ -150,12 +175,15 @@ def main(argv=None) -> int:
         "generated": {"seconds": gen_s, "accesses_per_sec": accesses / gen_s},
         "replayed": {"seconds": rep_s, "accesses_per_sec": accesses / rep_s},
         "counters_identical": True,
+        "memo_bytes": memo_bytes,
+        "memo_bytes_per_record": per_record,
     }
     trajectory.append_run(args.output, "sim_kernel", run)
 
     print(f"generated: {gen_s:.3f}s  {accesses / gen_s:>12,.0f} accesses/s")
     print(f"replayed:  {rep_s:.3f}s  {accesses / rep_s:>12,.0f} accesses/s")
     print("counters identical: yes")
+    print(f"memo: {memo_bytes:,} bytes, {per_record:.2f} bytes/record")
     print(f"wrote {args.output}")
     return 0
 

@@ -33,6 +33,8 @@ it computes.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
 from collections import deque, namedtuple
@@ -47,6 +49,42 @@ from repro.execution.report import RunReport, cell_name
 #: Unexpected pool deaths one local busy period survives by respawning;
 #: the next one finishes the busy period in-process (``degraded_serial``).
 MAX_POOL_DEATHS = 3
+
+#: ``(pid, read_fd, write_fd)`` of this process's parent-death pipe (see
+#: :func:`_exit_with_parent`); created on the first pool spawn, held open
+#: for the process's lifetime, never written.  One per process, not per
+#: pool: a forked worker inherits every write end open in its parent, and
+#: it can close only the one it is handed, so two pools with a pipe each
+#: would hold each other's workers alive.
+_PARENT_PIPE: Optional[tuple[int, int, int]] = None
+_PARENT_PIPE_LOCK = threading.Lock()
+
+
+def _parent_pipe() -> tuple[int, int]:
+    """This process's parent-death pipe as ``(read_fd, write_fd)``."""
+    global _PARENT_PIPE
+    with _PARENT_PIPE_LOCK:
+        if _PARENT_PIPE is None or _PARENT_PIPE[0] != os.getpid():
+            _PARENT_PIPE = (os.getpid(), *os.pipe())
+        return _PARENT_PIPE[1:]
+
+
+def _exit_with_parent(read_fd: int, write_fd: int) -> None:
+    """Pool initializer: end this worker as soon as its parent dies.
+
+    The worker closes its inherited copy of the write end, so the
+    parent holds the only one; a daemon thread blocks reading the pipe,
+    and the EOF that comes when the parent is gone (``kill -9``
+    included) exits the worker at once instead of leaving it orphaned.
+    """
+    os.close(write_fd)
+
+    def watch() -> None:
+        while os.read(read_fd, 1):
+            pass
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 @dataclass(frozen=True)
@@ -430,7 +468,10 @@ class LocalPoolExecutor(Executor):
     * with ``hang_grace``, a hang rule read off the ledger: an attempt
       in flight longer than the grace is charged ``worker-hung`` (and
       counted in ``watchdog_kills``), then the pool is recycled exactly
-      as for a timeout, its innocent siblings refunded.
+      as for a timeout, its innocent siblings refunded;
+    * workers that exit with their parent: forked workers watch a pipe
+      only the parent holds open (see :func:`_exit_with_parent`), so a
+      hard-killed batch or server leaves no orphaned pool behind.
     """
 
     kind = "local"
@@ -535,7 +576,14 @@ class LocalPoolExecutor(Executor):
     def _spawn(self):
         """The live pool, spawned on first use."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+            context = multiprocessing.get_context()
+            options = {}
+            if context.get_start_method() == "fork":
+                # Only forked workers inherit the pipe's descriptors.
+                options = {"initializer": _exit_with_parent, "initargs": _parent_pipe()}
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.jobs, mp_context=context, **options
+            )
         return self._pool
 
     def _kill(self) -> None:

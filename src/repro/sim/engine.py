@@ -30,18 +30,26 @@ from __future__ import annotations
 from heapq import heapify, heapreplace
 from itertools import islice
 from random import Random
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
 from repro.coherence.protocol import Mesi
 from repro.cpu.timing import TimingModel
 from repro.sim.system import MemoryHierarchy
+from repro.workloads.generators import LINE
 
-#: One trace record: (non-memory instruction gap, pc, byte address, is_write).
+#: One tuple-trace record: (non-memory instruction gap, pc, byte address,
+#: is_write).  Only hand-written tuple traces use it; :class:`RecordSource`
+#: turns them into line-address blocks.
 TraceRecord = Tuple[int, int, int, bool]
 
 #: A run of consecutive records as four equal-length columns
-#: ``(gaps, pcs, addrs, writes)``.
+#: ``(gaps, pcs, lines, writes)``; ``lines`` are line addresses (byte
+#: address // :data:`~repro.workloads.generators.LINE`), the unit every
+#: cache indexes by.
 Block = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+#: Byte-to-line shift for tuple traces.
+_LINE_BITS = LINE.bit_length() - 1
 
 #: Records the engine pulls from a core's source per refill.
 BLOCK = 1024
@@ -58,21 +66,23 @@ class BlockSource(Protocol):
 class Workload(Protocol):
     """What the engine needs from a per-core workload.
 
-    A workload may also offer ``source(rng) -> BlockSource`` producing the
-    same stream as ``trace(rng)`` in column blocks; the engine prefers it
-    (see :func:`open_source`).
+    Besides ``name`` and ``timing``, a workload offers its stream one of
+    two ways (see :func:`open_source`): ``source(rng) -> BlockSource`` of
+    line addresses (the generator models and trace-cache replays), or
+    ``trace(rng)``, an iterator of byte-address :data:`TraceRecord` tuples
+    (hand-written traces), which :class:`RecordSource` adapts.
     """
 
     name: str
     timing: TimingModel
 
-    def trace(self, rng: Random) -> Iterator[TraceRecord]:
-        """A fresh (practically infinite) access trace."""
-        ...
-
 
 class RecordSource:
-    """A tuple-record iterator served as column blocks."""
+    """A byte-address tuple-record iterator served as line-address blocks.
+
+    The byte-to-line shift happens here, once per block, so the engine
+    loop only ever sees line addresses.
+    """
 
     __slots__ = ("_records",)
 
@@ -84,13 +94,13 @@ class RecordSource:
         return (
             [r[0] for r in chunk],
             [r[1] for r in chunk],
-            [r[2] for r in chunk],
+            [r[2] >> _LINE_BITS for r in chunk],
             [r[3] for r in chunk],
         )
 
 
 def open_source(workload: Workload, rng: Random) -> BlockSource:
-    """A fresh block source for ``workload``'s trace under ``rng``."""
+    """A fresh line-address block source for ``workload`` under ``rng``."""
     source = getattr(workload, "source", None)
     if source is not None:
         return source(rng)
@@ -177,6 +187,13 @@ class Engine:
             raise ValueError("need at least one workload")
         if quota <= 0 or warmup < 0:
             raise ValueError("quota must be positive and warmup non-negative")
+        line_bytes = hierarchy.l1s[0].geometry.line_bytes
+        if line_bytes != LINE:
+            # Block sources hand out line addresses of LINE-byte lines.
+            raise ValueError(
+                f"hierarchy line size {line_bytes} B differs from the "
+                f"workloads' {LINE} B lines"
+            )
         self.hierarchy = hierarchy
         self.cores = [
             _CoreRun(i, w, quota, warmup, Random((seed << 8) + i))
@@ -186,7 +203,6 @@ class Engine:
             core.stats = hierarchy.stats[core.core_id]  # type: ignore[attr-defined]
         #: Per-core loop state lists while (and after) :meth:`run` executes.
         self._states: Optional[list[list]] = None
-        self._offset_bits = hierarchy.l1s[0].geometry.offset_bits
         self._warming = warmup > 0
         self.observer = observer
         self._sample_interval = 0
@@ -238,7 +254,6 @@ class Engine:
         hierarchy = self.hierarchy
         hierarchy_access = hierarchy.access
         write_through = hierarchy.write_through
-        offset_bits = self._offset_bits
         l1s = hierarchy.l1s
         remaining = len(cores)
         observer = self.observer
@@ -265,7 +280,7 @@ class Engine:
         # switch is five item stores plus one unpack (a slice store costs
         # more than the five stores together).  Layout:
         #   [cycles, instructions, pos, misses, wt_hits,
-        #    threshold, base_cpi, mlp, gaps, pcs, addrs, writes,
+        #    threshold, base_cpi, mlp, gaps, pcs, line_addrs, writes,
         #    core, l1_mru, l1_sets]
         # ``misses`` counts L1 misses and ``wt_hits`` store hits retired
         # here on a line already in M; records consumed are
@@ -307,7 +322,7 @@ class Engine:
             mlp,
             gaps,
             pcs,
-            addrs,
+            line_addrs,
             writes,
             core,
             l1_mru,
@@ -326,7 +341,7 @@ class Engine:
             try:
                 committed = gaps[pos] + 1
             except IndexError:
-                gaps, pcs, addrs, writes = block = core.source.fill(BLOCK)
+                gaps, pcs, line_addrs, writes = block = core.source.fill(BLOCK)
                 if gaps:
                     core.fetched += len(gaps)
                     state[8:12] = block
@@ -334,7 +349,7 @@ class Engine:
                     core.source = open_source(core.workload, core.rng)
                 pos = 0
                 continue
-            line_addr = addrs[pos] >> offset_bits
+            line_addr = line_addrs[pos]
             is_write = writes[pos]
             pos += 1
             instructions += committed
@@ -460,7 +475,7 @@ class Engine:
                     mlp,
                     gaps,
                     pcs,
-                    addrs,
+                    line_addrs,
                     writes,
                     core,
                     l1_mru,

@@ -1,9 +1,12 @@
 """Primitive synthetic access-pattern components.
 
 Benchmark models (:mod:`repro.workloads.spec2006`) are mixtures of these
-components.  Each component produces an infinite stream of ``(pc, byte
+components.  Each component produces an infinite stream of ``(pc, line
 address)`` pairs from its own region of the address space; the mixture adds
-instruction gaps and load/store flags.  Four properties drive everything the
+instruction gaps and load/store flags.  Bases and sizes are given in
+bytes; a component keeps its base as a line number (``base // LINE``) and
+emits ``base_line + offset``, so no record carries a byte address and
+nothing downstream shifts one.  Four properties drive everything the
 paper's policies react to, and each primitive supplies one of them:
 
 * :class:`SequentialLoop` — cyclic reuse over a working set.  LRU-friendly
@@ -31,7 +34,7 @@ LINE = 32  # byte granularity of the modelled machines
 
 
 class AddressComponent(abc.ABC):
-    """An infinite generator of (pc, byte address) pairs."""
+    """An infinite generator of (pc, line address) pairs."""
 
     __slots__ = ()
 
@@ -47,7 +50,7 @@ class SequentialLoop(AddressComponent):
     a subset of cache sets while keeping the same footprint per touched set.
     """
 
-    __slots__ = ("base", "lines", "stride", "pc", "_pos")
+    __slots__ = ("base_line", "lines", "stride", "pc", "_pos")
 
     def __init__(
         self, base: int, ws_bytes: int, pc: int, stride_lines: int = 1
@@ -56,18 +59,18 @@ class SequentialLoop(AddressComponent):
             raise ValueError("working set smaller than one line")
         if stride_lines < 1:
             raise ValueError("stride must be at least one line")
-        self.base = base
+        self.base_line = base // LINE
         self.lines = max(1, ws_bytes // (LINE * stride_lines))
-        self.stride = stride_lines * LINE
+        self.stride = stride_lines
         self.pc = pc
         self._pos = 0
 
     def next_access(self) -> tuple[int, int]:
-        addr = self.base + self._pos * self.stride
+        line = self.base_line + self._pos * self.stride
         self._pos += 1
         if self._pos >= self.lines:
             self._pos = 0
-        return self.pc, addr
+        return self.pc, line
 
 
 class PointerChase(AddressComponent):
@@ -78,14 +81,14 @@ class PointerChase(AddressComponent):
     spatial predictability removed.
     """
 
-    __slots__ = ("lines", "base", "pc", "_a", "_c", "_x")
+    __slots__ = ("lines", "base_line", "pc", "_a", "_c", "_x")
 
     def __init__(self, base: int, ws_bytes: int, pc: int) -> None:
         lines = max(4, ws_bytes // LINE)
         # Round up to a power of two so (a*x + c) mod lines has full period
         # with a % 4 == 1 and odd c (Hull-Dobell conditions).
         self.lines = 1 << (lines - 1).bit_length()
-        self.base = base
+        self.base_line = base // LINE
         self.pc = pc
         self._a = 5
         self._c = 12345 | 1
@@ -93,7 +96,7 @@ class PointerChase(AddressComponent):
 
     def next_access(self) -> tuple[int, int]:
         self._x = (self._a * self._x + self._c) & (self.lines - 1)
-        return self.pc, self.base + self._x * LINE
+        return self.pc, self.base_line + self._x
 
 
 class Stream(AddressComponent):
@@ -104,31 +107,31 @@ class Stream(AddressComponent):
     horizon the simulated caches can exploit.
     """
 
-    __slots__ = ("base", "pc", "lines", "_pos")
+    __slots__ = ("base_line", "pc", "lines", "_pos")
 
     def __init__(self, base: int, pc: int, region_bytes: int = 256 << 20) -> None:
-        self.base = base
+        self.base_line = base // LINE
         self.pc = pc
         self.lines = region_bytes // LINE
         self._pos = 0
 
     def next_access(self) -> tuple[int, int]:
-        addr = self.base + self._pos * LINE
+        line = self.base_line + self._pos
         self._pos += 1
         if self._pos >= self.lines:
             self._pos = 0
-        return self.pc, addr
+        return self.pc, line
 
 
 class RandomRegion(AddressComponent):
     """Uniform random line accesses over a fixed region."""
 
-    __slots__ = ("base", "lines", "pc", "rng", "_getrandbits", "_bits")
+    __slots__ = ("base_line", "lines", "pc", "rng", "_getrandbits", "_bits")
 
     def __init__(self, base: int, region_bytes: int, pc: int, rng: Random) -> None:
         if region_bytes < LINE:
             raise ValueError("region smaller than one line")
-        self.base = base
+        self.base_line = base // LINE
         self.lines = region_bytes // LINE
         self.pc = pc
         self.rng = rng
@@ -143,7 +146,7 @@ class RandomRegion(AddressComponent):
         r = self._getrandbits(self._bits)
         while r >= lines:
             r = self._getrandbits(self._bits)
-        return self.pc, self.base + r * LINE
+        return self.pc, self.base_line + r
 
 
 class ThrashColumn(AddressComponent):
@@ -171,7 +174,7 @@ class ThrashColumn(AddressComponent):
     """
 
     __slots__ = (
-        "base", "sets_total", "covered_sets", "set_offset", "depth", "pc",
+        "base_line", "sets_total", "covered_sets", "set_offset", "depth", "pc",
         "_i", "_row", "_mask",
     )
 
@@ -196,7 +199,7 @@ class ThrashColumn(AddressComponent):
             raise ValueError("depth must be at least one line")
         if base % (sets_total * LINE):
             raise ValueError("base must be aligned to the set span")
-        self.base = base
+        self.base_line = base // LINE
         self.sets_total = sets_total
         self.covered_sets = covered_sets
         self.set_offset = set_offset
@@ -215,7 +218,7 @@ class ThrashColumn(AddressComponent):
             self._row += 1
             if self._row >= self.depth:
                 self._row = 0
-        return self.pc, self.base + line * LINE
+        return self.pc, self.base_line + line
 
     @property
     def ws_bytes(self) -> int:
@@ -255,7 +258,7 @@ class Dwell(AddressComponent):
 class MixtureTrace:
     """Weighted mixture of components with gaps and store flags.
 
-    Produces engine trace records ``(gap, pc, byte_addr, is_write)``.  The
+    Produces engine trace records ``(gap, pc, line, is_write)``.  The
     gap (non-memory instructions before the access) is uniform over
     ``[gap_min, gap_max]``; stores occur with ``write_fraction``
     probability.  :meth:`fill` hands out the stream as column blocks (what
@@ -303,7 +306,7 @@ class MixtureTrace:
         self._current = [p._current if type(p) is Dwell else (0, 0) for p in parts]
 
     def fill(self, n: int) -> tuple[list, list, list, list]:
-        """The next ``n`` records as four columns ``(gaps, pcs, addrs, writes)``.
+        """The next ``n`` records as four columns ``(gaps, pcs, lines, writes)``.
 
         The stream is infinite, so every column has exactly ``n`` entries;
         consecutive calls continue it exactly where the last one stopped.
@@ -317,7 +320,7 @@ class MixtureTrace:
         # and written by index, which is cheaper per record than append.
         gaps = [0] * n
         pcs = [0] * n
-        addrs = [0] * n
+        lines = [0] * n
         writes = [False] * n
         random = self.rng.random
         getrandbits = self.rng.getrandbits
@@ -344,9 +347,9 @@ class MixtureTrace:
                         cur = part_next()
                         rem = count
                     rem -= 1
-                    pc, addr = cur
+                    pc, line = cur
                 else:
-                    pc, addr = part_next()
+                    pc, line = part_next()
                 if gap_span:
                     r = getrandbits(span_bits)
                     while r >= span:
@@ -355,11 +358,11 @@ class MixtureTrace:
                 else:
                     gaps[k] = gap_min
                 pcs[k] = pc
-                addrs[k] = addr
+                lines[k] = line
                 writes[k] = random() < wfrac
             remaining[0] = rem
             current[0] = cur
-            return gaps, pcs, addrs, writes
+            return gaps, pcs, lines, writes
         cum = self._cum
         for k in range(n):
             i = bisect_left(cum, random())
@@ -370,9 +373,9 @@ class MixtureTrace:
                     current[i] = parts_next[i]()
                     rem = count
                 remaining[i] = rem - 1
-                pc, addr = current[i]
+                pc, line = current[i]
             else:
-                pc, addr = parts_next[i]()
+                pc, line = parts_next[i]()
             if gap_span:
                 r = getrandbits(span_bits)
                 while r >= span:
@@ -381,9 +384,9 @@ class MixtureTrace:
             else:
                 gaps[k] = gap_min
             pcs[k] = pc
-            addrs[k] = addr
+            lines[k] = line
             writes[k] = random() < wfrac
-        return gaps, pcs, addrs, writes
+        return gaps, pcs, lines, writes
 
     def __iter__(self):
         while True:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator
 
 from repro.cpu.timing import TimingModel
 from repro.sim.config import ScaleModel
@@ -79,11 +78,9 @@ class ThreadInstance:
     def name(self) -> str:
         return f"{self.spec.name}#t{self.thread}"
 
-    def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
-        return iter(self.source(rng))
-
     def source(self, rng: Random) -> MixtureTrace:
-        """The record stream as a column-block source (see :meth:`MixtureTrace.fill`)."""
+        """The record stream as a column-block source of line addresses
+        (see :meth:`MixtureTrace.fill`)."""
         spec = self.spec
         shared_ws = self.scale.bytes(spec.shared_ws_bytes)
         pc_base = hash(spec.name) & 0xFFFF00

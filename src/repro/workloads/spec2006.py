@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator
 
 from repro.cpu.timing import TimingModel
 from repro.sim.config import ScaleModel
 from repro.workloads.generators import (
+    LINE,
     AddressComponent,
     Dwell,
     MixtureTrace,
@@ -143,18 +143,25 @@ class BenchmarkInstance:
     def trace_signature(self) -> tuple:
         """Stable description of the deterministic record stream.
 
-        ``trace(rng)`` is a pure function of this tuple plus the RNG seed:
+        ``source(rng)`` is a pure function of this tuple plus the RNG seed:
         the frozen spec fixes every component shape and mixture weight,
         ``scale.scale`` fixes all derived geometry, and ``base`` fixes the
         address layout.  The trace cache content-addresses buffers by it.
         """
         return (repr(self.spec), self.scale.scale, self.base)
 
-    def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
-        return iter(self.source(rng))
+    @property
+    def line_limit(self) -> int:
+        """One past the highest line address the stream can emit.
+
+        Component ``i`` lives in ``[base + i * span, base + (i + 1) * span)``;
+        the trace cache sizes its line column by this bound.
+        """
+        return (self.base + len(self.spec.components) * _COMPONENT_SPAN) // LINE
 
     def source(self, rng: Random) -> MixtureTrace:
-        """The record stream as a column-block source (see :meth:`MixtureTrace.fill`)."""
+        """The record stream as a column-block source of line addresses
+        (see :meth:`MixtureTrace.fill`)."""
         parts = []
         for i, comp_spec in enumerate(self.spec.components):
             comp_base = self.base + i * _COMPONENT_SPAN

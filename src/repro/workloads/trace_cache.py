@@ -9,17 +9,26 @@ configurations.  This module drains each stream once into compact column
 buffers and replays them at C speed afterwards:
 
 * :class:`MaterializedTrace` — one per-core record stream held as four
-  packed ``array`` columns (gap ``'h'``, pc ``'q'``, addr ``'q'``, write
-  ``'b'``: 19 bytes per record) plus the block source that extends them
-  on demand.  The engine replays a buffer through :meth:`replay`, a
-  cursor that hands out column slices; reading past the end calls
-  :meth:`MaterializedTrace.ensure`, the one overflow path.
+  packed ``array`` columns (gap ``'B'``, pc ``'I'``, line address ``'I'``,
+  write ``'B'``: 10 bytes per record) plus the block source that extends
+  them on demand.  A stream whose line addresses can pass 2**32 (by its
+  workload's ``line_limit``: a mix gives each core its own 4 GB span, so
+  from the 32nd core on) gets a ``'Q'`` line column instead, chosen when
+  its buffer is created.  No value ever wraps: ``array`` raises
+  ``OverflowError`` on one that does not fit.  The engine replays a
+  buffer through :meth:`replay`, a cursor that hands out column slices;
+  reading past the end calls :meth:`MaterializedTrace.ensure`, the one
+  overflow path.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
   by content digest and bounded by buffer bytes, optional persistence as
   raw column blocks beside the result cache (``<cache_dir>/_traces/``),
   and ``multiprocessing.shared_memory`` export/import so pool workers
-  attach a parent's buffers instead of regenerating per worker.  Loads
-  copy each column out of the payload with one ``frombytes``.
+  attach a parent's buffers instead of regenerating per worker.  Memo,
+  ``.trc`` files and segments share one layout — a header naming the
+  record count and the four column typecodes, then the raw columns — and
+  loads copy each column out of the payload with one ``frombytes``.
+  Files of an older format are unlinked the first time a trace directory
+  is used.
 
 Everything is bit-identical by construction: buffers hold exactly the
 records the generator produced, the content digest covers every parameter
@@ -28,10 +37,12 @@ identically seeded rebuild, fast-forwarded past the prefix).
 
 Workloads opt in by exposing ``trace_signature()`` (a stable description
 of their deterministic stream — see
-:meth:`repro.workloads.spec2006.BenchmarkInstance.trace_signature`) and
-``source(rng)``, a block source of that stream; workloads without a
-signature (multithreaded kernels share one RNG across components and hash
-process-dependent PC bases) keep the generator path.
+:meth:`repro.workloads.spec2006.BenchmarkInstance.trace_signature`),
+``source(rng)``, a line-address block source of that stream, and
+``line_limit``, a bound on its line addresses (without one the line
+column is wide); workloads without a signature (multithreaded kernels
+share one RNG across components and hash process-dependent PC bases) keep
+the generator path.
 """
 
 from __future__ import annotations
@@ -44,23 +55,27 @@ from array import array
 from collections import OrderedDict
 from pathlib import Path
 from random import Random
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Bump when the record layout or the digest inputs change.
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
-#: Serialized buffer magic ("Repro TRace v2": header + four column blocks).
-_MAGIC = b"RTR2"
-_HEADER = struct.Struct("<4sQ")
+#: Serialized buffer magic ("Repro TRace v3"), then the record count and
+#: the four column typecodes; the raw column blocks follow.
+_MAGIC = b"RTR3"
+_HEADER = struct.Struct("<4sQ4s")
 
-#: Column typecodes, in buffer and file order: gap, pc, addr, write.
-_TYPECODES = ("h", "q", "q", "b")
+#: Column typecodes, in buffer and file order: gap, pc, line, write.  A
+#: stream whose line addresses can reach 2**32 takes the wide layout.
+NARROW = "BIIB"
+WIDE = "BIQB"
+_LAYOUTS = (NARROW, WIDE)
 
 #: Records requested from a source per ``fill`` while extending a buffer:
 #: bounds the Python lists one step builds before they are packed.
 _FILL_STEP = 16_384
 
-#: In-process memo bound on summed column bytes (about 14M records);
+#: In-process memo bound on summed column bytes (about 27M records);
 #: streams beyond it are dropped LRU-first.
 _DEFAULT_MAX_BYTES = 256 << 20
 
@@ -133,11 +148,32 @@ def sweep_orphan_shared(shm_dir: str | os.PathLike = "/dev/shm") -> int:
     return removed
 
 
+def sweep_stale_traces(trace_dir: os.PathLike) -> int:
+    """Unlink ``*.trc`` files under ``trace_dir`` not in the current format.
+
+    After a format bump no digest names an older file again (the format
+    version is a digest input), so such files would only hold disk.
+    Returns the number of files removed.
+    """
+    removed = 0
+    for path in Path(trace_dir).glob("*.trc"):
+        try:
+            with open(path, "rb") as fh:
+                current = fh.read(len(_MAGIC)) == _MAGIC
+            if not current:
+                path.unlink()
+                removed += 1
+        except OSError:
+            continue  # raced with another sweeper or writer
+    return removed
+
+
 class MaterializedTrace:
     """One benchmark's per-core record stream, drained into column buffers.
 
     ``columns`` holds the stream prefix produced so far as four packed
-    arrays; ``length`` is the number of complete records in them.  Replays
+    arrays laid out as ``layout`` (:data:`NARROW` or :data:`WIDE`);
+    ``length`` is the number of complete records in them.  Replays
     read through :meth:`replay` and extend the buffer via :meth:`ensure`,
     which continues the original source (kept live in-process) or an
     identically seeded rebuild fast-forwarded past the prefix (after a
@@ -163,13 +199,14 @@ class MaterializedTrace:
         columns: Optional[tuple] = None,
         source=None,
         first_extension: int = 0,
+        layout: str = NARROW,
     ) -> None:
         self.digest = digest
         if columns is None:
-            columns = tuple(array(code) for code in _TYPECODES)
+            columns = tuple(array(code) for code in layout)
         self.columns: tuple[array, array, array, array] = columns
         self.length = len(columns[0])
-        #: Read-only record view: ``len()`` and ``(gap, pc, addr, w)`` items.
+        #: Read-only record view: ``len()`` and ``(gap, pc, line, w)`` items.
         self.records = _Records(self)
         #: Buffer length already on disk (skip rewrites that add nothing).
         self.persisted_len = self.length
@@ -236,22 +273,30 @@ class MaterializedTrace:
     # Serialization (disk files and shared-memory segments share it)
     # ------------------------------------------------------------------ #
 
+    @property
+    def layout(self) -> str:
+        """The four column typecodes (:data:`NARROW` or :data:`WIDE`)."""
+        return "".join(column.typecode for column in self.columns)
+
     def to_bytes(self) -> bytes:
         """Serialize the buffer: header + the four raw column blocks."""
         with self._lock:
-            header = _HEADER.pack(_MAGIC, self.length)
+            header = _HEADER.pack(_MAGIC, self.length, self.layout.encode("ascii"))
             return header + b"".join(column.tobytes() for column in self.columns)
 
     @staticmethod
     def decode(payload) -> tuple[array, array, array, array]:
         """Parse :meth:`to_bytes` output back into the four columns."""
-        magic, count = _HEADER.unpack_from(payload, 0)
+        magic, count, layout = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise ValueError(f"bad trace buffer magic {magic!r}")
+        layout = layout.decode("ascii", "replace")
+        if layout not in _LAYOUTS:
+            raise ValueError(f"bad trace buffer layout {layout!r}")
         columns = []
         offset = _HEADER.size
         with memoryview(payload) as view:
-            for code in _TYPECODES:
+            for code in layout:
                 column = array(code)
                 size = count * column.itemsize
                 if offset + size > len(view):
@@ -265,8 +310,8 @@ class MaterializedTrace:
 class _Replay:
     """A cursor handing out one buffer's records as column blocks.
 
-    gap, addr and write come out as lists (read for every record); pc stays
-    an array slice, indexed only on an L1 miss.
+    gap, line and write come out as lists (read for every record); pc
+    stays an array slice, indexed only on an L1 miss.
     """
 
     __slots__ = ("trace", "pos")
@@ -283,11 +328,11 @@ class _Replay:
             trace.ensure(stop)
             stop = min(stop, trace.length)
         self.pos = stop
-        gaps, pcs, addrs, writes = trace.columns
+        gaps, pcs, lines, writes = trace.columns
         return (
             gaps[start:stop].tolist(),
             pcs[start:stop],
-            addrs[start:stop].tolist(),
+            lines[start:stop].tolist(),
             writes[start:stop].tolist(),
         )
 
@@ -305,10 +350,10 @@ class _Records:
 
     def __getitem__(self, index):
         length = self._trace.length
-        gap, pc, addr, write = (column[:length][index] for column in self._trace.columns)
+        gap, pc, line, write = (column[:length][index] for column in self._trace.columns)
         if isinstance(index, slice):
-            return list(zip(gap, pc, addr, map(bool, write)))
-        return gap, pc, addr, bool(write)
+            return list(zip(gap, pc, line, map(bool, write)))
+        return gap, pc, line, bool(write)
 
 
 class _CachedTraceWorkload:
@@ -330,14 +375,6 @@ class _CachedTraceWorkload:
 
     def source(self, rng: Random) -> _Replay:
         return self.materialized.replay()
-
-    def trace(self, rng: Random) -> Iterator[tuple[int, int, int, bool]]:
-        replay = self.materialized.replay()
-        while True:
-            gaps, pcs, addrs, writes = replay.fill(_FILL_STEP)
-            if not gaps:
-                return
-            yield from zip(gaps, pcs, addrs, map(bool, writes))
 
 
 class TraceCache:
@@ -366,6 +403,8 @@ class TraceCache:
         self._exported: dict[str, tuple[int, str]] = {}
         self._export_seq = 0
         self.cache_dir: Optional[Path] = None
+        #: The trace directory already swept of older-format files.
+        self._swept: Optional[Path] = None
         self.stats = {
             "memo_hits": 0,
             "disk_hits": 0,
@@ -434,6 +473,7 @@ class TraceCache:
             columns=columns,
             source=source,
             first_extension=self._estimate(workload, quota, warmup),
+            layout=self._layout(workload),
         )
         memo[digest] = entry
         total = sum(e.nbytes for e in memo.values())
@@ -444,6 +484,12 @@ class TraceCache:
     @staticmethod
     def _factory(workload, core_seed: int):
         return lambda: workload.source(Random(core_seed))
+
+    @staticmethod
+    def _layout(workload) -> str:
+        """Narrow columns unless the stream's line addresses may need 64 bits."""
+        limit = getattr(workload, "line_limit", None)
+        return NARROW if limit is not None and limit <= 1 << 32 else WIDE
 
     @staticmethod
     def _estimate(workload, quota: int, warmup: int, slack: float = 1.4) -> int:
@@ -499,8 +545,13 @@ class TraceCache:
     # ------------------------------------------------------------------ #
 
     def _path(self, digest: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{digest}.trc"
+        trace_dir = self.cache_dir
+        assert trace_dir is not None
+        if trace_dir != self._swept:
+            # First use of this directory: drop files of older formats.
+            self._swept = trace_dir
+            sweep_stale_traces(trace_dir)
+        return trace_dir / f"{digest}.trc"
 
     def _load_disk(self, digest: str) -> Optional[tuple]:
         if self.cache_dir is None:

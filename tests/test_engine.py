@@ -105,3 +105,14 @@ def test_validation():
         make_engine([], quota=10)
     with pytest.raises(ValueError):
         make_engine([ToyWorkload()], quota=0)
+
+
+def test_hierarchy_line_size_must_match_the_workloads_lines():
+    cfg = SystemConfig(
+        num_cores=1,
+        l2_geometry=CacheGeometry(16 * 2 * 64, 2, 64),
+        l1_geometry=CacheGeometry(2 * 64, 1, 64),
+        quota=10,
+    )
+    with pytest.raises(ValueError, match="line size 64"):
+        Engine(PrivateHierarchy(cfg, PrivateLRU()), [ToyWorkload()], 10, seed=3)

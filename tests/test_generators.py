@@ -19,14 +19,22 @@ from repro.workloads.generators import (
 
 def test_sequential_loop_wraps():
     loop = SequentialLoop(base=0, ws_bytes=4 * LINE, pc=1)
-    addrs = [loop.next_access()[1] for _ in range(8)]
-    assert addrs == [0, 32, 64, 96, 0, 32, 64, 96]
+    lines = [loop.next_access()[1] for _ in range(8)]
+    assert lines == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 def test_sequential_loop_stride():
     loop = SequentialLoop(base=0, ws_bytes=8 * LINE, pc=1, stride_lines=2)
-    addrs = [loop.next_access()[1] for _ in range(4)]
-    assert addrs == [0, 64, 128, 192]
+    lines = [loop.next_access()[1] for _ in range(4)]
+    assert lines == [0, 2, 4, 6]
+
+
+def test_components_emit_line_addresses_from_a_byte_base():
+    base = 3 << 32
+    loop = SequentialLoop(base=base, ws_bytes=4 * LINE, pc=1)
+    assert [loop.next_access()[1] for _ in range(2)] == [base // LINE, base // LINE + 1]
+    stream = Stream(base=base, pc=1)
+    assert stream.next_access()[1] == base // LINE
 
 
 def test_stream_never_repeats_within_region():
@@ -44,16 +52,15 @@ def test_pointer_chase_full_period():
 def test_random_region_within_bounds():
     r = RandomRegion(base=1000 * LINE, region_bytes=10 * LINE, pc=1, rng=Random(0))
     for _ in range(100):
-        _, addr = r.next_access()
-        assert 1000 * LINE <= addr < 1010 * LINE
-        assert addr % LINE == 0
+        _, line = r.next_access()
+        assert 1000 <= line < 1010
 
 
 def test_dwell_repeats():
     inner = SequentialLoop(base=0, ws_bytes=4 * LINE, pc=1)
     d = Dwell(inner, 3)
-    addrs = [d.next_access()[1] for _ in range(6)]
-    assert addrs == [0, 0, 0, 32, 32, 32]
+    lines = [d.next_access()[1] for _ in range(6)]
+    assert lines == [0, 0, 0, 1, 1, 1]
 
 
 def test_dwell_validates():
@@ -66,7 +73,7 @@ def test_dwell_validates():
 # ------------------------------------------------------------------ #
 
 def column_sets(col, sets_total, n):
-    return [(col.next_access()[1] // LINE) % sets_total for _ in range(n)]
+    return [col.next_access()[1] % sets_total for _ in range(n)]
 
 
 def test_column_covers_exactly_the_range():
@@ -79,8 +86,7 @@ def test_column_per_set_depth_is_exact():
     col = ThrashColumn(base=0, sets_total=8, covered_sets=2, set_offset=0, depth=5, pc=1)
     lines_per_set: dict[int, set[int]] = {}
     for _ in range(2 * 5 * 3):  # several full cycles
-        _, addr = col.next_access()
-        line = addr // LINE
+        _, line = col.next_access()
         lines_per_set.setdefault(line % 8, set()).add(line)
     for lines in lines_per_set.values():
         assert len(lines) == 5
@@ -135,7 +141,7 @@ def test_mixture_yields_trace_records():
     parts = [(1.0, SequentialLoop(0, 4 * LINE, pc=9))]
     trace = iter(MixtureTrace(parts, Random(0), gap_min=1, gap_max=3, write_fraction=0.5))
     for _ in range(20):
-        gap, pc, addr, is_write = next(trace)
+        gap, pc, line, is_write = next(trace)
         assert 1 <= gap <= 3
         assert pc == 9
         assert isinstance(is_write, bool)

@@ -1,15 +1,14 @@
 """Additional generator coverage: scale invariance of ThrashColumn."""
 
 from repro.sim.config import ScaleModel
-from repro.workloads.generators import LINE, ThrashColumn
+from repro.workloads.generators import ThrashColumn
 from repro.workloads.spec2006 import ComponentSpec
 
 
 def per_set_depth(column, actual_sets, samples):
     lines_per_set = {}
     for _ in range(samples):
-        _, addr = column.next_access()
-        line = addr // LINE
+        _, line = column.next_access()
         lines_per_set.setdefault(line % actual_sets, set()).add(line)
     return max(len(v) for v in lines_per_set.values())
 

@@ -37,6 +37,6 @@ def test_workloads_have_disjoint_address_spaces():
     workloads = make_workloads((429, 401), ScaleModel())
     seen: list[set[int]] = []
     for w in workloads:
-        trace = w.trace(Random(1))
-        seen.append({next(trace)[2] >> 30 for _ in range(200)})
+        trace = iter(w.source(Random(1)))
+        seen.append({next(trace)[2] >> 25 for _ in range(200)})  # 1 GB of lines
     assert not (seen[0] & seen[1])

@@ -4,7 +4,10 @@ from random import Random
 
 import pytest
 
+from repro.workloads.generators import LINE
 from repro.workloads.multithread import KERNELS, kernel, make_threads
+
+SHARED_LINE = (1 << 40) // LINE
 
 
 def test_four_kernels():
@@ -17,12 +20,12 @@ def test_threads_share_the_shared_region():
     threads = make_threads("lu", 4)
     shared_lines = []
     for t in threads:
-        trace = t.trace(Random(0))
+        trace = iter(t.source(Random(0)))
         lines = set()
         for _ in range(2000):
-            _, _, addr, _ = next(trace)
-            if addr >= 1 << 40:
-                lines.add(addr >> 5)
+            _, _, line, _ = next(trace)
+            if line >= SHARED_LINE:
+                lines.add(line)
         shared_lines.append(lines)
     common = set.intersection(*shared_lines)
     assert common  # genuine sharing
@@ -32,12 +35,12 @@ def test_private_slices_disjoint():
     threads = make_threads("fft", 2)
     privates = []
     for t in threads:
-        trace = t.trace(Random(0))
+        trace = iter(t.source(Random(0)))
         lines = set()
         for _ in range(2000):
-            _, _, addr, _ = next(trace)
-            if addr < 1 << 40:
-                lines.add(addr >> 32)
+            _, _, line, _ = next(trace)
+            if line < SHARED_LINE:
+                lines.add(line // ((1 << 32) // LINE))  # per-thread 4 GB slice
         privates.append(lines)
     assert not (privates[0] & privates[1])
 

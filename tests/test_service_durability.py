@@ -11,6 +11,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import CancelledError
+from pathlib import Path
 
 import pytest
 
@@ -523,6 +524,85 @@ def test_sweep_reclaims_segments_of_dead_processes(tmp_path):
     finally:
         segment.close()
         segment.unlink()
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid`` (read off /proc)."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
+    try:
+        os.kill(pid, 0)
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not (Path("/proc/self/stat").exists() and os.path.isdir("/dev/shm")),
+    reason="needs /proc and a file-backed shm directory",
+)
+def test_kill_9_mid_batch_takes_its_pool_workers_along(tmp_path):
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the parent-death pipe only when forked")
+    from repro.workloads.trace_cache import SHM_PREFIX
+
+    specs = tmp_path / "specs.json"
+    specs.write_text(
+        json.dumps(
+            [
+                {"mix": "471+444", "scheme": s, "quota": 400_000, "warmup": 50_000}
+                for s in ("baseline", "avgcc", "cc", "ecc")
+            ]
+        )
+    )
+    cells = tmp_path / "cells"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    batch = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "batch", str(specs), "--jobs", "2",
+         "--cache-dir", str(cells)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    journal = cells / JOURNAL_FILENAME
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            assert batch.poll() is None, "batch exited before its first started record"
+            started = journal.exists() and '"started"' in journal.read_text()
+            workers = _children(batch.pid)
+            if started and len(workers) >= 2:
+                break
+            time.sleep(0.05)
+        assert len(workers) >= 2, "the pool never started"
+        time.sleep(0.3)  # let the pool finish forking
+        workers = _children(batch.pid)
+    finally:
+        batch.kill()
+        batch.wait()
+
+    gone_by = time.monotonic() + 5
+    while any(map(_running, workers)) and time.monotonic() < gone_by:
+        time.sleep(0.05)
+    assert not [pid for pid in workers if _running(pid)], "orphaned pool workers"
+
+    BatchScheduler(jobs=1).close()  # a fresh scheduler sweeps stranded segments
+    assert not list(Path("/dev/shm").glob(f"{SHM_PREFIX}_{batch.pid}_*"))
 
 
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.config import ScaleModel
+from repro.workloads.generators import LINE
 from repro.workloads.spec2006 import (
     BENCHMARKS,
     FIGURE1_CODES,
@@ -47,10 +48,10 @@ def test_instantiation_produces_trace():
     from random import Random
 
     inst = benchmark(471).instantiate(ScaleModel(), base=1 << 32)
-    trace = inst.trace(Random(0))
+    trace = iter(inst.source(Random(0)))
     records = [next(trace) for _ in range(100)]
     assert all(len(r) == 4 for r in records)
-    assert all(r[2] >= 1 << 32 for r in records)
+    assert all((1 << 32) // LINE <= r[2] < inst.line_limit for r in records)
 
 
 def test_timing_attached():

@@ -3,14 +3,13 @@
 The contract under test is the one every speedup in the layer rests on:
 a materialized stream replayed through any storage hop (in-process memo,
 raw column blocks on disk, a shared-memory segment) yields exactly the
-records the raw generator would have produced with the engine's RNG
-seeding, record for record — whether the replay stays inside the
-buffer, overflows it, or rebuilds the source after a load.
+line-address records the raw generator would have produced with the
+engine's RNG seeding, record for record — whether the replay stays inside
+the buffer, overflows it, or rebuilds the source after a load.
 """
 
 import subprocess
 import sys
-from itertools import islice
 from random import Random
 
 import pytest
@@ -18,8 +17,11 @@ import pytest
 from repro.api.spec import RunSpec
 from repro.policies.registry import available_schemes
 from repro.sim.engine import BLOCK, RecordSource
+from repro.workloads.generators import LINE
 from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import (
+    NARROW,
+    WIDE,
     MaterializedTrace,
     TraceCache,
     env_enabled,
@@ -32,21 +34,20 @@ WARMUP = 2_000
 K = 3_000  # records compared per stream
 
 
-def _reference(workload, core_id: int) -> list:
-    """What the engine would consume without the trace layer."""
-    rng = Random((SEED << 8) + core_id)
-    return list(islice(iter(workload.trace(rng)), K))
-
-
 def _drain(source, limit=None, block=BLOCK) -> list:
     """Flatten a block source into tuple records (up to ``limit``)."""
     out: list = []
     while limit is None or len(out) < limit:
-        gaps, pcs, addrs, writes = source.fill(block)
+        gaps, pcs, lines, writes = source.fill(block)
         if not len(gaps):
             break
-        out.extend(zip(gaps, pcs, addrs, map(bool, writes)))
+        out.extend(zip(gaps, pcs, lines, map(bool, writes)))
     return out if limit is None else out[:limit]
+
+
+def _generated(workload, core_id: int, n: int = K) -> list:
+    """What the engine would consume without the trace layer."""
+    return _drain(workload.source(Random((SEED << 8) + core_id)), n)
 
 
 @pytest.fixture()
@@ -60,8 +61,8 @@ def test_replay_equals_generator_output(workloads):
     for core_id, (raw, proxy) in enumerate(zip(workloads, wrapped)):
         assert proxy is not raw  # benchmark instances are materializable
         assert proxy.name == raw.name and proxy.timing is raw.timing
-        replayed = list(islice(proxy.trace(Random(0)), K))  # rng is ignored
-        assert replayed == _reference(raw, core_id)
+        replayed = _drain(proxy.source(Random(0)), K)  # rng is ignored
+        assert replayed == _generated(raw, core_id)
 
 
 def test_memo_hit_returns_same_buffer(workloads):
@@ -108,9 +109,7 @@ def test_disk_round_trip(tmp_path, workloads):
     assert loaded.records[:K] == entry.records[:K]
     # Replay past the persisted prefix continues via a seeded rebuild.
     replayed = _drain(loaded.replay(), K + 500)
-    raw = Random((SEED << 8) + 0)
-    expected = list(islice(iter(workloads[0].trace(raw)), K + 500))
-    assert replayed == expected
+    assert replayed == _generated(workloads[0], 0, K + 500)
 
 
 def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
@@ -126,7 +125,7 @@ def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
     assert reader.stats["disk_hits"] == 0
     assert reader.stats["materialized"] == 1
     assert not path.exists()  # torn file dropped, not trusted
-    assert _drain(loaded.replay(), 256) == _reference(workloads[0], 0)[:256]
+    assert _drain(loaded.replay(), 256) == _generated(workloads[0], 0)[:256]
 
 
 def test_shared_memory_view_equals_generator_output(workloads):
@@ -140,7 +139,7 @@ def test_shared_memory_view_equals_generator_output(workloads):
         for core_id, raw in enumerate(workloads):
             entry = worker.get(raw, core_id, SEED, QUOTA, WARMUP)
             assert worker.stats["shm_hits"] == core_id + 1
-            assert entry.records[:K] == _reference(raw, core_id)
+            assert entry.records[:K] == _generated(raw, core_id)
     finally:
         parent.close_shared()
 
@@ -170,12 +169,13 @@ def test_export_shared_copies_only_new_or_grown_buffers(workloads):
 
 
 def test_finite_source_replay_terminates():
-    finite = [(0, 1, 2, False), (1, 3, 4, True)]
+    finite = [(0, 1, 2 * LINE, False), (1, 3, 4 * LINE + 5, True)]
+    lines = [(0, 1, 2, False), (1, 3, 4, True)]  # shifted once, per block
     trace = MaterializedTrace(
         "d", lambda: RecordSource(finite), source=RecordSource(finite)
     )
-    assert _drain(trace.replay()) == finite
-    assert _drain(trace.replay()) == finite  # replays, does not re-drain
+    assert _drain(trace.replay()) == lines
+    assert _drain(trace.replay()) == lines  # replays, does not re-drain
     assert len(trace.records) == 2
 
 
@@ -255,7 +255,7 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
                 time.sleep(0.05)
             yield (i % 7, i, i * 64, i % 3 == 0)
 
-    reference = list(source(False))
+    reference = [(g, p, a // LINE, w) for g, p, a, w in source(False)]
     trace = MaterializedTrace(
         "d", lambda: RecordSource(source(True)), source=RecordSource(source(True))
     )
@@ -295,7 +295,7 @@ def test_fresh_stream_blocks_equal_generator_output(workloads):
     for core_id, raw in enumerate(workloads):
         entry = cache.get(raw, core_id, SEED, QUOTA, WARMUP)
         assert len(entry.records) == 0  # nothing is generated until replay
-        assert _drain(entry.replay(), K) == _reference(raw, core_id)
+        assert _drain(entry.replay(), K) == _generated(raw, core_id)
 
 
 def test_prefix_plus_overflow_equals_generator_output(workloads):
@@ -305,9 +305,7 @@ def test_prefix_plus_overflow_equals_generator_output(workloads):
     # Odd block sizes straddle the prefix end; the overflow grows the
     # buffer instead of yielding records one by one.
     replayed = _drain(entry.replay(), prefix + 2_500, block=333)
-    assert replayed == list(
-        islice(iter(workloads[1].trace(Random((SEED << 8) + 1))), prefix + 2_500)
-    )
+    assert replayed == _generated(workloads[1], 1, prefix + 2_500)
     assert len(entry.records) >= prefix + 2_500
     assert entry.records[prefix] == replayed[prefix]
 
@@ -325,8 +323,7 @@ def test_shared_memory_load_rebuilds_past_the_prefix(workloads):
         loaded = worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
         assert worker.stats["shm_hits"] == 1
         assert len(loaded.records) == prefix
-        expected = list(islice(iter(workloads[0].trace(Random(SEED << 8))), n))
-        assert _drain(loaded.replay(), n) == expected
+        assert _drain(loaded.replay(), n) == _generated(workloads[0], 0, n)
     finally:
         parent.close_shared()
 
@@ -336,7 +333,7 @@ def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
 
     entry = TraceCache().get(workloads[0], 0, SEED, QUOTA, WARMUP)
     n = 20_000  # several extensions beyond the first (about 5.2k records)
-    reference = list(islice(iter(workloads[0].trace(Random(SEED << 8))), n))
+    reference = _generated(workloads[0], 0, n)
     seen: list = [None, None]
 
     def replay(slot: int) -> None:
@@ -350,13 +347,90 @@ def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
     assert seen == [reference, reference]
 
 
-def test_columns_cost_at_most_24_bytes_per_record(workloads):
+def test_columns_cost_at_most_10_bytes_per_record(workloads):
     for entry in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
         records = len(entry.records)
         assert records > 0
-        assert entry.nbytes / records <= 24
+        assert entry.layout == NARROW
+        assert entry.nbytes / records <= 10
         allocated = sum(sys.getsizeof(column) for column in entry.columns)
-        assert allocated / records <= 24
+        assert allocated / records <= 12
+
+
+#: 33 cores, one 4 GB span each: the last two sit above 2**37 bytes, so
+#: their line addresses pass 2**32.
+WIDE_MIX = (471, 444) * 16 + (429,)
+
+
+def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
+    """Streams past 2**32 lines take the wide line column and replay
+    record for record and digest for digest through the memo, the disk,
+    shared memory and the generator path."""
+    from repro.api.session import result_digest
+    from repro.execution.simulate import simulate_spec
+    from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
+
+    spec = RunSpec(mix=WIDE_MIX, scheme="avgcc", quota=600, warmup=200, seed=SEED)
+    raw = make_workloads(WIDE_MIX)
+    top = len(raw) - 1
+
+    def replayed_digest(cache) -> str:
+        result = simulate_spec(spec.replace(trace_cache=True))
+        entry = cache.get(raw[top], top, SEED, spec.quota, spec.warmup)
+        assert entry.layout == WIDE
+        assert min(entry.columns[2]) > 1 << 32
+        assert entry.records[:] == _generated(raw[top], top, len(entry.records))
+        assert cache.get(raw[0], 0, SEED, spec.quota, spec.warmup).layout == NARROW
+        return result_digest(result)
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    generated = result_digest(simulate_spec(spec))
+    monkeypatch.delenv("REPRO_TRACE_CACHE")
+    reset_trace_cache()
+    try:
+        parent = get_trace_cache()
+        parent.set_cache_dir(tmp_path)
+        memo = replayed_digest(parent)
+        assert parent.persist() == len(WIDE_MIX)
+        mapping = parent.export_shared()
+        try:
+            reset_trace_cache()
+            get_trace_cache().set_cache_dir(tmp_path)
+            disk = replayed_digest(get_trace_cache())
+            assert get_trace_cache().stats["disk_hits"] == len(WIDE_MIX)
+            reset_trace_cache()
+            get_trace_cache().attach_shared(mapping)
+            shm = replayed_digest(get_trace_cache())
+            assert get_trace_cache().stats["shm_hits"] == len(WIDE_MIX)
+        finally:
+            parent.close_shared()
+    finally:
+        reset_trace_cache()
+    assert memo == disk == shm == generated
+
+
+def test_first_use_of_a_trace_dir_unlinks_older_format_files(tmp_path, workloads):
+    import struct
+
+    traces = tmp_path / "_traces"
+    traces.mkdir()
+    stale = traces / f"{'ab' * 32}.trc"
+    stale.write_bytes(struct.pack("<4sQ", b"RTR2", 0))  # a version-2 buffer
+    in_flight = traces / ".cd.trc.99999999.tmp"
+    in_flight.write_bytes(b"RTR2")
+
+    writer = TraceCache(cache_dir=tmp_path)
+    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    assert not stale.exists()
+    assert in_flight.exists()  # another process's write in progress
+    entry.ensure(256)
+    assert writer.persist() == 1
+    (current,) = traces.glob("*.trc")
+
+    reader = TraceCache(cache_dir=tmp_path)
+    reader.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    assert current.exists()
+    assert reader.stats["disk_hits"] == 1
 
 
 def test_memo_evicts_least_recently_used_streams_by_bytes(workloads):

@@ -8,7 +8,7 @@ from repro.workloads.spec2006 import benchmark
 
 
 def records(workload, seed, n=500):
-    trace = workload.trace(Random(seed))
+    trace = iter(workload.source(Random(seed)))
     return [next(trace) for _ in range(n)]
 
 
