@@ -8,7 +8,8 @@ flat; takers improve step by step as their thrash columns start fitting.
 Run:  python examples/capacity_study.py
 """
 
-from repro.analysis.waysweep import sweep_benchmark
+from repro.analysis.waysweep import sweep
+from repro.api import Session
 from repro.workloads.spec2006 import benchmark
 
 CODES = [444, 433, 473, 471]  # namd, milc, astar, omnetpp
@@ -17,12 +18,13 @@ CODES = [444, 433, 473, 471]  # namd, milc, astar, omnetpp
 def main() -> None:
     ways = [2, 4, 8, 12, 16]
     print(f"{'benchmark':<16}" + "".join(f"{w:>8} ways" for w in ways) + f"{'full':>9}")
-    for code in CODES:
-        sweep = sweep_benchmark(code, ways, include_full_assoc=True)
-        cells = "".join(f"{p.mpki:>12.2f}" for p in sweep[:-1])
+    # One batch: Session(jobs=4, cache_dir=...) would fan it out and
+    # keep every cell on disk.
+    for code, points in sweep(Session(), CODES, ways).items():
+        cells = "".join(f"{p.mpki:>12.2f}" for p in points[:-1])
         label = benchmark(code).label
         sensitive = "taker" if benchmark(code).capacity_sensitive else "donor/streamer"
-        print(f"{label:<16}{cells}{sweep[-1].mpki:>9.2f}   ({sensitive})")
+        print(f"{label:<16}{cells}{points[-1].mpki:>9.2f}   ({sensitive})")
 
 
 if __name__ == "__main__":

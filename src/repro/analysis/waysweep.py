@@ -1,43 +1,30 @@
-"""Way-restriction sweeps: the machinery behind Figures 1 and 2.
+"""Way-restriction sweeps: the analysis behind Figures 1 and 2.
 
 Figure 1 runs each benchmark alone on a 2 MB/16-way cache with 2..16 ways
 enabled (plus full associativity) and reports MPKI and CPI.  Figure 2
 classifies each *set* as **favored** (its MPKI keeps dropping as ways are
 added) or **constant** (the drop is below 1 % relative to two fewer ways).
 
-Way restriction keeps the set count fixed while shrinking associativity —
-exactly "the remaining ways are disabled" — via
-:meth:`~repro.cache.geometry.CacheGeometry.with_ways`.
+Each sweep point is one :class:`~repro.api.spec.RunSpec` with ``l2_ways``
+set: the set count stays fixed while associativity shrinks — exactly "the
+remaining ways are disabled" (see
+:meth:`~repro.cache.geometry.CacheGeometry.with_ways`).  :func:`sweep`
+runs a whole grid of them as one session batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.policies.private_lru import PrivateLRU
-from repro.sim.config import ScaleModel, SystemConfig
-from repro.sim.engine import Engine
-from repro.sim.system import PrivateHierarchy
-from repro.workloads.spec2006 import benchmark
+from repro.api.spec import FULL_ASSOC, RunSpec
+from repro.sim.config import ScaleModel
 
 #: Ways enabled in the Figure 1 sweep (the last point is full assoc).
 FIGURE1_WAYS = [2, 4, 6, 8, 10, 12, 14, 16]
 
-
-class SetStatsProbe(PrivateLRU):
-    """Baseline policy that additionally records per-set miss counts."""
-
-    name = "baseline+probe"
-
-    def _setup(self) -> None:
-        assert self.geometry is not None
-        self.set_accesses = [0] * self.geometry.sets
-        self.set_misses = [0] * self.geometry.sets
-
-    def on_access(self, cache_id: int, set_idx: int, outcome: str) -> None:
-        self.set_accesses[set_idx] += 1
-        if outcome != "local":
-            self.set_misses[set_idx] += 1
+#: Engine seed of the Figure 1/2 sweeps.
+SWEEP_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -58,58 +45,40 @@ class SweepPoint:
         return 1000.0 * self.set_misses[set_idx] / self.instructions
 
 
-def run_way_point(
-    code: int,
-    ways: int,
-    full_assoc: bool = False,
-    scale: ScaleModel = ScaleModel(),
-    quota: int = 120_000,
-    warmup: int = 60_000,
-    seed: int = 11,
-) -> SweepPoint:
-    """Run one benchmark alone with ``ways`` enabled of the sweep cache."""
-    sweep = scale.sweep_l2()
-    geometry = sweep.fully_associative() if full_assoc else sweep.with_ways(ways)
-    config = SystemConfig(
-        num_cores=1,
-        l2_geometry=geometry,
-        l1_geometry=scale.l1(),
-        tick_interval=scale.tick_interval(),
-        seed=seed,
-        quota=quota,
-    )
-    probe = SetStatsProbe()
-    hierarchy = PrivateHierarchy(config, probe)
-    workload = benchmark(code).instantiate(scale, base=1 << 32)
-    Engine(hierarchy, [workload], quota, seed, warmup).run()
-    stats = hierarchy.stats[0]
-    return SweepPoint(
-        code=code,
-        ways=geometry.ways,
-        full_assoc=full_assoc,
-        mpki=stats.mpki,
-        cpi=stats.cpi,
-        set_misses=tuple(probe.set_misses),
-        instructions=stats.instructions,
-    )
-
-
-def sweep_benchmark(
-    code: int,
-    ways_list: list[int] | None = None,
+def sweep(
+    session,
+    codes: Sequence[int],
+    ways_list: Sequence[int],
     include_full_assoc: bool = True,
     scale: ScaleModel = ScaleModel(),
     quota: int = 120_000,
     warmup: int = 60_000,
-) -> list[SweepPoint]:
-    """Figure 1 sweep for one benchmark."""
-    points = [
-        run_way_point(code, ways, scale=scale, quota=quota, warmup=warmup)
-        for ways in (ways_list or FIGURE1_WAYS)
+    seed: int = SWEEP_SEED,
+) -> dict[int, list[SweepPoint]]:
+    """Sweep each benchmark alone over ``ways_list`` (then full
+    associativity) as one batch through ``session``."""
+    ways = [*ways_list, *([FULL_ASSOC] if include_full_assoc else [])]
+    grid = [
+        RunSpec(
+            mix=(code,), scheme="baseline", l2_ways=w,
+            quota=quota, warmup=warmup, seed=seed, scale=scale,
+        )
+        for code in codes
+        for w in ways
     ]
-    if include_full_assoc:
-        points.append(
-            run_way_point(code, 0, full_assoc=True, scale=scale, quota=quota, warmup=warmup)
+    points: dict[int, list[SweepPoint]] = {code: [] for code in codes}
+    for spec, result in session.run_many(grid):
+        stats, full = result.cores[0], spec.l2_ways == FULL_ASSOC
+        points[spec.mix[0]].append(
+            SweepPoint(
+                code=spec.mix[0],
+                ways=scale.sweep_l2().lines if full else spec.l2_ways,
+                full_assoc=full,
+                mpki=stats.mpki,
+                cpi=stats.cpi,
+                set_misses=result.set_misses,
+                instructions=stats.instructions,
+            )
         )
     return points
 

@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.sim.config import PAPER_L2, PrefetchConfig, ScaleModel
+from repro.sim.config import PAPER_L2, PAPER_SWEEP_L2, PrefetchConfig, ScaleModel
 
 #: Bump when the simulation's observable output, the spec's key layout,
 #: or the cache-entry format changes; old entries then miss instead of
@@ -44,6 +44,9 @@ CACHE_FORMAT_VERSION = 3
 #: banked shared LLC); :func:`repro.execution.simulate.simulate_spec`
 #: builds it.
 SHARED_SCHEME = "shared"
+
+#: ``RunSpec.l2_ways`` spelling of the fully associative sweep cache.
+FULL_ASSOC = "full"
 
 
 class SpecError(ValueError):
@@ -111,9 +114,12 @@ class RunSpec:
     ``warmup`` committed instructions and then measures ``quota`` more,
     so a long warmup with a short measured window is a valid (if
     unusual) request, not an error.
+
+    A cell runs either a SPEC ``mix`` (one benchmark per core) or a
+    multithreaded ``kernel``, never both.
     """
 
-    mix: tuple[int, ...]
+    mix: tuple[int, ...] = ()
     scheme: str = "avgcc"
     quota: int = 150_000
     warmup: int = 150_000
@@ -121,6 +127,16 @@ class RunSpec:
     scale: float = ScaleModel().scale
     l2_paper_bytes: int = PAPER_L2.size_bytes
     prefetch: Optional[tuple[int, int, int]] = None
+    #: Enabled ways of the Figure 1/2 sweep cache (``PAPER_SWEEP_L2``,
+    #: scaled; the set count stays fixed), 1..16, or :data:`FULL_ASSOC`
+    #: for its fully associative form; ``None`` runs the
+    #: ``l2_paper_bytes`` L2.  Only a single-benchmark ``baseline`` cell
+    #: takes it, and its result then carries per-set miss counts.
+    l2_ways: Optional[int | str] = None
+    #: A multithreaded kernel ``(name, threads)`` from
+    #: ``repro.workloads.multithread.KERNELS``, one thread per core, in
+    #: place of ``mix``.
+    kernel: Optional[tuple[str, int]] = None
     #: Event kinds an attached tracer should keep (``None`` = all).
     #: Excluded from the cache key: observers never change results.
     events: Optional[tuple[str, ...]] = field(default=None, compare=False)
@@ -172,6 +188,8 @@ class RunSpec:
             object.__setattr__(
                 self, "events", tuple(str(kind) for kind in self.events)
             )
+        if isinstance(self.kernel, list):
+            object.__setattr__(self, "kernel", tuple(self.kernel))
         if self.trace_cache is not None:
             object.__setattr__(self, "trace_cache", bool(self.trace_cache))
         if self.deadline is not None:
@@ -190,14 +208,44 @@ class RunSpec:
         values are policed — front-ends (CLI flags, batch JSON, the
         service protocol) call this instead of re-implementing checks.
         """
-        if not self.mix:
+        kernel, ways = self.kernel, self.l2_ways
+        if kernel is not None:
+            from repro.workloads.multithread import KERNELS
+
+            if self.mix or not (
+                isinstance(kernel, tuple)
+                and len(kernel) == 2
+                and kernel[0] in KERNELS
+                and type(kernel[1]) is int
+                and kernel[1] >= 1
+            ):
+                raise SpecError(
+                    f"kernel must be (name, threads >= 1) with a name from "
+                    f"{', '.join(sorted(KERNELS))}, in place of a mix; "
+                    f"got {kernel!r} and mix {self.mix}",
+                    field="kernel",
+                )
+        elif not self.mix:
             raise SpecError(
                 "bad mix: at least one SPEC benchmark code is required "
                 "(e.g. 471+444)",
                 field="mix",
             )
-        _check_codes(self.mix)
+        else:
+            _check_codes(self.mix)
         self._check_scheme()
+        if ways is not None and not (
+            (ways == FULL_ASSOC or type(ways) is int and 1 <= ways <= PAPER_SWEEP_L2.ways)
+            and len(self.mix) == 1
+            and self.scheme == "baseline"
+            and self.l2_paper_bytes == PAPER_L2.size_bytes
+        ):
+            raise SpecError(
+                f"l2_ways must be 1..{PAPER_SWEEP_L2.ways} or {FULL_ASSOC!r}, "
+                f"on one benchmark alone under 'baseline' at the default "
+                f"l2_paper_bytes; got {ways!r} on {self.name}",
+                field="l2_ways",
+            )
         if self.quota <= 0:
             raise SpecError(
                 f"quota must be a positive number of measured instructions, "
@@ -272,16 +320,24 @@ class RunSpec:
 
     @property
     def name(self) -> str:
-        """Human-readable ``471+444/avgcc`` label."""
-        return f"{'+'.join(str(c) for c in self.mix)}/{self.scheme}"
+        """Human-readable label: ``471+444/avgcc``, ``473@ways=6/baseline``
+        or ``lu*4/ascc``."""
+        if self.kernel is not None:
+            workload = "*".join(map(str, self.kernel))
+        else:
+            workload = "+".join(map(str, self.mix))
+        ways = "" if self.l2_ways is None else f"@ways={self.l2_ways}"
+        return f"{workload}{ways}/{self.scheme}"
 
     def key_tuple(self) -> tuple:
         """The primitives that fully determine this spec's result.
 
         ``events`` is excluded: observability is bit-identical by
         contract, so a traced and an untraced run share a cache entry.
+        ``l2_ways`` and ``kernel`` join only when set, so every other
+        cell keeps the key it had before they existed.
         """
-        return (
+        key = (
             self.mix,
             self.scheme,
             self.quota,
@@ -291,6 +347,11 @@ class RunSpec:
             self.l2_paper_bytes,
             self.prefetch,
         )
+        for name in ("l2_ways", "kernel"):
+            value = getattr(self, name)
+            if value is not None:
+                key += ((name, value),)
+        return key
 
     def cache_key(self) -> str:
         """The canonical content-addressed key for this spec's result.
@@ -322,28 +383,18 @@ class RunSpec:
         return (self.mix, self.scheme)
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; defaults are included for self-description."""
-        return {
-            "mix": list(self.mix),
-            "scheme": self.scheme,
-            "quota": self.quota,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "scale": self.scale,
-            "l2_paper_bytes": self.l2_paper_bytes,
-            "prefetch": None if self.prefetch is None else list(self.prefetch),
-            "events": None if self.events is None else list(self.events),
-            "trace_cache": self.trace_cache,
-            "deadline": self.deadline,
-            "sanitize": self.sanitize,
-        }
+        """JSON-ready dict of every field, tuples as lists; defaults are
+        included for self-description."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunSpec":
         """Build a spec from a JSON-style mapping, rejecting unknown keys.
 
         ``mix`` accepts a list of codes or the CLI's ``"471+444"``
-        string form; everything else mirrors the dataclass fields.
+        string form, ``kernel`` a ``[name, threads]`` list; everything
+        else mirrors the dataclass fields.
         """
         if not isinstance(data, Mapping):
             raise SpecError(
@@ -358,10 +409,10 @@ class RunSpec:
                 f"known keys: {', '.join(sorted(known))}",
                 field=unknown[0],
             )
-        if "mix" not in data:
+        if "mix" not in data and "kernel" not in data:
             raise SpecError(
                 "a spec needs a 'mix' (list of SPEC codes or a string "
-                "like '471+444')",
+                "like '471+444') or a 'kernel' ([name, threads])",
                 field="mix",
             )
         return cls(**dict(data))

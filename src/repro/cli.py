@@ -138,10 +138,10 @@ def _session_kwarg(session) -> dict:
 
 #: Experiment name -> (run, format, wrap).  A Session-backed experiment's
 #: ``wrap`` turns the command's one session into ``run``'s keyword
-#: arguments; ``None`` marks one that simulates nothing through a Session.
+#: arguments; ``None`` marks the analytic one, which simulates nothing.
 _EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable | None]] = {
-    "fig1": (fig1_ways.run, fig1_ways.format_result, None),
-    "fig2": (fig2_sets.run, fig2_sets.format_result, None),
+    "fig1": (fig1_ways.run, fig1_ways.format_result, _session_kwarg),
+    "fig2": (fig2_sets.run, fig2_sets.format_result, _session_kwarg),
     "fig4": (fig4_breakdown.run, fig4_breakdown.format_result, _runner),
     "fig5": (fig5_neutral.run, fig5_neutral.format_result, _runner),
     "tab1": (tab1_granularity.run, tab1_granularity.format_result, _runner),
@@ -154,7 +154,7 @@ _EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable | None]] = {
     "fig11": (fig11_qos.run, fig11_qos.format_result, _runner),
     "sec61": (sec61_shared.run, sec61_shared.format_result, _runner),
     "sec62": (sec62_energy.run, sec62_energy.format_result, _runner),
-    "sec63mt": (sec63_multithread.run, sec63_multithread.format_result, None),
+    "sec63mt": (sec63_multithread.run, sec63_multithread.format_result, _session_kwarg),
     "sec63pf": (sec63_prefetch.run, sec63_prefetch.format_result, _session_kwarg),
     "sec64": (sec64_behavior.run, sec64_behavior.format_result, _runner),
     "sec7": (sec7_limited.run, sec7_limited.format_result, _runner),

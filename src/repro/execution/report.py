@@ -36,7 +36,11 @@ def cell_parts(cell) -> tuple[tuple, str]:
 
 
 def cell_name(cell) -> str:
-    """Human-readable ``471+444/avgcc`` form of a cell."""
+    """Human-readable ``471+444/avgcc`` form of a cell (a spec's
+    :attr:`~repro.api.spec.RunSpec.name`, which also shows its
+    ``l2_ways`` or ``kernel``)."""
+    if hasattr(cell, "name"):
+        return cell.name
     codes, scheme = cell_parts(cell)
     return f"{'+'.join(str(c) for c in codes)}/{scheme}"
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.waysweep import FIGURE1_WAYS, SweepPoint, sweep_benchmark
+from repro.analysis.waysweep import FIGURE1_WAYS, SweepPoint, sweep
+from repro.api.session import Session
 from repro.sim.config import ScaleModel
 from repro.workloads.spec2006 import FIGURE1_CODES, benchmark
 
@@ -40,16 +41,16 @@ def run(
     scale: ScaleModel = ScaleModel(),
     quota: int = 100_000,
     warmup: int = 50_000,
+    session: Session | None = None,
 ) -> Figure1Result:
-    """Sweep each benchmark over the enabled-way list."""
-    codes = codes if codes is not None else list(FIGURE1_CODES)
-    ways_list = ways_list if ways_list is not None else list(FIGURE1_WAYS)
-    points = {
-        code: sweep_benchmark(
-            code, ways_list, include_full_assoc, scale, quota, warmup
-        )
-        for code in codes
-    }
+    """Sweep each benchmark over the enabled-way list through ``session``
+    (a serial, cache-less one when ``None``)."""
+    points = sweep(
+        session or Session(),
+        codes if codes is not None else FIGURE1_CODES,
+        ways_list if ways_list is not None else FIGURE1_WAYS,
+        include_full_assoc, scale, quota, warmup,
+    )
     return Figure1Result(points=points)
 
 

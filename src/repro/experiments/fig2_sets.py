@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.waysweep import SetClassification, classify_sets, sweep_benchmark
+from repro.analysis.waysweep import SetClassification, classify_sets, sweep
+from repro.api.session import Session
 from repro.sim.config import ScaleModel
 from repro.workloads.spec2006 import benchmark
 
@@ -42,19 +43,21 @@ def run(
     scale: ScaleModel = ScaleModel(),
     quota: int = 100_000,
     warmup: int = 50_000,
+    session: Session | None = None,
 ) -> Figure2Result:
-    """Classify sets for each benchmark across the way sweep."""
-    codes = codes if codes is not None else list(FIGURE2_CODES)
-    ways_list = ways_list if ways_list is not None else [4, 6, 8, 10, 12, 14, 16]
-    out: dict[int, list[SetClassification]] = {}
-    for code in codes:
-        sweep = sweep_benchmark(
-            code, ways_list, include_full_assoc=False, scale=scale,
-            quota=quota, warmup=warmup,
-        )
-        out[code] = [
-            classify_sets(prev, cur) for prev, cur in zip(sweep, sweep[1:])
-        ]
+    """Classify sets for each benchmark across the way sweep, through
+    ``session`` (a serial, cache-less one when ``None``).  The cells are
+    Figure 1's, so a cache directory Figure 1 filled serves them."""
+    points = sweep(
+        session or Session(),
+        codes if codes is not None else FIGURE2_CODES,
+        ways_list if ways_list is not None else [4, 6, 8, 10, 12, 14, 16],
+        include_full_assoc=False, scale=scale, quota=quota, warmup=warmup,
+    )
+    out = {
+        code: [classify_sets(prev, cur) for prev, cur in zip(curve, curve[1:])]
+        for code, curve in points.items()
+    }
     return Figure2Result(classifications=out)
 
 

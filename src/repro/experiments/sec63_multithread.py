@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
+from repro.api.session import Session
+from repro.api.spec import RunSpec
 from repro.metrics.speedup import geometric_mean, improvement
-from repro.policies.registry import make_policy
-from repro.sim.config import ScaleModel, default_config
-from repro.sim.engine import Engine
-from repro.sim.results import SystemResult
-from repro.sim.system import PrivateHierarchy
-from repro.workloads.multithread import KERNELS, make_threads
+from repro.sim.config import ScaleModel
+from repro.workloads.multithread import KERNELS
 
 KB = 1024
 SCHEMES = ["dsr", "ecc", "ascc", "avgcc"]
@@ -50,23 +48,6 @@ class MultithreadResult:
         return rows
 
 
-def _run_kernel(
-    name: str, scheme: str, num_threads: int, scale: ScaleModel,
-    quota: int, warmup: int, seed: int,
-) -> SystemResult:
-    config = default_config(
-        num_cores=num_threads, scale=scale, quota=quota, seed=seed,
-        l2_paper_bytes=MT_L2_PAPER_BYTES,
-    )
-    hierarchy = PrivateHierarchy(config, make_policy(scheme))
-    workloads = make_threads(name, num_threads, scale)
-    Engine(hierarchy, workloads, quota, seed, warmup).run()
-    return SystemResult(
-        scheme=scheme, workload=name, cores=hierarchy.stats,
-        traffic=hierarchy.traffic, latencies=config.latencies,
-    )
-
-
 def run(
     kernels: list[str] | None = None,
     schemes: list[str] | None = None,
@@ -75,18 +56,30 @@ def run(
     quota: int = 120_000,
     warmup: int = 120_000,
     seed: int = 5,
+    session: Session | None = None,
 ) -> MultithreadResult:
-    """Run every kernel under every scheme and compute improvements."""
+    """Run every kernel under every scheme and compute improvements, as
+    one batch (each kernel's baseline included) through ``session`` (a
+    serial, cache-less one when ``None``)."""
+    session = session or Session()
     kernels = kernels if kernels is not None else sorted(KERNELS)
     schemes = schemes if schemes is not None else list(SCHEMES)
+    cells = {
+        (kernel, scheme): RunSpec(
+            kernel=(kernel, num_threads), scheme=scheme, quota=quota,
+            warmup=warmup, seed=seed, scale=scale, l2_paper_bytes=MT_L2_PAPER_BYTES,
+        )
+        for kernel in kernels
+        for scheme in schemes
+    }
+    session.prewarm(cells.values())
     improvements: dict[tuple[str, str], float] = {}
-    for kernel_name in kernels:
-        base = _run_kernel(kernel_name, "baseline", num_threads, scale, quota, warmup, seed)
-        base_throughput = sum(c.ipc for c in base.cores)
-        for scheme in schemes:
-            res = _run_kernel(kernel_name, scheme, num_threads, scale, quota, warmup, seed)
-            throughput = sum(c.ipc for c in res.cores)
-            improvements[(kernel_name, scheme)] = improvement(throughput, base_throughput)
+    for cell, spec in cells.items():
+        outcome = session.outcome(spec)
+        improvements[cell] = improvement(
+            sum(c.ipc for c in outcome.result.cores),
+            sum(c.ipc for c in outcome.baseline.cores),
+        )
     return MultithreadResult(
         schemes=tuple(schemes), kernels=tuple(kernels), improvements=improvements
     )

@@ -64,7 +64,7 @@ from typing import Iterable, Optional, Sequence
 from repro.api.spec import RunSpec
 from repro.execution.faults import fault_plan_from_env
 from repro.execution.report import RunReport
-from repro.execution.simulate import simulate_spec
+from repro.execution.simulate import simulate_spec, spec_workloads
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import (
@@ -77,8 +77,6 @@ from repro.service.durability import (
     JournalError,
 )
 from repro.sim.results import SystemResult
-from repro.sim.config import ScaleModel
-from repro.workloads.mixes import make_workloads
 from repro.workloads.trace_cache import (
     env_enabled,
     get_trace_cache,
@@ -763,8 +761,9 @@ class BatchScheduler:
         ):
             return {}
         trace_cache = get_trace_cache()
-        workloads = make_workloads(spec.mix, ScaleModel(spec.scale))
-        trace_cache.materialize_for_run(workloads, spec.seed, spec.quota, spec.warmup)
+        trace_cache.materialize_for_run(
+            spec_workloads(spec), spec.seed, spec.quota, spec.warmup
+        )
         trace_cache.persist()
         return trace_cache.export_shared() if self.jobs > 1 else {}
 

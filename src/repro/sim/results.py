@@ -9,6 +9,7 @@ cores keep running so cache competition continues); the engine flips
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.interconnect.bus import BusTraffic, LatencyModel
 
@@ -110,6 +111,10 @@ class SystemResult:
     cores: list[CoreStats] = field(default_factory=list)
     traffic: BusTraffic = field(default_factory=BusTraffic)
     latencies: LatencyModel = field(default_factory=LatencyModel)
+    #: Per-set L2 misses over the whole run, warmup included, of a
+    #: way-sweep (``l2_ways``) cell; ``None`` for every other cell.
+    #: Result digests leave it out.
+    set_misses: Optional[tuple[int, ...]] = None
 
     @property
     def num_cores(self) -> int:

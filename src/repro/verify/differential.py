@@ -27,6 +27,7 @@ real configuration plumbing, not a test-only shortcut.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -103,9 +104,13 @@ def _patched_env(**values: Optional[str]) -> Iterator[None]:
 
 
 def _digest(result) -> str:
+    """The result digest, extended by a way-sweep cell's per-set misses."""
     from repro.api.session import result_digest
 
-    return result_digest(result)
+    digest = result_digest(result)
+    if result.set_misses is None:
+        return digest
+    return hashlib.sha256(f"{digest}{result.set_misses!r}".encode()).hexdigest()
 
 
 def _run_serial(spec: RunSpec) -> str:

@@ -1,6 +1,7 @@
 """RunSpec: coercion, validation boundaries, canonical cache key."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -52,6 +53,19 @@ def test_scale_and_prefetch_coercion():
         (dict(prefetch=(0, 2, 2)), "prefetch"),
         (dict(events=("warp",)), "events"),
         (dict(events=()), "events"),
+        (dict(mix=(473,), scheme="baseline", l2_ways=0), "l2_ways"),
+        (dict(mix=(473,), scheme="baseline", l2_ways=17), "l2_ways"),
+        (dict(mix=(473,), scheme="baseline", l2_ways="16"), "l2_ways"),
+        (dict(mix=(473,), scheme="baseline", l2_ways=True), "l2_ways"),
+        (dict(scheme="baseline", l2_ways=8), "l2_ways"),  # a multi-core mix
+        (dict(mix=(473,), l2_ways=8), "l2_ways"),  # not the baseline
+        (dict(mix=(473,), scheme="baseline", l2_ways=8, l2_paper_bytes=512), "l2_ways"),
+        (dict(mix=(), kernel=("lu", 4), l2_ways=8), "l2_ways"),
+        (dict(mix=(), kernel=("warp", 4)), "kernel"),
+        (dict(mix=(), kernel=("lu", 0)), "kernel"),
+        (dict(mix=(), kernel=("lu", 2.0)), "kernel"),
+        (dict(mix=(), kernel="lu"), "kernel"),
+        (dict(kernel=("lu", 4)), "kernel"),  # both a mix and a kernel
     ],
 )
 def test_validate_rejects_each_boundary_with_field(changes, field):
@@ -68,6 +82,9 @@ def test_validate_accepts_boundary_legal_values():
     RunSpec(mix=(471, 444), warmup=0).validate()
     RunSpec(mix=(471, 444), quota=500, warmup=2_000).validate()
     RunSpec(mix=(471, 444), seed=0, scale=1.0).validate()
+    for ways in (1, 16, "full"):
+        RunSpec(mix=(473,), scheme="baseline", l2_ways=ways).validate()
+    RunSpec(kernel=("lu", 1), scheme="ascc").validate()
 
 
 def test_quota_smaller_than_warmup_actually_runs():
@@ -88,7 +105,16 @@ def test_unknown_scheme_message_lists_alternatives():
 
 def test_cache_key_is_stable_and_discriminating():
     spec = RunSpec(mix=(471, 444))
+    # Pinned: a key change orphans every cached result on disk.
+    assert spec.cache_key() == (
+        "ffb2bf4cd6dfaabc117c045670c29c2c8fbadf6a59c9c75891a1d893b5343c61"
+    )
     assert spec.cache_key() == RunSpec(mix="471+444").cache_key()
+    ways = RunSpec(mix=(473,), scheme="baseline")
+    assert ways.cache_key() != ways.replace(l2_ways=16).cache_key()
+    assert ways.replace(l2_ways=16).cache_key() != ways.replace(l2_ways="full").cache_key()
+    kernel = RunSpec(kernel=("lu", 4))
+    assert kernel.cache_key() != kernel.replace(kernel=("lu", 2)).cache_key()
     assert spec.cache_key() != spec.replace(seed=8).cache_key()
     assert spec.cache_key() != spec.replace(scheme="baseline").cache_key()
     assert len(spec.cache_key()) == 64  # sha256 hex
@@ -107,6 +133,14 @@ def test_dict_round_trip():
     )
     assert RunSpec.from_dict(spec.to_dict()) == spec
     assert RunSpec.from_dict(spec.to_dict()).events == ("spill",)
+    for shaped in (
+        RunSpec(mix=(473,), scheme="baseline", l2_ways=6),
+        RunSpec(mix=(473,), scheme="baseline", l2_ways="full"),
+        RunSpec(kernel=("lu", 4), scheme="ascc", l2_paper_bytes=512 * 1024),
+    ):
+        back = RunSpec.from_dict(json.loads(json.dumps(shaped.to_dict())))
+        assert back == shaped
+        assert back.cache_key() == shaped.cache_key()
 
 
 def test_from_dict_accepts_mix_string_and_rejects_unknown_keys():
@@ -116,6 +150,7 @@ def test_from_dict_accepts_mix_string_and_rejects_unknown_keys():
     assert "unknown spec key(s) quotaa" in str(excinfo.value)
     with pytest.raises(SpecError):
         RunSpec.from_dict({"scheme": "avgcc"})  # no mix
+    assert RunSpec.from_dict({"kernel": ["lu", 4]}).kernel == ("lu", 4)
     with pytest.raises(SpecError):
         RunSpec.from_dict([471, 444])  # not a mapping
 
@@ -139,3 +174,5 @@ def test_name_and_cell():
     spec = RunSpec(mix=(471, 444), scheme="dsr")
     assert spec.name == "471+444/dsr"
     assert spec.cell() == ((471, 444), "dsr")
+    assert RunSpec(mix=(473,), scheme="baseline", l2_ways=6).name == "473@ways=6/baseline"
+    assert RunSpec(kernel=("lu", 4), scheme="ascc").name == "lu*4/ascc"

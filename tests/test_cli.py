@@ -32,12 +32,18 @@ def test_experiment_tab5(capsys):
     assert "Table 5" in capsys.readouterr().out
 
 
-#: Experiments that simulate through a Session: each must get the one
-#: session carrying every orchestration flag.
+#: Experiments that simulate through a Session (every one but the
+#: analytic tab5): each must get the one session carrying every
+#: orchestration flag.
 SESSION_EXPERIMENTS = (
-    "fig4", "fig5", "tab1", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "tab4", "sec61", "sec62", "sec63pf", "sec64", "sec7",
+    "fig1", "fig2", "fig4", "fig5", "tab1", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "tab4", "sec61", "sec62", "sec63mt", "sec63pf", "sec64", "sec7",
 )
+
+
+def test_every_simulating_experiment_gets_a_session():
+    assert set(SESSION_EXPERIMENTS) == set(cli._EXPERIMENTS) - {"tab5"}
+    assert cli._EXPERIMENTS["tab5"][2] is None
 
 
 @pytest.mark.parametrize("name", SESSION_EXPERIMENTS)

@@ -1,7 +1,10 @@
 """Every experiment module runs end to end at reduced size."""
 
+import json
+
 import pytest
 
+from repro.api import Session
 from repro.experiments import (
     fig1_ways,
     fig2_sets,
@@ -34,16 +37,24 @@ def runner():
 
 def test_fig1(tiny=True):
     result = fig1_ways.run(codes=[444], ways_list=[2, 8], include_full_assoc=False,
-                           quota=5_000, warmup=2_000)
+                           quota=5_000, warmup=2_000, session=Session())
     text = fig1_ways.format_result(result)
     assert "444.namd" in text
     assert len(result.points[444]) == 2
 
 
-def test_fig2():
-    result = fig2_sets.run(codes=[473], ways_list=[6, 8], quota=5_000, warmup=2_000)
+def test_fig2(tmp_path):
+    result = fig2_sets.run(codes=[473], ways_list=[6, 8], quota=5_000, warmup=2_000,
+                           session=Session(cache_dir=tmp_path))
     assert len(result.classifications[473]) == 1
     assert "favored" in fig2_sets.format_result(result)
+    # Figure 1 at the same parameters resolves both cells from the cache.
+    report = tmp_path / "report.json"
+    fig1_ways.run(codes=[473], ways_list=[6, 8], include_full_assoc=False,
+                  quota=5_000, warmup=2_000,
+                  session=Session(cache_dir=tmp_path, report_path=report))
+    counts = json.loads(report.read_text())["counts"]
+    assert (counts["cache"], counts["simulated"]) == (2, 0)
 
 
 def test_fig4(runner):
@@ -111,7 +122,7 @@ def test_sec61(runner):
 
 def test_sec63_multithread():
     result = sec63_multithread.run(kernels=["lu"], schemes=["ascc"],
-                                   quota=6_000, warmup=4_000)
+                                   quota=6_000, warmup=4_000, session=Session())
     assert ("lu", "ascc") in result.improvements
     assert "lu" in sec63_multithread.format_result(result)
 

@@ -3,11 +3,12 @@
 One small fixed-seed simulation per scheme in the policy registry (plus
 the parameterised families and the shared LLC) is digested — every
 per-core counter, the bus traffic and the L1 counters hashed with
-SHA-256 — and compared against ``tests/golden_digests.json``.  Two
-extra cells widen the coverage beyond that multiprogrammed mix: a
+SHA-256 — and compared against ``tests/golden_digests.json``.  Extra
+cells widen the coverage beyond that multiprogrammed mix: a
 multithreaded shared-data kernel (S->M store upgrades that must
-invalidate peers) and a prefetch-enabled mix (L1 entries pointing at
-lines filled without a demand access).
+invalidate peers), a prefetch-enabled mix (L1 entries pointing at
+lines filled without a demand access), and two way-sweep cells of the
+Figure 1/2 cache (their digests also cover the per-set miss counts).
 
 The stored digests were generated on the pre-observability kernel, so
 they certify two things at once:
@@ -57,7 +58,9 @@ SCHEMES = sorted(available_schemes()) + ["ascc/64", "avgcc/128", "shared"]
 #: Cells outside the scheme sweep, keyed as stored in the digest table.
 MULTITHREAD_CELL = "multithread:lu/ascc"
 PREFETCH_CELL = "prefetch:471+444/avgcc"
-CELLS = SCHEMES + [MULTITHREAD_CELL, PREFETCH_CELL]
+#: Way-sweep cells: ``l2_ways`` value by cell name.
+WAYSWEEP_CELLS = {"waysweep:473@2": 2, "waysweep:473@full": "full"}
+CELLS = SCHEMES + [MULTITHREAD_CELL, PREFETCH_CELL, *WAYSWEEP_CELLS]
 
 
 def simulate(scheme: str) -> SystemResult:
@@ -67,33 +70,21 @@ def simulate(scheme: str) -> SystemResult:
     return runner.run(MIX, scheme)
 
 
+def simulate_fields(**fields) -> SystemResult:
+    """``simulate_spec`` of the fixed-seed spec with ``fields`` set."""
+    from repro.api.spec import RunSpec
+    from repro.execution.simulate import simulate_spec
+
+    return simulate_spec(RunSpec(quota=QUOTA, warmup=WARMUP, seed=SEED, **fields))
+
+
 def simulate_multithread() -> SystemResult:
-    """Four ``lu`` threads sharing one matrix on 512 kB private LLCs.
-
-    Built like the Section 6.3 sweep (these workloads bypass the trace
-    cache); the sanitizer follows ``REPRO_SANITIZE`` as in every other
-    cell.
-    """
+    """Four ``lu`` threads sharing one matrix on 512 kB private LLCs,
+    as in the Section 6.3 sweep."""
     from repro.experiments.sec63_multithread import MT_L2_PAPER_BYTES
-    from repro.policies.registry import make_policy
-    from repro.sim.config import ScaleModel, default_config
-    from repro.sim.engine import Engine
-    from repro.sim.system import PrivateHierarchy
-    from repro.verify.sanitizer import attach_sanitizer, env_sanitize_enabled
-    from repro.workloads.multithread import make_threads
 
-    scale = ScaleModel()
-    config = default_config(
-        num_cores=4, scale=scale, quota=QUOTA, seed=SEED,
-        l2_paper_bytes=MT_L2_PAPER_BYTES,
-    )
-    hierarchy = PrivateHierarchy(config, make_policy("ascc"))
-    if env_sanitize_enabled():
-        attach_sanitizer(hierarchy)
-    Engine(hierarchy, make_threads("lu", 4, scale), QUOTA, SEED, WARMUP).run()
-    return SystemResult(
-        scheme="ascc", workload="lu", cores=hierarchy.stats,
-        traffic=hierarchy.traffic, latencies=config.latencies,
+    return simulate_fields(
+        kernel=("lu", 4), scheme="ascc", l2_paper_bytes=MT_L2_PAPER_BYTES
     )
 
 
@@ -112,6 +103,8 @@ def simulate_cell(cell: str) -> SystemResult:
         return simulate_multithread()
     if cell == PREFETCH_CELL:
         return simulate_prefetch()
+    if cell in WAYSWEEP_CELLS:
+        return simulate_fields(mix=(473,), scheme="baseline", l2_ways=WAYSWEEP_CELLS[cell])
     return simulate(cell)
 
 
@@ -120,6 +113,7 @@ def digest(result: SystemResult) -> str:
 
     ``repr`` of ints and floats is exact in Python 3, so two runs digest
     equal iff every counter (including float cycle counts) is bit-equal.
+    A way-sweep result's per-set miss counts join the snapshot.
     """
     snapshot = (
         result.scheme,
@@ -127,6 +121,8 @@ def digest(result: SystemResult) -> str:
         [astuple(stats) for stats in result.cores],
         astuple(result.traffic),
     )
+    if result.set_misses is not None:
+        snapshot += (result.set_misses,)
     return hashlib.sha256(repr(snapshot).encode("utf-8")).hexdigest()
 
 

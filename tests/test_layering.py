@@ -13,6 +13,10 @@ imports nothing from ``repro.service``, ``repro.cluster`` or
 
 :mod:`repro.execution` is the core both service tiers stand on, so it
 imports nothing from ``repro.service`` or ``repro.cluster``.
+
+Figures and their analysis simulate through a session, never by driving
+the engine themselves: nothing under ``repro.experiments`` or
+``repro.analysis`` imports :mod:`repro.sim.engine`.
 """
 
 import ast
@@ -23,6 +27,7 @@ SERVICE_TIERS = ("service", "cluster", "obs")
 ALLOWED = {("repro/service/scheduler.py", "repro.experiments.parallel", ("ResultCache",))}
 OBS_FORBIDDEN = ("repro.service", "repro.cluster", "repro.api")
 EXECUTION_FORBIDDEN = ("repro.service", "repro.cluster")
+FIGURE_TIERS = ("experiments", "analysis")
 
 
 def imports_of(source: str, packages: tuple) -> list[tuple]:
@@ -69,5 +74,16 @@ def test_execution_core_imports_no_service_tier():
         (str(path.relative_to(SRC)), module)
         for path in sorted((SRC / "repro" / "execution").rglob("*.py"))
         for module, _names in imports_of(path.read_text(), EXECUTION_FORBIDDEN)
+    ]
+    assert crossings == []
+
+
+def test_figures_do_not_drive_the_engine():
+    crossings = [
+        (str(path.relative_to(SRC)), module)
+        for tier in FIGURE_TIERS
+        for path in sorted((SRC / "repro" / tier).rglob("*.py"))
+        for module, names in imports_of(path.read_text(), ("repro.sim",))
+        if module == "repro.sim.engine" or (module == "repro.sim" and "engine" in names)
     ]
     assert crossings == []

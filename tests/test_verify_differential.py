@@ -26,6 +26,14 @@ from repro.verify.differential import _patched_env
 
 SPEC = RunSpec(mix=(471, 444), scheme="avgcc", quota=1_200, warmup=400)
 
+#: The cell shapes beyond a mix: a way-sweep cell (whose grid digest
+#: covers its per-set misses) and a multithreaded kernel.
+SHAPED_SPECS = [
+    RunSpec(mix=(473,), scheme="baseline", l2_ways=6, quota=1_200, warmup=400),
+    RunSpec(kernel=("lu", 4), scheme="ascc", quota=1_200, warmup=400,
+            l2_paper_bytes=512 * 1024),
+]
+
 
 @pytest.fixture(scope="module")
 def differential_grid():
@@ -56,6 +64,12 @@ def test_describe_reports_verdict(differential_grid):
     assert SPEC.name in text
     for cell in differential_grid.cells:
         assert cell.label in text
+
+
+@pytest.mark.parametrize("spec", SHAPED_SPECS, ids=lambda spec: spec.name)
+def test_every_cell_shape_is_grid_identical(spec):
+    report = assert_grid_identical(spec, jobs=2)
+    assert len(report.cells) == len(BACKENDS) * len(TRACE_MODES) * len(PATHS)
 
 
 def test_run_cell_rejects_unknown_path():

@@ -1,10 +1,8 @@
-"""Way-sweep machinery and the Figure 2 classification rule."""
+"""Way-sweep cells and the Figure 2 classification rule."""
 
-from repro.analysis.waysweep import (
-    SweepPoint,
-    classify_sets,
-    run_way_point,
-)
+from repro.analysis.waysweep import SweepPoint, classify_sets, sweep
+from repro.api import RunSpec, Session
+from repro.execution.simulate import simulate_spec
 from repro.sim.config import ScaleModel
 
 
@@ -30,14 +28,20 @@ def test_sets_with_no_prior_misses_are_constant():
     assert c.favored_fraction == 0.0
 
 
-def test_run_way_point_smoke():
-    point = run_way_point(444, ways=4, quota=6_000, warmup=2_000)
+def test_way_cell_smoke():
+    ((point,),) = sweep(
+        Session(), [444], [4], include_full_assoc=False, quota=6_000, warmup=2_000
+    ).values()
     assert point.ways == 4
     assert point.instructions >= 5_900  # the warmup-crossing step is unrecorded
     assert len(point.set_misses) == ScaleModel().sweep_l2().sets
+    assert simulate_spec(RunSpec(mix=(444,), quota=2_000, warmup=0)).set_misses is None
 
 
 def test_more_ways_do_not_hurt_sensitive_benchmark():
-    few = run_way_point(473, ways=2, quota=20_000, warmup=10_000)
-    many = run_way_point(473, ways=16, quota=20_000, warmup=10_000)
+    ((few, many, full),) = sweep(
+        Session(), [473], [2, 16], quota=20_000, warmup=10_000
+    ).values()
     assert many.mpki <= few.mpki
+    assert full.full_assoc and full.ways == ScaleModel().sweep_l2().lines
+    assert len(full.set_misses) == 1

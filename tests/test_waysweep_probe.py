@@ -1,8 +1,8 @@
-"""The SetStatsProbe policy used by the Figure 1/2 sweeps."""
+"""The SetStatsProbe policy of way-sweep (``l2_ways``) cells."""
 
 from random import Random
 
-from repro.analysis.waysweep import SetStatsProbe
+from repro.execution.simulate import SetStatsProbe
 from repro.cache.geometry import CacheGeometry
 
 
