@@ -42,8 +42,10 @@ def calibrate(
 ) -> list[CalibrationRow]:
     """Measure every benchmark model on the baseline machine, alone."""
     runner = runner or ExperimentRunner(quota=100_000, warmup=60_000)
+    codes = list(codes if codes is not None else all_codes())
+    runner.prewarm([(code,) for code in codes], ["baseline"])
     rows = []
-    for code in codes if codes is not None else all_codes():
+    for code in codes:
         spec = benchmark(code)
         stats = runner.run((code,), "baseline").cores[0]
         rows.append(

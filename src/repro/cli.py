@@ -939,7 +939,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots",
         type=_positive_int("--slots"),
         default=1,
-        help="leases this worker executes concurrently (default: 1)",
+        help="leases this worker executes concurrently (default: 1); "
+        "2 or more run each lease in a pool process and kill one past "
+        "its timeout, 1 runs in-process and, like --jobs 1, enforces "
+        "no timeout",
     )
     worker_p.add_argument(
         "--label",

@@ -10,8 +10,9 @@ defined in :mod:`repro.service.wire`:
   hang, and streams results back into the scheduler's dedup / journal
   / metrics pipeline through the same callbacks the local pool uses.
 * :class:`WorkerClient` (:mod:`repro.cluster.worker`) — the remote
-  side: connects, handshakes capabilities, executes leases on a small
-  slot pool and streams results home.  ``repro worker --connect
+  side: connects, handshakes capabilities, runs leases on the local
+  execution core (a :class:`~repro.service.LocalPoolExecutor` of K
+  slots) and streams results home.  ``repro worker --connect
   HOST:PORT --slots K`` is its CLI entrypoint.
 
 Simulations are deterministic functions of their spec, so *where* a

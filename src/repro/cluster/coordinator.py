@@ -16,18 +16,19 @@ Life of a cell here:
    rules are identical.
 2. Dispatch charges an attempt and sends a ``lease`` frame to a worker
    with a free slot, at once if one is free.
+   The frame carries the cell's timeout, which the worker enforces
+   with the local executor's rule: the coordinator arms no lease
+   deadline of its own.
 3. The worker streams back a ``result`` or ``error`` frame; its reader
    thread queues the frame and wakes the scheduler's loop, whose
    :meth:`~ClusterExecutor.poll` validates and delivers results and
-   retries failures with exponential backoff up to the configured
-   budget.
+   charges an ``error`` frame's kind (``error: ...``, ``timeout after
+   Ns``, ``pool-death``) exactly as the local ledger would, retrying
+   with exponential backoff up to the configured budget.
 4. Leases are *recovered*, never lost: a worker whose connection dies
    charges its leases one ``worker-lost`` attempt and re-queues them;
    a worker silent past ``hang_grace`` (heartbeats stale) is expelled
-   the same way as ``worker-hung``; a lease past the per-cell timeout
-   charges ``timeout``, expels its worker (a wedged remote cell cannot
-   be cancelled individually — same reasoning as the local pool
-   recycle) and re-queues the worker's other leases *uncharged*.
+   the same way as ``worker-hung``.
 
 Worker registration is a capability handshake: the ``hello`` frame
 carries protocol version, slot count, cache backend and trace-cache
@@ -313,15 +314,18 @@ class ClusterExecutor(Executor):
                 payload["trace"] = ledger.child_span(
                     cell, "lease", lease=lease_id, worker=target.name
                 ).context()
+            frame = wire.make_frame(
+                "lease", lease=lease_id, payload=payload, timeout=ledger.cells[cell][1]
+            )
             try:
-                target.send(wire.make_frame("lease", lease=lease_id, payload=payload))
+                target.send(frame)
             except OSError:
                 # Connection died under the send: refund the cell and
                 # expel the worker (its other leases requeue uncharged).
                 ledger.refund(cell, "send-failed")
                 self._expel(target, kind=None)
                 continue
-            ledger.start(lease_id, cell, now, worker=target)
+            ledger.start(lease_id, cell, now, worker=target, timed=False)
             target.leases.add(lease_id)
 
     def _collect(self) -> None:
@@ -336,7 +340,7 @@ class ClusterExecutor(Executor):
         self._check_stale()
 
     def _next_deadline(self, now: float) -> Optional[float]:
-        """The ledger's next deadline, or the next heartbeat check."""
+        """The ledger's next backoff expiry, or the next heartbeat check."""
         deadline = self.ledger.next_deadline(now)
         grace = self.config.hang_grace
         if grace is not None:
@@ -359,9 +363,7 @@ class ClusterExecutor(Executor):
                 if isinstance(record, dict):
                     self._tracer.adopt(record)
         if frame.get("type") == "error":
-            self.ledger.fail_or_requeue(
-                attempt.cell, f"error: {frame.get('error', 'unknown')}"
-            )
+            self.ledger.fail_or_requeue(attempt.cell, str(frame.get("error", "error")))
             return
         try:
             result = wire.decode_result(frame["result"])
@@ -371,36 +373,27 @@ class ClusterExecutor(Executor):
         self.ledger.deliver(attempt.cell, result, attempt.started, worker=worker.name)
 
     def _check_stale(self) -> None:
+        """Expel every worker holding leases but silent past
+        ``hang_grace`` — presumed frozen — charging its leases."""
+        grace = self.config.hang_grace
+        if grace is None:
+            return
         now = time.monotonic()
-        # Heartbeat staleness: a worker holding leases but silent past
-        # hang_grace is presumed frozen — expel it, charge its leases.
-        if self.config.hang_grace is not None:
-            with self._lock:
-                hung = [
-                    w
-                    for w in self._workers
-                    if w.alive
-                    and w.leases
-                    and now - w.last_seen > self.config.hang_grace
-                ]
-            for worker in hung:
-                self._expel(worker, kind="worker-hung")
-        # Per-cell timeout: charge the overdue lease, expel its worker
-        # (a wedged remote cell cannot be cancelled individually) and
-        # requeue the worker's innocent leases uncharged.
-        for lease_id in self.ledger.overdue(now):
-            if lease_id not in self.ledger.inflight:
-                continue  # sibling cleanup below already reclaimed it
-            attempt = self.ledger.time_out(lease_id)
-            attempt.worker.leases.discard(lease_id)
-            self._expel(attempt.worker, kind=None)
+        with self._lock:
+            hung = [
+                w
+                for w in self._workers
+                if w.alive and w.leases and now - w.last_seen > grace
+            ]
+        for worker in hung:
+            self._expel(worker, kind="worker-hung")
 
     def _reclaim(self, worker: RemoteWorker, *, kind) -> None:
         """Recover every lease a departed worker held.
 
         ``kind`` names the failure charged to each lease
         (``worker-lost`` / ``worker-hung``); ``None`` refunds the
-        attempt instead (innocent siblings of a timed-out lease).
+        attempt instead (leases of a worker whose send failed).
         """
         ledger = self.ledger
         held = [

@@ -9,23 +9,24 @@ process per host (or several), each connecting to the coordinator with
 2. waits for ``welcome`` — a structured ``reject`` (e.g. protocol
    mismatch) raises :class:`WorkerRejected` with the taxonomy code
    instead of a traceback;
-3. executes ``lease`` frames on a ``slots``-wide thread pool through
-   the *same* worker entry point the local pool uses
-   (:func:`repro.service.scheduler._run_spec`), so trace
-   materialisation, fault injection and simulation semantics are
-   identical wherever a cell lands;
+3. runs ``lease`` frames on a
+   :class:`~repro.service.executor.LocalPoolExecutor` of ``slots``
+   jobs — the executor the local scheduler uses, driven through the
+   same ``submit``/``poll``/``drain``/``cancel`` contract, so trace
+   materialisation, fault injection, per-cell timeouts and pool-death
+   recovery are identical wherever a cell lands;
 4. streams each outcome back as a ``result`` (pickled
-   :class:`~repro.sim.results.SystemResult`) or ``error`` frame, and
-   heartbeats between frames so the coordinator can tell a busy worker
-   from a dead one;
+   :class:`~repro.sim.results.SystemResult`) or ``error`` frame, the
+   latter carrying the executor's failure kind verbatim (``error:
+   ...``, ``timeout after Ns``, ``pool-death``), and heartbeats between
+   frames so the coordinator can tell a busy worker from a dead one;
 5. exits cleanly on a ``shutdown`` frame or when the coordinator goes
-   away.
+   away, killing whatever its pool still runs.
 
-Each lease executes in its own thread; the simulation itself runs
-single-threaded per cell exactly as it does under the local pool, so
-results are bit-identical by construction.  ``in_process_faults=True``
-(used by in-process loopback workers in tests) downgrades hard death
-faults so an injected ``die`` cannot kill the test process.
+One slot runs leases in-process, which (like ``--jobs 1``) enforces no
+timeout; two or more run a process pool, recycled when a cell overruns
+its timeout, its in-flight siblings rerun uncharged.  Retries stay with
+the coordinator: the worker's executor runs each lease once.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import socket
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from typing import Optional
 
 from repro.service import wire
+from repro.service.executor import ExecutorConfig, LocalPoolExecutor
 
 #: Seconds between heartbeat frames.  Coordinators judge staleness
 #: against their ``hang_grace``, which should comfortably exceed this.
@@ -69,22 +71,23 @@ class WorkerClient:
         slots: int = 1,
         name: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        in_process_faults: bool = False,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.slots = max(1, int(slots))
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.heartbeat_interval = max(0.05, float(heartbeat_interval))
-        self.in_process_faults = in_process_faults
         self.completed = 0
         self.errors = 0
         self._sock: Optional[socket.socket] = None
         self._wfile = None
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
-        self._busy = 0
-        self._busy_lock = threading.Lock()
+        #: Lease frames the reader thread queued for ``run`` to submit.
+        self._leases: deque = deque()
+        #: lease id -> (trace context, wall start, monotonic start).
+        self._live: dict = {}
+        self._executor = LocalPoolExecutor(ExecutorConfig(jobs=self.slots, retries=0))
 
     # -- wire helpers --------------------------------------------------- #
 
@@ -126,57 +129,57 @@ class WorkerClient:
         self.coordinator = frame.get("coordinator", "")
 
     def run(self) -> int:
-        """Serve leases until shutdown/disconnect; returns leases done."""
+        """Serve leases until shutdown/disconnect; returns leases done.
+
+        The calling thread drives the executor, exactly as the
+        scheduler's loop does: it submits the leases the reader thread
+        queued, polls, ends each busy period with ``drain`` and waits
+        on the executor's ``wakeup`` in between.
+        """
+        from repro.service.scheduler import _run_spec
+
         if self._sock is None:
             self.connect()
-        heartbeats = threading.Thread(
-            target=self._heartbeat_loop, name="repro-worker-heartbeat", daemon=True
+        executor = self._executor.bind(
+            worker=_run_spec, on_result=self._on_result, on_failed=self._on_failed
         )
-        heartbeats.start()
-        pool = ThreadPoolExecutor(
-            max_workers=self.slots, thread_name_prefix="repro-worker-slot"
-        )
+        for target in (self._read_loop, self._heartbeat_loop):
+            threading.Thread(target=target, name="repro-worker", daemon=True).start()
         try:
             while not self._stop.is_set():
-                try:
-                    frame = wire.read_frame(self._rfile)
-                except (wire.WireError, OSError):
-                    break
-                if frame is None:
-                    break  # coordinator went away
-                kind = frame.get("type")
-                if kind == "lease":
-                    pool.submit(self._execute, frame)
-                elif kind == "shutdown":
-                    try:
-                        self._send(wire.make_frame("goodbye"))
-                    except OSError:
-                        pass
-                    break
+                while self._leases:
+                    self._submit(self._leases.popleft())
+                wait = executor.poll()
+                if executor.ledger.idle:
+                    executor.drain()  # ends the busy period
+                with executor.wakeup:
+                    if not (executor.signalled or self._leases or self._stop.is_set()):
+                        executor.wakeup.wait(wait)
         finally:
             self._stop.set()
-            # Don't wait on leases mid-flight: with the connection gone
-            # their results have nowhere to go, and a hung simulation
-            # (injected or real) must not pin the process open.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Results have nowhere to go once the connection is gone,
+            # and a hung cell must not pin the process open: close()
+            # kills whatever the pool still runs.
+            executor.cancel()
+            executor.close()
             self.close()
         return self.completed
 
     def stop(self) -> None:
         """Ask ``run`` to wind down (used by in-process test workers)."""
         self._stop.set()
+        self._executor.notify()
         self.close()
 
     def kill(self) -> None:
         """Abruptly sever the connection — simulates a worker death."""
-        self._stop.set()
         sock = self._sock
         if sock is not None:
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        self.close()
+        self.stop()
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -188,19 +191,34 @@ class WorkerClient:
 
     # -- internals ------------------------------------------------------ #
 
+    def _read_loop(self) -> None:
+        """Queue lease frames for ``run``; stop on shutdown or disconnect."""
+        try:
+            while not self._stop.is_set():
+                frame = wire.read_frame(self._rfile)
+                if frame is None:
+                    break  # coordinator went away
+                kind = frame.get("type")
+                if kind == "lease":
+                    self._leases.append(frame)
+                    self._executor.notify()
+                elif kind == "shutdown":
+                    self._send(wire.make_frame("goodbye"))
+                    break
+        except (wire.WireError, OSError):
+            pass
+        finally:
+            self.stop()
+
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
             try:
-                with self._busy_lock:
-                    busy = self._busy
-                self._send(wire.make_frame("heartbeat", busy=busy))
+                self._send(wire.make_frame("heartbeat"))
             except OSError:
                 return
 
-    def _execute(self, frame: dict) -> None:
-        """Run one lease and stream its outcome back."""
-        from repro.service.scheduler import _run_spec
-
+    def _submit(self, frame: dict) -> None:
+        """Start one lease on the executor, the lease id as its cell."""
         lease = frame.get("lease")
         payload = dict(frame.get("payload") or {})
         # The coordinator's lease-span context, when it traces.  Workers
@@ -209,65 +227,41 @@ class WorkerClient:
         # coordinator adopts it into its trace.  Popped so the spec
         # payload stays exactly what the local pool would see.
         trace_ctx = payload.pop("trace", None)
-        if self.in_process_faults and "fault" in payload:
-            payload["fault_in_process"] = True
-        with self._busy_lock:
-            self._busy += 1
-        started = time.monotonic()
-        wall = time.time()
-        try:
-            _, result = _run_spec(payload)
-        except BaseException as exc:  # noqa: BLE001 - streamed, not raised
-            self.errors += 1
-            try:
-                self._send(
-                    wire.make_frame(
-                        "error",
-                        lease=lease,
-                        error=f"{type(exc).__name__}: {exc}",
-                        **self._span_records(
-                            trace_ctx, wall, started, status="error"
-                        ),
-                    )
-                )
-            except OSError:
-                pass
-            return
-        finally:
-            with self._busy_lock:
-                self._busy -= 1
-        try:
-            self._send(
-                wire.make_frame(
-                    "result",
-                    lease=lease,
-                    result=wire.encode_result(result),
-                    duration=round(time.monotonic() - started, 6),
-                    **self._span_records(trace_ctx, wall, started, status="ok"),
-                )
-            )
-            self.completed += 1
-        except OSError:
-            pass
+        self._live[lease] = (trace_ctx, time.time(), time.monotonic())
+        self._executor.submit(lease, payload, frame.get("timeout"))
 
-    def _span_records(self, trace_ctx, wall, started, *, status) -> dict:
-        """``{"spans": [...]}`` for an outcome frame, or ``{}`` untraced."""
-        if trace_ctx is None:
-            return {}
-        from repro.obs.spans import completed_span
+    def _on_result(self, lease, result) -> None:
+        self.completed += 1
+        self._reply(lease, "result", result=wire.encode_result(result))
 
-        return {
-            "spans": [
+    def _on_failed(self, lease, kind: str) -> None:
+        self.errors += 1
+        self._reply(lease, "error", error=kind)
+
+    def _reply(self, lease, kind: str, **fields) -> None:
+        """Send a resolved lease's outcome frame and forget the lease.
+
+        A traced lease's frame carries its ``execute`` span record.
+        """
+        self._executor.ledger.report.records.pop(lease, None)
+        trace_ctx, wall, started = self._live.pop(lease)
+        if trace_ctx is not None:
+            from repro.obs.spans import completed_span
+
+            fields["spans"] = [
                 completed_span(
                     trace_ctx,
                     "execute",
                     wall=wall,
                     duration=time.monotonic() - started,
-                    status=status,
+                    status="ok" if kind == "result" else "error",
                     worker=self.name,
                 )
             ]
-        }
+        try:
+            self._send(wire.make_frame(kind, lease=lease, **fields))
+        except OSError:
+            pass
 
 
 def run_worker(

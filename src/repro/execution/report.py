@@ -68,6 +68,7 @@ class CellRecord:
     def to_dict(self) -> dict:
         codes, scheme = cell_parts(self.cell)
         return {
+            "cell": cell_name(self.cell),
             "codes": list(codes),
             "scheme": scheme,
             "status": self.status,

@@ -134,7 +134,7 @@ class AttemptLedger:
     of each running attempt (a pool future, a lease id) to its
     :class:`Attempt`.  Attempts are charged per dispatch and mirrored
     into the :class:`RunReport`; an attempt that never really ran (its
-    pool was recycled, its worker expelled for a sibling's fault) is
+    pool was recycled for a sibling's fault, its lease never sent) is
     refunded.  A failed attempt is requeued after
     ``backoff * 2^(attempt-1)`` seconds until ``1 + retries`` attempts
     are spent, then the cell goes to ``on_failed``.  A resolved cell
@@ -229,10 +229,11 @@ class AttemptLedger:
         stack.append(span)
         return span
 
-    def start(self, key, cell, now: float, worker=None) -> None:
-        """Track an attempt dispatched at ``now`` under the backend's ``key``."""
+    def start(self, key, cell, now: float, worker=None, timed: bool = True) -> None:
+        """Track an attempt dispatched at ``now`` under the backend's ``key``;
+        ``timed=False`` arms no deadline (a cluster worker enforces it)."""
         timeout = self.cells[cell][1]
-        deadline = None if timeout is None else now + timeout
+        deadline = None if timeout is None or not timed else now + timeout
         self.inflight[key] = Attempt(cell, deadline, now, worker)
 
     def overdue(self, now: float) -> list:
@@ -250,21 +251,23 @@ class AttemptLedger:
         self._close_spans(cell, status)
         self.pending.append((cell, time.monotonic()))
 
-    def time_out(self, key) -> Attempt:
+    def time_out(self, key) -> None:
         """Charge the in-flight attempt ``key`` for overrunning its timeout."""
-        attempt = self.inflight.pop(key)
-        self.report.timeouts += 1
-        timeout = self.cells[attempt.cell][1]
-        self.fail_or_requeue(attempt.cell, f"timeout after {round(timeout, 3):g}s")
-        return attempt
+        cell = self.inflight.pop(key).cell
+        self.fail_or_requeue(cell, f"timeout after {round(self.cells[cell][1], 3):g}s")
 
     def fail_or_requeue(self, cell, kind: str) -> None:
         """Record a failed attempt; requeue with backoff or fail the cell.
 
         The attempt's spans close with the kind's first word
-        (``error: ...`` → ``error``, ``timeout after 2s`` → ``timeout``).
+        (``error: ...`` → ``error``, ``timeout after 2s`` → ``timeout``),
+        and a timeout counts in the report's ``timeouts`` whichever
+        backend enforced it.
         """
-        self._close_spans(cell, kind.split(":")[0].split(" ")[0])
+        status = kind.split(":")[0].split(" ")[0]
+        self._close_spans(cell, status)
+        if status == "timeout":
+            self.report.timeouts += 1
         rec = self.report.record(cell)
         rec.errors.append(kind)
         if self.attempts[cell] >= 1 + self.retries:

@@ -220,8 +220,9 @@ class MaterializedTrace:
         #: Lower bound on the buffer length after the next extension: the
         #: run's own estimate at first, then geometric growth.
         self._grow = first_extension
-        #: Serialises extension: replays on several threads (a worker's
-        #: slots) share one buffer and one source.
+        #: Serialises extension: replays on several threads (in-process
+        #: cells of schedulers sharing one process) share one buffer and
+        #: one source.
         self._lock = threading.Lock()
 
     @property
@@ -639,15 +640,9 @@ class TraceCache:
 
     def close_shared(self) -> None:
         """Release (close + unlink) every segment this process exported."""
-        from multiprocessing import resource_tracker
-
         for shm in self._exports:
             try:
                 shm.close()
-                # A forked worker shares this process's resource tracker,
-                # so its attach-then-deregister (see _load_shared) dropped
-                # our registration; restore it for unlink to deregister.
-                resource_tracker.register(shm._name, "shared_memory")
                 shm.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
@@ -662,26 +657,22 @@ class TraceCache:
         name = self._shared.get(digest)
         if name is None:
             return None
-        from multiprocessing import shared_memory
+        import mmap
 
+        import _posixshmem
+
+        # Opened by hand, not as a SharedMemory: pre-3.13 that would
+        # register the attach with the resource tracker, which pool
+        # workers share with the parent — the segment's sole owner.
         try:
-            shm = shared_memory.SharedMemory(name=name)
+            fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
         except OSError:
             return None
         try:
-            # Pre-3.13 resource trackers treat an attach as ownership and
-            # would unlink the parent's segment at worker exit; the parent
-            # is the sole owner, so deregister our handle.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-            columns = MaterializedTrace.decode(shm.buf)
+            with mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ) as buf:
+                return MaterializedTrace.decode(buf)
         finally:
-            shm.close()
-        return columns
+            os.close(fd)
 
     # ------------------------------------------------------------------ #
 

@@ -178,6 +178,18 @@ def test_run_writes_report_when_asked(tmp_path, capsys):
     assert data["interrupted"] is False
 
 
+def test_calibrate_runs_every_code_in_one_batch(tmp_path, capsys):
+    import json
+
+    report = tmp_path / "report.json"
+    code = main(["calibrate", "--quota", "3000", "--warmup", "1000",
+                 "--jobs", "2", "--report", str(report)])
+    assert code == 0
+    assert "Benchmark calibration vs Table 3" in capsys.readouterr().out
+    counts = json.loads(report.read_text())["counts"]
+    assert counts["total"] == 13 and counts["simulated"] == 13
+
+
 def test_stats_command_prints_interval_series(tmp_path, capsys):
     dump = tmp_path / "series.json"
     code = main(["stats", "--mix", "471+444", "--scheme", "avgcc",

@@ -1,10 +1,10 @@
 """Cluster tier: handshake, lease redispatch, bit-identity, resume.
 
 Workers here are in-process :class:`WorkerClient` loopback threads
-(``in_process_faults=True`` so injected hard-death faults cannot kill
-the test process); the TCP sockets, frames and coordinator logic are
-exactly the production path.  Process-level workers are covered by the
-CLI smoke job in CI.
+whose slots run on their own process pool (a 1-slot worker runs in
+process, where hard-death faults are downgraded); the TCP sockets,
+frames and coordinator logic are exactly the production path.
+Process-level workers are covered by the CLI smoke job in CI.
 """
 
 import socket
@@ -44,9 +44,7 @@ def start_workers(scheduler, count=1, slots=2, prefix="w"):
     host, port = scheduler.executor.address
     clients, threads = [], []
     for index in range(count):
-        client = WorkerClient(
-            host, port, slots=slots, name=f"{prefix}{index}", in_process_faults=True
-        )
+        client = WorkerClient(host, port, slots=slots, name=f"{prefix}{index}")
         client.connect()
         thread = threading.Thread(target=client.run, daemon=True)
         thread.start()
@@ -235,9 +233,8 @@ def test_killed_worker_leases_redispatch_and_digests_match():
     local, _stats, _report = run_batch(specs, jobs=2)
     expected = Counter(result_digest(r) for r in local)
 
-    # 8s: far past the kill (lands within milliseconds of the lease
-    # starting) but short enough that the orphaned in-process sleeper
-    # cannot stall interpreter shutdown when this module runs alone.
+    # 8s: far past the kill, which lands within milliseconds of the
+    # lease starting; the killed worker's pool takes the sleeper along.
     plan = FaultPlan({specs[0]: Fault("hang", attempt=1, seconds=8.0)})
     scheduler = cluster_scheduler(
         executor_options={"listen": "127.0.0.1:0", "fault_plan": plan}
@@ -248,9 +245,8 @@ def test_killed_worker_leases_redispatch_and_digests_match():
     futures = [scheduler.submit(s) for s in specs]
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:  # the hung lease is in flight
-        with victim._busy_lock:
-            if victim._busy:
-                break
+        if scheduler.stats().leases_active:
+            break
         time.sleep(0.005)
     else:
         raise AssertionError("victim never started a lease")

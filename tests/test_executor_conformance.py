@@ -49,9 +49,7 @@ def make_scheduler(request):
         clients, threads = [], []
         if request.param == "cluster":
             host, port = scheduler.executor.address
-            client = WorkerClient(
-                host, port, slots=worker_slots, name="conform", in_process_faults=True
-            )
+            client = WorkerClient(host, port, slots=worker_slots, name="conform")
             client.connect()
             thread = threading.Thread(target=client.run, daemon=True)
             thread.start()
@@ -155,6 +153,34 @@ def test_exhausted_retries_surface_as_job_failed(make_scheduler):
     with pytest.raises(JobFailed):
         future.result(timeout=300)
     assert scheduler.stats().failed == 1
+    # Both backends charge the crash in one spelling.
+    kind = "error: InjectedCrash('injected worker crash')"
+    assert scheduler.report.record(victim).errors == [kind]
+    assert future.exception().kind == kind
+
+
+def test_hung_cell_times_out_alone(make_scheduler):
+    """A cell past its timeout is killed where it runs: it fails with
+    the timeout, its sibling finishes on its first attempt, and on the
+    cluster the worker stays connected with nothing redispatched."""
+    victim, sibling = spec(), spec(scheme="baseline")
+    plan = FaultPlan({victim: Fault("hang", seconds=30.0)})
+    scheduler = make_scheduler(
+        jobs=2, worker_slots=2, timeout=1.0, retries=0,
+        executor_options={"fault_plan": plan},
+    )
+    hung = scheduler.submit(victim)
+    kept = scheduler.submit(sibling)
+    with pytest.raises(JobFailed):
+        hung.result(timeout=300)
+    assert kept.result(timeout=300).scheme == "baseline"
+    assert scheduler.report.record(victim).errors == ["timeout after 1s"]
+    assert scheduler.report.timeouts == 1
+    assert scheduler.report.record(sibling).attempts == 1
+    stats = scheduler.stats()
+    if stats.executor == "cluster":
+        assert stats.workers_connected == 1
+        assert stats.redispatches == 0
 
 
 def test_golden_digests_identical_across_executors(make_scheduler):

@@ -318,6 +318,23 @@ def test_report_roundtrip_and_summary(tmp_path):
     assert "3 cells" in report.summary()
 
 
+def test_report_rows_name_way_and_kernel_cells():
+    """Figure 1 cells share (codes, scheme) and differ only in their
+    ways, kernel cells have no codes at all: each row names its cell."""
+    cells = [
+        RunSpec(mix=(code,), scheme="baseline", l2_ways=ways)
+        for code in (471, 473)
+        for ways in (1, 2, 4, 8, 16, "full")
+    ] + [RunSpec(kernel=("lu", 4), scheme=s) for s in ("baseline", "ascc")]
+    report = RunReport()
+    for cell in cells:
+        report.mark_ok(cell, 0.1)
+    rows = report.to_dict()["cells"]
+    assert len(rows) == len(cells)
+    assert len({row["cell"] for row in rows}) == len(rows)
+    assert rows[0]["cell"] == "471@ways=1/baseline"
+
+
 def test_closed_loop_reuses_one_process_pool(monkeypatch):
     """One-at-a-time cells on a jobs=2 scheduler share one pool."""
     spawned = []

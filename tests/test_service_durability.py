@@ -605,6 +605,55 @@ def test_kill_9_mid_batch_takes_its_pool_workers_along(tmp_path):
     assert not list(Path("/dev/shm").glob(f"{SHM_PREFIX}_{batch.pid}_*"))
 
 
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc to find children"
+)
+def test_kill_9_mid_lease_takes_the_worker_pool_along():
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the parent-death pipe only when forked")
+    victim = RunSpec(mix="471+444", scheme="avgcc", quota=1_500, warmup=500)
+    scheduler = BatchScheduler(
+        executor="cluster",
+        executor_options={
+            "listen": "127.0.0.1:0",
+            "fault_plan": FaultPlan({victim: Fault("hang", seconds=60.0)}),
+        },
+    )
+    host, port = scheduler.executor.address
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker", "--connect", f"{host}:{port}",
+         "--slots", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    children: list[int] = []
+    try:
+        scheduler.submit(victim)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            assert worker.poll() is None, "worker exited before its lease"
+            children = _children(worker.pid)
+            if scheduler.stats().leases_active and len(children) >= 2:
+                break
+            time.sleep(0.05)
+        assert len(children) >= 2, "the worker's pool never started"
+        time.sleep(0.3)  # let the pool finish forking
+        children = _children(worker.pid)
+    finally:
+        worker.kill()
+        worker.wait()
+        scheduler.close(drain=False)
+
+    gone_by = time.monotonic() + 5
+    while any(map(_running, children)) and time.monotonic() < gone_by:
+        time.sleep(0.05)
+    assert not [pid for pid in children if _running(pid)], "orphaned pool workers"
+
+
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):
     from repro.experiments.parallel import ResultCache
 

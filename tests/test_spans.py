@@ -281,9 +281,7 @@ def start_workers(scheduler, count=1, slots=2, prefix="w"):
     host, port = scheduler.executor.address
     clients, threads = [], []
     for index in range(count):
-        client = WorkerClient(
-            host, port, slots=slots, name=f"{prefix}{index}", in_process_faults=True
-        )
+        client = WorkerClient(host, port, slots=slots, name=f"{prefix}{index}")
         client.connect()
         thread = threading.Thread(target=client.run, daemon=True)
         thread.start()
@@ -377,9 +375,8 @@ def test_killed_worker_respans_as_second_attempt_under_one_cell(tmp_path):
     futures = [scheduler.submit(s) for s in specs]
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        with victim._busy_lock:
-            if victim._busy:
-                break
+        if scheduler.stats().leases_active:
+            break
         time.sleep(0.005)
     else:
         raise AssertionError("victim never started a lease")

@@ -144,6 +144,32 @@ def test_shared_memory_view_equals_generator_output(workloads):
         parent.close_shared()
 
 
+def test_shared_attach_leaves_the_resource_tracker_alone(workloads, monkeypatch):
+    """Pool workers share the parent's resource tracker: an attach that
+    registered (or unregistered) there could drop the parent's own
+    registration, twice over when two workers attach one segment."""
+    from multiprocessing import resource_tracker
+
+    parent = TraceCache()
+    parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
+    mapping = parent.export_shared()
+    calls = []
+    for name in ("register", "unregister"):
+        monkeypatch.setattr(
+            resource_tracker, name, lambda *args, name=name: calls.append((name, args))
+        )
+    try:
+        for _ in range(2):
+            worker = TraceCache()
+            worker.attach_shared(mapping)
+            worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+            assert worker.stats["shm_hits"] == 1
+    finally:
+        monkeypatch.undo()
+        parent.close_shared()
+    assert calls == []
+
+
 def test_export_shared_copies_only_new_or_grown_buffers(workloads):
     parent = TraceCache()
     (first, *_rest) = parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
