@@ -425,9 +425,6 @@ def _scheduler_flags(args: argparse.Namespace) -> dict:
         journal=args.journal,
         max_queue_depth=args.max_queue,
         max_bytes=args.max_bytes,
-        shed_policy=args.shed_policy,
-        breaker_threshold=args.breaker_failures,
-        breaker_reset=args.breaker_reset,
         executor=executor,
         executor_options=executor_options,
         spans_path=getattr(args, "spans", None),
@@ -765,30 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="admission control: refuse new submissions once the "
             "queued specs' serialized size exceeds BYTES "
             "(default: unbounded)",
-        )
-        p.add_argument(
-            "--shed-policy",
-            choices=("reject", "drop-oldest"),
-            default="reject",
-            help="what to do at the admission bound: 'reject' the "
-            "newcomer, or 'drop-oldest' — cancel the lowest-priority "
-            "queued spec to make room (default: reject)",
-        )
-        p.add_argument(
-            "--breaker-failures",
-            type=_positive_int("--breaker-failures"),
-            default=None,
-            metavar="N",
-            help="open a per-scheme circuit breaker after N consecutive "
-            "simulation failures for that scheme (default: breaker off)",
-        )
-        p.add_argument(
-            "--breaker-reset",
-            type=_positive_float("--breaker-reset"),
-            default=30.0,
-            metavar="SECONDS",
-            help="seconds an open breaker waits before letting one probe "
-            "submission through (default: 30)",
         )
 
     def add_executor_flags(p: argparse.ArgumentParser) -> None:

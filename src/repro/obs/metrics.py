@@ -27,8 +27,7 @@ _PREFIX = "repro"
 # followed by the report families, each rendered the same way.
 
 #: ``(family, type, help, key)`` rows of unlabelled samples, in page
-#: order.  Service rows read the stats record; the per-scheme breaker
-#: states sit between the two service tables.
+#: order.  Service rows read the stats record.
 _SERVICE = (
     ("service_queue_depth", "gauge", "Specs queued, not yet executing.", "queue_depth"),
     ("service_inflight", "gauge", "Specs currently executing.", "inflight"),
@@ -41,15 +40,11 @@ _SERVICE = (
     ("service_failed_total", "counter", "Specs that exhausted retries.", "failed"),
     ("service_cancelled_total", "counter", "Specs cancelled before execution.", "cancelled"),
     ("service_shed_total", "counter",
-     "Submissions shed (rejected or dropped) by admission control.", "shed"),
+     "Submissions rejected by admission control.", "shed"),
     ("service_recovered_total", "counter",
      "Specs re-enqueued from the write-ahead journal by a resume.", "recovered"),
     ("watchdog_kills_total", "counter",
-     "Hung workers SIGKILLed by the heartbeat watchdog.", "watchdog_kills"),
-    ("breaker_rejected_total", "counter",
-     "Submissions refused because their scheme's breaker was open.", "breaker_rejected"),
-)
-_SERVICE_SWEEPS_AND_CLUSTER = (
+     "Attempts charged worker-hung past hang_grace.", "watchdog_kills"),
     ("service_cache_quarantined_total", "counter",
      "Corrupt result-cache entries quarantined by this service.", "cache_quarantined"),
     ("service_cache_tmp_swept_total", "counter",
@@ -72,7 +67,7 @@ _RUN = (
     ("run_pool_deaths_total", "counter",
      "Worker-pool respawns after hard deaths.", "pool_deaths"),
     ("run_watchdog_kills_total", "counter",
-     "Hung workers SIGKILLed by the heartbeat watchdog.", "watchdog_kills"),
+     "Attempts charged worker-hung past hang_grace.", "watchdog_kills"),
     ("run_degraded_serial", "gauge", "1 if the sweep finished in-process.", "degraded_serial"),
     ("run_interrupted", "gauge", "1 if the sweep was interrupted.", "interrupted"),
     ("run_wall_seconds", "gauge", "Wall-clock duration of the sweep.", "elapsed"),
@@ -93,7 +88,6 @@ _CELLS = (
     ("cell_queue_seconds", "Queue latency per cell.", "queue_seconds"),
     ("cell_attempts", "Attempts charged per cell.", "attempts"),
 )
-_BREAKER_CODES = {"closed": 0, "half-open": 1, "open": 2}
 
 
 def escape_label_value(value: str) -> str:
@@ -146,16 +140,6 @@ def _scalars(table: tuple, value_of) -> Iterator[tuple]:
 
 def _service_families(data: dict) -> Iterator[tuple]:
     yield from _scalars(_SERVICE, data.__getitem__)
-    yield (
-        "breaker_state",
-        "gauge",
-        "Per-scheme circuit-breaker state (0=closed, 1=half-open, 2=open).",
-        [
-            ("", {"scheme": scheme}, _BREAKER_CODES.get(state, 0))
-            for scheme, state in sorted(data["breaker"].items())
-        ],
-    )
-    yield from _scalars(_SERVICE_SWEEPS_AND_CLUSTER, data.__getitem__)
     # Span families appear only when a tracer is configured: an
     # untraced service's scrape stays byte-identical to pre-tracing
     # releases (and dashboards don't chart all-zero series).
@@ -174,7 +158,8 @@ def _service_families(data: dict) -> Iterator[tuple]:
         yield (
             "span_seconds",
             "summary",
-            "Request-path span durations per phase (batch/cell/queue/attempt/lease/execute).",
+            "Request-path span durations per phase "
+            "(http/cell/queue/cache/attempt/lease/execute).",
             _summary(data["span_phases"], "phase"),
         )
     yield (
@@ -198,12 +183,14 @@ def _report_families(report, per_cell: bool) -> Iterator[tuple]:
     ]
     yield from _scalars(_RESULT_CACHE, partial(getattr, report))
     if per_cell and report.records:
-        from repro.execution.report import cell_parts
+        from repro.execution.report import cell_name, cell_parts
 
         cells = []
         for rec in report.records.values():
             codes, scheme = cell_parts(rec.cell)
-            cells.append((rec, {"mix": "+".join(str(c) for c in codes), "scheme": scheme}))
+            mix = "+".join(str(c) for c in codes)
+            labels = {"cell": cell_name(rec.cell), "mix": mix, "scheme": scheme}
+            cells.append((rec, labels))
         for name, help_text, attr in _CELLS:
             samples = [("", labels, getattr(rec, attr)) for rec, labels in cells]
             yield name, "gauge", help_text, samples

@@ -11,8 +11,7 @@ stdio and a loopback HTTP batch endpoint (``repro serve``).
 The :mod:`~repro.service.durability` layer makes the service survive its
 production failure modes: a write-ahead :class:`BatchJournal` plus
 :meth:`BatchScheduler.recover` for crash-safe resumption, an
-:class:`AdmissionController` and per-scheme :class:`CircuitBreaker` for
-overload.  A worker hung mid-cell is caught by the executors
+:class:`AdmissionController` that sheds overload with a retry hint.  A worker hung mid-cell is caught by the executors
 themselves: ``hang_grace`` charges any attempt in flight past it.
 
 Execution itself is pluggable: the :class:`Executor` protocol
@@ -36,8 +35,6 @@ from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
     BatchJournal,
-    BreakerOpen,
-    CircuitBreaker,
     DeadlineExceeded,
     JournalError,
     JournalReplay,
@@ -89,8 +86,6 @@ __all__ = [
     "BatchHTTPServer",
     "BatchJournal",
     "BatchScheduler",
-    "BreakerOpen",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "Executor",
     "ExecutorConfig",

@@ -3,11 +3,10 @@
 The scheduler in :mod:`repro.service.scheduler` made batches *correct*
 (dedup, priorities, bounded retry); this module makes them survive
 the failure modes a long campaign actually hits — the serving process
-dying mid-batch, a traffic burst outrunning the worker pool, and one
-broken scheme poisoning every batch it rides in.  (A worker wedged
-mid-cell is the executors' business: ``hang_grace`` is a rule of their
-:class:`~repro.service.executor.AttemptLedger`.)  Three pieces, each
-usable on its own:
+dying mid-batch and a traffic burst outrunning the worker pool.  (A
+worker wedged mid-cell is the executors' business: ``hang_grace`` is a
+rule of their :class:`~repro.service.executor.AttemptLedger`.)  Two
+pieces, each usable on its own:
 
 * :class:`BatchJournal` — a write-ahead JSONL journal of every spec's
   lifecycle (``submitted`` / ``started`` / ``done`` / ``failed`` /
@@ -18,13 +17,8 @@ usable on its own:
   skipped, not fatal), and :meth:`BatchJournal.compact` rewrites the
   file down to just that set on a clean close.
 * :class:`AdmissionController` — bounded queue depth and an in-flight
-  byte budget with a configurable shed policy: ``reject`` (refuse the
-  new submission with a retry hint) or ``drop-oldest`` (cancel the
-  least urgent queued spec to admit a more urgent one).
-* :class:`CircuitBreaker` — per-scheme failure isolation: ``threshold``
-  consecutive execution failures open the breaker (submissions for
-  that scheme fail fast), a timer half-opens it for a single probe,
-  and a probe success closes it again.
+  byte budget: an over-budget submission is refused with a retry hint,
+  and accepted work is never dropped to make room.
 
 Everything is stdlib-only, and none of it touches the simulation hot
 path: journal appends are buffered in memory and admission checks run
@@ -40,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 #: Bump when the journal record layout changes; replay skips records
 #: from other versions instead of misreading them.
@@ -77,18 +71,6 @@ class AdmissionRejected(RuntimeError):
 
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
         super().__init__(message)
-        self.retry_after = max(1.0, float(retry_after))
-
-
-class BreakerOpen(RuntimeError):
-    """A submission was refused because its scheme's breaker is open."""
-
-    def __init__(self, scheme: str, retry_after: float) -> None:
-        super().__init__(
-            f"circuit breaker for scheme {scheme!r} is open "
-            f"(recent executions kept failing); retry in ~{retry_after:.0f}s"
-        )
-        self.scheme = scheme
         self.retry_after = max(1.0, float(retry_after))
 
 
@@ -352,157 +334,34 @@ def replay_journal(journal_dir: str | os.PathLike) -> JournalReplay:
 # Admission control
 # --------------------------------------------------------------------- #
 
-#: Shed policies :class:`AdmissionController` understands.
-SHED_POLICIES = ("reject", "drop-oldest")
-
 
 class AdmissionController:
-    """Bounded queue depth and byte budget with a shed policy.
+    """Bounded queue depth and byte budget; over budget means rejected.
 
     ``max_queue_depth`` bounds specs queued but not yet executing;
     ``max_bytes`` bounds the summed serialized size of queued plus
     in-flight specs (a proxy for the memory the service has promised).
-    ``None`` disables either bound.  Under ``reject`` an over-budget
-    submission raises :class:`AdmissionRejected`; under ``drop-oldest``
-    the controller instead names the least urgent queued victim for the
-    scheduler to cancel — and only rejects when the *new* submission is
-    itself the least urgent.
+    ``None`` disables either bound.  Work already accepted is never
+    cancelled to make room: an over-budget submission raises
+    :class:`AdmissionRejected` with a retry hint instead.
     """
 
     def __init__(
-        self,
-        max_queue_depth: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-        policy: str = "reject",
+        self, max_queue_depth: Optional[int] = None, max_bytes: Optional[int] = None
     ) -> None:
-        if policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {policy!r}; expected one of {SHED_POLICIES}"
-            )
         self.max_queue_depth = max_queue_depth
         self.max_bytes = max_bytes
-        self.policy = policy
-        self.shed = 0
-
-    def over_budget(self, queue_depth: int, pending_bytes: int, size: int) -> bool:
-        if self.max_queue_depth is not None and queue_depth >= self.max_queue_depth:
-            return True
-        if self.max_bytes is not None and pending_bytes + size > self.max_bytes:
-            return True
-        return False
 
     def admit(
-        self,
-        queue_depth: int,
-        pending_bytes: int,
-        size: int,
-        priority: int,
-        queued: Iterable,
-        retry_after: float,
-    ):
-        """Admit a submission or shed per policy.
-
-        Returns ``None`` (admitted outright) or a victim entry from
-        ``queued`` the caller must cancel to make room.  Raises
-        :class:`AdmissionRejected` when the submission is shed.
-        ``queued`` yields objects with ``priority`` and ``seq``
-        attributes (the scheduler's queued entries).
-        """
-        if not self.over_budget(queue_depth, pending_bytes, size):
-            return None
-        if self.policy == "drop-oldest":
-            victim = None
-            for entry in queued:
-                if victim is None or (entry.priority, entry.seq) > (
-                    victim.priority,
-                    victim.seq,
-                ):
-                    victim = entry
-            # Only shed a strictly less urgent spec; otherwise the new
-            # submission is the least valuable work and is rejected.
-            if victim is not None and victim.priority > priority:
-                return victim
-        self.shed += 1
-        raise AdmissionRejected(
-            f"queue full ({queue_depth} queued, {pending_bytes} pending bytes); "
-            f"submission shed by policy {self.policy!r}",
-            retry_after=retry_after,
-        )
-
-
-# --------------------------------------------------------------------- #
-# Circuit breaker
-# --------------------------------------------------------------------- #
-
-#: Breaker states, in escalation order (also their metric encoding).
-BREAKER_STATES = ("closed", "half-open", "open")
-
-
-class CircuitBreaker:
-    """Per-scheme consecutive-failure breaker with timed half-open probes.
-
-    Execution failures (retries already exhausted) for one scheme are a
-    strong signal the *scheme configuration* is broken, not the batch:
-    after ``threshold`` consecutive failures the breaker opens and
-    submissions for that scheme fail fast with :class:`BreakerOpen`
-    instead of occupying workers.  After ``reset_after`` seconds the
-    breaker half-opens: exactly one probe submission is allowed
-    through; its success closes the breaker, its failure re-opens the
-    timer.  Schemes never interact — one broken scheme cannot starve
-    the others.
-    """
-
-    def __init__(self, threshold: int = 5, reset_after: float = 30.0) -> None:
-        self.threshold = max(1, int(threshold))
-        self.reset_after = max(0.0, float(reset_after))
-        self._lock = threading.Lock()
-        #: scheme -> [consecutive_failures, state, opened_at, probing]
-        self._schemes: dict[str, list] = {}
-        self.rejected = 0
-
-    def _entry(self, scheme: str) -> list:
-        entry = self._schemes.get(scheme)
-        if entry is None:
-            entry = self._schemes[scheme] = [0, "closed", 0.0, False]
-        return entry
-
-    def allow(self, scheme: str) -> None:
-        """Raise :class:`BreakerOpen` unless this scheme may submit now."""
-        with self._lock:
-            entry = self._entry(scheme)
-            failures, state, opened_at, probing = entry
-            if state == "closed":
-                return
-            remaining = self.reset_after - (time.monotonic() - opened_at)
-            if state == "open" and remaining <= 0:
-                entry[1], entry[3] = "half-open", True  # this caller probes
-                return
-            if state == "half-open" and not probing:
-                entry[3] = True
-                return
-            self.rejected += 1
-            raise BreakerOpen(scheme, max(1.0, remaining))
-
-    def record_success(self, scheme: str) -> None:
-        with self._lock:
-            entry = self._entry(scheme)
-            entry[0], entry[1], entry[3] = 0, "closed", False
-
-    def record_failure(self, scheme: str) -> None:
-        with self._lock:
-            entry = self._entry(scheme)
-            entry[0] += 1
-            if entry[1] == "half-open" or entry[0] >= self.threshold:
-                entry[1] = "open"
-                entry[2] = time.monotonic()
-            entry[3] = False
-
-    def state(self, scheme: str) -> str:
-        with self._lock:
-            entry = self._schemes.get(scheme)
-            return entry[1] if entry is not None else "closed"
-
-    def states(self) -> dict:
-        """``{scheme: state}`` for every scheme seen (snapshot)."""
-        with self._lock:
-            return {scheme: entry[1] for scheme, entry in self._schemes.items()}
+        self, queue_depth: int, pending_bytes: int, size: int, retry_after: float
+    ) -> None:
+        """Raise :class:`AdmissionRejected` if ``size`` more bytes on top
+        of ``queue_depth`` queued specs would exceed either bound."""
+        if (
+            self.max_queue_depth is not None and queue_depth >= self.max_queue_depth
+        ) or (self.max_bytes is not None and pending_bytes + size > self.max_bytes):
+            raise AdmissionRejected(
+                f"queue full ({queue_depth} queued, {pending_bytes} pending "
+                "bytes); submission shed",
+                retry_after=retry_after,
+            )

@@ -25,7 +25,7 @@ queue-latency rules are written once:
   length-prefixed wire protocol.
 
 The scheduler keeps owning everything above execution — dedup, the
-priority queue, journal, admission, breaker, deadlines and the run
+priority queue, journal, admission, deadlines and the run
 report's file — which is what makes the acceptance property cheap to
 state: an executor only decides *where* a cell simulates, never *what*
 it computes.

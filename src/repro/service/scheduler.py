@@ -71,8 +71,6 @@ from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
     BatchJournal,
-    BreakerOpen,
-    CircuitBreaker,
     DeadlineExceeded,
     JournalError,
 )
@@ -99,8 +97,10 @@ class SchedulerClosed(RuntimeError):
 
 #: Version of the :meth:`ServiceStats.to_dict` record shape.  Bump on
 #: any incompatible change (renamed/retyped keys); additive keys keep
-#: the version.  v1: the PR-9 counters plus ``spans``/``span_phases``.
-STATS_SCHEMA_VERSION = 1
+#: the version.  v1: the service counters plus ``spans``/``span_phases``.
+#: v2 (3.0.0): the per-scheme circuit state and its rejection count
+#: are gone.
+STATS_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,12 @@ class ServiceStats:
     queue_depth: int
     inflight: int
     latency: dict = field(default_factory=dict)
-    #: Submissions refused (or victims dropped) by admission control.
+    #: Submissions refused by admission control.
     shed: int = 0
     #: Specs re-enqueued from the journal by ``recover``/``--resume``.
     recovered: int = 0
     #: Attempts charged ``worker-hung`` past the local ``hang_grace``.
     watchdog_kills: int = 0
-    #: Submissions refused because their scheme's breaker was open.
-    breaker_rejected: int = 0
-    #: ``{scheme: state}`` snapshot of the per-scheme circuit breaker.
-    breaker: dict = field(default_factory=dict)
     #: Result-cache self-healing counters (quarantined entries, stale
     #: tmp files swept at open) and orphaned trace shm segments swept.
     cache_quarantined: int = 0
@@ -256,9 +252,6 @@ class BatchScheduler:
         journal: bool = True,
         max_queue_depth: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        shed_policy: str = "reject",
-        breaker_threshold: Optional[int] = None,
-        breaker_reset: float = 30.0,
         start: bool = True,
         executor="local",
         executor_options: Optional[dict] = None,
@@ -313,13 +306,8 @@ class BatchScheduler:
         )
         self.executor = make_executor(executor, config, **options)
         self.admission = (
-            AdmissionController(max_queue_depth, max_bytes, shed_policy)
+            AdmissionController(max_queue_depth, max_bytes)
             if max_queue_depth is not None or max_bytes is not None
-            else None
-        )
-        self.breaker = (
-            CircuitBreaker(breaker_threshold, breaker_reset)
-            if breaker_threshold is not None
             else None
         )
         #: Cumulative report across every busy period of this scheduler.
@@ -392,10 +380,8 @@ class BatchScheduler:
         cell span roots under it instead of starting a fresh trace.
         Raises :class:`~repro.api.spec.SpecError` on an invalid spec,
         :class:`SchedulerClosed` after :meth:`close`,
-        :class:`~repro.service.durability.AdmissionRejected` when shed
-        by admission control, and
-        :class:`~repro.service.durability.BreakerOpen` while the spec's
-        scheme is circuit-broken.
+        and :class:`~repro.service.durability.AdmissionRejected` when
+        shed by admission control.
         """
         spec.validate()
         future: Future = Future()
@@ -430,32 +416,24 @@ class BatchScheduler:
                     entry.priority = priority
                     heappush(self._queue, (priority, entry.seq, spec))
                 return future
-            # Genuinely new work from here on: it must pass the breaker
-            # and admission control (dedup joins and memory hits above
-            # add no load, so they are always admitted).
-            if self.breaker is not None:
-                self.breaker.allow(spec.scheme)
+            # Genuinely new work from here on: it must pass admission
+            # control (dedup joins and memory hits above add no load, so
+            # they are always admitted).
             size = 0
             if self.admission is not None:
                 size = len(
                     json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
                 )
-                queued = [e for e in self._entries.values() if e.state == "queued"]
                 try:
-                    victim = self.admission.admit(
-                        len(queued),
+                    self.admission.admit(
+                        sum(1 for e in self._entries.values() if e.state == "queued"),
                         self._pending_bytes,
                         size,
-                        priority,
-                        queued,
                         self._retry_after_locked(),
                     )
                 except AdmissionRejected:
                     self.shed += 1
                     raise
-                if victim is not None:
-                    self.shed += 1
-                    self._cancel_locked(victim, "shed", detail="shed")
             entry = _Entry(spec, priority, next(self._seq))
             entry.futures.append(future)
             entry.size = size
@@ -642,10 +620,6 @@ class BatchScheduler:
                 shed=self.shed,
                 recovered=self.recovered,
                 watchdog_kills=self.report.watchdog_kills,
-                breaker_rejected=(
-                    self.breaker.rejected if self.breaker is not None else 0
-                ),
-                breaker=self.breaker.states() if self.breaker is not None else {},
                 cache_quarantined=self.cache.quarantined if self.cache else 0,
                 cache_tmp_swept=self.cache.tmp_swept if self.cache else 0,
                 shm_swept=self.shm_swept,
@@ -844,8 +818,6 @@ class BatchScheduler:
             self._journal.append(
                 "done", entry.key, detail="simulated" if simulated else "cache"
             )
-        if simulated and self.breaker is not None:
-            self.breaker.record_success(spec.scheme)
         for future in futures:
             if not future.cancelled():
                 future.set_result(result)
@@ -862,38 +834,27 @@ class BatchScheduler:
         self._finish_cell_span(entry, "failed", error=type(error).__name__)
         if entry is not None and self._journal is not None and entry.key is not None:
             self._journal.append("failed", entry.key, detail=str(error))
-        if self.breaker is not None and isinstance(error, JobFailed):
-            # Only genuine execution failures trip the breaker; expired
-            # deadlines say nothing about the scheme's health.
-            self.breaker.record_failure(spec.scheme)
         for future in futures:
             if not future.cancelled():
                 future.set_exception(error)
 
-    def _cancel_locked(
-        self,
-        entry: _Entry,
-        status: str = "cancelled",
-        *,
-        journal: bool = True,
-        detail: Optional[str] = None,
-    ) -> None:
+    def _cancel_locked(self, entry: _Entry, *, journal: bool = True) -> None:
         """Retire an entry without a result — the one cancel path.
 
-        Shed victims (``status="shed"``), entries whose every future was
-        cancelled, and the cells an abort stops all land here: the entry
-        leaves the work set, its cell span finishes with ``status``, a
-        ``cancelled`` journal record is written when ``journal`` is set
-        (an abort keeps the ``submitted`` record for ``--resume``), and
-        its futures are cancelled.
+        Entries whose every future was cancelled and the cells an abort
+        stops both land here: the entry leaves the work set, its cell
+        span finishes ``cancelled``, a ``cancelled`` journal record is
+        written when ``journal`` is set (an abort keeps the
+        ``submitted`` record for ``--resume``), and its futures are
+        cancelled.
         """
         entry.state = "done"
         self._entries.pop(entry.spec, None)
         self._pending_bytes -= entry.size
         self.cancelled += 1
-        self._finish_cell_span(entry, status)
+        self._finish_cell_span(entry, "cancelled")
         if journal and self._journal is not None and entry.key is not None:
-            self._journal.append("cancelled", entry.key, detail=detail)
+            self._journal.append("cancelled", entry.key)
         for future in entry.futures:
             _notify_cancel(future)
 

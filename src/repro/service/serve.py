@@ -39,7 +39,7 @@ from typing import IO, Optional
 from repro.api.spec import RunSpec, SpecError
 from repro.obs.metrics import prometheus_text
 from repro.service import wire
-from repro.service.durability import AdmissionRejected, BreakerOpen
+from repro.service.durability import AdmissionRejected
 from repro.service.scheduler import BatchScheduler, SchedulerClosed
 
 
@@ -114,7 +114,7 @@ def serve_jsonl(
                 deadline=request.deadline,
                 trace=request.trace,
             )
-        except (AdmissionRejected, BreakerOpen) as exc:
+        except AdmissionRejected as exc:
             # Shed per request, never per stream: one refused submission
             # must not abort the remaining lines.
             failures += 1
@@ -231,7 +231,7 @@ class _Handler(BaseHTTPRequestHandler):
         results: list = []
         admitted: list = []  # (slot, spec, future)
         retry_after = 0.0
-        shed = closed = False
+        closed = False
         for request in requests:
             spec = request.spec
             try:
@@ -242,14 +242,8 @@ class _Handler(BaseHTTPRequestHandler):
                     trace=request.trace if request.trace is not None else context,
                 )
             except AdmissionRejected as exc:
-                shed = True
                 retry_after = max(retry_after, exc.retry_after)
                 results.append(wire.error_record(exc, spec=spec.name))
-            except BreakerOpen as exc:
-                retry_after = max(retry_after, exc.retry_after)
-                results.append(
-                    wire.error_record(exc, spec=spec.name, breaker=exc.scheme)
-                )
             except SchedulerClosed as exc:
                 closed = True
                 results.append(wire.error_record(exc, spec=spec.name))
@@ -283,10 +277,10 @@ class _Handler(BaseHTTPRequestHandler):
                 headers=trace_headers,
             )
             return
-        if not admitted and results and all(r and not r["ok"] for r in results):
-            # Nothing was even accepted: overload (429) or breaker (503).
+        if not admitted and results:
+            # Nothing was even accepted: every spec was shed (overload).
             self._send_json(
-                429 if shed else 503,
+                429,
                 results,
                 retry_after=retry_after,
                 headers=trace_headers,

@@ -17,9 +17,8 @@ where requests, results and errors are given shape:
   "id": ..., "deadline": s}``) and returns one typed
   :class:`Request`.
 * **Errors** — :func:`classify_error` maps every exception the service
-  can surface (spec validation, admission shed, open breaker, closed
-  scheduler, expired deadline, cancellation, exhausted retries, wire
-  mismatch) onto the one :class:`ServiceError` taxonomy; front-ends
+  can surface (spec validation, admission shed, closed scheduler,
+  expired deadline, cancellation, exhausted retries, wire mismatch) onto the one :class:`ServiceError` taxonomy; front-ends
   render it with :func:`error_record` so the ``code`` vocabulary is
   identical over JSONL stdio, HTTP and the cluster TCP protocol.
 * **Results** — :func:`result_record` is the shared success envelope
@@ -62,7 +61,6 @@ ERROR_CODES = (
     "spec_invalid",       # RunSpec.validate failed (SpecError)
     "protocol_mismatch",  # peer speaks a different PROTOCOL_VERSION
     "shed",               # admission control refused the submission
-    "breaker_open",       # the spec's scheme is circuit-broken
     "scheduler_closed",   # submitted after close()
     "deadline_exceeded",  # per-request deadline elapsed before running
     "cancelled",          # scheduler shut down before the spec ran
@@ -93,8 +91,8 @@ class ServiceError:
     """One classified service error: taxonomy code + rendered message.
 
     ``retry_after`` is the server's hint (seconds) for when a retry
-    might succeed — present for load-derived errors (``shed``,
-    ``breaker_open``), ``None`` for permanent ones.
+    might succeed — present for the load-derived ``shed``, ``None`` for
+    permanent errors.
     """
 
     code: str
@@ -125,21 +123,14 @@ def classify_error(exc: BaseException) -> ServiceError:
     """
     from concurrent.futures import CancelledError
 
-    from repro.service.durability import (
-        AdmissionRejected,
-        BreakerOpen,
-        DeadlineExceeded,
-    )
+    from repro.service.durability import AdmissionRejected, DeadlineExceeded
 
-    retry_after = getattr(exc, "retry_after", None)
     if isinstance(exc, WireError):
         return ServiceError(exc.code, str(exc))
     if isinstance(exc, SpecError):
         return ServiceError("spec_invalid", str(exc))
     if isinstance(exc, AdmissionRejected):
-        return ServiceError("shed", str(exc), retry_after)
-    if isinstance(exc, BreakerOpen):
-        return ServiceError("breaker_open", str(exc), retry_after)
+        return ServiceError("shed", str(exc), exc.retry_after)
     if isinstance(exc, DeadlineExceeded):
         return ServiceError("deadline_exceeded", str(exc))
     if isinstance(exc, CancelledError):

@@ -42,7 +42,7 @@ def tiny_session(tmp_path, **kwargs):
 
 
 def test_report_version_bumped_for_new_fields():
-    # v3: watchdog_kills (hung workers SIGKILLed by the heartbeat watchdog)
+    # v3: watchdog_kills (attempts charged worker-hung past hang_grace)
     # v4: per-cell ``phases`` span-rollup timings (empty dict untraced)
     assert RunReport.VERSION == 4
 
@@ -126,8 +126,9 @@ def test_prometheus_exposition_shape():
     assert 'repro_result_cache_lookups_total{result="hit"} 1' in lines
     assert 'repro_result_cache_lookups_total{result="miss"} 1' in lines
     assert "repro_result_cache_hit_ratio 0.5" in lines
-    assert 'repro_cell_seconds{mix="444+445",scheme="avgcc"} 1.25' in lines
-    assert 'repro_cell_attempts{mix="444+445",scheme="avgcc"} 2' in lines
+    cell = 'cell="444+445/avgcc",mix="444+445",scheme="avgcc"'
+    assert f"repro_cell_seconds{{{cell}}} 1.25" in lines
+    assert f"repro_cell_attempts{{{cell}}} 2" in lines
     assert any(line.startswith("repro_run_worker_utilization ") for line in lines)
 
 

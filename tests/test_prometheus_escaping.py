@@ -59,7 +59,11 @@ def test_report_exporter_escapes_hostile_scheme_labels():
         line for line in text.splitlines() if line.startswith("repro_cell_seconds{")
     )
     # Quote and backslash escaped, the newline gone: one parseable line.
-    assert sample == 'repro_cell_seconds{mix="471+444",scheme="we\\"ird\\\\sch\\neme"} 1.25'
+    hostile = 'we\\"ird\\\\sch\\neme'
+    assert sample == (
+        f'repro_cell_seconds{{cell="471+444/{hostile}",mix="471+444",'
+        f'scheme="{hostile}"}} 1.25'
+    )
 
 
 def test_service_exporter_escapes_hostile_latency_labels():

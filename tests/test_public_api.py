@@ -4,7 +4,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
 
 
 def test_all_exports_resolve():

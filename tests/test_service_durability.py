@@ -1,4 +1,4 @@
-"""Durability layer: journal + resume, admission, breaker, watchdog, chaos."""
+"""Durability layer: journal + resume, admission, watchdog, chaos."""
 
 import io
 import json
@@ -24,8 +24,6 @@ from repro.service import (
     BatchHTTPServer,
     BatchJournal,
     BatchScheduler,
-    BreakerOpen,
-    CircuitBreaker,
     DeadlineExceeded,
     JournalError,
     replay_journal,
@@ -264,34 +262,17 @@ def test_admission_byte_budget_sheds():
     sched.close(drain=False)
 
 
-def test_drop_oldest_sheds_less_urgent_victim():
-    sched = BatchScheduler(
-        jobs=1, start=False, max_queue_depth=1, shed_policy="drop-oldest"
-    )
-    victim = sched.submit(spec(), priority=5)
-    admitted = sched.submit(spec(scheme="baseline"), priority=0)
-    assert victim.cancelled() and not admitted.cancelled()
-    # A newcomer *less* urgent than everything queued is itself shed.
-    with pytest.raises(AdmissionRejected):
-        sched.submit(spec(mix="444+445"), priority=9)
-    assert sched.stats().shed == 2
-    sched.start()
-    assert sched.drain(timeout=300)
-    sched.close()
-    assert admitted.result().scheme == "baseline"
-
-
 def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeypatch):
-    """Shed, withdrawn, aborted and interrupted entries leave the same
-    records: a ``cancelled`` journal line only for the first two (an
-    abort or interrupt keeps the spec resumable), and a cell span whose
-    status says which path retired it."""
+    """Withdrawn, aborted and interrupted entries leave the same records:
+    a ``cancelled`` journal line only for the first (an abort or
+    interrupt keeps the spec resumable), and a cell span whose status
+    says which path retired it."""
     tracer = SpanTracer()
     journaled = []
 
-    def scheduler(name, **kwargs):
+    def scheduler(name):
         sched = BatchScheduler(
-            jobs=1, cache_dir=tmp_path / name, start=False, tracer=tracer, **kwargs
+            jobs=1, cache_dir=tmp_path / name, start=False, tracer=tracer
         )
         append = sched._journal.append
 
@@ -303,17 +284,15 @@ def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeyp
         monkeypatch.setattr(sched._journal, "append", spy)
         return sched
 
-    shed, withdrawn, kept = spec(scheme="baseline"), spec(scheme="dsr"), spec()
-    sched = scheduler("admission", max_queue_depth=2, shed_policy="drop-oldest")
-    shed_future = sched.submit(shed, priority=5)
+    withdrawn, kept = spec(scheme="dsr"), spec()
+    sched = scheduler("withdraw")
     withdrawn_future = sched.submit(withdrawn, priority=1)
-    kept_future = sched.submit(kept, priority=0)  # sheds the least urgent
-    assert shed_future.cancelled()
+    kept_future = sched.submit(kept, priority=0)
     assert withdrawn_future.cancel()
     sched.start()
     assert kept_future.result(timeout=300).scheme == "avgcc"
     sched.close()
-    assert sched.stats().cancelled == 2 and sched.stats().shed == 1
+    assert sched.stats().cancelled == 1
 
     aborted = spec(mix="444+445")
     sched = scheduler("abort")
@@ -338,71 +317,14 @@ def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeyp
     sched.close()
     assert sched.stats().cancelled == 1
 
-    assert journaled == [(shed.cache_key(), "shed"), (withdrawn.cache_key(), None)]
+    assert journaled == [(withdrawn.cache_key(), None)]
     statuses = {span.attrs["cell"]: span.status for span in tracer.spans if span.name == "cell"}
     assert statuses == {
-        shed.name: "shed",
         withdrawn.name: "cancelled",
         kept.name: "ok",
         aborted.name: "cancelled",
         interrupted.name: "cancelled",
     }
-
-
-# --------------------------------------------------------------------- #
-# Circuit breaker
-# --------------------------------------------------------------------- #
-
-
-def test_breaker_opens_half_opens_and_closes():
-    breaker = CircuitBreaker(threshold=2, reset_after=0.0)
-    breaker.allow("avgcc")
-    breaker.record_failure("avgcc")
-    assert breaker.state("avgcc") == "closed"
-    breaker.record_failure("avgcc")
-    assert breaker.state("avgcc") == "open"
-    # reset_after elapsed -> first caller through is the probe, the
-    # second is still refused while the probe is outstanding.
-    breaker.allow("avgcc")
-    assert breaker.state("avgcc") == "half-open"
-    with pytest.raises(BreakerOpen):
-        breaker.allow("avgcc")
-    assert breaker.rejected == 1
-    breaker.record_success("avgcc")
-    assert breaker.state("avgcc") == "closed"
-    # Schemes never interact.
-    assert breaker.state("baseline") == "closed"
-
-
-def test_breaker_failed_probe_reopens():
-    breaker = CircuitBreaker(threshold=1, reset_after=0.0)
-    breaker.record_failure("dsr")
-    breaker.allow("dsr")  # probe
-    breaker.record_failure("dsr")
-    assert breaker.state("dsr") == "open"
-
-
-def test_scheduler_breaker_trips_on_job_failure():
-    plan = FaultPlan({spec(): Fault("crash")})
-    sched = BatchScheduler(
-        jobs=1,
-        retries=0,
-        executor_options={"fault_plan": plan},
-        breaker_threshold=1,
-        breaker_reset=600.0,
-    )
-    future = sched.submit(spec())
-    with pytest.raises(Exception, match="failed after retries"):
-        future.result(timeout=300)
-    with pytest.raises(BreakerOpen):
-        sched.submit(spec())
-    # Other schemes still flow, and their success is recorded.
-    ok = sched.submit(spec(scheme="baseline"))
-    assert ok.result(timeout=300).scheme == "baseline"
-    stats = sched.stats()
-    assert stats.breaker == {"avgcc": "open", "baseline": "closed"}
-    assert stats.breaker_rejected == 1
-    sched.close()
 
 
 # --------------------------------------------------------------------- #
@@ -778,7 +700,6 @@ def test_new_counters_render_in_prometheus(tmp_path):
         cache_dir=tmp_path,
         start=False,
         max_queue_depth=1,
-        breaker_threshold=3,
     )
     sched.submit(spec())
     with pytest.raises(AdmissionRejected):
@@ -790,7 +711,5 @@ def test_new_counters_render_in_prometheus(tmp_path):
     assert "repro_service_shed_total 1" in text
     assert "repro_service_recovered_total 0" in text
     assert "repro_watchdog_kills_total 0" in text
-    assert "repro_breaker_rejected_total 0" in text
-    assert 'repro_breaker_state{scheme="avgcc"} 0' in text
     assert "repro_service_cache_tmp_swept_total 0" in text
     assert "repro_service_shm_swept_total" in text

@@ -214,7 +214,7 @@ def test_untraced_scheduler_has_no_tracer_and_full_stats(tmp_path):
     assert stats.spans == {}
     assert stats.span_phases == {}
     data = stats.to_dict()
-    assert data["stats_version"] == 1
+    assert data["stats_version"] == 2
     assert data["submitted"] == 1
 
 

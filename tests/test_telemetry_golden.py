@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import RunSpec
 from repro.execution.report import RunReport
 from repro.obs import EventTracer
 from repro.obs.metrics import latency_quantiles
@@ -56,6 +57,11 @@ def fixed_report() -> RunReport:
     failed.status, failed.attempts, failed.duration = "failed", 3, 2.75
     failed.queue_seconds = 0.375
     report.record(((456, 444), "ecc"))  # still pending
+    # Way-sweep cells share (mix, scheme) and a kernel cell has no mix:
+    # only the ``cell`` label tells their series apart.
+    for ways in (4, 8):
+        report.mark_hit(RunSpec(mix=(473,), scheme="baseline", l2_ways=ways), "cache")
+    report.mark_hit(RunSpec(kernel=("lu", 4), scheme="ascc"), "cache")
     report.retried, report.timeouts, report.pool_deaths = 2, 1, 1
     report.watchdog_kills = 1
     report.cache_hits, report.cache_misses, report.cache_quarantined = 1, 3, 1
@@ -111,8 +117,6 @@ def fixed_stats(traced: bool):
         shed=1,
         recovered=2,
         watchdog_kills=1,
-        breaker_rejected=3,
-        breaker={"avgcc": "closed", HOSTILE: "open", "dsr": "half-open"},
         cache_quarantined=1,
         cache_tmp_swept=2,
         shm_swept=0,
@@ -173,6 +177,19 @@ def test_prometheus_text_is_pinned(golden, tmp_path, traced, per_cell):
         golden[key] = text
         GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     assert text == golden[key]
+
+
+def test_no_golden_page_repeats_a_series(golden):
+    """Prometheus rejects a page that names one series twice."""
+    assert golden
+    for key, text in golden.items():
+        samples = [
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        repeated = sorted({s for s in samples if samples.count(s) > 1})
+        assert not repeated, (key, repeated)
 
 
 def test_per_cell_text_extends_the_scrape_page(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from repro.api import RunSpec
 from repro.api.spec import SpecError
 from repro.service import wire
-from repro.service.durability import AdmissionRejected, BreakerOpen, DeadlineExceeded
+from repro.service.durability import AdmissionRejected, DeadlineExceeded
 from repro.service.scheduler import JobFailed, SchedulerClosed
 
 SPEC_DICT = {"mix": "471+444", "scheme": "avgcc", "quota": 1_500, "warmup": 500}
@@ -171,7 +171,6 @@ def test_classify_error_covers_the_service_exceptions():
         (wire.WireError("v2?", code="protocol_mismatch"), "protocol_mismatch"),
         (SpecError("bad spec"), "spec_invalid"),
         (AdmissionRejected("queue full", retry_after=2.0), "shed"),
-        (BreakerOpen("avgcc", 30.0), "breaker_open"),
         (DeadlineExceeded("471+444/avgcc", 1.0), "deadline_exceeded"),
         (SchedulerClosed("closed"), "scheduler_closed"),
         (JobFailed(spec, "timeout"), "execution_failed"),
