@@ -9,7 +9,7 @@ remote latency forever but never disturbs either cache.  The ablation
 records the measured difference rather than presuming a winner.
 """
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments.comparison import compare, format_comparison
 MIXES = [(471, 444), (429, 401), (473, 445)]

@@ -1,6 +1,6 @@
 """Figure 10: normalised AML with local/remote/memory breakdown."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig10_latency
 from repro.workloads.mixes import mix_name

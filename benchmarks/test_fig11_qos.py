@@ -1,6 +1,6 @@
 """Figure 11: QoS-Aware AVGCC vs AVGCC at 2 cores."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig11_qos
 

@@ -1,6 +1,6 @@
 """Figure 1: MPKI/CPI vs enabled ways for the eight shown benchmarks."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig1_ways
 from repro.workloads.spec2006 import benchmark as benchmark_spec

@@ -1,6 +1,6 @@
 """Figure 2: favored vs constant set fractions for astar and milc."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig2_sets
 

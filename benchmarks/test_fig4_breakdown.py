@@ -1,6 +1,6 @@
 """Figure 4: design-breakdown comparison on the four-app mixes."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig4_breakdown
 

@@ -1,6 +1,6 @@
 """Figure 5: neutral-state ablations (ASCC-2S, DSR-3S)."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig5_neutral
 

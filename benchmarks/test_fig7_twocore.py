@@ -1,6 +1,6 @@
 """Figure 7: two-core scheme comparison over the 14 mixes."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig7_twocore
 

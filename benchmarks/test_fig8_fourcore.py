@@ -1,6 +1,6 @@
 """Figure 8: the headline four-core comparison."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig8_fourcore
 

@@ -1,6 +1,6 @@
 """Figure 9: fairness (harmonic mean of normalised IPCs), 4 cores."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import fig9_fairness
 

@@ -1,6 +1,6 @@
 """Section 6.1: the shared-LLC comparison point."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec61_shared
 from repro.workloads.mixes import MIX4

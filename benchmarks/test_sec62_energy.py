@@ -1,6 +1,6 @@
 """Section 6.2: memory-hierarchy energy reduction."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec62_energy
 

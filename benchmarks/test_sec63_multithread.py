@@ -1,6 +1,6 @@
 """Section 6.3: multithreaded kernels on 512 kB LLCs."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec63_multithread
 

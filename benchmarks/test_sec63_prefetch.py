@@ -1,6 +1,6 @@
 """Section 6.3: sensitivity to per-LLC stride prefetchers."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec63_prefetch
 from repro.workloads.mixes import MIX4

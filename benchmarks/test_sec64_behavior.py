@@ -1,6 +1,6 @@
 """Section 6.4: spill counts and hits per spilled line."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec64_behavior
 

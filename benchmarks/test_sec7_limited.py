@@ -1,6 +1,6 @@
 """Section 7: cost-limited AVGCC variants."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import sec7_limited
 

@@ -1,6 +1,6 @@
 """Table 1: the ASCC granularity sweep."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import tab1_granularity
 

@@ -1,6 +1,6 @@
 """Table 4: off-chip access reduction vs cache size."""
 
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import tab4_sizes
 from repro.workloads.mixes import MIX2, MIX4

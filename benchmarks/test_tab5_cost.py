@@ -1,7 +1,7 @@
 """Table 5: exact storage cost (pure arithmetic, must match the paper)."""
 
 import pytest
-from conftest import run_once
+from benchmarks.conftest import run_once
 
 from repro.experiments import tab5_cost
 

@@ -10,9 +10,9 @@ Two ideas:
   normalised outcomes, prewarmed batches, telemetry and traces, with
   the orchestration knobs (workers, disk cache, timeouts) given once.
 * The service tier — :func:`run_batch`, :class:`BatchScheduler`,
-  :class:`AsyncClient`, :class:`ExecutorConfig` and the request-path
-  :class:`SpanTracer` — re-exported here so "the supported way to run
-  batches" is one import away from the spec that describes them.
+  :class:`ExecutorConfig` and the request-path :class:`SpanTracer` —
+  re-exported here so "the supported way to run batches" is one import
+  away from the spec that describes them.
 
 API stability: ``__all__`` below *is* the contract — anything
 importable from submodules but not listed here is private by policy.
@@ -36,7 +36,7 @@ _SESSION_EXPORTS = ("Session", "result_digest", "result_summary")
 #: The service tier imports ``repro.api.spec`` itself, so these resolve
 #: lazily for the same circularity reason (and to keep ``import
 #: repro.api`` light for spec-only callers).
-_SERVICE_EXPORTS = ("AsyncClient", "BatchScheduler", "ExecutorConfig", "run_batch")
+_SERVICE_EXPORTS = ("BatchScheduler", "ExecutorConfig", "run_batch")
 
 
 def __getattr__(name: str):
@@ -55,7 +55,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AsyncClient",
     "BatchScheduler",
     "CACHE_FORMAT_VERSION",
     "ExecutorConfig",

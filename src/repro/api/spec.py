@@ -146,12 +146,6 @@ class RunSpec:
     #: replay is bit-identical by construction, so a replayed and a
     #: generated run share a result-cache entry.
     trace_cache: Optional[bool] = field(default=None, compare=False)
-    #: Per-request deadline in seconds (from submission): the batch
-    #: service fails the spec with ``DeadlineExceeded`` instead of
-    #: starting it past this budget, and caps the executor's per-cell
-    #: timeout with it.  Excluded from the cache key — *when* a result
-    #: must arrive never changes what it is.
-    deadline: Optional[float] = field(default=None, compare=False)
     #: Whether to attach the :mod:`repro.verify` runtime sanitizer
     #: (``None`` = process default, i.e. off unless ``REPRO_SANITIZE=1``).
     #: Excluded from the cache key: the sanitizer only *reads* simulator
@@ -192,8 +186,6 @@ class RunSpec:
             object.__setattr__(self, "kernel", tuple(self.kernel))
         if self.trace_cache is not None:
             object.__setattr__(self, "trace_cache", bool(self.trace_cache))
-        if self.deadline is not None:
-            object.__setattr__(self, "deadline", float(self.deadline))
         if self.sanitize is not None:
             object.__setattr__(self, "sanitize", bool(self.sanitize))
 
@@ -296,12 +288,6 @@ class RunSpec:
                     + f"known kinds: {', '.join(KNOWN_KINDS)}",
                     field="events",
                 )
-        if self.deadline is not None and self.deadline <= 0:
-            raise SpecError(
-                f"deadline must be a positive number of seconds, "
-                f"got {self.deadline}",
-                field="deadline",
-            )
         return self
 
     def _check_scheme(self) -> None:

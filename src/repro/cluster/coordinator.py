@@ -4,9 +4,9 @@
 :class:`~repro.service.executor.Executor` protocol over a fleet of
 :class:`~repro.cluster.worker.WorkerClient` processes instead of a
 local process pool.  The scheduler above it is unchanged — dedup,
-journal, admission and deadlines all happen before a cell
-reaches this module, and results flow back through the same
-``on_result`` callback the local pool uses.
+journal and admission all happen before a cell reaches this module,
+and results flow back through the same ``on_result`` callback the
+local pool uses.
 
 Life of a cell here:
 

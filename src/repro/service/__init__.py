@@ -3,8 +3,7 @@
 :class:`BatchScheduler` accepts :class:`~repro.api.spec.RunSpec`
 submissions, deduplicates them against the content-addressed result
 cache (including in-flight dedup), prioritizes, fans out through the
-execution backend, and resolves a future per submission.
-:class:`AsyncClient` adapts those futures to asyncio; the
+execution backend, and resolves a future per submission.  The
 :mod:`~repro.service.serve` front-ends expose the scheduler over JSONL
 stdio and a loopback HTTP batch endpoint (``repro serve``).
 
@@ -35,7 +34,6 @@ from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
     BatchJournal,
-    DeadlineExceeded,
     JournalError,
     JournalReplay,
     replay_journal,
@@ -58,12 +56,10 @@ from repro.service.wire import (
     result_record,
 )
 
-#: The asyncio and HTTP/JSONL front-ends pull in ``asyncio`` and
-#: ``http.server``; resolve them on first use so importing the
-#: scheduler (every :class:`~repro.api.session.Session` miss does)
-#: stays light.
+#: The HTTP/JSONL front-ends pull in ``http.server``; resolve them on
+#: first use so importing the scheduler (every
+#: :class:`~repro.api.session.Session` miss does) stays light.
 _FRONT_ENDS = {
-    "AsyncClient": "repro.service.aio",
     "BatchHTTPServer": "repro.service.serve",
     "serve_http": "repro.service.serve",
     "serve_jsonl": "repro.service.serve",
@@ -82,11 +78,9 @@ def __getattr__(name: str):
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
-    "AsyncClient",
     "BatchHTTPServer",
     "BatchJournal",
     "BatchScheduler",
-    "DeadlineExceeded",
     "Executor",
     "ExecutorConfig",
     "ExecutorError",

@@ -74,16 +74,6 @@ class AdmissionRejected(RuntimeError):
         self.retry_after = max(1.0, float(retry_after))
 
 
-class DeadlineExceeded(RuntimeError):
-    """A spec's per-request deadline elapsed before it could run."""
-
-    def __init__(self, name: str, deadline: float) -> None:
-        super().__init__(
-            f"{name}: deadline of {deadline:g}s elapsed before execution"
-        )
-        self.deadline = deadline
-
-
 # --------------------------------------------------------------------- #
 # Write-ahead journal
 # --------------------------------------------------------------------- #

@@ -25,10 +25,9 @@ queue-latency rules are written once:
   length-prefixed wire protocol.
 
 The scheduler keeps owning everything above execution — dedup, the
-priority queue, journal, admission, deadlines and the run
-report's file — which is what makes the acceptance property cheap to
-state: an executor only decides *where* a cell simulates, never *what*
-it computes.
+priority queue, journal, admission and the run report's file — which
+is what makes the acceptance property cheap to state: an executor only
+decides *where* a cell simulates, never *what* it computes.
 """
 
 from __future__ import annotations
@@ -380,8 +379,8 @@ class Executor:
         """Start one cell as soon as a slot is free.
 
         ``timeout`` bounds each of its attempts (``None`` keeps the
-        configured one); the scheduler passes the smaller of that and
-        the cell's own remaining deadline.
+        configured one, which is what the scheduler uses); a cluster
+        worker passes the timeout its lease frame carries.
         """
         if self.ledger is None:
             raise RuntimeError("executor is not bound; call bind() first")

@@ -6,9 +6,8 @@ the shared result cache.  The scheduler turns an execution backend
 into a *service* for them:
 
 * **Submission** — ``submit(spec, priority=...)`` returns a
-  :class:`concurrent.futures.Future` immediately; callers block on it,
-  attach callbacks, or go through the :mod:`repro.service.aio` adapter
-  (``await client.run(spec)``).
+  :class:`concurrent.futures.Future` immediately; callers block on it
+  or attach callbacks.
 * **Deduplication** — a submission identical to a *pending or
   in-flight* spec joins its execution (two futures, one simulation);
   one identical to a finished spec resolves from memory; and the
@@ -61,7 +60,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.api.spec import RunSpec
+from repro.api.spec import RunSpec, SpecError
 from repro.execution.faults import fault_plan_from_env
 from repro.execution.report import RunReport
 from repro.execution.simulate import simulate_spec, spec_workloads
@@ -71,7 +70,6 @@ from repro.service.durability import (
     AdmissionController,
     AdmissionRejected,
     BatchJournal,
-    DeadlineExceeded,
     JournalError,
 )
 from repro.sim.results import SystemResult
@@ -168,8 +166,6 @@ class _Entry:
         "state",
         "key",
         "size",
-        "deadline",
-        "deadline_s",
         "span",
         "started",
     )
@@ -184,8 +180,6 @@ class _Entry:
         self.state = "queued"  # queued | inflight | done
         self.key: Optional[str] = None  # cache key, set when journaling
         self.size = 0  # serialized spec bytes (admission accounting)
-        self.deadline: Optional[float] = None  # absolute monotonic
-        self.deadline_s: Optional[float] = None  # requested budget
         self.span = None  # live cell span, only when tracing is on
 
 
@@ -259,7 +253,6 @@ class BatchScheduler:
         tracer=None,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        self.timeout = timeout
         self.retries = retries
         # Request-path tracing is opt-in: a --spans path (or an explicit
         # tracer) turns it on; otherwise ``self.tracer`` stays None and
@@ -366,18 +359,14 @@ class BatchScheduler:
         self,
         spec: RunSpec,
         priority: int = 0,
-        deadline: Optional[float] = None,
         trace=None,
     ) -> Future:
         """Queue one spec; the returned future resolves to its result.
 
-        Lower ``priority`` runs earlier.  ``deadline`` (seconds from
-        now; defaults to the spec's own ``deadline`` field) bounds how
-        long the spec may wait *and* run — an expired spec fails with
-        :class:`~repro.service.durability.DeadlineExceeded` instead of
-        occupying a worker.  ``trace`` is an optional inbound span
-        context (``{"trace_id", "span_id"}``): when tracing is on, the
-        cell span roots under it instead of starting a fresh trace.
+        Lower ``priority`` runs earlier.  ``trace`` is an optional
+        inbound span context (``{"trace_id", "span_id"}``): when tracing
+        is on, the cell span roots under it instead of starting a fresh
+        trace.
         Raises :class:`~repro.api.spec.SpecError` on an invalid spec,
         :class:`SchedulerClosed` after :meth:`close`,
         and :class:`~repro.service.durability.AdmissionRejected` when
@@ -443,10 +432,6 @@ class BatchScheduler:
                 )
                 self._span_specs[entry.span.span_id] = spec
             self._pending_bytes += size
-            budget = deadline if deadline is not None else spec.deadline
-            if budget is not None:
-                entry.deadline_s = float(budget)
-                entry.deadline = time.monotonic() + entry.deadline_s
             if self._journal is not None:
                 entry.key = spec.cache_key()
                 self._journal.append(
@@ -507,10 +492,22 @@ class BatchScheduler:
                 "scheduler has no journal; pass cache_dir or journal_dir"
             )
         replay = self._journal.replay()
+        # Parse every pending spec before submitting any, so a journal
+        # this version cannot read re-enqueues nothing.
+        try:
+            pending = [
+                (key, RunSpec.from_dict(spec_dict), priority)
+                for key, spec_dict, priority in replay.pending
+            ]
+        except SpecError as exc:
+            raise JournalError(
+                f"{self._journal.path} was written by an older repro: "
+                f"{exc}; finish that batch with the version that wrote "
+                f"it, or remove the journal"
+            ) from None
         cache_resident = 0
         futures: list = []
-        for key, spec_dict, priority in replay.pending:
-            spec = RunSpec.from_dict(spec_dict)
+        for key, spec, priority in pending:
             if self.cache is not None and self.cache.contains(key):
                 cache_resident += 1
             futures.append((spec, self.submit(spec, priority=priority)))
@@ -540,12 +537,12 @@ class BatchScheduler:
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until the busy period ends; True on success."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        until = None if timeout is None else time.monotonic() + timeout
         with self._wake:
             while self._entries or self._queue or self._busy:
                 remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
+                if until is not None:
+                    remaining = until - time.monotonic()
                     if remaining <= 0:
                         return False
                 self._wake.wait(remaining if remaining is not None else 0.5)
@@ -674,8 +671,8 @@ class BatchScheduler:
 
     def _dispatch(self, entry: _Entry) -> None:
         """Hand one entry to the executor, unless it resolves without one:
-        cache pre-pass and deadline check first, then the durable
-        ``started`` record (one fsync) and trace preparation."""
+        cache pre-pass first, then the durable ``started`` record (one
+        fsync) and trace preparation."""
         spec = entry.spec
         if not self._busy:
             self._begin_busy_period()
@@ -698,10 +695,6 @@ class BatchScheduler:
                 self.report.mark_hit(spec, "cache")
                 self._resolve(spec, found, simulated=False)
                 return
-        if entry.deadline is not None and time.monotonic() >= entry.deadline:
-            # Expired deadlines fail fast instead of occupying a worker.
-            self._fail(spec, DeadlineExceeded(spec.name, entry.deadline_s or 0.0))
-            return
         if self._journal is not None:
             self._journal.append("started", entry.key)
             self._journal.flush()
@@ -714,15 +707,8 @@ class BatchScheduler:
             # its attempt/lease spans under it, and a remote worker's
             # execute span stitches home through it.
             payload["trace"] = entry.span.context()
-        # The cell's own deadline caps its timeout: a spec that cannot
-        # finish inside its budget times out (and fails) rather than run
-        # long past the caller's patience.
-        timeout = self.timeout
-        if entry.deadline is not None:
-            remaining = max(0.1, entry.deadline - time.monotonic())
-            timeout = remaining if timeout is None else min(timeout, remaining)
         entry.started = time.monotonic()
-        self.executor.submit(spec, payload, timeout)
+        self.executor.submit(spec, payload)
 
     def _prepare_traces(self, spec: RunSpec) -> dict:
         """Materialize the spec's record streams before its handover;
@@ -745,21 +731,20 @@ class BatchScheduler:
         """Open a busy period; bind a seeded fault plan to its cells.
 
         The plan binds once, against the specs queued now that will
-        really run (not expired, not cache-resident), so its victim
-        count is exact; :func:`run_batch` queues its whole grid first.
+        really run (not cache-resident), so its victim count is exact;
+        :func:`run_batch` queues its whole grid first.
         """
         self._busy = True
         plan = self.executor.config.fault_plan
         if plan is not None and plan.spec:
-            now, cache = time.monotonic(), self.cache
+            cache = self.cache
             with self._lock:
                 entries = list(self._entries.values())
             plan.bind(
                 [
                     e.spec
                     for e in entries
-                    if (e.deadline is None or e.deadline > now)
-                    and (cache is None or not cache.contains(e.spec.cache_key()))
+                    if cache is None or not cache.contains(e.spec.cache_key())
                 ]
             )
 

@@ -109,10 +109,7 @@ def serve_jsonl(
         req_id, spec = request.id, request.spec
         try:
             future = scheduler.submit(
-                spec,
-                priority=request.priority,
-                deadline=request.deadline,
-                trace=request.trace,
+                spec, priority=request.priority, trace=request.trace
             )
         except AdmissionRejected as exc:
             # Shed per request, never per stream: one refused submission
@@ -203,8 +200,6 @@ class _Handler(BaseHTTPRequestHandler):
                 wire.parse_request(item, default_id=index)
                 for index, item in enumerate(payload)
             ]
-            deadline_header = self.headers.get("X-Repro-Deadline")
-            deadline = float(deadline_header) if deadline_header else None
             inbound = wire.parse_trace(self.headers.get(wire.TRACE_HEADER))
         except (ValueError, SpecError, TypeError) as exc:
             # One structured 400 for everything malformed — bad JSON,
@@ -238,7 +233,6 @@ class _Handler(BaseHTTPRequestHandler):
                 future = self.scheduler.submit(
                     spec,
                     priority=request.priority,
-                    deadline=request.deadline if request.deadline is not None else deadline,
                     trace=request.trace if request.trace is not None else context,
                 )
             except AdmissionRejected as exc:

@@ -14,13 +14,13 @@ where requests, results and errors are given shape:
   actionable record, not a stack dump.
 * **Requests** — :func:`parse_request` accepts both historical request
   spellings (a bare spec object, or ``{"spec": {...}, "priority": n,
-  "id": ..., "deadline": s}``) and returns one typed
-  :class:`Request`.
+  "id": ...}``) and returns one typed :class:`Request`.
 * **Errors** — :func:`classify_error` maps every exception the service
   can surface (spec validation, admission shed, closed scheduler,
-  expired deadline, cancellation, exhausted retries, wire mismatch) onto the one :class:`ServiceError` taxonomy; front-ends
-  render it with :func:`error_record` so the ``code`` vocabulary is
-  identical over JSONL stdio, HTTP and the cluster TCP protocol.
+  cancellation, exhausted retries, wire mismatch) onto the one
+  :class:`ServiceError` taxonomy; front-ends render it with
+  :func:`error_record` so the ``code`` vocabulary is identical over
+  JSONL stdio, HTTP and the cluster TCP protocol.
 * **Results** — :func:`result_record` is the shared success envelope
   (the :func:`~repro.api.session.result_summary` digest payload).
 * **Framing** — :func:`write_frame` / :func:`read_frame` implement the
@@ -51,8 +51,10 @@ from repro.api.spec import RunSpec, SpecError
 #: Version stamped on every wire message (`v` on frames,
 #: ``protocol_version`` in handshakes and request envelopes).  Bump on
 #: any incompatible change to the record shapes below; peers reject a
-#: mismatch with a structured ``protocol_mismatch`` error.
-PROTOCOL_VERSION = 1
+#: mismatch with a structured ``protocol_mismatch`` error.  v2 (4.0.0):
+#: the spec in request envelopes and lease payloads lost its per-request
+#: SLA field, which a v1 peer still sends.
+PROTOCOL_VERSION = 2
 
 #: The closed vocabulary of service error codes.  Every error record
 #: any front-end emits carries exactly one of these.
@@ -62,7 +64,6 @@ ERROR_CODES = (
     "protocol_mismatch",  # peer speaks a different PROTOCOL_VERSION
     "shed",               # admission control refused the submission
     "scheduler_closed",   # submitted after close()
-    "deadline_exceeded",  # per-request deadline elapsed before running
     "cancelled",          # scheduler shut down before the spec ran
     "execution_failed",   # retries exhausted (JobFailed)
     "worker_lost",        # cluster lease lost past its redispatch budget
@@ -123,7 +124,7 @@ def classify_error(exc: BaseException) -> ServiceError:
     """
     from concurrent.futures import CancelledError
 
-    from repro.service.durability import AdmissionRejected, DeadlineExceeded
+    from repro.service.durability import AdmissionRejected
 
     if isinstance(exc, WireError):
         return ServiceError(exc.code, str(exc))
@@ -131,8 +132,6 @@ def classify_error(exc: BaseException) -> ServiceError:
         return ServiceError("spec_invalid", str(exc))
     if isinstance(exc, AdmissionRejected):
         return ServiceError("shed", str(exc), exc.retry_after)
-    if isinstance(exc, DeadlineExceeded):
-        return ServiceError("deadline_exceeded", str(exc))
     if isinstance(exc, CancelledError):
         return ServiceError(
             "cancelled", "cancelled: scheduler shut down before this spec ran"
@@ -197,7 +196,6 @@ class Request:
     id: object
     spec: RunSpec
     priority: int = 0
-    deadline: Optional[float] = None
     trace: Optional[dict] = None
 
 
@@ -277,7 +275,7 @@ def parse_request(obj: object, default_id: object = None) -> Request:
     """One typed :class:`Request` from any historical request spelling.
 
     Accepts a bare spec object or an envelope ``{"spec": {...},
-    "priority": n, "id": ..., "deadline": s, "trace": {...},
+    "priority": n, "id": ..., "trace": {...},
     "protocol_version": v}``.  The spec is validated here, so every
     front-end rejects the same boundary values with the same message.
     Raises :class:`WireError` (shape or version) or
@@ -298,20 +296,12 @@ def parse_request(obj: object, default_id: object = None) -> Request:
                 f"priority must be an integer, got {obj.get('priority')!r}"
             ) from None
         req_id = obj.get("id", default_id)
-        deadline = obj.get("deadline")
         trace = check_trace(obj)
     else:
         body = {k: v for k, v in obj.items() if k != "protocol_version"}
         spec = RunSpec.from_dict(body)
-        priority, req_id, deadline, trace = 0, default_id, None, None
-    if deadline is not None:
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError):
-            raise WireError(
-                f"deadline must be a number of seconds, got {deadline!r}"
-            ) from None
-    return Request(req_id, spec.validate(), priority, deadline, trace)
+        priority, req_id, trace = 0, default_id, None
+    return Request(req_id, spec.validate(), priority, trace)
 
 
 # --------------------------------------------------------------------- #

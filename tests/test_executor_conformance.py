@@ -3,7 +3,7 @@
 Every test here runs twice — once against :class:`LocalPoolExecutor`
 and once against a :class:`ClusterExecutor` with an in-process loopback
 worker — asserting the scheduler-observable behaviour (dedup, priority,
-cancellation, deadlines, fault retry, bit-identity) is identical.  This
+cancellation, fault retry, bit-identity) is identical.  This
 is the acceptance teeth behind "an executor only decides *where* a cell
 simulates, never *what* it computes".
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.api import RunSpec, result_digest
 from repro.execution.faults import Fault, FaultPlan
 from repro.service import BatchScheduler, JobFailed
-from repro.service.durability import DeadlineExceeded
 from repro.cluster import WorkerClient
 
 Q, W = 1_500, 500
@@ -121,19 +120,6 @@ def test_close_without_drain_cancels_queue(make_scheduler):
     assert scheduler.stats().executed == 0
 
 
-def test_expired_deadline_fails_without_simulating(make_scheduler):
-    scheduler = make_scheduler(start=False)
-    doomed = scheduler.submit(spec(), deadline=0.05)
-    kept = scheduler.submit(spec(scheme="baseline"))
-    time.sleep(0.1)
-    scheduler.start()
-    with pytest.raises(DeadlineExceeded):
-        doomed.result(timeout=300)
-    assert kept.result(timeout=300).scheme == "baseline"
-    stats = scheduler.stats()
-    assert stats.failed == 1 and stats.executed == 1
-
-
 def test_injected_crash_is_retried_transparently(make_scheduler):
     victim = spec()
     plan = FaultPlan({victim: Fault("crash", attempt=1)})
@@ -208,22 +194,6 @@ def test_stats_name_the_backend(make_scheduler):
         assert stats.workers_connected == 1
     else:
         assert stats.workers_connected == 0
-
-
-def test_sibling_deadline_does_not_cap_a_deadline_free_cell(make_scheduler):
-    """A deadline bounds its own cell only: a deadline-free sibling that
-    runs longer than that deadline must still succeed."""
-    slow = spec()
-    plan = FaultPlan({slow: Fault("hang", seconds=2.0)})
-    scheduler = make_scheduler(
-        start=False, jobs=2, retries=0, executor_options={"fault_plan": plan}
-    )
-    free = scheduler.submit(slow)
-    bounded = scheduler.submit(spec(scheme="baseline"), deadline=1.0)
-    scheduler.start()
-    assert free.result(timeout=300).scheme == "avgcc"
-    bounded.exception(timeout=300)  # resolves either way; only its own budget
-    assert scheduler.report.record(slow).attempts == 1
 
 
 def test_cell_submitted_mid_flight_resolves_before_slow_sibling(make_scheduler):

@@ -1,10 +1,12 @@
 """The package's public surface stays importable and coherent."""
 
+import pytest
+
 import repro
 
 
 def test_version():
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 def test_all_exports_resolve():
@@ -62,7 +64,6 @@ def test_repro_api_all_is_the_locked_contract():
     import repro.api as api
 
     assert sorted(api.__all__) == [
-        "AsyncClient",
         "BatchScheduler",
         "CACHE_FORMAT_VERSION",
         "ExecutorConfig",
@@ -91,8 +92,27 @@ def test_repro_api_service_exports_are_the_service_objects():
 
     assert api.run_batch is service.run_batch
     assert api.BatchScheduler is service.BatchScheduler
-    assert api.AsyncClient is service.AsyncClient
     assert api.ExecutorConfig is service.ExecutorConfig
+
+
+def test_4_0_removals_leave_no_shim():
+    """4.0.0 dropped the per-request deadline and the asyncio adapter
+    outright (DESIGN §11): no alias, no ignored keyword."""
+    from repro.api import RunSpec, SpecError
+    from repro.service import BatchScheduler
+
+    with pytest.raises(TypeError):
+        RunSpec(mix=(471, 444), deadline=1.0)
+    with pytest.raises(SpecError, match="deadline"):
+        RunSpec.from_dict({"mix": [471, 444], "deadline": None})
+    with pytest.raises(ImportError):
+        from repro.service import AsyncClient  # noqa: F401
+    sched = BatchScheduler(start=False, journal=False)
+    try:
+        with pytest.raises(TypeError):
+            sched.submit(RunSpec(mix=(471, 444)), deadline=1.0)
+    finally:
+        sched.close(drain=False)
 
 
 def test_repro_api_span_tracer_is_the_obs_tracer():

@@ -9,12 +9,12 @@ import pytest
 
 from repro.api import RunSpec, result_digest
 from repro.service import (
-    AsyncClient,
     BatchHTTPServer,
     BatchScheduler,
     SchedulerClosed,
     run_batch,
     serve_jsonl,
+    wire,
 )
 
 Q, W = 1_500, 500
@@ -184,31 +184,6 @@ def test_metrics_snapshot_renders_prometheus(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# asyncio adapter
-# --------------------------------------------------------------------- #
-
-
-def test_async_client_run_and_run_many():
-    import asyncio
-
-    async def main():
-        with BatchScheduler(jobs=1) as sched:
-            client = AsyncClient(sched)
-            single = await client.run(spec())
-            assert single.scheme == "avgcc"
-            seen = {}
-            async for s, result in client.run_many(six_spec_batch()):
-                seen[s] = result
-            assert len(seen) == 4  # unique specs; duplicates collapse
-            gathered = await client.gather([spec(), spec(scheme="baseline")])
-            assert [r.scheme for r in gathered] == ["avgcc", "baseline"]
-            return sched.stats()
-
-    stats = asyncio.run(main())
-    assert stats.executed == 4  # everything after the first call was deduped
-
-
-# --------------------------------------------------------------------- #
 # Front-ends
 # --------------------------------------------------------------------- #
 
@@ -245,7 +220,13 @@ def test_serve_jsonl_version_mismatch_is_structured():
     lines = "\n".join(
         [
             json.dumps({"spec": spec().to_dict(), "protocol_version": 99}),
-            json.dumps({"spec": spec().to_dict(), "protocol_version": 1, "id": "ok"}),
+            json.dumps(
+                {
+                    "spec": spec().to_dict(),
+                    "protocol_version": wire.PROTOCOL_VERSION,
+                    "id": "ok",
+                }
+            ),
         ]
     )
     out, err = io.StringIO(), io.StringIO()
@@ -345,7 +326,6 @@ def test_scheduler_import_leaves_the_front_ends_unloaded():
     assert out.stdout.strip() == "[]"
     import repro.service as service
 
-    assert service.AsyncClient.__module__ == "repro.service.aio"
     assert service.serve_jsonl.__module__ == "repro.service.serve"
     with pytest.raises(AttributeError, match="no attribute"):
         service.does_not_exist

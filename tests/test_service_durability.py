@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunSpec, SpecError, result_digest
+from repro.api import RunSpec, result_digest
 from repro.execution.faults import Fault, FaultPlan
 from repro.obs.metrics import prometheus_text
 from repro.obs.spans import SpanTracer
@@ -24,7 +24,6 @@ from repro.service import (
     BatchHTTPServer,
     BatchJournal,
     BatchScheduler,
-    DeadlineExceeded,
     JournalError,
     replay_journal,
     run_batch,
@@ -328,32 +327,69 @@ def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeyp
 
 
 # --------------------------------------------------------------------- #
-# Deadlines
+# Journals written by repro 3.x
 # --------------------------------------------------------------------- #
 
 
-def test_expired_deadline_fails_without_simulating():
-    sched = BatchScheduler(jobs=1, start=False)
-    doomed = sched.submit(spec(), deadline=0.05)
-    kept = sched.submit(spec(scheme="baseline"))
-    time.sleep(0.1)
-    sched.start()
-    with pytest.raises(DeadlineExceeded):
-        doomed.result(timeout=300)
-    assert kept.result(timeout=300).scheme == "baseline"
-    sched.close()
-    stats = sched.stats()
-    assert stats.failed == 1 and stats.executed == 1
+def journal_like_3x(cache: Path) -> tuple:
+    """Leave two pending specs the way a 3.x batch journaled them: the
+    first readable here, the second with the ``"deadline": null`` key
+    every 3.x spec carried."""
+    readable, old = spec(), spec(scheme="baseline")
+    journal = BatchJournal(cache)
+    journal.append(
+        "submitted", readable.cache_key(), spec=readable.to_dict(), priority=0
+    )
+    journal.append(
+        "submitted",
+        old.cache_key(),
+        spec={**old.to_dict(), "deadline": None},
+        priority=0,
+    )
+    journal.close(compact=False)
+    return readable, old
 
 
-def test_spec_deadline_field_validates_and_rides_to_dict():
-    s = spec(deadline=2.5)
-    assert s.to_dict()["deadline"] == 2.5
-    assert RunSpec.from_dict(s.to_dict()).deadline == 2.5
-    # Excluded from identity: a deadline never forks the result cache.
-    assert s.cache_key() == spec().cache_key()
-    with pytest.raises(SpecError):
-        spec(deadline=0).validate()
+def test_resume_refuses_a_3x_journal_before_submitting_anything(tmp_path):
+    journal_like_3x(tmp_path)
+    sched = BatchScheduler(jobs=1, cache_dir=tmp_path, start=False)
+    with pytest.raises(JournalError, match="older repro"):
+        sched.resume_from_journal()
+    assert sched.stats().submitted == 0
+    sched.close(drain=False)
+
+
+def test_cli_resume_on_a_3x_journal_exits_1_and_a_fresh_batch_still_runs(tmp_path):
+    cache = tmp_path / "cache"
+    readable, old = journal_like_3x(cache)
+    journal = cache / JOURNAL_FILENAME
+    before = journal.read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    metrics = tmp_path / "resume.prom"
+    resume = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "batch", "--resume",
+         "--cache-dir", str(cache), "--metrics", str(metrics)],
+        env=env, capture_output=True, text=True,
+    )
+    assert resume.returncode == 1
+    assert "Traceback" not in resume.stderr
+    assert f"{journal} was written by an older repro" in resume.stderr
+    assert "finish that batch with the version that wrote it" in resume.stderr
+    assert "repro_service_submitted_total 0\n" in metrics.read_text()
+    assert journal.read_text() == before  # nothing re-enqueued
+
+    # A fresh batch on the same root completes; its close-time compact
+    # keeps the unreadable record for the version that wrote it.
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([readable.to_dict()]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "batch", str(specs),
+         "--cache-dir", str(cache)],
+        env=env, capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert "Traceback" not in fresh.stderr
+    assert [key for key, _, _ in replay_journal(cache).pending] == [old.cache_key()]
 
 
 # --------------------------------------------------------------------- #

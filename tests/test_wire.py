@@ -8,7 +8,7 @@ import pytest
 from repro.api import RunSpec
 from repro.api.spec import SpecError
 from repro.service import wire
-from repro.service.durability import AdmissionRejected, DeadlineExceeded
+from repro.service.durability import AdmissionRejected
 from repro.service.scheduler import JobFailed, SchedulerClosed
 
 SPEC_DICT = {"mix": "471+444", "scheme": "avgcc", "quota": 1_500, "warmup": 500}
@@ -118,16 +118,12 @@ def test_parse_request_bare_spec():
     assert isinstance(request.spec, RunSpec)
     assert request.id == 12
     assert request.priority == 0
-    assert request.deadline is None
 
 
-def test_parse_request_envelope_with_priority_id_deadline():
-    request = wire.parse_request(
-        {"spec": SPEC_DICT, "priority": 5, "id": "job-1", "deadline": 30}
-    )
+def test_parse_request_envelope_with_priority_id():
+    request = wire.parse_request({"spec": SPEC_DICT, "priority": 5, "id": "job-1"})
     assert request.priority == 5
     assert request.id == "job-1"
-    assert request.deadline == 30.0
     assert request.spec.scheme == "avgcc"
 
 
@@ -136,11 +132,9 @@ def test_parse_request_rejects_non_object():
         wire.parse_request([SPEC_DICT])
 
 
-def test_parse_request_rejects_bad_priority_and_deadline():
+def test_parse_request_rejects_bad_priority():
     with pytest.raises(wire.WireError, match="priority"):
         wire.parse_request({"spec": SPEC_DICT, "priority": "high"})
-    with pytest.raises(wire.WireError, match="deadline"):
-        wire.parse_request({"spec": SPEC_DICT, "deadline": "soon"})
 
 
 def test_parse_request_version_mismatch_is_structured():
@@ -171,7 +165,6 @@ def test_classify_error_covers_the_service_exceptions():
         (wire.WireError("v2?", code="protocol_mismatch"), "protocol_mismatch"),
         (SpecError("bad spec"), "spec_invalid"),
         (AdmissionRejected("queue full", retry_after=2.0), "shed"),
-        (DeadlineExceeded("471+444/avgcc", 1.0), "deadline_exceeded"),
         (SchedulerClosed("closed"), "scheduler_closed"),
         (JobFailed(spec, "timeout"), "execution_failed"),
         (ValueError("not json"), "bad_request"),
