@@ -9,23 +9,12 @@ remote latency forever but never disturbs either cache.  The ablation
 records the measured difference rather than presuming a winner.
 """
 
-from benchmarks.conftest import run_once
-
-from repro.experiments.comparison import compare, format_comparison
-MIXES = [(471, 444), (429, 401), (473, 445)]
+from benchmarks.conftest import SWAP_ABLATION, run_once
 
 
-def test_swap_ablation(benchmark, runner, emit):
-    result = run_once(
-        benchmark,
-        lambda: compare(
-            runner,
-            "Mechanism ablation: ASCC with and without the Section 3.2 swap",
-            MIXES,
-            ["ascc", "ascc-noswap", "dsr"],
-        ),
-    )
-    emit("ablation_swap", format_comparison(result))
+def test_swap_ablation(benchmark, session, emit):
+    result = run_once(benchmark, lambda: SWAP_ABLATION.render(session))
+    emit("ablation_swap", SWAP_ABLATION.format_result(result))
     geo = result.geomeans()
     # Both service models must deliver substantial cooperative gains and
     # clearly beat whole-cache DSR on these donor+taker mixes; which of

@@ -1,14 +1,12 @@
 """Figure 10: normalised AML with local/remote/memory breakdown."""
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import regenerate
 
-from repro.experiments import fig10_latency
 from repro.workloads.mixes import mix_name
 
 
-def test_fig10_latency(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: fig10_latency.run(runner))
-    emit("fig10_latency", fig10_latency.format_result(result))
+def test_fig10_latency(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig10", "fig10_latency")
     # Cooperation converts memory accesses into remote hits on the
     # donor+taker mixes, and AVGCC improves AML on the geomean.
     b = result.breakdowns[(mix_name((471, 444)), "avgcc")]

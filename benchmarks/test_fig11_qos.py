@@ -1,13 +1,10 @@
 """Figure 11: QoS-Aware AVGCC vs AVGCC at 2 cores."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import fig11_qos
+from benchmarks.conftest import regenerate
 
 
-def test_fig11_qos(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: fig11_qos.run(runner))
-    emit("fig11_qos", fig11_qos.format_result(result))
+def test_fig11_qos(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig11", "fig11_qos")
     geo = result.geomeans()
     # QoS keeps the gains...
     assert geo["qos-avgcc"] > 0

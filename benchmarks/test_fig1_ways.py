@@ -1,14 +1,12 @@
 """Figure 1: MPKI/CPI vs enabled ways for the eight shown benchmarks."""
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import regenerate
 
-from repro.experiments import fig1_ways
 from repro.workloads.spec2006 import benchmark as benchmark_spec
 
 
-def test_fig1_ways(benchmark, emit):
-    result = run_once(benchmark, lambda: fig1_ways.run())
-    emit("fig1_ways", fig1_ways.format_result(result))
+def test_fig1_ways(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig1", "fig1_ways")
     for code, sweep in result.points.items():
         by_ways = {p.ways: p for p in sweep if not p.full_assoc}
         spec = benchmark_spec(code)

@@ -1,13 +1,10 @@
 """Figure 2: favored vs constant set fractions for astar and milc."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import fig2_sets
+from benchmarks.conftest import regenerate
 
 
-def test_fig2_sets(benchmark, emit):
-    result = run_once(benchmark, lambda: fig2_sets.run())
-    emit("fig2_sets", fig2_sets.format_result(result))
+def test_fig2_sets(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig2", "fig2_sets")
     astar = result.classifications[473]
     milc = result.classifications[433]
     # astar has a meaningful favored population somewhere in the sweep;

@@ -1,13 +1,10 @@
 """Figure 4: design-breakdown comparison on the four-app mixes."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import fig4_breakdown
+from benchmarks.conftest import regenerate
 
 
-def test_fig4_breakdown(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: fig4_breakdown.run(runner))
-    emit("fig4_breakdown", fig4_breakdown.format_result(result))
+def test_fig4_breakdown(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig4", "fig4_breakdown")
     geo = result.geomeans()
     # Per-set management beats the global counter, and the full ASCC is
     # at least as good as the spill-only local designs.

@@ -1,13 +1,10 @@
 """Figure 7: two-core scheme comparison over the 14 mixes."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import fig7_twocore
+from benchmarks.conftest import regenerate
 
 
-def test_fig7_twocore(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: fig7_twocore.run(runner))
-    emit("fig7_twocore", fig7_twocore.format_result(result))
+def test_fig7_twocore(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig7", "fig7_twocore")
     geo = result.geomeans()
     # ASCC/AVGCC land near the paper's +6.4%/+7.0% at 2 cores; DSR is
     # within a point of them here (the 4-core run separates them clearly).

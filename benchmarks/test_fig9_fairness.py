@@ -1,13 +1,10 @@
 """Figure 9: fairness (harmonic mean of normalised IPCs), 4 cores."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import fig9_fairness
+from benchmarks.conftest import regenerate
 
 
-def test_fig9_fairness(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: fig9_fairness.run(runner))
-    emit("fig9_fairness", fig9_fairness.format_result(result))
+def test_fig9_fairness(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "fig9", "fig9_fairness")
     geo = result.geomeans()
     # Speeding up mixed workloads does not hurt fairness.
     assert geo["avgcc"] > 0

@@ -1,13 +1,10 @@
 """Section 6.2: memory-hierarchy energy reduction."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import sec62_energy
+from benchmarks.conftest import regenerate
 
 
-def test_sec62_energy(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: sec62_energy.run(4, runner))
-    emit("sec62_energy", sec62_energy.format_result(result))
+def test_sec62_energy(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "sec62", "sec62_energy")
     geo = result.geomeans()
     # The paper reports ~29% for AVGCC at 4 cores; the reduction must be
     # substantial and track the off-chip savings.

@@ -1,13 +1,10 @@
 """Section 6.3: multithreaded kernels on 512 kB LLCs."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import sec63_multithread
+from benchmarks.conftest import regenerate
 
 
-def test_sec63_multithread(benchmark, emit):
-    result = run_once(benchmark, lambda: sec63_multithread.run())
-    emit("sec63_multithread", sec63_multithread.format_result(result))
+def test_sec63_multithread(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "sec63mt", "sec63_multithread")
     geo = result.geomeans()
     assert geo["avgcc"] > -0.02  # never a meaningful loss
     assert geo["ascc"] > -0.02

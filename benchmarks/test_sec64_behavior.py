@@ -1,13 +1,10 @@
 """Section 6.4: spill counts and hits per spilled line."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import sec64_behavior
+from benchmarks.conftest import regenerate
 
 
-def test_sec64_behavior(benchmark, runner, emit):
-    rows = run_once(benchmark, lambda: sec64_behavior.run(4, runner))
-    emit("sec64_behavior", sec64_behavior.format_result(rows))
+def test_sec64_behavior(benchmark, session, emit):
+    rows = regenerate(benchmark, session, emit, "sec64", "sec64_behavior")
     by_scheme = {r.scheme: r for r in rows}
     # The SSL-driven designs spill far more selectively than unconditional
     # ECC (the paper's 60-70% "fewer spills than the worst case").

@@ -1,13 +1,10 @@
 """Table 1: the ASCC granularity sweep."""
 
-from benchmarks.conftest import run_once
-
-from repro.experiments import tab1_granularity
+from benchmarks.conftest import regenerate
 
 
-def test_tab1_granularity(benchmark, runner, emit):
-    result = run_once(benchmark, lambda: tab1_granularity.run(runner))
-    emit("tab1_granularity", tab1_granularity.format_result(result))
+def test_tab1_granularity(benchmark, session, emit):
+    result = regenerate(benchmark, session, emit, "tab1", "tab1_granularity")
     geo = result.geomeans()
     # Every granularity improves on the baseline on the geomean, and the
     # best operating point is not the coarsest one.

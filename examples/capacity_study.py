@@ -8,7 +8,7 @@ flat; takers improve step by step as their thrash columns start fitting.
 Run:  python examples/capacity_study.py
 """
 
-from repro.analysis.waysweep import sweep
+from repro.analysis.waysweep import sweep, sweep_cells
 from repro.api import Session
 from repro.workloads.spec2006 import benchmark
 
@@ -20,7 +20,10 @@ def main() -> None:
     print(f"{'benchmark':<16}" + "".join(f"{w:>8} ways" for w in ways) + f"{'full':>9}")
     # One batch: Session(jobs=4, cache_dir=...) would fan it out and
     # keep every cell on disk.
-    for code, points in sweep(Session(), CODES, ways).items():
+    specs = sweep_cells(CODES, ways, quota=120_000, warmup=60_000)
+    session = Session()
+    session.prewarm(specs)
+    for code, points in sweep(session, specs).items():
         cells = "".join(f"{p.mpki:>12.2f}" for p in points[:-1])
         label = benchmark(code).label
         sensitive = "taker" if benchmark(code).capacity_sensitive else "donor/streamer"

@@ -8,11 +8,14 @@ be useful to the receiver itself.
 Run:  python examples/multithreaded_run.py
 """
 
+from repro.api import Session
 from repro.experiments import sec63_multithread
 
 
 def main() -> None:
-    result = sec63_multithread.run()
+    session = Session()
+    session.prewarm(sec63_multithread.cells())
+    result = sec63_multithread.render(session)
     print(sec63_multithread.format_result(result))
 
 

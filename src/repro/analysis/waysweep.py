@@ -8,8 +8,9 @@ added) or **constant** (the drop is below 1 % relative to two fewer ways).
 Each sweep point is one :class:`~repro.api.spec.RunSpec` with ``l2_ways``
 set: the set count stays fixed while associativity shrinks — exactly "the
 remaining ways are disabled" (see
-:meth:`~repro.cache.geometry.CacheGeometry.with_ways`).  :func:`sweep`
-runs a whole grid of them as one session batch.
+:meth:`~repro.cache.geometry.CacheGeometry.with_ways`).
+:func:`sweep_cells` declares a grid of them and :func:`sweep` reads it
+back from a session.
 """
 
 from __future__ import annotations
@@ -45,34 +46,34 @@ class SweepPoint:
         return 1000.0 * self.set_misses[set_idx] / self.instructions
 
 
-def sweep(
-    session,
+def sweep_cells(
     codes: Sequence[int],
     ways_list: Sequence[int],
     include_full_assoc: bool = True,
-    scale: ScaleModel = ScaleModel(),
-    quota: int = 120_000,
-    warmup: int = 60_000,
-    seed: int = SWEEP_SEED,
-) -> dict[int, list[SweepPoint]]:
-    """Sweep each benchmark alone over ``ways_list`` (then full
-    associativity) as one batch through ``session``."""
+    **spec,
+) -> list[RunSpec]:
+    """Each benchmark alone at each of ``ways_list`` (then full
+    associativity); ``spec`` holds the shared :class:`RunSpec` fields
+    (``seed`` defaults to :data:`SWEEP_SEED`)."""
     ways = [*ways_list, *([FULL_ASSOC] if include_full_assoc else [])]
-    grid = [
-        RunSpec(
-            mix=(code,), scheme="baseline", l2_ways=w,
-            quota=quota, warmup=warmup, seed=seed, scale=scale,
-        )
+    spec = {"seed": SWEEP_SEED, **spec}
+    return [
+        RunSpec(mix=(code,), scheme="baseline", l2_ways=w, **spec)
         for code in codes
         for w in ways
     ]
-    points: dict[int, list[SweepPoint]] = {code: [] for code in codes}
-    for spec, result in session.run_many(grid):
+
+
+def sweep(session, specs: Sequence[RunSpec]) -> dict[int, list[SweepPoint]]:
+    """Read sweep cells' results from ``session``, grouped by benchmark."""
+    points: dict[int, list[SweepPoint]] = {}
+    for spec in specs:
+        result = session.result(spec)
         stats, full = result.cores[0], spec.l2_ways == FULL_ASSOC
-        points[spec.mix[0]].append(
+        points.setdefault(spec.mix[0], []).append(
             SweepPoint(
                 code=spec.mix[0],
-                ways=scale.sweep_l2().lines if full else spec.l2_ways,
+                ways=ScaleModel(spec.scale).sweep_l2().lines if full else spec.l2_ways,
                 full_assoc=full,
                 mpki=stats.mpki,
                 cpi=stats.cpi,

@@ -306,14 +306,21 @@ class RunSpec:
 
     @property
     def name(self) -> str:
-        """Human-readable label: ``471+444/avgcc``, ``473@ways=6/baseline``
-        or ``lu*4/ascc``."""
+        """Human-readable label naming exactly one cell: ``471+444/avgcc``,
+        ``473@ways=6/baseline`` or ``lu*4/ascc``, then every other key
+        field that differs from its default, in brackets:
+        ``471+444/avgcc[quota=100000,l2_paper_bytes=2097152]``."""
         if self.kernel is not None:
             workload = "*".join(map(str, self.kernel))
         else:
             workload = "+".join(map(str, self.mix))
         ways = "" if self.l2_ways is None else f"@ways={self.l2_ways}"
-        return f"{workload}{ways}/{self.scheme}"
+        extra = ",".join(
+            f"{name}={':'.join(map(str, value)) if isinstance(value, tuple) else value}"
+            for name, default in _NAMED_DEFAULTS.items()
+            if (value := getattr(self, name)) != default
+        )
+        return f"{workload}{ways}/{self.scheme}" + (f"[{extra}]" if extra else "")
 
     def key_tuple(self) -> tuple:
         """The primitives that fully determine this spec's result.
@@ -406,6 +413,14 @@ class RunSpec:
     def replace(self, **changes) -> "RunSpec":
         """A copy with ``changes`` applied (frozen-dataclass convenience)."""
         return replace(self, **changes)
+
+
+#: Key fields :attr:`RunSpec.name` shows only when they leave their default.
+_NAMED_DEFAULTS = {
+    f.name: f.default
+    for f in fields(RunSpec)
+    if f.name in ("quota", "warmup", "seed", "scale", "l2_paper_bytes", "prefetch")
+}
 
 
 def spec_grid(

@@ -12,10 +12,11 @@ Commands
         python -m repro.cli run --mix 471+444 --scheme avgcc
 
 ``experiment``
-    Regenerate one of the paper's tables/figures::
+    Regenerate one of the paper's tables/figures, or (``all``) every one
+    of them from one batch::
 
         python -m repro.cli experiment fig8
-        python -m repro.cli experiment tab5
+        python -m repro.cli experiment all --jobs 2 --cache-dir .cells
 
 ``calibrate``
     Print each benchmark model's measured MPKI/CPI against Table 3.
@@ -100,65 +101,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.api.spec import RunSpec, SpecError
 from repro.execution.report import ExecutorError
-from repro.experiments import (
-    fig1_ways,
-    fig2_sets,
-    fig4_breakdown,
-    fig5_neutral,
-    fig7_twocore,
-    fig8_fourcore,
-    fig9_fairness,
-    fig10_latency,
-    fig11_qos,
-    sec61_shared,
-    sec62_energy,
-    sec63_multithread,
-    sec63_prefetch,
-    sec64_behavior,
-    sec7_limited,
-    tab1_granularity,
-    tab4_sizes,
-    tab5_cost,
-)
+from repro.experiments.registry import EXPERIMENTS, declared_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.policies.registry import available_schemes
 from repro.workloads.mixes import MIX2, MIX4, mix_name
-
-def _runner(session) -> dict:
-    return {"runner": ExperimentRunner(session=session)}
-
-
-def _session_kwarg(session) -> dict:
-    return {"session": session}
-
-
-#: Experiment name -> (run, format, wrap).  A Session-backed experiment's
-#: ``wrap`` turns the command's one session into ``run``'s keyword
-#: arguments; ``None`` marks the analytic one, which simulates nothing.
-_EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable | None]] = {
-    "fig1": (fig1_ways.run, fig1_ways.format_result, _session_kwarg),
-    "fig2": (fig2_sets.run, fig2_sets.format_result, _session_kwarg),
-    "fig4": (fig4_breakdown.run, fig4_breakdown.format_result, _runner),
-    "fig5": (fig5_neutral.run, fig5_neutral.format_result, _runner),
-    "tab1": (tab1_granularity.run, tab1_granularity.format_result, _runner),
-    "fig7": (fig7_twocore.run, fig7_twocore.format_result, _runner),
-    "fig8": (fig8_fourcore.run, fig8_fourcore.format_result, _runner),
-    "fig9": (fig9_fairness.run, fig9_fairness.format_result, _runner),
-    "fig10": (fig10_latency.run, fig10_latency.format_result, _runner),
-    "tab4": (tab4_sizes.run, tab4_sizes.format_result, _session_kwarg),
-    "tab5": (tab5_cost.run, tab5_cost.format_result, None),
-    "fig11": (fig11_qos.run, fig11_qos.format_result, _runner),
-    "sec61": (sec61_shared.run, sec61_shared.format_result, _runner),
-    "sec62": (sec62_energy.run, sec62_energy.format_result, _runner),
-    "sec63mt": (sec63_multithread.run, sec63_multithread.format_result, _session_kwarg),
-    "sec63pf": (sec63_prefetch.run, sec63_prefetch.format_result, _session_kwarg),
-    "sec64": (sec64_behavior.run, sec64_behavior.format_result, _runner),
-    "sec7": (sec7_limited.run, sec7_limited.format_result, _runner),
-}
 
 
 def _cmd_schemes(_: argparse.Namespace) -> int:
@@ -273,14 +223,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        run, fmt, wrap = _EXPERIMENTS[args.name]
-    except KeyError:
+    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
+    if names[0] not in EXPERIMENTS:
         raise SystemExit(
-            f"unknown experiment {args.name!r}; available: {', '.join(sorted(_EXPERIMENTS))}"
+            f"unknown experiment {args.name!r}; available: "
+            f"{', '.join(sorted(EXPERIMENTS))}, all"
         )
-    result = run() if wrap is None else run(**wrap(_session(args)))
-    print(fmt(result))
+    session = _session(args)
+    cells = declared_cells(names)
+    if cells:
+        session.prewarm(cells)
+    for name in names:
+        experiment, params = EXPERIMENTS[name]
+        print(experiment.format_result(experiment.render(session, **params)))
     return 0
 
 
@@ -835,7 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=_cmd_run)
 
     exp_p = sub.add_parser("experiment", help="regenerate a table/figure")
-    exp_p.add_argument("name", help=", ".join(sorted(_EXPERIMENTS)))
+    exp_p.add_argument(
+        "name", help=", ".join(sorted(EXPERIMENTS)) + ", or all (one batch)"
+    )
     add_parallel_flags(exp_p)
     add_trace_cache_flag(exp_p)
     add_sanitize_flag(exp_p)

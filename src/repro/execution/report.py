@@ -38,7 +38,7 @@ def cell_parts(cell) -> tuple[tuple, str]:
 def cell_name(cell) -> str:
     """Human-readable ``471+444/avgcc`` form of a cell (a spec's
     :attr:`~repro.api.spec.RunSpec.name`, which also shows its
-    ``l2_ways`` or ``kernel``)."""
+    ``l2_ways`` or ``kernel`` and every key field off its default)."""
     if hasattr(cell, "name"):
         return cell.name
     codes, scheme = cell_parts(cell)

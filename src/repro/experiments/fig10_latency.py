@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentRunner
+from repro.api.spec import RunSpec, spec_grid
 from repro.metrics.latency import LatencyBreakdown
 from repro.metrics.speedup import geometric_mean
 from repro.workloads.mixes import MIX2, mix_name
@@ -51,20 +51,16 @@ class Figure10Result:
         return rows
 
 
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-    schemes: list[str] | None = None,
-) -> Figure10Result:
-    """Collect latency breakdowns for every (mix, scheme) pair."""
-    runner = runner or ExperimentRunner()
-    mixes = mixes if mixes is not None else list(MIX2)
-    schemes = schemes if schemes is not None else list(SCHEMES)
-    runner.prewarm(mixes, schemes)
+def cells(mixes=MIX2, schemes=SCHEMES, **spec) -> list[RunSpec]:
+    """The (mix x scheme) matrix; a session adds the baselines."""
+    return spec_grid(mixes, schemes, **spec)
+
+
+def render(session, mixes=MIX2, schemes=SCHEMES, **spec) -> Figure10Result:
+    """Every (mix, scheme) pair's latency breakdown, read from ``session``."""
     breakdowns = {
-        (mix_name(mix), scheme): runner.outcome(mix, scheme).latency
-        for mix in mixes
-        for scheme in schemes
+        (mix_name(cell.mix), cell.scheme): session.outcome(cell).latency
+        for cell in cells(mixes, schemes, **spec)
     }
     return Figure10Result(
         schemes=tuple(schemes),

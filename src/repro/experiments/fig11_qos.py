@@ -6,25 +6,12 @@ while keeping, and on the geomean slightly improving, the gains.
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX2
 
-SCHEMES = ["avgcc", "qos-avgcc"]
+SCHEMES = ("avgcc", "qos-avgcc")
 
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the Figure 11 QoS comparison."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Figure 11: QoS-Aware AVGCC vs AVGCC, weighted-speedup improvement (2 cores)",
-        mixes if mixes is not None else list(MIX2),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Figure 11: QoS-Aware AVGCC vs AVGCC, weighted-speedup improvement (2 cores)",
+    MIX2, SCHEMES,
+)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.waysweep import FIGURE1_WAYS, SweepPoint, sweep
-from repro.api.session import Session
-from repro.sim.config import ScaleModel
+from repro.analysis.waysweep import FIGURE1_WAYS, SweepPoint, sweep, sweep_cells
+from repro.api.spec import RunSpec
 from repro.workloads.spec2006 import FIGURE1_CODES, benchmark
 
 
@@ -34,24 +33,23 @@ class Figure1Result:
         return rows
 
 
-def run(
-    codes: list[int] | None = None,
-    ways_list: list[int] | None = None,
+def cells(
+    codes=FIGURE1_CODES,
+    ways_list=FIGURE1_WAYS,
     include_full_assoc: bool = True,
-    scale: ScaleModel = ScaleModel(),
     quota: int = 100_000,
     warmup: int = 50_000,
-    session: Session | None = None,
-) -> Figure1Result:
-    """Sweep each benchmark over the enabled-way list through ``session``
-    (a serial, cache-less one when ``None``)."""
-    points = sweep(
-        session or Session(),
-        codes if codes is not None else FIGURE1_CODES,
-        ways_list if ways_list is not None else FIGURE1_WAYS,
-        include_full_assoc, scale, quota, warmup,
+    **spec,
+) -> list[RunSpec]:
+    """One cell per benchmark and enabled-way count."""
+    return sweep_cells(
+        codes, ways_list, include_full_assoc, quota=quota, warmup=warmup, **spec
     )
-    return Figure1Result(points=points)
+
+
+def render(session, **params) -> Figure1Result:
+    """Each benchmark's sweep, read from ``session``."""
+    return Figure1Result(points=sweep(session, cells(**params)))
 
 
 def format_result(result: Figure1Result) -> str:

@@ -11,13 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.waysweep import SetClassification, classify_sets, sweep
-from repro.api.session import Session
-from repro.sim.config import ScaleModel
+from repro.analysis.waysweep import (
+    SetClassification,
+    classify_sets,
+    sweep,
+    sweep_cells,
+)
+from repro.api.spec import RunSpec
 from repro.workloads.spec2006 import benchmark
 
 #: The paper shows astar (a) and milc (b).
 FIGURE2_CODES = [473, 433]
+#: Way counts of the sweep; each is classified against the one before it.
+FIGURE2_WAYS = [4, 6, 8, 10, 12, 14, 16]
 
 
 @dataclass(frozen=True)
@@ -37,23 +43,21 @@ class Figure2Result:
         return rows
 
 
-def run(
-    codes: list[int] | None = None,
-    ways_list: list[int] | None = None,
-    scale: ScaleModel = ScaleModel(),
+def cells(
+    codes=FIGURE2_CODES,
+    ways_list=FIGURE2_WAYS,
     quota: int = 100_000,
     warmup: int = 50_000,
-    session: Session | None = None,
-) -> Figure2Result:
-    """Classify sets for each benchmark across the way sweep, through
-    ``session`` (a serial, cache-less one when ``None``).  The cells are
-    Figure 1's, so a cache directory Figure 1 filled serves them."""
-    points = sweep(
-        session or Session(),
-        codes if codes is not None else FIGURE2_CODES,
-        ways_list if ways_list is not None else [4, 6, 8, 10, 12, 14, 16],
-        include_full_assoc=False, scale=scale, quota=quota, warmup=warmup,
-    )
+    **spec,
+) -> list[RunSpec]:
+    """The way-sweep cells; they are Figure 1's, so a batch holding both
+    figures simulates them once."""
+    return sweep_cells(codes, ways_list, False, quota=quota, warmup=warmup, **spec)
+
+
+def render(session, **params) -> Figure2Result:
+    """Classify sets between consecutive way counts of each sweep."""
+    points = sweep(session, cells(**params))
     out = {
         code: [classify_sets(prev, cur) for prev, cur in zip(curve, curve[1:])]
         for code, curve in points.items()

@@ -8,25 +8,12 @@ SABIP (LMS+BIP vs ASCC).
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX4
 
-SCHEMES = ["lrs", "lms", "gms", "lms+bip", "gms+sabip", "dsr", "ascc"]
+SCHEMES = ("lrs", "lms", "gms", "lms+bip", "gms+sabip", "dsr", "ascc")
 
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the Figure 4 design-breakdown matrix."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Figure 4: design breakdown, weighted-speedup improvement (4 cores)",
-        mixes if mixes is not None else list(MIX4),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Figure 4: design breakdown, weighted-speedup improvement (4 cores)",
+    MIX4, SCHEMES,
+)

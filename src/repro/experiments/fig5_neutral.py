@@ -6,25 +6,12 @@ vs DSR-3S (the 2 MSBs of the PSEL adding a whole-cache neutral state).
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX4
 
-SCHEMES = ["ascc", "ascc-2s", "dsr", "dsr-3s"]
+SCHEMES = ("ascc", "ascc-2s", "dsr", "dsr-3s")
 
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the Figure 5 neutral-state ablation matrix."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Figure 5: neutral-state ablations, weighted-speedup improvement (4 cores)",
-        mixes if mixes is not None else list(MIX4),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Figure 5: neutral-state ablations, weighted-speedup improvement (4 cores)",
+    MIX4, SCHEMES,
+)

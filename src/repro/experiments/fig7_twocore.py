@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX2
 
-SCHEMES = ["dsr", "dsr+dip", "ecc", "ascc", "avgcc"]
+SCHEMES = ("dsr", "dsr+dip", "ecc", "ascc", "avgcc")
 
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the Figure 7 two-core comparison."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Figure 7: weighted-speedup improvement over baseline (2 cores)",
-        mixes if mixes is not None else list(MIX2),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Figure 7: weighted-speedup improvement over baseline (2 cores)",
+    MIX2, SCHEMES,
+)

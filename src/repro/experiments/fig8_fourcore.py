@@ -7,25 +7,12 @@ showing as spill traffic grows.
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX4
 
-SCHEMES = ["dsr", "dsr+dip", "ecc", "ascc", "avgcc"]
+SCHEMES = ("dsr", "dsr+dip", "ecc", "ascc", "avgcc")
 
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the Figure 8 four-core comparison."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Figure 8: weighted-speedup improvement over baseline (4 cores)",
-        mixes if mixes is not None else list(MIX4),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Figure 8: weighted-speedup improvement over baseline (4 cores)",
+    MIX4, SCHEMES,
+)

@@ -8,26 +8,12 @@ that pays the interleaved-bank latency on every access.
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
-from repro.workloads.mixes import all_mixes
+from repro.experiments.comparison import Comparison
+from repro.workloads.mixes import MIX4
 
-SCHEMES = ["shared", "ascc", "avgcc"]
+SCHEMES = ("shared", "ascc", "avgcc")
 
-
-def run(
-    num_cores: int = 4,
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-) -> ComparisonResult:
-    """Run the shared-LLC comparison for one core count."""
-    return compare(
-        runner or ExperimentRunner(),
-        f"Section 6.1: shared LLC vs cooperative private ({num_cores} cores)",
-        mixes if mixes is not None else all_mixes(num_cores),
-        SCHEMES,
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Section 6.1: shared LLC vs cooperative private ({cores} cores)",
+    MIX4, SCHEMES,
+)

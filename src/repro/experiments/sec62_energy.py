@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from repro.analysis.energy import EnergyModel
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentRunner
+from repro.api.spec import RunSpec, spec_grid
 from repro.metrics.speedup import geometric_mean
-from repro.workloads.mixes import all_mixes, mix_name
+from repro.workloads.mixes import MIX4, mix_name
 
 SCHEMES = ["dsr", "ascc", "avgcc"]
 
@@ -44,26 +44,22 @@ class EnergyResult:
         return rows
 
 
-def run(
-    num_cores: int = 4,
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-    schemes: list[str] | None = None,
-    model: EnergyModel = EnergyModel(),
-) -> EnergyResult:
-    """Evaluate the energy model over the mixes for each scheme."""
-    runner = runner or ExperimentRunner()
-    mixes = mixes if mixes is not None else all_mixes(num_cores)
-    schemes = schemes if schemes is not None else list(SCHEMES)
-    runner.prewarm(mixes, schemes)
-    reductions: dict[tuple[str, str], float] = {}
-    for mix in mixes:
-        baseline = runner.run(mix, "baseline")
-        for scheme in schemes:
-            result = runner.run(mix, scheme)
-            reductions[(mix_name(mix), scheme)] = model.reduction(result, baseline)
+def cells(mixes=MIX4, schemes=SCHEMES, **spec) -> list[RunSpec]:
+    """The (mix x scheme) matrix; a session adds the baselines."""
+    return spec_grid(mixes, schemes, **spec)
+
+
+def render(session, mixes=MIX4, schemes=SCHEMES, **spec) -> EnergyResult:
+    """Evaluate the energy model on each cell against its baseline."""
+    model = EnergyModel()
+    reductions = {
+        (mix_name(cell.mix), cell.scheme): model.reduction(
+            session.result(cell), session.result(cell.replace(scheme="baseline"))
+        )
+        for cell in cells(mixes, schemes, **spec)
+    }
     return EnergyResult(
-        num_cores=num_cores,
+        num_cores=len(mixes[0]),
         schemes=tuple(schemes),
         mixes=tuple(tuple(m) for m in mixes),
         reductions=reductions,

@@ -12,16 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.api.session import Session
 from repro.api.spec import RunSpec
 from repro.metrics.speedup import geometric_mean, improvement
-from repro.sim.config import ScaleModel
 from repro.workloads.multithread import KERNELS
 
 KB = 1024
 SCHEMES = ["dsr", "ecc", "ascc", "avgcc"]
 #: The paper reduces the LLC to 512 kB for these runs.
 MT_L2_PAPER_BYTES = 512 * KB
+KERNEL_NAMES = sorted(KERNELS)
 
 
 @dataclass(frozen=True)
@@ -48,35 +47,32 @@ class MultithreadResult:
         return rows
 
 
-def run(
-    kernels: list[str] | None = None,
-    schemes: list[str] | None = None,
+def cells(
+    kernels=KERNEL_NAMES,
+    schemes=SCHEMES,
     num_threads: int = 4,
-    scale: ScaleModel = ScaleModel(),
     quota: int = 120_000,
     warmup: int = 120_000,
     seed: int = 5,
-    session: Session | None = None,
-) -> MultithreadResult:
-    """Run every kernel under every scheme and compute improvements, as
-    one batch (each kernel's baseline included) through ``session`` (a
-    serial, cache-less one when ``None``)."""
-    session = session or Session()
-    kernels = kernels if kernels is not None else sorted(KERNELS)
-    schemes = schemes if schemes is not None else list(SCHEMES)
-    cells = {
-        (kernel, scheme): RunSpec(
-            kernel=(kernel, num_threads), scheme=scheme, quota=quota,
-            warmup=warmup, seed=seed, scale=scale, l2_paper_bytes=MT_L2_PAPER_BYTES,
+    **spec,
+) -> list[RunSpec]:
+    """Every kernel under every scheme; a session adds the baselines."""
+    return [
+        RunSpec(
+            kernel=(kernel, num_threads), scheme=scheme, quota=quota, warmup=warmup,
+            seed=seed, l2_paper_bytes=MT_L2_PAPER_BYTES, **spec,
         )
         for kernel in kernels
         for scheme in schemes
-    }
-    session.prewarm(cells.values())
-    improvements: dict[tuple[str, str], float] = {}
-    for cell, spec in cells.items():
-        outcome = session.outcome(spec)
-        improvements[cell] = improvement(
+    ]
+
+
+def render(session, kernels=KERNEL_NAMES, schemes=SCHEMES, **params) -> MultithreadResult:
+    """Each cell's throughput improvement over its kernel's baseline."""
+    improvements = {}
+    for cell in cells(kernels, schemes, **params):
+        outcome = session.outcome(cell)
+        improvements[(cell.kernel[0], cell.scheme)] = improvement(
             sum(c.ipc for c in outcome.result.cores),
             sum(c.ipc for c in outcome.baseline.cores),
         )

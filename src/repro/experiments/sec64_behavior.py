@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentRunner
-from repro.workloads.mixes import all_mixes
+from repro.api.spec import RunSpec, spec_grid
+from repro.workloads.mixes import MIX4
 
 SCHEMES = ["dsr", "dsr+dip", "ecc", "ascc", "avgcc"]
 
@@ -27,22 +27,18 @@ class BehaviorRow:
     hits_per_spill: float
 
 
-def run(
-    num_cores: int = 4,
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-    schemes: list[str] | None = None,
-) -> list[BehaviorRow]:
+def cells(mixes=MIX4, schemes=SCHEMES, **spec) -> list[RunSpec]:
+    """The (mix x scheme) matrix; a session adds the baselines."""
+    return spec_grid(mixes, schemes, **spec)
+
+
+def render(session, mixes=MIX4, schemes=SCHEMES, **spec) -> list[BehaviorRow]:
     """Aggregate spill/swap/hit counters per scheme over the mixes."""
-    runner = runner or ExperimentRunner()
-    mixes = mixes if mixes is not None else all_mixes(num_cores)
-    schemes = schemes if schemes is not None else list(SCHEMES)
-    runner.prewarm(mixes, schemes)
     rows = []
     for scheme in schemes:
         spills = swaps = hits = 0
-        for mix in mixes:
-            result = runner.run(mix, scheme)
+        for cell in cells(mixes, [scheme], **spec):
+            result = session.result(cell)
             spills += result.total_spills
             swaps += sum(c.swaps for c in result.cores)
             hits += result.total_hits_on_spilled

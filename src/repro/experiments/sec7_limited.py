@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from repro.analysis.overhead import limited_counter_extra_bytes
 from repro.analysis.reporting import format_table
-from repro.experiments.comparison import compare
-from repro.experiments.runner import ExperimentRunner
+from repro.api.spec import RunSpec, spec_grid
+from repro.metrics.speedup import geometric_mean
 from repro.sim.config import PAPER_L2
 from repro.workloads.mixes import MIX4
 
@@ -28,27 +28,30 @@ class LimitedRow:
     extra_storage_bytes: int
 
 
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-    variants: list[int | None] | None = None,
-) -> list[LimitedRow]:
-    """Measure each cost-limited variant and pair it with its storage."""
-    runner = runner or ExperimentRunner()
-    mixes = mixes if mixes is not None else list(MIX4)
-    rows = []
-    for limit in variants if variants is not None else list(VARIANTS):
-        scheme = "avgcc" if limit is None else f"avgcc/{limit}"
-        result = compare(runner, scheme, mixes, [scheme], metric="speedup")
-        storage = limited_counter_extra_bytes(PAPER_L2, limit or PAPER_L2.sets)
-        rows.append(
-            LimitedRow(
-                scheme=scheme,
-                geomean_improvement=result.geomeans()[scheme],
-                extra_storage_bytes=storage,
-            )
+def _scheme(limit: int | None) -> str:
+    return "avgcc" if limit is None else f"avgcc/{limit}"
+
+
+def cells(mixes=MIX4, variants=VARIANTS, **spec) -> list[RunSpec]:
+    """Every mix under every variant; a session adds the baselines."""
+    return spec_grid(mixes, [_scheme(limit) for limit in variants], **spec)
+
+
+def render(session, mixes=MIX4, variants=VARIANTS, **spec) -> list[LimitedRow]:
+    """Each variant's geomean speedup, paired with its storage."""
+    return [
+        LimitedRow(
+            scheme=_scheme(limit),
+            geomean_improvement=geometric_mean([
+                session.outcome(cell).speedup_improvement
+                for cell in cells(mixes, [limit], **spec)
+            ]),
+            extra_storage_bytes=limited_counter_extra_bytes(
+                PAPER_L2, limit or PAPER_L2.sets
+            ),
         )
-    return rows
+        for limit in variants
+    ]
 
 
 def format_result(rows: list[LimitedRow]) -> str:

@@ -8,32 +8,14 @@ counter per cache (the ASCC1 column).
 
 from __future__ import annotations
 
-from repro.experiments.comparison import ComparisonResult, compare, format_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.comparison import Comparison
 from repro.workloads.mixes import MIX4
 
 #: Paper sweep: sets grouped per counter.
-GROUPINGS = [1, 4, 16, 64, 256, 1024, 4096]
+GROUPINGS = (1, 4, 16, 64, 256, 1024, 4096)
+SCHEMES = tuple(f"ascc/{g}" if g > 1 else "ascc" for g in GROUPINGS)
 
-
-def schemes_for(groupings: list[int] | None = None) -> list[str]:
-    """Scheme names for a list of sets-per-counter groupings."""
-    return [f"ascc/{g}" if g > 1 else "ascc" for g in (groupings or GROUPINGS)]
-
-
-def run(
-    runner: ExperimentRunner | None = None,
-    mixes: list[tuple[int, ...]] | None = None,
-    groupings: list[int] | None = None,
-) -> ComparisonResult:
-    """Run the Table 1 granularity sweep."""
-    return compare(
-        runner or ExperimentRunner(),
-        "Table 1: ASCC granularity sweep, weighted-speedup improvement (4 cores)",
-        mixes if mixes is not None else list(MIX4),
-        schemes_for(groupings),
-        metric="speedup",
-    )
-
-
-format_result = format_comparison
+COMPARISON = Comparison(
+    "Table 1: ASCC granularity sweep, weighted-speedup improvement (4 cores)",
+    MIX4, SCHEMES,
+)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from repro.analysis.overhead import avgcc_cost, baseline_cost
 from repro.analysis.reporting import format_table
+from repro.api.spec import RunSpec, spec_grid
 from repro.cache.geometry import CacheGeometry
-from repro.sim.config import PAPER_L2, ScaleModel
-from repro.workloads.mixes import all_mixes
+from repro.sim.config import PAPER_L2
+from repro.workloads.mixes import MIX2, MIX4
 
 MB = 1024 * 1024
 SIZES_MB = [1, 2, 4]
@@ -30,51 +31,37 @@ class Table4Row:
     storage_overhead: float
 
 
-def run(
-    sizes_mb: list[int] | None = None,
-    mixes4: list[tuple[int, ...]] | None = None,
-    mixes2: list[tuple[int, ...]] | None = None,
-    scale: ScaleModel = ScaleModel(),
-    quota: int = 150_000,
-    warmup: int = 150_000,
-    session=None,
-) -> list[Table4Row]:
-    """Measure the off-chip reduction for each cache size and core count.
+def _grids(sizes_mb, mixes4, mixes2, spec) -> dict[tuple[int, int], list[RunSpec]]:
+    """``(size_mb, cores) -> avgcc cells`` of the whole table."""
+    return {
+        (size_mb, cores): spec_grid(
+            mixes, ["avgcc"], l2_paper_bytes=size_mb * MB, **spec
+        )
+        for size_mb in sizes_mb
+        for cores, mixes in ((4, mixes4), (2, mixes2))
+    }
 
-    ``session`` carries the orchestration knobs (a serial, cache-less
-    :class:`~repro.api.session.Session` when ``None``).
-    """
-    from repro.api.session import Session
-    from repro.api.spec import spec_grid
 
-    # The whole table is one cross-size spec batch against one session:
-    # one run_batch call fans every size out together.
-    session = session if session is not None else Session()
-    grids: dict[tuple[int, int], list] = {}
-    for size_mb in sizes_mb or SIZES_MB:
-        for cores, mixes in ((4, mixes4), (2, mixes2)):
-            chosen = mixes if mixes is not None else all_mixes(cores)
-            grids[(size_mb, cores)] = spec_grid(
-                chosen,
-                ["avgcc"],
-                quota=quota,
-                warmup=warmup,
-                scale=scale,
-                l2_paper_bytes=size_mb * MB,
-            )
-    session.prewarm([spec for grid in grids.values() for spec in grid])
+def cells(sizes_mb=SIZES_MB, mixes4=MIX4, mixes2=MIX2, **spec) -> list[RunSpec]:
+    """Every size's avgcc cells; a session adds the baselines."""
+    grids = _grids(sizes_mb, mixes4, mixes2, spec)
+    return [cell for grid in grids.values() for cell in grid]
 
+
+def render(session, sizes_mb=SIZES_MB, mixes4=MIX4, mixes2=MIX2, **spec) -> list[Table4Row]:
+    """The mean off-chip reduction per size and core count, with the
+    exact storage overhead."""
+    grids = _grids(sizes_mb, mixes4, mixes2, spec)
     rows = []
-    for size_mb in sizes_mb or SIZES_MB:
-        paper_bytes = size_mb * MB
+    for size_mb in sizes_mb:
         reductions = {}
         for cores in (4, 2):
             values = [
-                session.outcome(spec).offchip_reduction
-                for spec in grids[(size_mb, cores)]
+                session.outcome(cell).offchip_reduction
+                for cell in grids[(size_mb, cores)]
             ]
             reductions[cores] = sum(values) / len(values)
-        geometry = CacheGeometry(paper_bytes, PAPER_L2.ways, PAPER_L2.line_bytes)
+        geometry = CacheGeometry(size_mb * MB, PAPER_L2.ways, PAPER_L2.line_bytes)
         overhead = avgcc_cost(geometry).overhead_versus(baseline_cost(geometry))
         rows.append(
             Table4Row(

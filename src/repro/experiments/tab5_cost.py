@@ -9,13 +9,18 @@ from __future__ import annotations
 
 from repro.analysis.overhead import table5_rows
 from repro.analysis.reporting import format_table
-from repro.cache.geometry import CacheGeometry
+from repro.api.spec import RunSpec
 from repro.sim.config import PAPER_L2
 
 
-def run(geometry: CacheGeometry = PAPER_L2) -> list[dict[str, object]]:
-    """Compute the Table 5 rows (exact arithmetic)."""
-    return table5_rows(geometry)
+def cells() -> list[RunSpec]:
+    """None: the table is arithmetic."""
+    return []
+
+
+def render(session) -> list[dict[str, object]]:
+    """Compute the Table 5 rows (exact arithmetic; ``session`` is unused)."""
+    return table5_rows(PAPER_L2)
 
 
 def format_result(rows: list[dict[str, object]]) -> str:

@@ -20,6 +20,7 @@ blocks), ``streamcluster`` (read-mostly shared points, high reuse), and
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from random import Random
 
@@ -83,7 +84,8 @@ class ThreadInstance:
         (see :meth:`MixtureTrace.fill`)."""
         spec = self.spec
         shared_ws = self.scale.bytes(spec.shared_ws_bytes)
-        pc_base = hash(spec.name) & 0xFFFF00
+        # crc32, not hash(): string hashes change with PYTHONHASHSEED.
+        pc_base = zlib.crc32(spec.name.encode()) & 0xFFFF00
         if spec.shared_kind == "random":
             shared = RandomRegion(_SHARED_BASE, shared_ws, pc_base, rng)
         else:

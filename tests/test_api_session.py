@@ -94,7 +94,10 @@ def test_run_many_yields_in_submission_order():
     session = Session()
     specs = [SPEC, SPEC.replace(scheme="baseline")]
     seen = [spec.name for spec, _result in session.run_many(specs)]
-    assert seen == ["471+444/avgcc", "471+444/baseline"]
+    assert seen == [
+        "471+444/avgcc[quota=2000,warmup=1000]",
+        "471+444/baseline[quota=2000,warmup=1000]",
+    ]
 
 
 def test_session_validates_specs():

@@ -164,8 +164,8 @@ def test_parse_mix_rejects_malformed(text):
 def test_spec_grid_is_ordered_product():
     specs = spec_grid([(471, 444), (444, 445)], ["baseline", "avgcc"], quota=1000)
     assert [s.name for s in specs] == [
-        "471+444/baseline", "471+444/avgcc",
-        "444+445/baseline", "444+445/avgcc",
+        "471+444/baseline[quota=1000]", "471+444/avgcc[quota=1000]",
+        "444+445/baseline[quota=1000]", "444+445/avgcc[quota=1000]",
     ]
     assert all(s.quota == 1000 for s in specs)
 
@@ -176,3 +176,31 @@ def test_name_and_cell():
     assert spec.cell() == ((471, 444), "dsr")
     assert RunSpec(mix=(473,), scheme="baseline", l2_ways=6).name == "473@ways=6/baseline"
     assert RunSpec(kernel=("lu", 4), scheme="ascc").name == "lu*4/ascc"
+
+
+#: One variant per ``key_tuple()`` field, each away from its default.
+KEY_VARIANTS = [
+    dict(mix=(471, 445)),
+    dict(scheme="ascc"),
+    dict(quota=100_000),
+    dict(warmup=100_000),
+    dict(seed=11),
+    dict(scale=0.125),
+    dict(l2_paper_bytes=2 * 1024 * 1024),
+    dict(prefetch=PrefetchConfig()),
+    dict(mix=(473,), scheme="baseline", l2_ways=6),
+    dict(mix=(), kernel=("lu", 4)),
+]
+
+
+def test_specs_with_different_keys_have_different_names():
+    base = RunSpec(mix=(471, 444))
+    specs = [base] + [base.replace(**change) for change in KEY_VARIANTS]
+    specs += [s.replace(seed=s.seed + 100) for s in specs]
+    assert len({s.key_tuple() for s in specs}) == len(specs)
+    assert len({s.name for s in specs}) == len(specs)
+    # Specs at every default keep the short names they always had.
+    assert base.name == "471+444/avgcc"
+    assert base.replace(quota=100_000, seed=11).name == (
+        "471+444/avgcc[quota=100000,seed=11]"
+    )

@@ -1,9 +1,15 @@
 """CLI surface."""
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from repro import cli
+from repro.api.session import Session
 from repro.cli import build_parser, main
+from repro.experiments import fig1_ways, fig2_sets, registry
+from repro.experiments.registry import EXPERIMENTS
 
 
 def test_schemes_command(capsys):
@@ -42,30 +48,36 @@ SESSION_EXPERIMENTS = (
 
 
 def test_every_simulating_experiment_gets_a_session():
-    assert set(SESSION_EXPERIMENTS) == set(cli._EXPERIMENTS) - {"tab5"}
-    assert cli._EXPERIMENTS["tab5"][2] is None
+    simulating = {
+        name for name, (experiment, params) in EXPERIMENTS.items()
+        if experiment.cells(**params)
+    }
+    assert set(SESSION_EXPERIMENTS) == simulating == set(EXPERIMENTS) - {"tab5"}
 
 
 @pytest.mark.parametrize("name", SESSION_EXPERIMENTS)
 def test_experiment_session_carries_every_orchestration_flag(name, tmp_path, monkeypatch):
-    calls = []
-
-    def fake_run(*args, **kwargs):
-        calls.append((args, kwargs))
-
-    monkeypatch.setitem(
-        cli._EXPERIMENTS, name, (fake_run, lambda _result: "", *cli._EXPERIMENTS[name][2:])
+    experiment, params = EXPERIMENTS[name]
+    prewarmed, rendered = [], []
+    monkeypatch.setattr(
+        Session, "prewarm", lambda self, specs: prewarmed.append((self, list(specs)))
     )
+    stub = SimpleNamespace(
+        cells=experiment.cells,
+        render=lambda session, **_params: rendered.append(session),
+        format_result=lambda _result: "",
+    )
+    monkeypatch.setitem(EXPERIMENTS, name, (stub, params))
     paths = {flag: str(tmp_path / flag) for flag in ("cells", "report.json", "run.prom")}
     assert main([
         "experiment", name, "--jobs", "3", "--cache-dir", paths["cells"],
         "--timeout", "7.5", "--retries", "4", "--report", paths["report.json"],
         "--metrics", paths["run.prom"],
     ]) == 0
-    ((args, kwargs),) = calls
-    handed = [*args, *kwargs.values()]
-    session = next((getattr(a, "session", a) for a in handed), None)
-    assert session is not None, f"{name} got no session: {kwargs}"
+    # One batch of the declared cells, then a render from the same session.
+    ((session, specs),) = prewarmed
+    assert specs == experiment.cells(**params)
+    assert rendered == [session]
     assert session._knobs == dict(
         jobs=3,
         cache_dir=paths["cells"],
@@ -74,6 +86,28 @@ def test_experiment_session_carries_every_orchestration_flag(name, tmp_path, mon
         report_path=paths["report.json"],
         metrics_path=paths["run.prom"],
     )
+
+
+def test_experiment_all_is_one_batch_printing_every_table(tmp_path, monkeypatch, capsys):
+    params = dict(codes=[473], ways_list=[6, 8], quota=3_000, warmup=1_000)
+    small = {
+        "fig1": (fig1_ways, dict(params, include_full_assoc=False)),
+        "fig2": (fig2_sets, params),
+        "tab5": EXPERIMENTS["tab5"],
+    }
+    monkeypatch.setattr(registry, "EXPERIMENTS", small)
+    monkeypatch.setattr(cli, "EXPERIMENTS", small)
+    tables = []
+    for name in small:
+        assert main(["experiment", name]) == 0
+        tables.append(capsys.readouterr().out)
+    cells, report = tmp_path / "cells", tmp_path / "report.json"
+    for simulated in (2, 0):  # Figure 2's two cells are Figure 1's.
+        assert main(["experiment", "all", "--cache-dir", str(cells),
+                     "--report", str(report)]) == 0
+        assert capsys.readouterr().out == "".join(tables)
+        counts = json.loads(report.read_text())["counts"]
+        assert (counts["total"], counts["simulated"]) == (2, simulated)
 
 
 def test_bad_mix_rejected():

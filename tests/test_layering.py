@@ -16,7 +16,9 @@ imports nothing from ``repro.service`` or ``repro.cluster``.
 
 Figures and their analysis simulate through a session, never by driving
 the engine themselves: nothing under ``repro.experiments`` or
-``repro.analysis`` imports :mod:`repro.sim.engine`.
+``repro.analysis`` imports :mod:`repro.sim.engine`.  Experiments do not
+run their own batches either: they declare cells and render from a
+session someone else prewarmed.
 """
 
 import ast
@@ -87,3 +89,24 @@ def test_figures_do_not_drive_the_engine():
         if module == "repro.sim.engine" or (module == "repro.sim" and "engine" in names)
     ]
     assert crossings == []
+
+
+def test_experiments_declare_cells_and_never_simulate_themselves():
+    """Experiments hand their cells to whoever runs the batch: nothing
+    under ``repro.experiments`` but the runner imports a ``Session``,
+    builds a session or runner, or calls ``prewarm``/``run_many``."""
+    found = []
+    for path in sorted((SRC / "repro" / "experiments").rglob("*.py")):
+        if path.name == "runner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "Session" for alias in node.names
+            ):
+                found.append((path.name, "imports Session"))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in ("Session", "ExperimentRunner", "prewarm", "run_many"):
+                    found.append((path.name, f"calls {name}"))
+    assert found == []

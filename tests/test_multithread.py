@@ -1,5 +1,9 @@
 """Multithreaded kernels share data across threads."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -49,3 +53,24 @@ def test_thread_names():
     threads = make_threads("canneal", 2)
     assert threads[0].name == "canneal#t0"
     assert threads[1].name == "canneal#t1"
+
+
+def test_kernel_trace_records_do_not_depend_on_the_string_hash_seed():
+    """Two interpreters with different ``PYTHONHASHSEED`` emit the same
+    kernel records, PCs included."""
+    code = (
+        "from itertools import islice; from random import Random\n"
+        "from repro.workloads.multithread import make_threads\n"
+        "for t in make_threads('lu', 2):\n"
+        "    print(list(islice(iter(t.source(Random(3))), 200)))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -62,6 +62,12 @@ def fixed_report() -> RunReport:
     for ways in (4, 8):
         report.mark_hit(RunSpec(mix=(473,), scheme="baseline", l2_ways=ways), "cache")
     report.mark_hit(RunSpec(kernel=("lu", 4), scheme="ascc"), "cache")
+    # Cells differing only in a field the short name omits (L2 size,
+    # seed) are told apart by the name's bracketed suffix.
+    for size in (2, 4):
+        report.mark_hit(RunSpec(mix=MIX, l2_paper_bytes=size << 20), "cache")
+    for seed in (11, 13):
+        report.mark_hit(RunSpec(mix=MIX, seed=seed), "cache")
     report.retried, report.timeouts, report.pool_deaths = 2, 1, 1
     report.watchdog_kills = 1
     report.cache_hits, report.cache_misses, report.cache_quarantined = 1, 3, 1
@@ -74,7 +80,7 @@ def fixed_report() -> RunReport:
 def fixed_stats(traced: bool):
     tracer = None
     if traced:
-        tracer = SpanTracer(capacity=8)
+        tracer = SpanTracer(capacity=7)
         for name, duration in (
             ("queue", 0.25),
             ("queue", 0.75),
@@ -82,7 +88,6 @@ def fixed_stats(traced: bool):
             ("attempt", 1.5),
             ("attempt", 2.5),
             ("cell", 3.0),
-            ("batch", 4.0),
         ):
             tracer.complete(name, duration=duration)
         tracer.adopt(

@@ -66,7 +66,7 @@ def test_describe_reports_verdict(differential_grid):
         assert cell.label in text
 
 
-@pytest.mark.parametrize("spec", SHAPED_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", SHAPED_SPECS, ids=["473@ways=6/baseline", "lu*4/ascc"])
 def test_every_cell_shape_is_grid_identical(spec):
     report = assert_grid_identical(spec, jobs=2)
     assert len(report.cells) == len(BACKENDS) * len(TRACE_MODES) * len(PATHS)

@@ -1,6 +1,6 @@
 """Way-sweep cells and the Figure 2 classification rule."""
 
-from repro.analysis.waysweep import SweepPoint, classify_sets, sweep
+from repro.analysis.waysweep import SweepPoint, classify_sets, sweep, sweep_cells
 from repro.api import RunSpec, Session
 from repro.execution.simulate import simulate_spec
 from repro.sim.config import ScaleModel
@@ -29,9 +29,8 @@ def test_sets_with_no_prior_misses_are_constant():
 
 
 def test_way_cell_smoke():
-    ((point,),) = sweep(
-        Session(), [444], [4], include_full_assoc=False, quota=6_000, warmup=2_000
-    ).values()
+    cells = sweep_cells([444], [4], include_full_assoc=False, quota=6_000, warmup=2_000)
+    ((point,),) = sweep(Session(), cells).values()
     assert point.ways == 4
     assert point.instructions >= 5_900  # the warmup-crossing step is unrecorded
     assert len(point.set_misses) == ScaleModel().sweep_l2().sets
@@ -39,9 +38,10 @@ def test_way_cell_smoke():
 
 
 def test_more_ways_do_not_hurt_sensitive_benchmark():
-    ((few, many, full),) = sweep(
-        Session(), [473], [2, 16], quota=20_000, warmup=10_000
-    ).values()
+    cells = sweep_cells([473], [2, 16], quota=20_000, warmup=10_000)
+    session = Session()
+    session.prewarm(cells)
+    ((few, many, full),) = sweep(session, cells).values()
     assert many.mpki <= few.mpki
     assert full.full_assoc and full.ways == ScaleModel().sweep_l2().lines
     assert len(full.set_misses) == 1

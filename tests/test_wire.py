@@ -146,7 +146,7 @@ def test_parse_request_version_mismatch_is_structured():
 
 def test_parse_request_matching_version_accepted():
     envelope = {"spec": SPEC_DICT, "protocol_version": wire.PROTOCOL_VERSION}
-    assert wire.parse_request(envelope).spec.name == "471+444/avgcc"
+    assert wire.parse_request(envelope).spec.name == "471+444/avgcc[quota=1500,warmup=500]"
 
 
 def test_parse_request_invalid_spec_raises_spec_error():
