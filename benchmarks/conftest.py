@@ -3,8 +3,8 @@
 The ``session`` fixture simulates every declared cell of the paper's
 tables and figures (:func:`repro.experiments.registry.declared_cells`) plus the
 mechanism ablation's as one batch over ``os.cpu_count()`` workers, as
-``repro experiment all`` does; each benchmark then renders its table
-from that session's memo.  ``emit`` prints each regenerated table
+``repro experiment all`` does, into a result cache (``paper_cells``);
+each benchmark then renders its table from that session's memo.  ``emit`` prints each regenerated table
 (visible with ``pytest -s`` or in the captured output) and archives it
 under ``results/``.
 """
@@ -32,8 +32,14 @@ SWAP_ABLATION = Comparison(
 
 
 @pytest.fixture(scope="session")
-def session() -> Session:
-    session = Session(jobs=os.cpu_count() or 1)
+def paper_cells(tmp_path_factory) -> pathlib.Path:
+    """The result cache the ``session`` fixture fills."""
+    return tmp_path_factory.mktemp("paper-cells")
+
+
+@pytest.fixture(scope="session")
+def session(paper_cells) -> Session:
+    session = Session(jobs=os.cpu_count() or 1, cache_dir=paper_cells)
     session.prewarm([*declared_cells(), *SWAP_ABLATION.cells()])
     return session
 

@@ -869,10 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots",
         type=_positive_int("--slots"),
         default=1,
-        help="leases this worker executes concurrently (default: 1); "
-        "2 or more run each lease in a pool process and kill one past "
-        "its timeout, 1 runs in-process and, like --jobs 1, enforces "
-        "no timeout",
+        help="lanes this worker runs (default: 1): each is a process "
+        "with its own coordinator connection running one lease at a "
+        "time; a lane past its lease's timeout answers for it and is "
+        "replaced",
     )
     worker_p.add_argument(
         "--label",

@@ -10,10 +10,11 @@ defined in :mod:`repro.service.wire`:
   hang, and streams results back into the scheduler's dedup / journal
   / metrics pipeline through the same callbacks the local pool uses.
 * :class:`WorkerClient` (:mod:`repro.cluster.worker`) — the remote
-  side: connects, handshakes capabilities, runs leases on the local
-  execution core (a :class:`~repro.service.LocalPoolExecutor` of K
-  slots) and streams results home.  ``repro worker --connect
-  HOST:PORT --slots K`` is its CLI entrypoint.
+  side: supervises K *lanes*, forked processes that each connect,
+  handshake capabilities, run one lease at a time on the local
+  execution core (a :class:`~repro.service.LocalPoolExecutor` of one
+  job) and stream results home.  ``repro worker --connect HOST:PORT
+  --slots K`` is its CLI entrypoint.
 
 Simulations are deterministic functions of their spec, so *where* a
 cell runs never changes what it computes: a cluster batch's digest

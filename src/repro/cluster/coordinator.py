@@ -259,6 +259,7 @@ class ClusterExecutor(Executor):
                     "slots": w.slots,
                     "backend": w.backend,
                     "trace_cache": w.trace_cache,
+                    "pid": w.pid,
                     "leases": len(w.leases),
                 }
                 for w in self._workers

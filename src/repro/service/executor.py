@@ -119,6 +119,11 @@ class ExecutorStats:
     redispatches: int = 0
 
 
+def timeout_kind(seconds: float) -> str:
+    """The failure kind of an attempt that overran its ``seconds`` timeout."""
+    return f"timeout after {round(seconds, 3):g}s"
+
+
 #: One dispatched attempt: its cell, deadline, start and worker.
 Attempt = namedtuple("Attempt", "cell deadline started worker", defaults=(None,))
 
@@ -253,7 +258,7 @@ class AttemptLedger:
     def time_out(self, key) -> None:
         """Charge the in-flight attempt ``key`` for overrunning its timeout."""
         cell = self.inflight.pop(key).cell
-        self.fail_or_requeue(cell, f"timeout after {round(self.cells[cell][1], 3):g}s")
+        self.fail_or_requeue(cell, timeout_kind(self.cells[cell][1]))
 
     def fail_or_requeue(self, cell, kind: str) -> None:
         """Record a failed attempt; requeue with backoff or fail the cell.

@@ -30,9 +30,10 @@ def spec(mix="471+444", scheme="avgcc", **kw):
 def make_scheduler(request):
     """Factory building a scheduler on the parametrized backend.
 
-    For ``cluster`` a loopback worker thread is attached (after
-    ``start=False`` construction the worker still connects immediately —
-    registration is independent of the scheduler's batch thread).
+    For ``cluster`` a loopback worker is attached and every one of its
+    lanes registered (after ``start=False`` construction the worker
+    still connects immediately — registration is independent of the
+    scheduler's batch thread).
     Teardown stops workers and closes every scheduler built.
     """
     built = []
@@ -54,7 +55,7 @@ def make_scheduler(request):
             thread.start()
             clients, threads = [client], [thread]
             deadline = time.monotonic() + 5
-            while not scheduler.executor.workers():
+            while len(scheduler.executor.workers()) < worker_slots:
                 if time.monotonic() > deadline:
                     raise AssertionError("loopback worker never registered")
                 time.sleep(0.01)
@@ -148,7 +149,8 @@ def test_exhausted_retries_surface_as_job_failed(make_scheduler):
 def test_hung_cell_times_out_alone(make_scheduler):
     """A cell past its timeout is killed where it runs: it fails with
     the timeout, its sibling finishes on its first attempt, and on the
-    cluster the worker stays connected with nothing redispatched."""
+    cluster a fresh lane replaces the timed-out one, with every lane
+    still connected and nothing redispatched."""
     victim, sibling = spec(), spec(scheme="baseline")
     plan = FaultPlan({victim: Fault("hang", seconds=30.0)})
     scheduler = make_scheduler(
@@ -165,7 +167,8 @@ def test_hung_cell_times_out_alone(make_scheduler):
     assert scheduler.report.record(sibling).attempts == 1
     stats = scheduler.stats()
     if stats.executor == "cluster":
-        assert stats.workers_connected == 1
+        # The replacement lane took over the timed-out one's connection.
+        assert stats.workers_connected == 2
         assert stats.redispatches == 0
 
 
@@ -191,7 +194,7 @@ def test_stats_name_the_backend(make_scheduler):
     assert stats.executor == scheduler.executor.kind
     assert stats.executor in ("local", "cluster")
     if stats.executor == "cluster":
-        assert stats.workers_connected == 1
+        assert stats.workers_connected == 2  # one per lane
     else:
         assert stats.workers_connected == 0
 

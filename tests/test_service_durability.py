@@ -566,11 +566,9 @@ def test_kill_9_mid_batch_takes_its_pool_workers_along(tmp_path):
 @pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="needs /proc to find children"
 )
-def test_kill_9_mid_lease_takes_the_worker_pool_along():
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers inherit the parent-death pipe only when forked")
+def test_kill_9_mid_lease_takes_the_worker_lanes_along():
+    """A ``kill -9``ed ``repro worker`` ends its lanes (each watches its
+    parent-death pipe), the one holding a hung lease included."""
     victim = RunSpec(mix="471+444", scheme="avgcc", quota=1_500, warmup=500)
     scheduler = BatchScheduler(
         executor="cluster",
@@ -588,28 +586,26 @@ def test_kill_9_mid_lease_takes_the_worker_pool_along():
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    children: list[int] = []
+    lanes: list[int] = []
     try:
         scheduler.submit(victim)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             assert worker.poll() is None, "worker exited before its lease"
-            children = _children(worker.pid)
-            if scheduler.stats().leases_active and len(children) >= 2:
+            if scheduler.stats().leases_active:
                 break
             time.sleep(0.05)
-        assert len(children) >= 2, "the worker's pool never started"
-        time.sleep(0.3)  # let the pool finish forking
-        children = _children(worker.pid)
+        lanes = _children(worker.pid)
+        assert len(lanes) == 2, "the worker does not run one lane per slot"
     finally:
         worker.kill()
         worker.wait()
         scheduler.close(drain=False)
 
     gone_by = time.monotonic() + 5
-    while any(map(_running, children)) and time.monotonic() < gone_by:
+    while any(map(_running, lanes)) and time.monotonic() < gone_by:
         time.sleep(0.05)
-    assert not [pid for pid in children if _running(pid)], "orphaned pool workers"
+    assert not [pid for pid in lanes if _running(pid)], "orphaned worker lanes"
 
 
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):

@@ -288,7 +288,7 @@ def start_workers(scheduler, count=1, slots=2, prefix="w"):
         clients.append(client)
         threads.append(thread)
     deadline = time.monotonic() + 5
-    while len(scheduler.executor.workers()) < count:
+    while len(scheduler.executor.workers()) < count * slots:
         if time.monotonic() > deadline:
             raise AssertionError("workers never registered")
         time.sleep(0.01)
@@ -327,7 +327,7 @@ def test_remote_leases_stitch_into_the_cell_trace(tmp_path):
             execute["trace_id"] == lease["trace_id"]
             == attempt["trace_id"] == cell["trace_id"]
         )
-        assert execute["worker"] == "w0"
+        assert execute["worker"] in ("w0/0", "w0/1")  # the lane that ran it
 
 
 def test_local_retry_respans_as_second_attempt_under_one_cell(tmp_path):
@@ -380,7 +380,7 @@ def test_killed_worker_respans_as_second_attempt_under_one_cell(tmp_path):
         time.sleep(0.005)
     else:
         raise AssertionError("victim never started a lease")
-    victim.kill()
+    victim.stop()  # kills its lanes mid-lease
     relief, relief_threads = start_workers(scheduler, count=1, slots=2, prefix="relief")
     try:
         remote = [f.result(timeout=300) for f in futures]
