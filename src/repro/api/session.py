@@ -15,8 +15,8 @@ timeouts, retries, reporting) once, then answers any
 Every answer comes from one ``{RunSpec: SystemResult}`` memo.  A miss
 is filled by one :func:`repro.service.scheduler.run_batch` call — the
 single execution path shared with the batch service and the cluster —
-so fan-out, the disk-cache and trace pre-passes, retries and the
-run report are the scheduler's.  Specs with different parameters
+so fan-out, the disk-cache pre-pass, retries and the run report are
+the scheduler's.  Specs with different parameters
 (quota, scale, L2 size, prefetcher...) share one session freely: the
 canonical :meth:`RunSpec.cache_key` keys both the memo and the disk
 cache.

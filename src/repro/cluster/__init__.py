@@ -11,9 +11,8 @@ defined in :mod:`repro.service.wire`:
   / metrics pipeline through the same callbacks the local pool uses.
 * :class:`WorkerClient` (:mod:`repro.cluster.worker`) — the remote
   side: supervises K *lanes*, forked processes that each connect,
-  handshake capabilities, run one lease at a time on the local
-  execution core (a :class:`~repro.service.LocalPoolExecutor` of one
-  job) and stream results home.  ``repro worker --connect HOST:PORT
+  handshake capabilities, run one lease at a time in-process through
+  the worker entry point ``--jobs 1`` uses and stream results home.  ``repro worker --connect HOST:PORT
   --slots K`` is its CLI entrypoint.
 
 Simulations are deterministic functions of their spec, so *where* a

@@ -115,8 +115,6 @@ class ClusterExecutor(Executor):
     """
 
     kind = "cluster"
-    wants_shared_traces = False  # shm cannot cross hosts; workers
-    # regenerate traces locally (deterministic, bit-identical).
 
     def __init__(
         self,

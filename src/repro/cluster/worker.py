@@ -12,16 +12,15 @@ in-process.  A lane:
    supervisor, so a structured ``reject`` (e.g. protocol mismatch)
    raises :class:`WorkerRejected` with the taxonomy code in the caller
    of :meth:`WorkerClient.connect`;
-2. runs each ``lease`` frame on a
-   :class:`~repro.service.executor.LocalPoolExecutor` of one job — the
-   executor ``--jobs 1`` uses, so trace materialisation and fault
-   injection (hard deaths downgraded to ``crash``) are identical
-   wherever a cell lands;
+2. runs each ``lease`` frame in-process through the one worker entry
+   point, :func:`~repro.service.scheduler._run_spec`, as ``--jobs 1``
+   does, so trace materialisation and fault injection (hard deaths
+   downgraded to ``crash``) are identical wherever a cell lands;
 3. streams each outcome back as a ``result`` (pickled
    :class:`~repro.sim.results.SystemResult`) or ``error`` frame, the
-   latter carrying the executor's failure kind verbatim, and heartbeats
-   from a second thread so the coordinator can tell a busy lane from a
-   dead one;
+   latter carrying the failure kind the local executor would charge
+   (``error: <exception repr>``), and heartbeats from a second thread so
+   the coordinator can tell a busy lane from a dead one;
 4. past the lease frame's ``timeout``, answers for the lease from that
    heartbeat thread with the ``error`` frame ``timeout after Ns`` and
    exits;
@@ -58,13 +57,7 @@ from collections import namedtuple
 from typing import Optional
 
 from repro.service import wire
-from repro.service.executor import (
-    ExecutorConfig,
-    LocalPoolExecutor,
-    _exit_with_parent,
-    _parent_pipe,
-    timeout_kind,
-)
+from repro.service.executor import _exit_with_parent, _parent_pipe, timeout_kind
 
 #: Seconds between heartbeat frames.  Coordinators judge staleness
 #: against their ``hang_grace``, which should comfortably exceed this.
@@ -340,11 +333,6 @@ class _Lane:
 
     def serve(self) -> int:
         """Run leases until shutdown or disconnect; returns exit code 0."""
-        from repro.service.scheduler import _run_spec
-
-        executor = LocalPoolExecutor(ExecutorConfig(jobs=1, retries=0)).bind(
-            worker=_run_spec, on_result=self._on_result, on_failed=self._on_failed
-        )
         threading.Thread(target=self._heartbeat_loop, name="repro-lane", daemon=True).start()
         try:
             while True:
@@ -357,11 +345,14 @@ class _Lane:
                         wire.write_frame(self._wfile, wire.make_frame("goodbye"))
                     return 0
                 if kind == "lease":
-                    self._run(executor, frame)
+                    self._run(frame)
         except (wire.WireError, OSError):
             return 0
 
-    def _run(self, executor, frame: dict) -> None:
+    def _run(self, frame: dict) -> None:
+        """Run one lease in-process and answer for it."""
+        from repro.service.scheduler import _run_spec
+
         lease, timeout = frame.get("lease"), frame.get("timeout")
         payload = dict(frame.get("payload") or {})
         # The coordinator's lease-span context, when it traces.  Lanes run
@@ -374,8 +365,14 @@ class _Lane:
         deadline = None if timeout is None else started + timeout
         self._live = _Live(lease, trace, time.time(), started, timeout, deadline)
         self._started.set()
-        executor.submit(lease, payload, timeout)  # runs in-process
-        executor.ledger.report.records.pop(lease, None)
+        if "fault" in payload:
+            payload["fault_in_process"] = True  # never kill the lane itself
+        try:
+            _, result = _run_spec(payload)
+        except Exception as exc:
+            self._reply(lease, "error", error=f"error: {exc!r}")
+        else:
+            self._reply(lease, "result", result=wire.encode_result(result))
 
     def _heartbeat_loop(self) -> None:
         """Heartbeat; answer for a lease past its timeout, then exit."""
@@ -408,12 +405,6 @@ class _Lane:
                     wire.write_frame(self._wfile, wire.make_frame("heartbeat"))
                 except OSError:
                     os._exit(0)  # coordinator went away mid-lease
-
-    def _on_result(self, lease, result) -> None:
-        self._reply(lease, "result", result=wire.encode_result(result))
-
-    def _on_failed(self, lease, kind: str) -> None:
-        self._reply(lease, "error", error=kind)
 
     def _count(self, failed: int) -> None:
         self.client._counts[2 * self.index + failed] += 1

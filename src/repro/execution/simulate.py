@@ -38,19 +38,6 @@ class SetStatsProbe(PrivateLRU):
             self.set_misses[set_idx] += 1
 
 
-def spec_workloads(spec: RunSpec) -> list:
-    """The engine workloads of ``spec``, one per core: its kernel's
-    threads, or one benchmark of its mix per core."""
-    scale = ScaleModel(spec.scale)
-    if spec.kernel is not None:
-        # Imported here so mix-only processes never load the kernel
-        # models (it shows in their peak RSS).
-        from repro.workloads.multithread import make_threads
-
-        return make_threads(*spec.kernel, scale)
-    return make_workloads(spec.mix, scale)
-
-
 def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     """Simulate one :class:`~repro.api.spec.RunSpec` cell.
 
@@ -66,14 +53,24 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     """
     params = spec.runner_params()
     scale: ScaleModel = params["scale"]
-    workloads = spec_workloads(spec)
+    # One engine workload per core: the kernel's threads, or one
+    # benchmark of the mix per core.
+    if spec.kernel is not None:
+        # Imported here so mix-only processes never load the kernel
+        # models (it shows in their peak RSS).
+        from repro.workloads.multithread import make_threads
+
+        workloads = make_threads(*spec.kernel, scale)
+    else:
+        workloads = make_workloads(spec.mix, scale)
     use_traces = spec.trace_cache if spec.trace_cache is not None else env_enabled()
     if use_traces:
         # Replace each benchmark's generator with a replay of its
-        # materialized record buffer (generated once per process, shared
-        # across schemes/sizes/repeats).  Bit-identical by construction;
-        # workloads without a trace signature fall through untouched.
-        workloads = get_trace_cache().wrap_workloads(
+        # materialized record buffer (memo, then disk, then generated;
+        # shared across schemes/sizes/repeats).  Bit-identical by
+        # construction; workloads without a trace signature fall through
+        # untouched.
+        workloads = get_trace_cache().materialize_for_run(
             workloads, spec.seed, spec.quota, spec.warmup
         )
     config = default_config(

@@ -26,7 +26,19 @@ from pathlib import Path
 from typing import Optional
 
 from repro.sim.results import SystemResult
-from repro.workloads.trace_cache import pid_alive
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists (any owner)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    except OSError:
+        return False
+    return True
 
 
 class ResultCache:

@@ -49,8 +49,6 @@ _SERVICE = (
      "Corrupt result-cache entries quarantined by this service.", "cache_quarantined"),
     ("service_cache_tmp_swept_total", "counter",
      "Stale result-cache tmp files swept at cache open.", "cache_tmp_swept"),
-    ("service_shm_swept_total", "counter",
-     "Orphaned trace shared-memory segments swept at scheduler start.", "shm_swept"),
     ("cluster_workers_connected", "gauge",
      "Live remote workers registered with the cluster coordinator.", "workers_connected"),
     ("cluster_leases_active", "gauge",

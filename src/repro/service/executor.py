@@ -333,11 +333,6 @@ class Executor:
     """
 
     kind = "abstract"
-    #: Whether payloads may carry a shared-memory trace map.  Local
-    #: pools attach the parent's /dev/shm buffers; anything that crosses
-    #: a host boundary must regenerate traces worker-side (bit-identical
-    #: by construction — traces are deterministic functions of the spec).
-    wants_shared_traces = False
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         self.config = config if config is not None else ExecutorConfig()
@@ -482,7 +477,6 @@ class LocalPoolExecutor(Executor):
     """
 
     kind = "local"
-    wants_shared_traces = True
 
     def __init__(self, config: Optional[ExecutorConfig] = None) -> None:
         super().__init__(config)

@@ -28,8 +28,7 @@ into a *service* for them:
   flight together can mix quotas, scales and cache sizes freely.
 * **Busy periods** — work runs in busy periods, each ending when
   nothing is queued or in flight.  The end of one is where terminal
-  journal records are fsync'd, shared-memory trace segments closed and
-  the run report rewritten.
+  journal records are fsync'd and the run report rewritten.
 * **One execution path** — :func:`run_batch` is how every spec grid
   runs: :class:`~repro.api.session.Session` (and so the figure sweeps
   and the CLI) answers its memo misses with one call, ``repro batch``
@@ -63,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 from repro.api.spec import RunSpec, SpecError
 from repro.execution.faults import fault_plan_from_env
 from repro.execution.report import RunReport
-from repro.execution.simulate import simulate_spec, spec_workloads
+from repro.execution.simulate import simulate_spec
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import (
@@ -73,11 +72,7 @@ from repro.service.durability import (
     JournalError,
 )
 from repro.sim.results import SystemResult
-from repro.workloads.trace_cache import (
-    env_enabled,
-    get_trace_cache,
-    sweep_orphan_shared,
-)
+from repro.workloads.trace_cache import env_enabled, get_trace_cache
 
 
 class JobFailed(RuntimeError):
@@ -97,8 +92,9 @@ class SchedulerClosed(RuntimeError):
 #: any incompatible change (renamed/retyped keys); additive keys keep
 #: the version.  v1: the service counters plus ``spans``/``span_phases``.
 #: v2 (3.0.0): the per-scheme circuit state and its rejection count
-#: are gone.
-STATS_SCHEMA_VERSION = 2
+#: are gone.  v3: ``shm_swept`` is gone with the shared-memory trace
+#: layer.
+STATS_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -130,10 +126,9 @@ class ServiceStats:
     #: Attempts charged ``worker-hung`` past the local ``hang_grace``.
     watchdog_kills: int = 0
     #: Result-cache self-healing counters (quarantined entries, stale
-    #: tmp files swept at open) and orphaned trace shm segments swept.
+    #: tmp files swept at open).
     cache_quarantined: int = 0
     cache_tmp_swept: int = 0
-    shm_swept: int = 0
     #: Execution backend kind (``local`` or ``cluster``) and the
     #: cluster gauges — zero under the local pool.
     executor: str = "local"
@@ -187,16 +182,14 @@ def _run_spec(payload: dict):
     """The one worker entry point: rebuild the spec and simulate it.
 
     Module-level and primitive-parameterised (picklable under any
-    multiprocessing start method); local pool workers and cluster
-    workers both run it.  Shared-memory trace buffers in the payload
-    are attached (replayed instead of regenerated), and an injected
-    fault (see :mod:`repro.execution.faults`) fires before the
-    simulation.
+    multiprocessing start method); in-process cells, local pool workers
+    and cluster lanes all run it.  An injected fault (see
+    :mod:`repro.execution.faults`) fires before the simulation.  The
+    simulating process finds its traces itself (memo, disk store,
+    generation) and persists what it grew — a no-op without a trace
+    directory, as in a cluster lane.
     """
     spec = RunSpec.from_dict(payload["spec"])
-    traces = payload.get("traces")
-    if traces:
-        get_trace_cache().attach_shared(traces)
     fault = payload.get("fault")
     if fault is not None:
         from repro.execution.faults import apply_fault
@@ -204,7 +197,9 @@ def _run_spec(payload: dict):
         injected = apply_fault(fault, in_process=payload.get("fault_in_process", False))
         if injected is not None:
             return spec, injected
-    return spec, simulate_spec(spec)
+    result = simulate_spec(spec)
+    get_trace_cache().persist()
+    return spec, result
 
 
 def _notify_cancel(future: Future) -> None:
@@ -274,10 +269,6 @@ class BatchScheduler:
             report_path = Path(cache_dir) / "run_report.json"
         self.report_path = report_path
         self.metrics_path = metrics_path
-        # A worker that died between attaching a shared trace buffer and
-        # deregistering it strands the segment in /dev/shm forever; a
-        # fresh scheduler is the natural janitor for its predecessors.
-        self.shm_swept = sweep_orphan_shared()
         # The write-ahead journal lives next to the result cache by
         # default — one root for everything a resume needs.
         if journal_dir is None and journal and cache_dir is not None:
@@ -619,7 +610,6 @@ class BatchScheduler:
                 watchdog_kills=self.report.watchdog_kills,
                 cache_quarantined=self.cache.quarantined if self.cache else 0,
                 cache_tmp_swept=self.cache.tmp_swept if self.cache else 0,
-                shm_swept=self.shm_swept,
                 executor=xstats.kind,
                 workers_connected=xstats.workers_connected,
                 leases_active=xstats.leases_active,
@@ -672,7 +662,7 @@ class BatchScheduler:
     def _dispatch(self, entry: _Entry) -> None:
         """Hand one entry to the executor, unless it resolves without one:
         cache pre-pass first, then the durable ``started`` record (one
-        fsync) and trace preparation."""
+        fsync)."""
         spec = entry.spec
         if not self._busy:
             self._begin_busy_period()
@@ -699,9 +689,6 @@ class BatchScheduler:
             self._journal.append("started", entry.key)
             self._journal.flush()
         payload = {"spec": spec.to_dict()}
-        traces = self._prepare_traces(spec)
-        if traces:
-            payload["traces"] = traces
         if self.tracer is not None and entry.span is not None:
             # The cell's context rides the payload: the executor parents
             # its attempt/lease spans under it, and a remote worker's
@@ -709,23 +696,6 @@ class BatchScheduler:
             payload["trace"] = entry.span.context()
         entry.started = time.monotonic()
         self.executor.submit(spec, payload)
-
-    def _prepare_traces(self, spec: RunSpec) -> dict:
-        """Materialize the spec's record streams before its handover;
-        with jobs > 1, local workers attach the parent's shared-memory
-        copies named by the returned map.  Executors that cross a host
-        boundary opt out (``wants_shared_traces``): their workers
-        regenerate traces, bit-identical by construction."""
-        if spec.trace_cache is False or not (
-            self.executor.wants_shared_traces and env_enabled()
-        ):
-            return {}
-        trace_cache = get_trace_cache()
-        trace_cache.materialize_for_run(
-            spec_workloads(spec), spec.seed, spec.quota, spec.warmup
-        )
-        trace_cache.persist()
-        return trace_cache.export_shared() if self.jobs > 1 else {}
 
     def _begin_busy_period(self) -> None:
         """Open a busy period; bind a seeded fault plan to its cells.
@@ -750,13 +720,10 @@ class BatchScheduler:
 
     def _end_busy_period(self) -> None:
         """Nothing is queued or in flight: fsync the terminal journal
-        records, close the shared trace segments (no in-flight worker
-        can still need one) and rewrite the report."""
+        records and rewrite the report."""
         self.executor.drain()
         if self._journal is not None:
             self._journal.flush()
-        if self.jobs > 1 and self.executor.wants_shared_traces:
-            get_trace_cache().close_shared()
         if self.report.interrupted:
             print(self.report.summary(), file=sys.stderr)
         self._flush_report()

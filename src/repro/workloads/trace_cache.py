@@ -20,15 +20,15 @@ buffers and replays them at C speed afterwards:
   reading past the end calls :meth:`MaterializedTrace.ensure`, the one
   overflow path.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
-  by content digest and bounded by buffer bytes, optional persistence as
-  raw column blocks beside the result cache (``<cache_dir>/_traces/``),
-  and ``multiprocessing.shared_memory`` export/import so pool workers
-  attach a parent's buffers instead of regenerating per worker.  Memo,
-  ``.trc`` files and segments share one layout — a header naming the
-  record count and the four column typecodes, then the raw columns — and
-  loads copy each column out of the payload with one ``frombytes``.
-  Files of an older format are unlinked the first time a trace directory
-  is used.
+  by content digest and bounded by buffer bytes, and optional persistence
+  as raw column blocks beside the result cache (``<cache_dir>/_traces/``).
+  Every process that simulates (the scheduler's own, each pool worker,
+  each cluster lane) looks up memo, then disk, then generates; the batch
+  worker entry point persists what it grew.  ``.trc`` files hold one
+  layout — a header naming the record count and the four column
+  typecodes, then the raw columns — and loads copy each column out of
+  the payload with one ``frombytes``.  Files of an older format are
+  unlinked the first time a trace directory is used.
 
 Everything is bit-identical by construction: buffers hold exactly the
 records the generator produced, the content digest covers every parameter
@@ -82,70 +82,10 @@ _DEFAULT_MAX_BYTES = 256 << 20
 #: Environment kill-switch (``REPRO_TRACE_CACHE=0`` disables the layer).
 ENV_FLAG = "REPRO_TRACE_CACHE"
 
-#: Prefix of exported shared-memory segment names.  Embedding the
-#: exporter's pid (``repro_trc_<pid>_<seq>``) lets a later process tell
-#: an orphan (exporter dead, segment stranded in /dev/shm) from a live
-#: export and sweep it — see :func:`sweep_orphan_shared`.
-SHM_PREFIX = "repro_trc"
-
 
 def env_enabled() -> bool:
     """Whether the trace cache is enabled by default in this process."""
     return os.environ.get(ENV_FLAG, "1") not in ("0", "false", "no", "off")
-
-
-def pid_alive(pid: int) -> bool:
-    """Whether a process with this pid exists (any owner)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    except OSError:
-        return False
-    return True
-
-
-def sweep_orphan_shared(shm_dir: str | os.PathLike = "/dev/shm") -> int:
-    """Unlink trace segments whose exporting process is gone.
-
-    A worker or parent killed between exporting a segment and
-    :meth:`TraceCache.close_shared` strands it in ``/dev/shm`` forever
-    (shared memory has no owner-exit cleanup).  Segment names embed the
-    exporter's pid, so any later process — the scheduler runs this at
-    start — can safely reap segments whose exporter is dead.  Live
-    exporters (including this process) are never touched.  Returns the
-    number of segments removed; platforms without a file-backed shm
-    directory simply sweep nothing.
-    """
-    from multiprocessing import shared_memory
-
-    removed = 0
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:
-        return 0
-    for name in names:
-        if not name.startswith(SHM_PREFIX + "_"):
-            continue
-        try:
-            pid = int(name[len(SHM_PREFIX) + 1 :].split("_", 1)[0])
-        except ValueError:
-            continue
-        if pid == os.getpid() or pid_alive(pid):
-            continue
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except OSError:
-            continue  # raced with another sweeper
-        try:
-            shm.close()
-            shm.unlink()
-            removed += 1
-        except OSError:  # pragma: no cover - raced with another sweeper
-            pass
-    return removed
 
 
 def sweep_stale_traces(trace_dir: os.PathLike) -> int:
@@ -177,7 +117,7 @@ class MaterializedTrace:
     read through :meth:`replay` and extend the buffer via :meth:`ensure`,
     which continues the original source (kept live in-process) or an
     identically seeded rebuild fast-forwarded past the prefix (after a
-    disk/shared-memory round trip).
+    disk round trip).
     """
 
     __slots__ = (
@@ -271,7 +211,7 @@ class MaterializedTrace:
         return _Replay(self)
 
     # ------------------------------------------------------------------ #
-    # Serialization (disk files and shared-memory segments share it)
+    # Serialization (the disk layer's file format)
     # ------------------------------------------------------------------ #
 
     @property
@@ -381,10 +321,9 @@ class _CachedTraceWorkload:
 class TraceCache:
     """Process-wide store of materialized traces.
 
-    Layers, consulted in order: in-process memo, attached shared-memory
-    segments (worker side of a parallel run), the on-disk store under
-    ``<cache_dir>/_traces/``.  A miss everywhere materializes lazily from
-    the workload's block source.  The memo holds at most ``max_bytes`` of
+    Layers, consulted in order: in-process memo, the on-disk store under
+    ``<cache_dir>/_traces/``.  A miss in both materializes from the
+    workload's block source.  The memo holds at most ``max_bytes`` of
     column data (checked whenever a stream joins it); the least recently
     used streams go first, the newest always stays.
     """
@@ -396,20 +335,12 @@ class TraceCache:
     ) -> None:
         self._memo: OrderedDict[str, MaterializedTrace] = OrderedDict()
         self._max_bytes = max_bytes
-        #: digest -> shared-memory segment name, set by :meth:`attach_shared`.
-        self._shared: dict[str, str] = {}
-        #: Exported segments owned by this (parent) process.
-        self._exports: list = []
-        #: digest -> (records, segment name) of its newest export.
-        self._exported: dict[str, tuple[int, str]] = {}
-        self._export_seq = 0
         self.cache_dir: Optional[Path] = None
         #: The trace directory already swept of older-format files.
         self._swept: Optional[Path] = None
         self.stats = {
             "memo_hits": 0,
             "disk_hits": 0,
-            "shm_hits": 0,
             "materialized": 0,
         }
         if cache_dir is not None:
@@ -460,11 +391,7 @@ class TraceCache:
             return entry
         factory = self._factory(workload, core_seed)
         source = None
-        columns = self._load_shared(digest)
-        if columns is None:
-            columns = self._load_disk(digest)
-        else:
-            self.stats["shm_hits"] += 1
+        columns = self._load_disk(digest)
         if columns is None:
             self.stats["materialized"] += 1
             source = factory()
@@ -504,42 +431,27 @@ class TraceCache:
         gap_min = gap[0] if gap else 1
         return int((quota + warmup) / (gap_min + 1) * slack) + 1024
 
-    def wrap_workloads(
+    def materialize_for_run(
         self, workloads: list, seed: int, quota: int, warmup: int
     ) -> list:
-        """Replace materializable workloads with buffer-replaying proxies.
+        """The engine workloads of one run, each replaying its buffer.
 
-        Position in the list is the engine core id; workloads without a
-        trace signature pass through untouched (generator path).
+        Position in the list is the engine core id.  Each buffer is grown
+        to the run's record estimate (see :meth:`_estimate`) up front,
+        which is what its first lazy extension would grow anyway; a run
+        that outlives the estimate extends it on replay.  Workloads
+        without a trace signature pass through untouched (generator
+        path).
         """
         wrapped = []
         for core_id, workload in enumerate(workloads):
             entry = self.get(workload, core_id, seed, quota, warmup)
             if entry is None:
                 wrapped.append(workload)
-            else:
-                wrapped.append(_CachedTraceWorkload(workload, entry))
-        return wrapped
-
-    def materialize_for_run(
-        self, workloads: list, seed: int, quota: int, warmup: int, slack: float = 1.4
-    ) -> list[MaterializedTrace]:
-        """Eagerly generate the buffers one run of ``workloads`` will replay.
-
-        Used by fan-out parents before exporting shared memory: workers
-        cannot extend a parent's buffer, so the prefix must already cover
-        the run (see :meth:`_estimate`); a run that still outlives the
-        prefix falls back to generation in the worker — slower, never
-        wrong.
-        """
-        entries = []
-        for core_id, workload in enumerate(workloads):
-            entry = self.get(workload, core_id, seed, quota, warmup)
-            if entry is None:
                 continue
-            entry.ensure(self._estimate(workload, quota, warmup, slack))
-            entries.append(entry)
-        return entries
+            entry.ensure(self._estimate(workload, quota, warmup))
+            wrapped.append(_CachedTraceWorkload(workload, entry))
+        return wrapped
 
     # ------------------------------------------------------------------ #
     # Disk layer
@@ -600,86 +512,10 @@ class TraceCache:
         return written
 
     # ------------------------------------------------------------------ #
-    # Shared-memory layer
-    # ------------------------------------------------------------------ #
-
-    def export_shared(self) -> dict[str, str]:
-        """Copy memoized buffers that are new or have grown into shared memory.
-
-        Returns ``{digest: segment_name}`` naming the newest segment of
-        every buffer exported since :meth:`close_shared`, for worker
-        payloads.  Segments stay alive until :meth:`close_shared` — a
-        grown buffer's older segment too, since an in-flight worker may
-        still attach it; the parent owns the unlink.
-        """
-        from multiprocessing import shared_memory
-
-        for digest, entry in list(self._memo.items()):
-            if entry.length <= self._exported.get(digest, (0, ""))[0]:
-                continue
-            payload = entry.to_bytes()
-            # Pid-stamped names make stranded segments attributable (and
-            # therefore sweepable — see sweep_orphan_shared).
-            shm = None
-            for _ in range(32):
-                name = f"{SHM_PREFIX}_{os.getpid()}_{self._export_seq}"
-                self._export_seq += 1
-                try:
-                    shm = shared_memory.SharedMemory(
-                        name=name, create=True, size=len(payload)
-                    )
-                    break
-                except FileExistsError:
-                    continue  # stale same-pid leftover; try the next seq
-            if shm is None:  # pragma: no cover - 32 collisions in a row
-                shm = shared_memory.SharedMemory(create=True, size=len(payload))
-            shm.buf[: len(payload)] = payload
-            self._exports.append(shm)
-            self._exported[digest] = (entry.length, shm.name)
-        return {digest: name for digest, (_length, name) in self._exported.items()}
-
-    def close_shared(self) -> None:
-        """Release (close + unlink) every segment this process exported."""
-        for shm in self._exports:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._exports.clear()
-        self._exported.clear()
-
-    def attach_shared(self, mapping: dict[str, str]) -> None:
-        """Register parent-exported segments (worker side, attached lazily)."""
-        self._shared.update(mapping)
-
-    def _load_shared(self, digest: str) -> Optional[tuple]:
-        name = self._shared.get(digest)
-        if name is None:
-            return None
-        import mmap
-
-        import _posixshmem
-
-        # Opened by hand, not as a SharedMemory: pre-3.13 that would
-        # register the attach with the resource tracker, which pool
-        # workers share with the parent — the segment's sole owner.
-        try:
-            fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
-        except OSError:
-            return None
-        try:
-            with mmap.mmap(fd, os.fstat(fd).st_size, prot=mmap.PROT_READ) as buf:
-                return MaterializedTrace.decode(buf)
-        finally:
-            os.close(fd)
-
-    # ------------------------------------------------------------------ #
 
     def clear(self) -> None:
-        """Drop the memo (tests; exported segments are left untouched)."""
+        """Drop the memo (tests)."""
         self._memo.clear()
-        self._shared.clear()
 
 
 #: The process-global cache ``simulate_spec`` and the scheduler share.
@@ -694,6 +530,6 @@ def get_trace_cache() -> TraceCache:
 
 
 def reset_trace_cache() -> None:
-    """Tests: forget the global cache (segments/exports are not touched)."""
+    """Tests: forget the global cache."""
     global _GLOBAL
     _GLOBAL = None

@@ -544,29 +544,47 @@ def test_journal_resume_under_cluster_executor(tmp_path):
     assert digests == {s.name: result_digest(o) for s, o in zip(specs, clean)}
 
 
-def test_cluster_batch_skips_the_coordinator_trace_prepass(monkeypatch):
-    """Remote workers regenerate their traces, so the coordinator must
-    not materialize (or persist) any: its trace memo stays empty."""
+def _assert_scheduler_does_no_trace_work(monkeypatch, run) -> None:
+    """Whatever executes the cells gets its own traces, so the scheduler
+    process must not materialize (or persist) any: its trace memo stays
+    empty.  ``run(specs)`` executes ``specs`` off this process and
+    returns their digests."""
     from repro.workloads import trace_cache
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
     monkeypatch.setattr(trace_cache, "_GLOBAL", trace_cache.TraceCache())
     specs = six_specs()[:2]
-    scheduler = cluster_scheduler()
-    worker = worker_process(scheduler.executor.address)
-    try:
-        futures = [scheduler.submit(s) for s in specs]
-        digests = [result_digest(f.result(timeout=300)) for f in futures]
-        scheduler.close(drain=True)
-        worker.wait(timeout=30)
-    finally:
-        scheduler.close(drain=False)
-        stop_process(worker)
+    digests = run(specs)
     assert trace_cache.get_trace_cache()._memo == {}
     assert trace_cache.get_trace_cache().stats["materialized"] == 0
 
     local, _stats, _report = run_batch(specs, jobs=1)
     assert digests == [result_digest(o) for o in local]
+
+
+def test_cluster_batch_skips_the_coordinator_trace_prepass(monkeypatch):
+    def run(specs):
+        scheduler = cluster_scheduler()
+        worker = worker_process(scheduler.executor.address)
+        try:
+            futures = [scheduler.submit(s) for s in specs]
+            digests = [result_digest(f.result(timeout=300)) for f in futures]
+            scheduler.close(drain=True)
+            worker.wait(timeout=30)
+        finally:
+            scheduler.close(drain=False)
+            stop_process(worker)
+        return digests
+
+    _assert_scheduler_does_no_trace_work(monkeypatch, run)
+
+
+def test_local_pool_batch_skips_the_scheduler_trace_prepass(monkeypatch):
+    def run(specs):
+        outcomes, _stats, _report = run_batch(specs, jobs=2)
+        return [result_digest(o) for o in outcomes]
+
+    _assert_scheduler_does_no_trace_work(monkeypatch, run)
 
 
 # --------------------------------------------------------------------- #

@@ -124,7 +124,6 @@ def fixed_stats(traced: bool):
         watchdog_kills=1,
         cache_quarantined=1,
         cache_tmp_swept=2,
-        shm_swept=0,
         executor="cluster",
         workers_connected=2,
         leases_active=1,

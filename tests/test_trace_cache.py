@@ -1,8 +1,8 @@
-"""The materialized trace layer: memo, disk, shared memory, bit-identity.
+"""The materialized trace layer: memo, disk, bit-identity.
 
 The contract under test is the one every speedup in the layer rests on:
 a materialized stream replayed through any storage hop (in-process memo,
-raw column blocks on disk, a shared-memory segment) yields exactly the
+raw column blocks on disk) yields exactly the
 line-address records the raw generator would have produced with the
 engine's RNG seeding, record for record — whether the replay stays inside
 the buffer, overflows it, or rebuilds the source after a load.
@@ -57,7 +57,7 @@ def workloads():
 
 def test_replay_equals_generator_output(workloads):
     cache = TraceCache()
-    wrapped = cache.wrap_workloads(workloads, SEED, QUOTA, WARMUP)
+    wrapped = cache.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
     for core_id, (raw, proxy) in enumerate(zip(workloads, wrapped)):
         assert proxy is not raw  # benchmark instances are materializable
         assert proxy.name == raw.name and proxy.timing is raw.timing
@@ -128,72 +128,6 @@ def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
     assert _drain(loaded.replay(), 256) == _generated(workloads[0], 0)[:256]
 
 
-def test_shared_memory_view_equals_generator_output(workloads):
-    parent = TraceCache()
-    parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
-    mapping = parent.export_shared()
-    assert len(mapping) == len(workloads)
-    try:
-        worker = TraceCache()
-        worker.attach_shared(mapping)
-        for core_id, raw in enumerate(workloads):
-            entry = worker.get(raw, core_id, SEED, QUOTA, WARMUP)
-            assert worker.stats["shm_hits"] == core_id + 1
-            assert entry.records[:K] == _generated(raw, core_id)
-    finally:
-        parent.close_shared()
-
-
-def test_shared_attach_leaves_the_resource_tracker_alone(workloads, monkeypatch):
-    """Pool workers share the parent's resource tracker: an attach that
-    registered (or unregistered) there could drop the parent's own
-    registration, twice over when two workers attach one segment."""
-    from multiprocessing import resource_tracker
-
-    parent = TraceCache()
-    parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
-    mapping = parent.export_shared()
-    calls = []
-    for name in ("register", "unregister"):
-        monkeypatch.setattr(
-            resource_tracker, name, lambda *args, name=name: calls.append((name, args))
-        )
-    try:
-        for _ in range(2):
-            worker = TraceCache()
-            worker.attach_shared(mapping)
-            worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
-            assert worker.stats["shm_hits"] == 1
-    finally:
-        monkeypatch.undo()
-        parent.close_shared()
-    assert calls == []
-
-
-def test_export_shared_copies_only_new_or_grown_buffers(workloads):
-    parent = TraceCache()
-    (first, *_rest) = parent.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
-    try:
-        mapping = parent.export_shared()
-        assert len(parent._exports) == len(workloads)
-        assert parent.export_shared() == mapping  # nothing new: no copies
-        assert len(parent._exports) == len(workloads)
-        first.ensure(first.length + BLOCK)  # one buffer grows
-        grown = parent.export_shared()
-        assert len(parent._exports) == len(workloads) + 1
-        assert grown[first.digest] != mapping[first.digest]
-        assert {d: n for d, n in grown.items() if d != first.digest} == {
-            d: n for d, n in mapping.items() if d != first.digest
-        }
-        worker = TraceCache()
-        worker.attach_shared(grown)
-        entry = worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
-        assert entry.length == first.length
-    finally:
-        parent.close_shared()
-    assert parent._exported == {} and parent._exports == []
-
-
 def test_finite_source_replay_terminates():
     finite = [(0, 1, 2 * LINE, False), (1, 3, 4 * LINE + 5, True)]
     lines = [(0, 1, 2, False), (1, 3, 4, True)]  # shifted once, per block
@@ -216,7 +150,7 @@ def test_non_materializable_workloads_pass_through():
     cache = TraceCache()
     opaque = Opaque()
     assert cache.get(opaque, 0, SEED, QUOTA, WARMUP) is None
-    assert cache.wrap_workloads([opaque], SEED, QUOTA, WARMUP) == [opaque]
+    assert cache.materialize_for_run([opaque], SEED, QUOTA, WARMUP) == [opaque]
 
 
 def test_trace_cache_knob_outside_result_cache_key():
@@ -336,24 +270,6 @@ def test_prefix_plus_overflow_equals_generator_output(workloads):
     assert entry.records[prefix] == replayed[prefix]
 
 
-def test_shared_memory_load_rebuilds_past_the_prefix(workloads):
-    parent = TraceCache()
-    entry = parent.get(workloads[0], 0, SEED, QUOTA, WARMUP)
-    entry.ensure(1)  # the first extension: the run's own estimate
-    prefix = len(entry.records)
-    n = prefix + 2_000
-    mapping = parent.export_shared()
-    try:
-        worker = TraceCache()
-        worker.attach_shared(mapping)
-        loaded = worker.get(workloads[0], 0, SEED, QUOTA, WARMUP)
-        assert worker.stats["shm_hits"] == 1
-        assert len(loaded.records) == prefix
-        assert _drain(loaded.replay(), n) == _generated(workloads[0], 0, n)
-    finally:
-        parent.close_shared()
-
-
 def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
     import threading
 
@@ -374,7 +290,8 @@ def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
 
 
 def test_columns_cost_at_most_10_bytes_per_record(workloads):
-    for entry in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
+    for proxy in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
+        entry = proxy.materialized
         records = len(entry.records)
         assert records > 0
         assert entry.layout == NARROW
@@ -390,8 +307,8 @@ WIDE_MIX = (471, 444) * 16 + (429,)
 
 def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
     """Streams past 2**32 lines take the wide line column and replay
-    record for record and digest for digest through the memo, the disk,
-    shared memory and the generator path."""
+    record for record and digest for digest through the memo, the disk
+    and the generator path."""
     from repro.api.session import result_digest
     from repro.execution.simulate import simulate_spec
     from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
@@ -418,21 +335,13 @@ def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
         parent.set_cache_dir(tmp_path)
         memo = replayed_digest(parent)
         assert parent.persist() == len(WIDE_MIX)
-        mapping = parent.export_shared()
-        try:
-            reset_trace_cache()
-            get_trace_cache().set_cache_dir(tmp_path)
-            disk = replayed_digest(get_trace_cache())
-            assert get_trace_cache().stats["disk_hits"] == len(WIDE_MIX)
-            reset_trace_cache()
-            get_trace_cache().attach_shared(mapping)
-            shm = replayed_digest(get_trace_cache())
-            assert get_trace_cache().stats["shm_hits"] == len(WIDE_MIX)
-        finally:
-            parent.close_shared()
+        reset_trace_cache()
+        get_trace_cache().set_cache_dir(tmp_path)
+        disk = replayed_digest(get_trace_cache())
+        assert get_trace_cache().stats["disk_hits"] == len(WIDE_MIX)
     finally:
         reset_trace_cache()
-    assert memo == disk == shm == generated
+    assert memo == disk == generated
 
 
 def test_first_use_of_a_trace_dir_unlinks_older_format_files(tmp_path, workloads):
@@ -528,3 +437,34 @@ def test_import_path_leaves_numpy_unloaded():
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_pool_workers_persist_the_traces_they_grow(tmp_path, monkeypatch):
+    """A ``jobs=2`` batch with a cache dir leaves ``.trc`` files behind:
+    each pool worker persists the streams it materialized, so a fresh
+    process serves every stream from disk without generating one."""
+    import multiprocessing
+
+    from repro.service import run_batch
+    from repro.workloads import trace_cache
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked pool workers inherit the trace directory")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+    monkeypatch.setattr(trace_cache, "_GLOBAL", TraceCache())
+    specs = [
+        RunSpec(mix=MIX, scheme=scheme, quota=QUOTA, warmup=WARMUP, seed=seed)
+        for seed in (SEED, SEED + 1)
+        for scheme in ("baseline", "avgcc")
+    ]
+    _outcomes, stats, _report = run_batch(specs, jobs=2, cache_dir=tmp_path)
+    assert stats.failed == 0 and stats.executed == len(specs)
+    assert list((tmp_path / "_traces").glob("*.trc"))
+
+    fresh = TraceCache(cache_dir=tmp_path)
+    for seed in (SEED, SEED + 1):
+        for core_id, workload in enumerate(make_workloads(MIX)):
+            entry = fresh.get(workload, core_id, seed, QUOTA, WARMUP)
+            assert len(entry.records) > 0
+    assert fresh.stats["materialized"] == 0
+    assert fresh.stats["disk_hits"] == 2 * len(MIX)
