@@ -2,7 +2,7 @@
 
 Runs the paper's 4-core AVGCC configuration on the first Table 1 mix two
 ways — with the trace cache off (every run generates its records from the
-workload's block source) and on (records replay from the columnar trace
+workload's block source) and on (records replay from the packed trace
 memo) — and reports wall-clock time and trace records (accesses) per
 second for both.
 
@@ -49,8 +49,8 @@ SCHEME = "avgcc"
 #: Legs in timing order: trace cache off, then on.
 LEGS = ("generated", "replayed")
 
-#: Column bytes one memoized record may cost (gap, pc, line, write).
-MAX_BYTES_PER_RECORD = 10
+#: Bytes one memoized record may cost (code byte + line address).
+MAX_BYTES_PER_RECORD = 5
 
 
 def _build_engine(codes, quota, warmup, seed, traces=None):
@@ -108,7 +108,7 @@ def _run_legs(codes, quota, warmup, seed, repeats):
 
 
 def _memo_footprint(traces, codes, quota, warmup, seed):
-    """Column bytes and records the replayed leg's memo holds."""
+    """Buffer bytes and records the replayed leg's memo holds."""
     entries = [
         traces.get(workload, core_id, seed, quota, warmup)
         for core_id, workload in enumerate(make_workloads(codes, ScaleModel()))

@@ -361,6 +361,9 @@ class _Lane:
         # coordinator adopts it into its trace.  Popped so the spec
         # payload stays exactly what the local pool would see.
         trace = payload.pop("trace", None)
+        # The coordinator's result-cache directory names a path on its
+        # host, not this one: lanes keep their traces in memory.
+        payload.pop("cache_dir", None)
         started = time.monotonic()
         deadline = None if timeout is None else started + timeout
         self._live = _Live(lease, trace, time.time(), started, timeout, deadline)

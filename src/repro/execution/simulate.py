@@ -38,7 +38,7 @@ class SetStatsProbe(PrivateLRU):
             self.set_misses[set_idx] += 1
 
 
-def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
+def simulate_spec(spec: RunSpec, observer=None, cache_dir=None) -> SystemResult:
     """Simulate one :class:`~repro.api.spec.RunSpec` cell.
 
     The single entry point behind the batch service workers (and so
@@ -50,6 +50,8 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
 
     An ``l2_ways`` cell runs on the way-restricted sweep cache and its
     result carries per-set miss counts (``SystemResult.set_misses``).
+    With ``cache_dir`` set, trace buffers missing from the memo are read
+    from ``<cache_dir>/_traces/``.
     """
     params = spec.runner_params()
     scale: ScaleModel = params["scale"]
@@ -67,11 +69,11 @@ def simulate_spec(spec: RunSpec, observer=None) -> SystemResult:
     if use_traces:
         # Replace each benchmark's generator with a replay of its
         # materialized record buffer (memo, then disk, then generated;
-        # shared across schemes/sizes/repeats).  Bit-identical by
-        # construction; workloads without a trace signature fall through
-        # untouched.
+        # shared across schemes/sizes/run lengths/repeats).  Bit-identical
+        # by construction; workloads that keep the generator path fall
+        # through untouched.
         workloads = get_trace_cache().materialize_for_run(
-            workloads, spec.seed, spec.quota, spec.warmup
+            workloads, spec.seed, spec.quota, spec.warmup, cache_dir
         )
     config = default_config(
         num_cores=len(workloads),

@@ -72,7 +72,7 @@ from repro.service.durability import (
     JournalError,
 )
 from repro.sim.results import SystemResult
-from repro.workloads.trace_cache import env_enabled, get_trace_cache
+from repro.workloads.trace_cache import get_trace_cache
 
 
 class JobFailed(RuntimeError):
@@ -185,11 +185,12 @@ def _run_spec(payload: dict):
     multiprocessing start method); in-process cells, local pool workers
     and cluster lanes all run it.  An injected fault (see
     :mod:`repro.execution.faults`) fires before the simulation.  The
-    simulating process finds its traces itself (memo, disk store,
-    generation) and persists what it grew — a no-op without a trace
-    directory, as in a cluster lane.
+    simulating process finds its traces itself (memo, the payload's
+    ``cache_dir``, generation) and persists what it grew there — a no-op
+    without one, as in a cluster lane.
     """
     spec = RunSpec.from_dict(payload["spec"])
+    cache_dir = payload.get("cache_dir")
     fault = payload.get("fault")
     if fault is not None:
         from repro.execution.faults import apply_fault
@@ -197,8 +198,8 @@ def _run_spec(payload: dict):
         injected = apply_fault(fault, in_process=payload.get("fault_in_process", False))
         if injected is not None:
             return spec, injected
-    result = simulate_spec(spec)
-    get_trace_cache().persist()
+    result = simulate_spec(spec, cache_dir=cache_dir)
+    get_trace_cache().persist(cache_dir)
     return spec, result
 
 
@@ -261,10 +262,10 @@ class BatchScheduler:
         self._span_specs: dict[str, RunSpec] = {}  # cell span_id -> spec
         options = dict(executor_options or {})
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        if cache_dir is not None and env_enabled():
-            # Share one disk root with the result cache: trace buffers
-            # live under ``<cache_dir>/_traces`` (see parallel.ResultCache).
-            get_trace_cache().set_cache_dir(cache_dir)
+        #: Rides every cell's payload: whatever process simulates the cell
+        #: keeps its trace buffers under ``<cache_dir>/_traces``, beside
+        #: the result cache.
+        self._cache_dir = None if cache_dir is None else os.fspath(cache_dir)
         if report_path is None and cache_dir is not None:
             report_path = Path(cache_dir) / "run_report.json"
         self.report_path = report_path
@@ -689,6 +690,8 @@ class BatchScheduler:
             self._journal.append("started", entry.key)
             self._journal.flush()
         payload = {"spec": spec.to_dict()}
+        if self._cache_dir is not None:
+            payload["cache_dir"] = self._cache_dir
         if self.tracer is not None and entry.span is not None:
             # The cell's context rides the payload: the executor parents
             # its attempt/lease spans under it, and a remote worker's

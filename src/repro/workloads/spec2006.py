@@ -120,6 +120,11 @@ class BenchmarkSpec:
     def label(self) -> str:
         return f"{self.code}.{self.name}"
 
+    @property
+    def pcs(self) -> tuple[int, ...]:
+        """The PC each component's accesses carry, in component order."""
+        return tuple((self.code << 8) + i for i in range(len(self.components)))
+
     def instantiate(self, scale: ScaleModel, base: int) -> "BenchmarkInstance":
         return BenchmarkInstance(spec=self, scale=scale, base=base)
 
@@ -163,9 +168,8 @@ class BenchmarkInstance:
         """The record stream as a column-block source of line addresses
         (see :meth:`MixtureTrace.fill`)."""
         parts = []
-        for i, comp_spec in enumerate(self.spec.components):
+        for i, (comp_spec, pc) in enumerate(zip(self.spec.components, self.spec.pcs)):
             comp_base = self.base + i * _COMPONENT_SPAN
-            pc = (self.spec.code << 8) + i
             parts.append(
                 (comp_spec.weight, comp_spec.build(comp_base, pc, rng, self.scale))
             )

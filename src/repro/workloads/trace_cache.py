@@ -5,30 +5,35 @@ address base, scale, per-core RNG seed)`` — yet the simulator used to
 regenerate them record by record for every run, every benchmark repeat and
 every batch worker, even when a sweep
 (fig1 ways, tab4 sizes) replays the *same* stream against dozens of cache
-configurations.  This module drains each stream once into compact column
-buffers and replays them at C speed afterwards:
+configurations.  This module drains each stream once into compact buffers
+and replays them at C speed afterwards:
 
-* :class:`MaterializedTrace` — one per-core record stream held as four
-  packed ``array`` columns (gap ``'B'``, pc ``'I'``, line address ``'I'``,
-  write ``'B'``: 10 bytes per record) plus the block source that extends
-  them on demand.  A stream whose line addresses can pass 2**32 (by its
-  workload's ``line_limit``: a mix gives each core its own 4 GB span, so
-  from the 32nd core on) gets a ``'Q'`` line column instead, chosen when
-  its buffer is created.  No value ever wraps: ``array`` raises
-  ``OverflowError`` on one that does not fit.  The engine replays a
-  buffer through :meth:`replay`, a cursor that hands out column slices;
-  reading past the end calls :meth:`MaterializedTrace.ensure`, the one
-  overflow path.
+* :class:`MaterializedTrace` — one per-core record stream held as two
+  packed columns, 5 bytes per record: a code byte and the line address
+  (``'I'``).  The code byte holds the gap (bits 7-3), the store flag
+  (bit 2) and an index into the stream's PC table (bits 1-0): a stream
+  has one PC per address component, at most :data:`MAX_PCS` of them.
+  A stream whose line addresses can pass 2**32 (by its workload's
+  ``line_limit``: a mix gives each core its own 4 GB span, so from the
+  32nd core on) gets a ``'Q'`` line column instead, chosen when its
+  buffer is created.  No value is ever truncated: a gap, flag or PC
+  that does not fit the code byte and a line address that does not fit
+  its column raise.  The engine replays a buffer through :meth:`replay`,
+  a cursor that decodes each block with ``bytes.translate`` tables back
+  into the ``(gaps, pcs, lines, writes)`` columns the generator hands
+  out; reading past the end calls :meth:`MaterializedTrace.ensure`, the
+  one overflow path.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
-  by content digest and bounded by buffer bytes, and optional persistence
-  as raw column blocks beside the result cache (``<cache_dir>/_traces/``).
-  Every process that simulates (the scheduler's own, each pool worker,
-  each cluster lane) looks up memo, then disk, then generates; the batch
-  worker entry point persists what it grew.  ``.trc`` files hold one
-  layout — a header naming the record count and the four column
-  typecodes, then the raw columns — and loads copy each column out of
-  the payload with one ``frombytes``.  Files of an older format are
-  unlinked the first time a trace directory is used.
+  by content digest and bounded by buffer bytes (about 54M records in
+  the default 256 MB), and optional persistence as raw blocks beside a
+  result cache (``<cache_dir>/_traces/``).  Every process that simulates
+  (the scheduler's own, each pool worker, each cluster lane) looks up
+  memo, then the directory its cell names, then generates; the batch
+  worker entry point persists what it grew into that directory.
+  ``.trc`` files hold one layout — a header naming the record count, the
+  line typecode and the PC table, then the code and line blocks — and
+  loads copy each block out of the payload in one step.  Files of an
+  older format are unlinked the first time a trace directory is used.
 
 Everything is bit-identical by construction: buffers hold exactly the
 records the generator produced, the content digest covers every parameter
@@ -38,11 +43,13 @@ identically seeded rebuild, fast-forwarded past the prefix).
 Workloads opt in by exposing ``trace_signature()`` (a stable description
 of their deterministic stream — see
 :meth:`repro.workloads.spec2006.BenchmarkInstance.trace_signature`),
-``source(rng)``, a line-address block source of that stream, and
+``source(rng)``, a line-address block source of that stream,
 ``line_limit``, a bound on its line addresses (without one the line
-column is wide); workloads without a signature (multithreaded kernels
-share one RNG across components and hash process-dependent PC bases) keep
-the generator path.
+column is wide), and ``spec``, whose ``gap`` range and ``pcs`` table
+must fit the code byte.  Everything else keeps the generator path:
+workloads without a signature (multithreaded kernels share one RNG
+across components and hash process-dependent PC bases) and models whose
+gaps or components do not fit, both decided before any generation.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import sys
 import threading
 from array import array
 from collections import OrderedDict
@@ -58,24 +66,42 @@ from random import Random
 from typing import Optional
 
 #: Bump when the record layout or the digest inputs change.
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 
-#: Serialized buffer magic ("Repro TRace v3"), then the record count and
-#: the four column typecodes; the raw column blocks follow.
-_MAGIC = b"RTR3"
-_HEADER = struct.Struct("<4sQ4s")
+#: Serialized buffer magic ("Repro TRace v4"), then the record count,
+#: the line typecode, the PC table's length and its (zero-padded)
+#: entries; the code block and the line block follow.
+_MAGIC = b"RTR4"
+_HEADER = struct.Struct("<4sQ1sB4I")
 
-#: Column typecodes, in buffer and file order: gap, pc, line, write.  A
-#: stream whose line addresses can reach 2**32 takes the wide layout.
-NARROW = "BIIB"
-WIDE = "BIQB"
-_LAYOUTS = (NARROW, WIDE)
+#: Line column typecodes: a stream whose line addresses can reach 2**32
+#: takes the wide one.
+NARROW = "I"
+WIDE = "Q"
+
+#: The code byte's field bounds: gap in bits 7-3, store flag in bit 2,
+#: PC-table index in bits 1-0.
+MAX_GAP = 31
+MAX_PCS = 4
+
+#: Decode tables, code byte -> field.
+_GAP = bytes(code >> 3 for code in range(256))
+_WRITE = bytes(code >> 2 & 1 for code in range(256))
+#: Encode tables, field -> its bits; the delete sets hold the values
+#: that do not fit, so a shortened result flags them.
+_GAP_BITS = bytes(value << 3 & 0xFF for value in range(256))
+_WRITE_BITS = bytes(value << 2 & 0xFF for value in range(256))
+_BAD_GAPS = bytes(range(MAX_GAP + 1, 256))
+_BAD_FLAGS = bytes(range(2, 256))
+
+#: Offset of a PC's low byte inside its native ``'I'`` item.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 3
 
 #: Records requested from a source per ``fill`` while extending a buffer:
 #: bounds the Python lists one step builds before they are packed.
 _FILL_STEP = 16_384
 
-#: In-process memo bound on summed column bytes (about 27M records);
+#: In-process memo bound on summed buffer bytes (about 54M records);
 #: streams beyond it are dropped LRU-first.
 _DEFAULT_MAX_BYTES = 256 << 20
 
@@ -86,6 +112,17 @@ ENV_FLAG = "REPRO_TRACE_CACHE"
 def env_enabled() -> bool:
     """Whether the trace cache is enabled by default in this process."""
     return os.environ.get(ENV_FLAG, "1") not in ("0", "false", "no", "off")
+
+
+def _pc_table_fits(pcs) -> bool:
+    """Whether ``pcs`` can be a stream's PC table: at most
+    :data:`MAX_PCS` 32-bit entries with distinct low bytes (the index a
+    PC packs to is read off its low byte)."""
+    return (
+        0 < len(pcs) <= MAX_PCS
+        and all(0 <= pc < 1 << 32 for pc in pcs)
+        and len({pc & 0xFF for pc in pcs}) == len(pcs)
+    )
 
 
 def sweep_stale_traces(trace_dir: os.PathLike) -> int:
@@ -109,23 +146,28 @@ def sweep_stale_traces(trace_dir: os.PathLike) -> int:
 
 
 class MaterializedTrace:
-    """One benchmark's per-core record stream, drained into column buffers.
+    """One benchmark's per-core record stream, drained into two columns.
 
-    ``columns`` holds the stream prefix produced so far as four packed
-    arrays laid out as ``layout`` (:data:`NARROW` or :data:`WIDE`);
-    ``length`` is the number of complete records in them.  Replays
-    read through :meth:`replay` and extend the buffer via :meth:`ensure`,
-    which continues the original source (kept live in-process) or an
-    identically seeded rebuild fast-forwarded past the prefix (after a
-    disk round trip).
+    ``codes`` (a ``bytearray``) and ``lines`` (an ``array`` of typecode
+    :data:`NARROW` or :data:`WIDE`) hold the stream prefix produced so
+    far; ``pcs`` is the PC table the codes index; ``length`` is the
+    number of complete records.  Replays read through :meth:`replay` and
+    extend the buffer via :meth:`ensure`, which continues the original
+    source (kept live in-process) or an identically seeded rebuild
+    fast-forwarded past the prefix (after a disk round trip).
     """
 
     __slots__ = (
         "digest",
-        "columns",
+        "pcs",
+        "codes",
+        "lines",
         "length",
         "records",
         "persisted_len",
+        "_pc_index",
+        "_pc_base",
+        "_pc_tables",
         "_source",
         "_factory",
         "_grow",
@@ -136,26 +178,46 @@ class MaterializedTrace:
         self,
         digest: str,
         factory,
-        columns: Optional[tuple] = None,
+        pcs: tuple,
+        codes: Optional[bytearray] = None,
+        lines: Optional[array] = None,
         source=None,
         first_extension: int = 0,
         layout: str = NARROW,
     ) -> None:
+        if not _pc_table_fits(pcs):
+            raise ValueError(f"PC table {pcs!r} does not fit the code byte")
         self.digest = digest
-        if columns is None:
-            columns = tuple(array(code) for code in layout)
-        self.columns: tuple[array, array, array, array] = columns
-        self.length = len(columns[0])
+        self.pcs = tuple(pcs)
+        self.codes = bytearray() if codes is None else codes
+        self.lines = array(layout) if lines is None else lines
+        self.length = len(self.codes)
         #: Read-only record view: ``len()`` and ``(gap, pc, line, w)`` items.
         self.records = _Records(self)
         #: Buffer length already on disk (skip rewrites that add nothing).
         self.persisted_len = self.length
+        # Packing: a PC's low byte -> its table index.
+        index = bytearray(256)
+        for i, pc in enumerate(self.pcs):
+            index[pc & 0xFF] = i
+        self._pc_index = bytes(index)
+        # Unpacking: each PC is ``_pc_base`` (the first entry's native
+        # bytes) with the byte offsets that differ between entries
+        # translated from the code; unused indices decode as entry 0.
+        raw = [pc.to_bytes(4, sys.byteorder) for pc in self.pcs]
+        raw += raw[:1] * (MAX_PCS - len(raw))
+        self._pc_base = raw[0]
+        self._pc_tables = []
+        for offset in range(4):
+            table = bytes(raw[code & 3][offset] for code in range(256))
+            if len(set(table)) > 1:
+                self._pc_tables.append((offset, table))
         #: Block source positioned exactly at ``length`` records, or
         #: ``None`` when the buffer was loaded without one.
         self._source = source
         #: Zero-argument callable producing a fresh, identically seeded
         #: block source (used to rebuild ``_source`` after a load).  Its
-        #: ``fill`` must return lists: they are packed with ``fromlist``.
+        #: ``fill`` must return lists: they are packed from them.
         self._factory = factory
         #: Lower bound on the buffer length after the next extension: the
         #: run's own estimate at first, then geometric growth.
@@ -167,15 +229,49 @@ class MaterializedTrace:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the materialized records (all four columns)."""
-        return sum(len(column) * column.itemsize for column in self.columns)
+        """Bytes held by the materialized records (both columns)."""
+        return len(self.codes) + len(self.lines) * self.lines.itemsize
+
+    @property
+    def layout(self) -> str:
+        """The line column's typecode (:data:`NARROW` or :data:`WIDE`)."""
+        return self.lines.typecode
+
+    def _pc_column(self, codes) -> array:
+        """The ``'I'`` PC column of a run of code bytes."""
+        buf = bytearray(self._pc_base * len(codes))
+        for offset, table in self._pc_tables:
+            buf[offset::4] = codes.translate(table)
+        pcs = array("I")
+        pcs.frombytes(buf)
+        return pcs
+
+    def _pack(self, gaps: list, pcs: list, writes: list) -> bytes:
+        """The code bytes of one generated block; raises on a record
+        whose gap, store flag or PC does not fit."""
+        n = len(gaps)
+        gap_bits = bytes(gaps).translate(_GAP_BITS, _BAD_GAPS)
+        write_bits = bytes(writes).translate(_WRITE_BITS, _BAD_FLAGS)
+        if len(gap_bits) != n or len(write_bits) != n:
+            raise ValueError("a gap or store flag does not fit the code byte")
+        pc_column = array("I", pcs)
+        index = pc_column.tobytes()[_LOW_BYTE::4].translate(self._pc_index)
+        # The three fields occupy disjoint bits: OR them as integers.
+        codes = (
+            int.from_bytes(gap_bits, "little")
+            | int.from_bytes(write_bits, "little")
+            | int.from_bytes(index, "little")
+        ).to_bytes(n, "little")
+        if self._pc_column(codes) != pc_column:
+            raise ValueError("a PC is not in the stream's PC table")
+        return codes
 
     def ensure(self, n: int) -> None:
         """Extend the buffer to at least ``n`` records.
 
         The only way a buffer grows.  Readers never take the lock: columns
-        only ever grow at the end, and ``length`` is raised only after all
-        four hold the new records.
+        only ever grow at the end, and ``length`` is raised only after both
+        hold the new records.
         """
         if self.length >= n:
             return
@@ -194,13 +290,13 @@ class MaterializedTrace:
                     skip -= skipped
                 self._source = source
             target = max(n, self._grow)
-            columns = self.columns
             while self.length < target:
                 want = min(target - self.length, _FILL_STEP)
-                block = source.fill(want)
-                for column, values in zip(columns, block):
-                    column.fromlist(values)
-                got = len(block[0])
+                gaps, pcs, lines, writes = source.fill(want)
+                codes = self._pack(gaps, pcs, writes)
+                self.lines.fromlist(lines)
+                self.codes += codes
+                got = len(codes)
                 self.length += got
                 if got < want:  # finite source drained
                     break
@@ -214,45 +310,40 @@ class MaterializedTrace:
     # Serialization (the disk layer's file format)
     # ------------------------------------------------------------------ #
 
-    @property
-    def layout(self) -> str:
-        """The four column typecodes (:data:`NARROW` or :data:`WIDE`)."""
-        return "".join(column.typecode for column in self.columns)
-
     def to_bytes(self) -> bytes:
-        """Serialize the buffer: header + the four raw column blocks."""
+        """Serialize the buffer: header + the code and line blocks."""
         with self._lock:
-            header = _HEADER.pack(_MAGIC, self.length, self.layout.encode("ascii"))
-            return header + b"".join(column.tobytes() for column in self.columns)
+            pcs = self.pcs + (0,) * (MAX_PCS - len(self.pcs))
+            header = _HEADER.pack(
+                _MAGIC, self.length, self.layout.encode("ascii"), len(self.pcs), *pcs
+            )
+            return header + self.codes + self.lines.tobytes()
 
     @staticmethod
-    def decode(payload) -> tuple[array, array, array, array]:
-        """Parse :meth:`to_bytes` output back into the four columns."""
-        magic, count, layout = _HEADER.unpack_from(payload, 0)
+    def decode(payload) -> tuple[tuple, bytearray, array]:
+        """Parse :meth:`to_bytes` output into ``(pcs, codes, lines)``."""
+        magic, count, layout, npcs, *pcs = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise ValueError(f"bad trace buffer magic {magic!r}")
         layout = layout.decode("ascii", "replace")
-        if layout not in _LAYOUTS:
+        if layout not in (NARROW, WIDE):
             raise ValueError(f"bad trace buffer layout {layout!r}")
-        columns = []
-        offset = _HEADER.size
+        lines = array(layout)
+        start = _HEADER.size
+        stop = start + count
+        if stop + count * lines.itemsize > len(payload):
+            raise ValueError("truncated trace buffer")
         with memoryview(payload) as view:
-            for code in layout:
-                column = array(code)
-                size = count * column.itemsize
-                if offset + size > len(view):
-                    raise ValueError("truncated trace buffer")
-                column.frombytes(view[offset : offset + size])
-                offset += size
-                columns.append(column)
-        return tuple(columns)
+            codes = bytearray(view[start:stop])
+            lines.frombytes(view[stop : stop + count * lines.itemsize])
+        return tuple(pcs[:npcs]), codes, lines
 
 
 class _Replay:
     """A cursor handing out one buffer's records as column blocks.
 
     gap, line and write come out as lists (read for every record); pc
-    stays an array slice, indexed only on an L1 miss.
+    is an ``'I'`` array, indexed only on an L1 miss.
     """
 
     __slots__ = ("trace", "pos")
@@ -269,12 +360,12 @@ class _Replay:
             trace.ensure(stop)
             stop = min(stop, trace.length)
         self.pos = stop
-        gaps, pcs, lines, writes = trace.columns
+        codes = trace.codes[start:stop]
         return (
-            gaps[start:stop].tolist(),
-            pcs[start:stop],
-            lines[start:stop].tolist(),
-            writes[start:stop].tolist(),
+            list(codes.translate(_GAP)),
+            trace._pc_column(codes),
+            trace.lines[start:stop].tolist(),
+            list(codes.translate(_WRITE)),
         )
 
 
@@ -290,11 +381,17 @@ class _Records:
         return self._trace.length
 
     def __getitem__(self, index):
-        length = self._trace.length
-        gap, pc, line, write = (column[:length][index] for column in self._trace.columns)
+        trace = self._trace
+        length = trace.length
+        codes = trace.codes[:length][index]
+        lines = trace.lines[:length][index]
+        pcs = trace.pcs
         if isinstance(index, slice):
-            return list(zip(gap, pc, line, map(bool, write)))
-        return gap, pc, line, bool(write)
+            return [
+                (code >> 3, pcs[code & 3], line, bool(code & 4))
+                for code, line in zip(codes, lines)
+            ]
+        return codes >> 3, pcs[codes & 3], lines, bool(codes & 4)
 
 
 class _CachedTraceWorkload:
@@ -322,67 +419,75 @@ class TraceCache:
     """Process-wide store of materialized traces.
 
     Layers, consulted in order: in-process memo, the on-disk store under
-    ``<cache_dir>/_traces/``.  A miss in both materializes from the
-    workload's block source.  The memo holds at most ``max_bytes`` of
-    column data (checked whenever a stream joins it); the least recently
-    used streams go first, the newest always stays.
+    ``<cache_dir>/_traces/`` of the ``cache_dir`` a lookup names.  A miss
+    in both materializes from the workload's block source.  The memo
+    holds at most ``max_bytes`` of buffer data (checked whenever a stream
+    joins it); the least recently used streams go first, the newest
+    always stays.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[os.PathLike] = None,
-        max_bytes: int = _DEFAULT_MAX_BYTES,
-    ) -> None:
+    def __init__(self, max_bytes: int = _DEFAULT_MAX_BYTES) -> None:
         self._memo: OrderedDict[str, MaterializedTrace] = OrderedDict()
         self._max_bytes = max_bytes
-        self.cache_dir: Optional[Path] = None
-        #: The trace directory already swept of older-format files.
-        self._swept: Optional[Path] = None
+        #: Trace directories already swept of older-format files.
+        self._swept: set[Path] = set()
         self.stats = {
             "memo_hits": 0,
             "disk_hits": 0,
             "materialized": 0,
         }
-        if cache_dir is not None:
-            self.set_cache_dir(cache_dir)
-
-    # ------------------------------------------------------------------ #
-    # Configuration
-    # ------------------------------------------------------------------ #
-
-    def set_cache_dir(self, cache_dir: Optional[os.PathLike]) -> None:
-        """Point the disk layer at ``<cache_dir>/_traces`` (``None`` disables)."""
-        if cache_dir is None:
-            self.cache_dir = None
-        else:
-            self.cache_dir = Path(cache_dir) / "_traces"
 
     # ------------------------------------------------------------------ #
     # Lookup / materialization
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def digest_for(signature, core_seed: int, quota: int, warmup: int) -> str:
+    def digest_for(signature, core_seed: int) -> str:
         """Content address of one per-core stream.
 
         ``signature`` is the workload's stable stream description;
         ``core_seed`` is the exact engine RNG seed ``(seed << 8) + core``.
-        ``quota``/``warmup`` join the address (per the content-addressing
-        contract) even though the stream itself is run-length-agnostic.
+        A run's quota and warmup stay out: the stream does not depend on
+        them, and replay extends a buffer on demand, so runs of any
+        length share one buffer.
         """
-        payload = repr((TRACE_FORMAT_VERSION, signature, core_seed, quota, warmup))
+        payload = repr((TRACE_FORMAT_VERSION, signature, core_seed))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    @staticmethod
+    def _pc_table(workload) -> Optional[tuple]:
+        """The PC table of ``workload``'s stream, or ``None`` when the
+        stream keeps the generator path: no trace signature, or a model
+        whose gap range or components do not fit the code byte."""
+        spec = getattr(workload, "spec", None)
+        if getattr(workload, "trace_signature", None) is None or spec is None:
+            return None
+        gap_min, gap_max = spec.gap
+        pcs = spec.pcs
+        if gap_min < 0 or gap_max > MAX_GAP or not _pc_table_fits(pcs):
+            return None
+        return pcs
+
     def get(
-        self, workload, core_id: int, seed: int, quota: int, warmup: int
+        self,
+        workload,
+        core_id: int,
+        seed: int,
+        quota: int,
+        warmup: int,
+        cache_dir: Optional[os.PathLike] = None,
     ) -> Optional[MaterializedTrace]:
         """The materialized stream for one core, or ``None`` if the
-        workload does not expose a deterministic trace signature."""
-        signature_fn = getattr(workload, "trace_signature", None)
-        if signature_fn is None:
+        workload keeps the generator path (see :meth:`_pc_table`).
+
+        ``quota``/``warmup`` size the buffer's first extension; a miss in
+        the memo reads ``<cache_dir>/_traces/`` when ``cache_dir`` is set.
+        """
+        pcs = self._pc_table(workload)
+        if pcs is None:
             return None
         core_seed = (seed << 8) + core_id
-        digest = self.digest_for(signature_fn(), core_seed, quota, warmup)
+        digest = self.digest_for(workload.trace_signature(), core_seed)
         memo = self._memo
         entry = memo.get(digest)
         if entry is not None:
@@ -391,14 +496,19 @@ class TraceCache:
             return entry
         factory = self._factory(workload, core_seed)
         source = None
-        columns = self._load_disk(digest)
-        if columns is None:
+        loaded = self._load_disk(cache_dir, digest, pcs)
+        if loaded is None:
             self.stats["materialized"] += 1
             source = factory()
+            codes = lines = None
+        else:
+            codes, lines = loaded
         entry = MaterializedTrace(
             digest,
             factory,
-            columns=columns,
+            pcs,
+            codes=codes,
+            lines=lines,
             source=source,
             first_extension=self._estimate(workload, quota, warmup),
             layout=self._layout(workload),
@@ -415,7 +525,7 @@ class TraceCache:
 
     @staticmethod
     def _layout(workload) -> str:
-        """Narrow columns unless the stream's line addresses may need 64 bits."""
+        """Narrow lines unless the stream's line addresses may need 64 bits."""
         limit = getattr(workload, "line_limit", None)
         return NARROW if limit is not None and limit <= 1 << 32 else WIDE
 
@@ -432,20 +542,24 @@ class TraceCache:
         return int((quota + warmup) / (gap_min + 1) * slack) + 1024
 
     def materialize_for_run(
-        self, workloads: list, seed: int, quota: int, warmup: int
+        self,
+        workloads: list,
+        seed: int,
+        quota: int,
+        warmup: int,
+        cache_dir: Optional[os.PathLike] = None,
     ) -> list:
         """The engine workloads of one run, each replaying its buffer.
 
         Position in the list is the engine core id.  Each buffer is grown
         to the run's record estimate (see :meth:`_estimate`) up front,
         which is what its first lazy extension would grow anyway; a run
-        that outlives the estimate extends it on replay.  Workloads
-        without a trace signature pass through untouched (generator
-        path).
+        that outlives the estimate extends it on replay.  Workloads that
+        keep the generator path pass through untouched.
         """
         wrapped = []
         for core_id, workload in enumerate(workloads):
-            entry = self.get(workload, core_id, seed, quota, warmup)
+            entry = self.get(workload, core_id, seed, quota, warmup, cache_dir)
             if entry is None:
                 wrapped.append(workload)
                 continue
@@ -457,25 +571,28 @@ class TraceCache:
     # Disk layer
     # ------------------------------------------------------------------ #
 
-    def _path(self, digest: str) -> Path:
-        trace_dir = self.cache_dir
-        assert trace_dir is not None
-        if trace_dir != self._swept:
-            # First use of this directory: drop files of older formats.
-            self._swept = trace_dir
+    def _trace_dir(self, cache_dir: os.PathLike) -> Path:
+        """``<cache_dir>/_traces``, swept of older formats on first use."""
+        trace_dir = Path(cache_dir) / "_traces"
+        if trace_dir not in self._swept:
+            self._swept.add(trace_dir)
             sweep_stale_traces(trace_dir)
-        return trace_dir / f"{digest}.trc"
+        return trace_dir
 
-    def _load_disk(self, digest: str) -> Optional[tuple]:
-        if self.cache_dir is None:
+    def _load_disk(
+        self, cache_dir: Optional[os.PathLike], digest: str, pcs: tuple
+    ) -> Optional[tuple]:
+        if cache_dir is None:
             return None
-        path = self._path(digest)
+        path = self._trace_dir(cache_dir) / f"{digest}.trc"
         try:
             payload = path.read_bytes()
         except OSError:
             return None
         try:
-            columns = MaterializedTrace.decode(payload)
+            stored, codes, lines = MaterializedTrace.decode(payload)
+            if stored != pcs:
+                raise ValueError("PC table differs from the model's")
         except (ValueError, struct.error):
             # A torn or foreign file is not worth failing a run over; the
             # stream regenerates and the file is rewritten by persist().
@@ -485,16 +602,18 @@ class TraceCache:
                 pass
             return None
         self.stats["disk_hits"] += 1
-        return columns
+        return codes, lines
 
-    def persist(self) -> int:
-        """Write grown buffers to the disk layer; returns files written.
+    def persist(self, cache_dir: Optional[os.PathLike]) -> int:
+        """Write grown buffers under ``<cache_dir>/_traces``; returns files
+        written (none when ``cache_dir`` is ``None``).
 
         Files are written via a same-directory temp name + atomic rename,
         mirroring the result cache's torn-write discipline.
         """
-        if self.cache_dir is None:
+        if cache_dir is None:
             return 0
+        trace_dir = self._trace_dir(cache_dir)
         written = 0
         # Snapshot: another scheduler thread sharing the process-global
         # cache may be materializing (inserting) concurrently.
@@ -502,8 +621,8 @@ class TraceCache:
             length = entry.length
             if not length or length == entry.persisted_len:
                 continue
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._path(entry.digest)
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            path = trace_dir / f"{entry.digest}.trc"
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmp.write_bytes(entry.to_bytes())
             os.replace(tmp, path)
@@ -518,7 +637,7 @@ class TraceCache:
         self._memo.clear()
 
 
-#: The process-global cache ``simulate_spec`` and the scheduler share.
+#: The process-global cache ``simulate_spec`` and the batch worker share.
 _GLOBAL: Optional[TraceCache] = None
 
 

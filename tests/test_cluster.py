@@ -501,8 +501,13 @@ def test_a_lane_that_cannot_reregister_ends_the_worker_with_code_2():
     worker = worker_process(server.getsockname(), "--slots", "1")
     try:
         conn, _ = server.accept()
-        hello = wire.read_frame(conn.makefile("rb"))
+        rfile = conn.makefile("rb")
+        hello = wire.read_frame(rfile)
         wire.write_frame(conn.makefile("wb"), wire.make_frame("welcome", coordinator="fake"))
+        # A lane heartbeats only once it serves, after it has reported
+        # its handshake to the supervisor; killed before that report, it
+        # fails the worker's start instead of being respawned.
+        assert wire.read_frame(rfile)["type"] == "heartbeat"
         os.kill(hello["pid"], signal.SIGKILL)
         again, _ = server.accept()
         assert wire.read_frame(again.makefile("rb"))["pid"] != hello["pid"]

@@ -2,14 +2,16 @@
 
 The contract under test is the one every speedup in the layer rests on:
 a materialized stream replayed through any storage hop (in-process memo,
-raw column blocks on disk) yields exactly the
+code and line blocks on disk) yields exactly the
 line-address records the raw generator would have produced with the
 engine's RNG seeding, record for record — whether the replay stays inside
 the buffer, overflows it, or rebuilds the source after a load.
 """
 
+import os
 import subprocess
 import sys
+from array import array
 from random import Random
 
 import pytest
@@ -82,28 +84,31 @@ def test_distinct_parameters_distinct_digests(workloads):
     cache = TraceCache()
     base = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP).digest
     assert cache.get(workloads[0], 0, SEED + 1, QUOTA, WARMUP).digest != base
-    assert cache.get(workloads[0], 0, SEED, QUOTA + 1, WARMUP).digest != base
-    assert cache.get(workloads[0], 0, SEED, QUOTA, WARMUP + 1).digest != base
+    assert cache.get(workloads[1], 0, SEED, QUOTA, WARMUP).digest != base
+    # The run length is no stream parameter: it sizes the buffer only.
+    assert cache.get(workloads[0], 0, SEED, QUOTA + 1, WARMUP).digest == base
+    assert cache.get(workloads[0], 0, SEED, QUOTA, WARMUP + 1).digest == base
 
 
 def test_serialization_round_trip(workloads):
     cache = TraceCache()
     entry = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP)
     entry.ensure(K)
-    assert MaterializedTrace.decode(entry.to_bytes()) == entry.columns
-    empty = MaterializedTrace("d", lambda: RecordSource(()))
-    assert [len(column) for column in MaterializedTrace.decode(empty.to_bytes())] == [0] * 4
+    assert MaterializedTrace.decode(entry.to_bytes()) == (entry.pcs, entry.codes, entry.lines)
+    empty = MaterializedTrace("d", lambda: RecordSource(()), (5,))
+    assert MaterializedTrace.decode(empty.to_bytes()) == ((5,), b"", array("I"))
 
 
 def test_disk_round_trip(tmp_path, workloads):
-    writer = TraceCache(cache_dir=tmp_path)
-    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    writer = TraceCache()
+    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
     entry.ensure(K)
-    assert writer.persist() == 1
-    assert writer.persist() == 0  # unchanged buffers are not rewritten
+    assert writer.persist(None) == 0  # no directory, nothing written
+    assert writer.persist(tmp_path) == 1
+    assert writer.persist(tmp_path) == 0  # unchanged buffers are not rewritten
 
-    reader = TraceCache(cache_dir=tmp_path)
-    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    reader = TraceCache()
+    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
     assert reader.stats["disk_hits"] == 1
     assert reader.stats["materialized"] == 0
     assert loaded.records[:K] == entry.records[:K]
@@ -113,15 +118,15 @@ def test_disk_round_trip(tmp_path, workloads):
 
 
 def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
-    writer = TraceCache(cache_dir=tmp_path)
+    writer = TraceCache()
     entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP)
     entry.ensure(256)
-    writer.persist()
+    writer.persist(tmp_path)
     (path,) = (tmp_path / "_traces").glob("*.trc")
     path.write_bytes(b"torn" + path.read_bytes()[:32])
 
-    reader = TraceCache(cache_dir=tmp_path)
-    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    reader = TraceCache()
+    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
     assert reader.stats["disk_hits"] == 0
     assert reader.stats["materialized"] == 1
     assert not path.exists()  # torn file dropped, not trusted
@@ -132,7 +137,7 @@ def test_finite_source_replay_terminates():
     finite = [(0, 1, 2 * LINE, False), (1, 3, 4 * LINE + 5, True)]
     lines = [(0, 1, 2, False), (1, 3, 4, True)]  # shifted once, per block
     trace = MaterializedTrace(
-        "d", lambda: RecordSource(finite), source=RecordSource(finite)
+        "d", lambda: RecordSource(finite), (1, 3), source=RecordSource(finite)
     )
     assert _drain(trace.replay()) == lines
     assert _drain(trace.replay()) == lines  # replays, does not re-drain
@@ -208,16 +213,17 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
 
     length = 2 * _FILL_STEP + 100
     slots = 4
+    PCS = (0x4000, 0x4001, 0x5002)
 
     def source(sleep: bool):
         for i in range(length):
             if sleep and i % _FILL_STEP == 0:
                 time.sleep(0.05)
-            yield (i % 7, i, i * 64, i % 3 == 0)
+            yield (i % 7, PCS[i % 3], i * 64, i % 3 == 0)
 
     reference = [(g, p, a // LINE, w) for g, p, a, w in source(False)]
     trace = MaterializedTrace(
-        "d", lambda: RecordSource(source(True)), source=RecordSource(source(True))
+        "d", lambda: RecordSource(source(True)), PCS, source=RecordSource(source(True))
     )
     start = threading.Barrier(slots)
     seen: list = [None] * slots
@@ -289,15 +295,15 @@ def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
     assert seen == [reference, reference]
 
 
-def test_columns_cost_at_most_10_bytes_per_record(workloads):
+def test_columns_cost_at_most_5_bytes_per_record(workloads):
     for proxy in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
         entry = proxy.materialized
         records = len(entry.records)
         assert records > 0
         assert entry.layout == NARROW
-        assert entry.nbytes / records <= 10
-        allocated = sum(sys.getsizeof(column) for column in entry.columns)
-        assert allocated / records <= 12
+        assert entry.nbytes / records <= 5
+        allocated = sys.getsizeof(entry.codes) + sys.getsizeof(entry.lines)
+        assert allocated / records <= 6
 
 
 #: 33 cores, one 4 GB span each: the last two sit above 2**37 bytes, so
@@ -318,10 +324,10 @@ def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
     top = len(raw) - 1
 
     def replayed_digest(cache) -> str:
-        result = simulate_spec(spec.replace(trace_cache=True))
+        result = simulate_spec(spec.replace(trace_cache=True), cache_dir=tmp_path)
         entry = cache.get(raw[top], top, SEED, spec.quota, spec.warmup)
         assert entry.layout == WIDE
-        assert min(entry.columns[2]) > 1 << 32
+        assert min(entry.lines) > 1 << 32
         assert entry.records[:] == _generated(raw[top], top, len(entry.records))
         assert cache.get(raw[0], 0, SEED, spec.quota, spec.warmup).layout == NARROW
         return result_digest(result)
@@ -332,11 +338,9 @@ def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
     reset_trace_cache()
     try:
         parent = get_trace_cache()
-        parent.set_cache_dir(tmp_path)
         memo = replayed_digest(parent)
-        assert parent.persist() == len(WIDE_MIX)
+        assert parent.persist(tmp_path) == len(WIDE_MIX)
         reset_trace_cache()
-        get_trace_cache().set_cache_dir(tmp_path)
         disk = replayed_digest(get_trace_cache())
         assert get_trace_cache().stats["disk_hits"] == len(WIDE_MIX)
     finally:
@@ -354,16 +358,16 @@ def test_first_use_of_a_trace_dir_unlinks_older_format_files(tmp_path, workloads
     in_flight = traces / ".cd.trc.99999999.tmp"
     in_flight.write_bytes(b"RTR2")
 
-    writer = TraceCache(cache_dir=tmp_path)
-    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    writer = TraceCache()
+    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
     assert not stale.exists()
     assert in_flight.exists()  # another process's write in progress
     entry.ensure(256)
-    assert writer.persist() == 1
+    assert writer.persist(tmp_path) == 1
     (current,) = traces.glob("*.trc")
 
-    reader = TraceCache(cache_dir=tmp_path)
-    reader.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    reader = TraceCache()
+    reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
     assert current.exists()
     assert reader.stats["disk_hits"] == 1
 
@@ -443,13 +447,9 @@ def test_pool_workers_persist_the_traces_they_grow(tmp_path, monkeypatch):
     """A ``jobs=2`` batch with a cache dir leaves ``.trc`` files behind:
     each pool worker persists the streams it materialized, so a fresh
     process serves every stream from disk without generating one."""
-    import multiprocessing
-
     from repro.service import run_batch
     from repro.workloads import trace_cache
 
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("only forked pool workers inherit the trace directory")
     monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
     monkeypatch.setattr(trace_cache, "_GLOBAL", TraceCache())
     specs = [
@@ -461,10 +461,166 @@ def test_pool_workers_persist_the_traces_they_grow(tmp_path, monkeypatch):
     assert stats.failed == 0 and stats.executed == len(specs)
     assert list((tmp_path / "_traces").glob("*.trc"))
 
-    fresh = TraceCache(cache_dir=tmp_path)
+    fresh = TraceCache()
     for seed in (SEED, SEED + 1):
         for core_id, workload in enumerate(make_workloads(MIX)):
-            entry = fresh.get(workload, core_id, seed, QUOTA, WARMUP)
+            entry = fresh.get(workload, core_id, seed, QUOTA, WARMUP, tmp_path)
             assert len(entry.records) > 0
     assert fresh.stats["materialized"] == 0
     assert fresh.stats["disk_hits"] == 2 * len(MIX)
+
+
+# --------------------------------------------------------------------- #
+# The code byte: what fits, what keeps the generator path
+# --------------------------------------------------------------------- #
+
+
+def _model(code: int, **changes):
+    from dataclasses import replace
+
+    from repro.sim.config import ScaleModel
+    from repro.workloads.spec2006 import benchmark
+
+    return replace(benchmark(code), **changes).instantiate(ScaleModel(), 0)
+
+
+def test_extreme_codes_replay_equal_generator_output():
+    """Gaps 0 and 31, both store flags and all four PCs survive packing."""
+    workload = _model(473, gap=(0, 31), write_fraction=0.5)
+    assert len(workload.spec.pcs) == 4
+    entry = TraceCache().get(workload, 0, SEED, QUOTA, WARMUP)
+    replayed = _drain(entry.replay(), K)
+    assert replayed == _generated(workload, 0)
+    assert {record[0] for record in replayed} >= {0, 31}
+    assert {record[1] for record in replayed} == set(workload.spec.pcs)
+    assert {record[3] for record in replayed} == {False, True}
+
+
+@pytest.mark.parametrize("case", ["gap", "components"])
+def test_models_that_do_not_fit_the_code_byte_keep_the_generator_path(case):
+    from repro.workloads.spec2006 import benchmark
+
+    if case == "gap":
+        workload = _model(471, gap=(1, 32))
+    else:
+        five = benchmark(473).components + benchmark(471).components[:1]
+        workload = _model(473, components=five)
+    cache = TraceCache()
+    assert cache.get(workload, 0, SEED, QUOTA, WARMUP) is None
+    assert cache.materialize_for_run([workload], SEED, QUOTA, WARMUP) == [workload]
+    assert cache.stats == {"memo_hits": 0, "disk_hits": 0, "materialized": 0}
+
+
+@pytest.mark.parametrize(
+    "record", [(32, 1, 64, False), (-1, 1, 64, False), (0, 2, 64, False), (0, 257, 64, False)]
+)
+def test_a_record_that_does_not_fit_raises(record):
+    trace = MaterializedTrace(
+        "d", lambda: RecordSource([record]), (1, 3), source=RecordSource([record])
+    )
+    with pytest.raises(ValueError):
+        trace.ensure(1)
+    assert len(trace.records) == 0
+
+
+def test_an_rtr3_file_is_swept_and_its_stream_regenerates(tmp_path, workloads):
+    import struct
+
+    cache = TraceCache()
+    digest = cache.digest_for(workloads[0].trace_signature(), SEED << 8)
+    traces = tmp_path / "_traces"
+    traces.mkdir()
+    stale = traces / f"{digest}.trc"
+    stale.write_bytes(struct.pack("<4sQ4s", b"RTR3", 0, b"BIIB"))
+
+    entry = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    assert not stale.exists()
+    assert cache.stats["disk_hits"] == 0 and cache.stats["materialized"] == 1
+    assert _drain(entry.replay(), K) == _generated(workloads[0], 0)
+    assert cache.persist(tmp_path) == 1
+    assert stale.read_bytes()[:4] == b"RTR4"
+
+
+# --------------------------------------------------------------------- #
+# One buffer per stream; the trace directory travels with the cell
+# --------------------------------------------------------------------- #
+
+
+def test_runs_of_any_length_share_one_buffer_per_stream(monkeypatch):
+    from repro.api.session import result_digest
+    from repro.execution.simulate import simulate_spec
+    from repro.workloads import trace_cache
+
+    monkeypatch.setattr(trace_cache, "_GLOBAL", TraceCache())
+    specs = [
+        RunSpec(mix=MIX, scheme="avgcc", quota=quota, warmup=WARMUP, seed=SEED)
+        for quota in (QUOTA, 2 * QUOTA)
+    ]
+    replayed = [result_digest(simulate_spec(spec.replace(trace_cache=True))) for spec in specs]
+    cache = trace_cache.get_trace_cache()
+    assert len(cache._memo) == len(MIX)
+    assert cache.stats["materialized"] == len(MIX)
+    assert cache.stats["memo_hits"] == len(MIX)
+    generated = [result_digest(simulate_spec(spec.replace(trace_cache=False))) for spec in specs]
+    assert replayed == generated
+    assert replayed[0] != replayed[1]
+
+
+def test_a_batch_without_a_cache_dir_leaves_an_earlier_batchs_traces_alone(
+    tmp_path, monkeypatch
+):
+    from repro.service import run_batch
+    from repro.workloads import trace_cache
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+    monkeypatch.setattr(trace_cache, "_GLOBAL", TraceCache())
+    params = dict(scheme="baseline", quota=QUOTA, warmup=WARMUP, seed=SEED)
+    traces = tmp_path / "_traces"
+    run_batch([RunSpec(mix=MIX, **params)], jobs=1, cache_dir=tmp_path)
+    assert len(list(traces.glob("*.trc"))) == len(MIX)
+    _outcomes, stats, _report = run_batch([RunSpec(mix=(429, 401), **params)], jobs=1)
+    assert stats.executed == 1
+    assert len(list(traces.glob("*.trc"))) == len(MIX)
+
+
+_SPAWNED_BATCH = """
+import multiprocessing
+import sys
+
+from repro.api.spec import RunSpec
+from repro.service import run_batch
+from repro.workloads.mixes import make_workloads
+from repro.workloads.trace_cache import TraceCache
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    cache_dir, mix, seeds = sys.argv[1], (471, 444), (7, 8)
+    specs = [
+        RunSpec(mix=mix, scheme=scheme, quota=4000, warmup=2000, seed=seed)
+        for seed in seeds
+        for scheme in ("baseline", "avgcc")
+    ]
+    _outcomes, stats, _report = run_batch(specs, jobs=2, cache_dir=cache_dir)
+    assert stats.failed == 0 and stats.executed == len(specs), stats
+    fresh = TraceCache()
+    for seed in seeds:
+        for core_id, workload in enumerate(make_workloads(mix)):
+            entry = fresh.get(workload, core_id, seed, 4000, 2000, cache_dir)
+            assert len(entry.records) > 0
+    assert fresh.stats["materialized"] == 0, fresh.stats
+    print("ok", multiprocessing.get_start_method())
+"""
+
+
+def test_spawned_pool_workers_load_and_persist_their_traces(tmp_path):
+    """Pool workers that inherit nothing (``spawn``, as ``forkserver``)
+    still get their cell's trace directory: it rides the payload."""
+    script = tmp_path / "spawned_batch.py"
+    script.write_text(_SPAWNED_BATCH)
+    env = {**os.environ, "REPRO_TRACE_CACHE": "1"}
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "cache")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok", "spawn"]
