@@ -378,8 +378,6 @@ def _scheduler_flags(args: argparse.Namespace) -> dict:
         report_path=args.report,
         metrics_path=args.metrics,
         journal=args.journal,
-        max_queue_depth=args.max_queue,
-        max_bytes=args.max_bytes,
         executor=executor,
         executor_options=executor_options,
         spans_path=getattr(args, "spans", None),
@@ -700,23 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
             "worker-hung and retried on a fresh pool; a cluster worker "
             "holding leases and silent this long is expelled "
             "(default: off)",
-        )
-        p.add_argument(
-            "--max-queue",
-            type=_positive_int("--max-queue"),
-            default=None,
-            metavar="N",
-            help="admission control: refuse new submissions once N specs "
-            "are queued (HTTP 429 / per-line shed; default: unbounded)",
-        )
-        p.add_argument(
-            "--max-bytes",
-            type=_positive_int("--max-bytes"),
-            default=None,
-            metavar="BYTES",
-            help="admission control: refuse new submissions once the "
-            "queued specs' serialized size exceeds BYTES "
-            "(default: unbounded)",
         )
 
     def add_executor_flags(p: argparse.ArgumentParser) -> None:

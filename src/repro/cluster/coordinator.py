@@ -4,7 +4,7 @@
 :class:`~repro.service.executor.Executor` protocol over a fleet of
 :class:`~repro.cluster.worker.WorkerClient` processes instead of a
 local process pool.  The scheduler above it is unchanged — dedup,
-journal and admission all happen before a cell reaches this module,
+journal and result cache all act before a cell reaches this module,
 and results flow back through the same ``on_result`` callback the
 local pool uses.
 

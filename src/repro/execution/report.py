@@ -51,7 +51,7 @@ class CellRecord:
 
     cell: tuple
     status: str = "pending"  # pending | ok | failed
-    source: str = ""  # memory | cache | simulated (set when status == ok)
+    source: str = ""  # cache | simulated (set when status == ok)
     attempts: int = 0
     duration: float = 0.0
     #: Summed ready-to-submitted latency across this cell's attempts.
@@ -92,8 +92,9 @@ class RunReport:
     """
 
     #: v4: CellRecord gains ``phases`` (per-phase seconds from the span
-    #: tracer); absent/empty when tracing is off.
-    VERSION = 4
+    #: tracer); absent/empty when tracing is off.  v5 (5.0.0): ``counts``
+    #: loses ``memory``, an outcome no cell ever had.
+    VERSION = 5
 
     def __init__(self, config: Optional[dict] = None) -> None:
         self.config = dict(config or {})
@@ -124,10 +125,10 @@ class RunReport:
             rec = self.records[cell] = CellRecord(cell)
         return rec
 
-    def mark_hit(self, cell, source: str) -> None:
-        """Cell satisfied without simulating (``memory`` or ``cache``)."""
+    def mark_hit(self, cell) -> None:
+        """Cell satisfied from the disk result cache, without simulating."""
         rec = self.record(cell)
-        rec.status, rec.source = "ok", source
+        rec.status, rec.source = "ok", "cache"
 
     def mark_ok(self, cell, duration: float) -> None:
         rec = self.record(cell)
@@ -180,7 +181,6 @@ class RunReport:
     def counts(self) -> dict:
         c = {
             "total": len(self.records),
-            "memory": 0,
             "cache": 0,
             "simulated": 0,
             "failed": 0,
@@ -193,7 +193,7 @@ class RunReport:
                 c["failed"] += 1
             else:
                 c["pending"] += 1
-        c["hits"] = c["memory"] + c["cache"]
+        c["hits"] = c["cache"]
         return c
 
     @property

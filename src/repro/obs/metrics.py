@@ -39,14 +39,8 @@ _SERVICE = (
     ("service_executed_total", "counter", "Specs actually simulated.", "executed"),
     ("service_failed_total", "counter", "Specs that exhausted retries.", "failed"),
     ("service_cancelled_total", "counter", "Specs cancelled before execution.", "cancelled"),
-    ("service_shed_total", "counter",
-     "Submissions rejected by admission control.", "shed"),
     ("service_recovered_total", "counter",
      "Specs re-enqueued from the write-ahead journal by a resume.", "recovered"),
-    ("watchdog_kills_total", "counter",
-     "Attempts charged worker-hung past hang_grace.", "watchdog_kills"),
-    ("service_cache_quarantined_total", "counter",
-     "Corrupt result-cache entries quarantined by this service.", "cache_quarantined"),
     ("service_cache_tmp_swept_total", "counter",
      "Stale result-cache tmp files swept at cache open.", "cache_tmp_swept"),
     ("cluster_workers_connected", "gauge",
@@ -172,7 +166,7 @@ def _report_families(report, per_cell: bool) -> Iterator[tuple]:
     counts = report.counts
     yield "run_cells", "gauge", "Cells in the sweep, by outcome source.", [
         ("", {"outcome": outcome}, counts[outcome])
-        for outcome in ("total", "memory", "cache", "simulated", "failed", "pending")
+        for outcome in ("total", "cache", "simulated", "failed", "pending")
     ]
     yield from _scalars(_RUN, partial(getattr, report))
     yield "result_cache_lookups_total", "counter", "Disk result-cache lookups, by result.", [

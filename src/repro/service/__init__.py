@@ -7,11 +7,12 @@ execution backend, and resolves a future per submission.  The
 :mod:`~repro.service.serve` front-ends expose the scheduler over JSONL
 stdio and a loopback HTTP batch endpoint (``repro serve``).
 
-The :mod:`~repro.service.durability` layer makes the service survive its
-production failure modes: a write-ahead :class:`BatchJournal` plus
-:meth:`BatchScheduler.recover` for crash-safe resumption, an
-:class:`AdmissionController` that sheds overload with a retry hint.  A worker hung mid-cell is caught by the executors
-themselves: ``hang_grace`` charges any attempt in flight past it.
+The :mod:`~repro.service.durability` layer makes the service survive the
+serving process dying mid-batch: a write-ahead :class:`BatchJournal` plus
+:meth:`BatchScheduler.recover` for crash-safe resumption.  A worker hung
+mid-cell is caught by the executors themselves: ``hang_grace`` charges
+any attempt in flight past it.  There is no admission control: a
+submission is either rejected as invalid or accepted and run.
 
 Execution itself is pluggable: the :class:`Executor` protocol
 (:mod:`~repro.service.executor`) lets the scheduler drive either the
@@ -31,8 +32,6 @@ from repro.service.executor import (
     make_executor,
 )
 from repro.service.durability import (
-    AdmissionController,
-    AdmissionRejected,
     BatchJournal,
     JournalError,
     JournalReplay,
@@ -76,8 +75,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionRejected",
     "BatchHTTPServer",
     "BatchJournal",
     "BatchScheduler",

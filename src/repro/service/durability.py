@@ -1,28 +1,24 @@
-"""Durability and overload protection for the batch service.
+"""Durability for the batch service: the write-ahead journal.
 
 The scheduler in :mod:`repro.service.scheduler` made batches *correct*
-(dedup, priorities, bounded retry); this module makes them survive
-the failure modes a long campaign actually hits — the serving process
-dying mid-batch and a traffic burst outrunning the worker pool.  (A
-worker wedged mid-cell is the executors' business: ``hang_grace`` is a
-rule of their :class:`~repro.service.executor.AttemptLedger`.)  Two
-pieces, each usable on its own:
+(dedup, priorities, bounded retry); this module makes them survive the
+failure a long campaign actually hits — the serving process dying
+mid-batch.  (A worker wedged mid-cell is the executors' business:
+``hang_grace`` is a rule of their
+:class:`~repro.service.executor.AttemptLedger`.)
 
-* :class:`BatchJournal` — a write-ahead JSONL journal of every spec's
-  lifecycle (``submitted`` / ``started`` / ``done`` / ``failed`` /
-  ``cancelled``).  Records are checksummed per line and fsync'd in
-  batches, so a ``kill -9`` loses at most the tail of *terminal* events
-  — never an accepted submission.  :meth:`BatchJournal.replay` rebuilds
-  the outstanding work set from the file (torn or corrupt lines are
-  skipped, not fatal), and :meth:`BatchJournal.compact` rewrites the
-  file down to just that set on a clean close.
-* :class:`AdmissionController` — bounded queue depth and an in-flight
-  byte budget: an over-budget submission is refused with a retry hint,
-  and accepted work is never dropped to make room.
+:class:`BatchJournal` is a write-ahead JSONL journal of every spec's
+lifecycle (``submitted`` / ``started`` / ``done`` / ``failed`` /
+``cancelled``).  Records are checksummed per line and fsync'd in
+batches, so a ``kill -9`` loses at most the tail of *terminal* events —
+never an accepted submission.  :meth:`BatchJournal.replay` rebuilds the
+outstanding work set from the file (torn or corrupt lines are skipped,
+not fatal), and :meth:`BatchJournal.compact` rewrites the file down to
+just that set on a clean close.
 
 Everything is stdlib-only, and none of it touches the simulation hot
-path: journal appends are buffered in memory and admission checks run
-at submission time only.  Fault-free results stay bit-identical.
+path: journal appends are buffered in memory.  Fault-free results stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -59,19 +55,6 @@ DEFAULT_FLUSH_EVERY = 64
 
 class JournalError(RuntimeError):
     """The journal directory is unusable or holds no replayable state."""
-
-
-class AdmissionRejected(RuntimeError):
-    """A submission was shed by the admission controller.
-
-    ``retry_after`` is the server's load-based hint, in seconds, for
-    when a retry is likely to be admitted (HTTP front-ends surface it
-    as a ``Retry-After`` header on the 429).
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = max(1.0, float(retry_after))
 
 
 # --------------------------------------------------------------------- #
@@ -318,40 +301,3 @@ def replay_journal(journal_dir: str | os.PathLike) -> JournalReplay:
             continue
         replay.pending.append((key, spec, priority))
     return replay
-
-
-# --------------------------------------------------------------------- #
-# Admission control
-# --------------------------------------------------------------------- #
-
-
-class AdmissionController:
-    """Bounded queue depth and byte budget; over budget means rejected.
-
-    ``max_queue_depth`` bounds specs queued but not yet executing;
-    ``max_bytes`` bounds the summed serialized size of queued plus
-    in-flight specs (a proxy for the memory the service has promised).
-    ``None`` disables either bound.  Work already accepted is never
-    cancelled to make room: an over-budget submission raises
-    :class:`AdmissionRejected` with a retry hint instead.
-    """
-
-    def __init__(
-        self, max_queue_depth: Optional[int] = None, max_bytes: Optional[int] = None
-    ) -> None:
-        self.max_queue_depth = max_queue_depth
-        self.max_bytes = max_bytes
-
-    def admit(
-        self, queue_depth: int, pending_bytes: int, size: int, retry_after: float
-    ) -> None:
-        """Raise :class:`AdmissionRejected` if ``size`` more bytes on top
-        of ``queue_depth`` queued specs would exceed either bound."""
-        if (
-            self.max_queue_depth is not None and queue_depth >= self.max_queue_depth
-        ) or (self.max_bytes is not None and pending_bytes + size > self.max_bytes):
-            raise AdmissionRejected(
-                f"queue full ({queue_depth} queued, {pending_bytes} pending "
-                "bytes); submission shed",
-                retry_after=retry_after,
-            )

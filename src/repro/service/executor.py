@@ -25,7 +25,7 @@ queue-latency rules are written once:
   length-prefixed wire protocol.
 
 The scheduler keeps owning everything above execution — dedup, the
-priority queue, journal, admission and the run report's file — which
+priority queue, journal and the run report's file — which
 is what makes the acceptance property cheap to state: an executor only
 decides *where* a cell simulates, never *what* it computes.
 """
@@ -606,22 +606,16 @@ class LocalPoolExecutor(Executor):
 
 
 def make_executor(
-    executor, config: Optional[ExecutorConfig] = None, **options
+    executor: str, config: Optional[ExecutorConfig] = None, **options
 ) -> Executor:
-    """Resolve the scheduler's ``executor=`` argument to a backend.
+    """Resolve the scheduler's ``executor=`` kind to a backend.
 
-    Accepts a ready :class:`Executor` instance (adopted as-is; its
-    config is replaced only if one is given here), or a kind string:
     ``"local"`` → :class:`LocalPoolExecutor`, ``"cluster"`` →
     :class:`~repro.cluster.ClusterExecutor` (imported lazily so the
     service works without the cluster tier loaded).  ``options`` are
     backend-specific constructor kwargs — e.g. ``listen="host:port"``
     for the cluster coordinator.
     """
-    if isinstance(executor, Executor):
-        if config is not None:
-            executor.config = config
-        return executor
     if executor == "local":
         if options:
             raise TypeError(
@@ -633,6 +627,5 @@ def make_executor(
 
         return ClusterExecutor(config, **options)
     raise ValueError(
-        f"unknown executor {executor!r}; expected 'local', 'cluster' "
-        f"or an Executor instance"
+        f"unknown executor {executor!r}; expected 'local' or 'cluster'"
     )

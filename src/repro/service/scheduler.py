@@ -48,7 +48,6 @@ layer only changes *when* a cell runs, never what it computes.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import sys
 import threading
@@ -65,12 +64,7 @@ from repro.execution.report import RunReport
 from repro.execution.simulate import simulate_spec
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
-from repro.service.durability import (
-    AdmissionController,
-    AdmissionRejected,
-    BatchJournal,
-    JournalError,
-)
+from repro.service.durability import BatchJournal, JournalError
 from repro.sim.results import SystemResult
 from repro.workloads.trace_cache import get_trace_cache
 
@@ -93,8 +87,10 @@ class SchedulerClosed(RuntimeError):
 #: the version.  v1: the service counters plus ``spans``/``span_phases``.
 #: v2 (3.0.0): the per-scheme circuit state and its rejection count
 #: are gone.  v3: ``shm_swept`` is gone with the shared-memory trace
-#: layer.
-STATS_SCHEMA_VERSION = 3
+#: layer.  v4 (5.0.0): ``shed`` is gone with admission control, and
+#: ``watchdog_kills``/``cache_quarantined``, copies of the run report's
+#: counters, are gone too.
+STATS_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -119,15 +115,9 @@ class ServiceStats:
     queue_depth: int
     inflight: int
     latency: dict = field(default_factory=dict)
-    #: Submissions refused by admission control.
-    shed: int = 0
     #: Specs re-enqueued from the journal by ``recover``/``--resume``.
     recovered: int = 0
-    #: Attempts charged ``worker-hung`` past the local ``hang_grace``.
-    watchdog_kills: int = 0
-    #: Result-cache self-healing counters (quarantined entries, stale
-    #: tmp files swept at open).
-    cache_quarantined: int = 0
+    #: Stale result-cache tmp files swept at open.
     cache_tmp_swept: int = 0
     #: Execution backend kind (``local`` or ``cluster``) and the
     #: cluster gauges — zero under the local pool.
@@ -160,7 +150,6 @@ class _Entry:
         "created",
         "state",
         "key",
-        "size",
         "span",
         "started",
     )
@@ -174,7 +163,6 @@ class _Entry:
         self.created = self.started = time.monotonic()
         self.state = "queued"  # queued | inflight | done
         self.key: Optional[str] = None  # cache key, set when journaling
-        self.size = 0  # serialized spec bytes (admission accounting)
         self.span = None  # live cell span, only when tracing is on
 
 
@@ -240,10 +228,8 @@ class BatchScheduler:
         metrics_path: str | os.PathLike | None = None,
         journal_dir: str | os.PathLike | None = None,
         journal: bool = True,
-        max_queue_depth: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         start: bool = True,
-        executor="local",
+        executor: str = "local",
         executor_options: Optional[dict] = None,
         spans_path: str | os.PathLike | None = None,
         tracer=None,
@@ -290,11 +276,6 @@ class BatchScheduler:
             fault_plan=plan,
         )
         self.executor = make_executor(executor, config, **options)
-        self.admission = (
-            AdmissionController(max_queue_depth, max_bytes)
-            if max_queue_depth is not None or max_bytes is not None
-            else None
-        )
         #: Cumulative report across every busy period of this scheduler.
         self.report = RunReport(
             config={
@@ -334,9 +315,7 @@ class BatchScheduler:
         self.executed = 0
         self.failed = 0
         self.cancelled = 0
-        self.shed = 0
         self.recovered = 0
-        self._pending_bytes = 0
         self._latencies: dict[str, list[float]] = {}
 
         self._thread: Optional[threading.Thread] = None
@@ -359,10 +338,9 @@ class BatchScheduler:
         inbound span context (``{"trace_id", "span_id"}``): when tracing
         is on, the cell span roots under it instead of starting a fresh
         trace.
-        Raises :class:`~repro.api.spec.SpecError` on an invalid spec,
-        :class:`SchedulerClosed` after :meth:`close`,
-        and :class:`~repro.service.durability.AdmissionRejected` when
-        shed by admission control.
+        Raises :class:`~repro.api.spec.SpecError` on an invalid spec and
+        :class:`SchedulerClosed` after :meth:`close`; any other
+        submission is accepted and runs.
         """
         spec.validate()
         future: Future = Future()
@@ -397,33 +375,13 @@ class BatchScheduler:
                     entry.priority = priority
                     heappush(self._queue, (priority, entry.seq, spec))
                 return future
-            # Genuinely new work from here on: it must pass admission
-            # control (dedup joins and memory hits above add no load, so
-            # they are always admitted).
-            size = 0
-            if self.admission is not None:
-                size = len(
-                    json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-                )
-                try:
-                    self.admission.admit(
-                        sum(1 for e in self._entries.values() if e.state == "queued"),
-                        self._pending_bytes,
-                        size,
-                        self._retry_after_locked(),
-                    )
-                except AdmissionRejected:
-                    self.shed += 1
-                    raise
             entry = _Entry(spec, priority, next(self._seq))
             entry.futures.append(future)
-            entry.size = size
             if self.tracer is not None:
                 entry.span = self.tracer.begin(
                     "cell", trace, cell=spec.name, scheme=spec.scheme
                 )
                 self._span_specs[entry.span.span_id] = spec
-            self._pending_bytes += size
             if self._journal is not None:
                 entry.key = spec.cache_key()
                 self._journal.append(
@@ -433,13 +391,6 @@ class BatchScheduler:
             heappush(self._queue, (priority, entry.seq, spec))
             self._wake.notify_all()
         return future
-
-    def _retry_after_locked(self) -> float:
-        """Load-based retry hint: median spec latency × backlog ÷ jobs."""
-        samples = [s for values in self._latencies.values() for s in values]
-        per_spec = sorted(samples)[len(samples) // 2] if samples else 1.0
-        backlog = len(self._entries)
-        return min(60.0, max(1.0, per_spec * (1 + backlog) / self.jobs))
 
     def map(self, specs: Iterable[RunSpec], priority: int = 0) -> list[Future]:
         """Submit a whole batch; futures in submission order."""
@@ -606,10 +557,7 @@ class BatchScheduler:
                     scheme: latency_quantiles(samples)
                     for scheme, samples in self._latencies.items()
                 },
-                shed=self.shed,
                 recovered=self.recovered,
-                watchdog_kills=self.report.watchdog_kills,
-                cache_quarantined=self.cache.quarantined if self.cache else 0,
                 cache_tmp_swept=self.cache.tmp_swept if self.cache else 0,
                 executor=xstats.kind,
                 workers_connected=xstats.workers_connected,
@@ -683,7 +631,7 @@ class BatchScheduler:
             if found is not None:
                 with self._lock:
                     self.cache_hits += 1
-                self.report.mark_hit(spec, "cache")
+                self.report.mark_hit(spec)
                 self._resolve(spec, found, simulated=False)
                 return
         if self._journal is not None:
@@ -755,8 +703,6 @@ class BatchScheduler:
         with self._lock:
             entry = self._entries.pop(spec, None)
             self._results[spec] = result
-            if entry is not None:
-                self._pending_bytes -= entry.size
             if simulated:
                 self.executed += 1
                 if entry is not None:
@@ -781,8 +727,6 @@ class BatchScheduler:
         with self._lock:
             entry = self._entries.pop(spec, None)
             self.failed += 1
-            if entry is not None:
-                self._pending_bytes -= entry.size
             futures = list(entry.futures) if entry is not None else []
             if entry is not None:
                 entry.state = "done"
@@ -805,7 +749,6 @@ class BatchScheduler:
         """
         entry.state = "done"
         self._entries.pop(entry.spec, None)
-        self._pending_bytes -= entry.size
         self.cancelled += 1
         self._finish_cell_span(entry, "cancelled")
         if journal and self._journal is not None and entry.key is not None:

@@ -39,7 +39,6 @@ from typing import IO, Optional
 from repro.api.spec import RunSpec, SpecError
 from repro.obs.metrics import prometheus_text
 from repro.service import wire
-from repro.service.durability import AdmissionRejected
 from repro.service.scheduler import BatchScheduler, SchedulerClosed
 
 
@@ -111,12 +110,6 @@ def serve_jsonl(
             future = scheduler.submit(
                 spec, priority=request.priority, trace=request.trace
             )
-        except AdmissionRejected as exc:
-            # Shed per request, never per stream: one refused submission
-            # must not abort the remaining lines.
-            failures += 1
-            emit(wire.error_record(exc, id=req_id, spec=spec.name))
-            continue
         except SchedulerClosed as exc:
             failures += 1
             emit(wire.error_record(exc, id=req_id, spec=spec.name))
@@ -157,17 +150,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(
-        self,
-        status: int,
-        payload: object,
-        retry_after: Optional[float] = None,
-        headers: Optional[dict] = None,
+        self, status: int, payload: object, headers: Optional[dict] = None
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, int(round(retry_after)))))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
@@ -224,8 +211,7 @@ class _Handler(BaseHTTPRequestHandler):
         if context is not None:
             trace_headers = {wire.TRACE_HEADER: wire.format_trace(context)}
         results: list = []
-        admitted: list = []  # (slot, spec, future)
-        retry_after = 0.0
+        accepted: list = []  # (slot, spec, future)
         closed = False
         for request in requests:
             spec = request.spec
@@ -235,17 +221,14 @@ class _Handler(BaseHTTPRequestHandler):
                     priority=request.priority,
                     trace=request.trace if request.trace is not None else context,
                 )
-            except AdmissionRejected as exc:
-                retry_after = max(retry_after, exc.retry_after)
-                results.append(wire.error_record(exc, spec=spec.name))
             except SchedulerClosed as exc:
                 closed = True
                 results.append(wire.error_record(exc, spec=spec.name))
             else:
                 results.append(None)  # filled in below, in submission order
-                admitted.append((len(results) - 1, spec, future))
+                accepted.append((len(results) - 1, spec, future))
         cancelled = False
-        for slot, spec, future in admitted:
+        for slot, spec, future in accepted:
             try:
                 results[slot] = wire.result_record(future.result())
             except CancelledError as exc:
@@ -268,15 +251,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "partial": True,
                     "results": results,
                 },
-                headers=trace_headers,
-            )
-            return
-        if not admitted and results:
-            # Nothing was even accepted: every spec was shed (overload).
-            self._send_json(
-                429,
-                results,
-                retry_after=retry_after,
                 headers=trace_headers,
             )
             return

@@ -16,8 +16,8 @@ where requests, results and errors are given shape:
   spellings (a bare spec object, or ``{"spec": {...}, "priority": n,
   "id": ...}``) and returns one typed :class:`Request`.
 * **Errors** — :func:`classify_error` maps every exception the service
-  can surface (spec validation, admission shed, closed scheduler,
-  cancellation, exhausted retries, wire mismatch) onto the one
+  can surface (spec validation, closed scheduler, cancellation,
+  exhausted retries, wire mismatch) onto the one
   :class:`ServiceError` taxonomy; front-ends render it with
   :func:`error_record` so the ``code`` vocabulary is identical over
   JSONL stdio, HTTP and the cluster TCP protocol.
@@ -53,7 +53,9 @@ from repro.api.spec import RunSpec, SpecError
 #: any incompatible change to the record shapes below; peers reject a
 #: mismatch with a structured ``protocol_mismatch`` error.  v2 (4.0.0):
 #: the spec in request envelopes and lease payloads lost its per-request
-#: SLA field, which a v1 peer still sends.
+#: SLA field, which a v1 peer still sends.  5.0.0 dropped two error
+#: codes (the overload one and an unused lost-lease one) and the error
+#: record's retry hint, but no request or frame shape: still 2.
 PROTOCOL_VERSION = 2
 
 #: The closed vocabulary of service error codes.  Every error record
@@ -62,11 +64,9 @@ ERROR_CODES = (
     "bad_request",        # malformed JSON / not a spec at all
     "spec_invalid",       # RunSpec.validate failed (SpecError)
     "protocol_mismatch",  # peer speaks a different PROTOCOL_VERSION
-    "shed",               # admission control refused the submission
     "scheduler_closed",   # submitted after close()
     "cancelled",          # scheduler shut down before the spec ran
     "execution_failed",   # retries exhausted (JobFailed)
-    "worker_lost",        # cluster lease lost past its redispatch budget
     "internal",           # anything unclassified
 )
 
@@ -89,26 +89,16 @@ class WireError(ValueError):
 
 @dataclass(frozen=True)
 class ServiceError:
-    """One classified service error: taxonomy code + rendered message.
-
-    ``retry_after`` is the server's hint (seconds) for when a retry
-    might succeed — present for the load-derived ``shed``, ``None`` for
-    permanent errors.
-    """
+    """One classified service error: taxonomy code + rendered message."""
 
     code: str
     message: str
-    retry_after: Optional[float] = None
 
     def record(self, **extra) -> dict:
         """The JSON error envelope every front-end emits."""
         record = {"ok": False, "code": self.code, "error": self.message}
-        if self.retry_after is not None:
-            record["retry_after"] = self.retry_after
-        # Historical convenience flags, kept so existing consumers
-        # (and the CI greps) survive the taxonomy unification.
-        if self.code == "shed":
-            record["shed"] = True
+        # Historical convenience flag, kept so existing consumers (and
+        # the CI greps) survive the taxonomy unification.
         if self.code == "cancelled":
             record["cancelled"] = True
         record.update(extra)
@@ -124,14 +114,10 @@ def classify_error(exc: BaseException) -> ServiceError:
     """
     from concurrent.futures import CancelledError
 
-    from repro.service.durability import AdmissionRejected
-
     if isinstance(exc, WireError):
         return ServiceError(exc.code, str(exc))
     if isinstance(exc, SpecError):
         return ServiceError("spec_invalid", str(exc))
-    if isinstance(exc, AdmissionRejected):
-        return ServiceError("shed", str(exc), exc.retry_after)
     if isinstance(exc, CancelledError):
         return ServiceError(
             "cancelled", "cancelled: scheduler shut down before this spec ran"

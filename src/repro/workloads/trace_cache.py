@@ -164,7 +164,7 @@ class MaterializedTrace:
         "lines",
         "length",
         "records",
-        "persisted_len",
+        "persisted",
         "_pc_index",
         "_pc_base",
         "_pc_tables",
@@ -194,8 +194,9 @@ class MaterializedTrace:
         self.length = len(self.codes)
         #: Read-only record view: ``len()`` and ``(gap, pc, line, w)`` items.
         self.records = _Records(self)
-        #: Buffer length already on disk (skip rewrites that add nothing).
-        self.persisted_len = self.length
+        #: Trace directory -> buffer length already written there (skip
+        #: rewrites that add nothing; a new directory gets its own copy).
+        self.persisted: dict[Path, int] = {}
         # Packing: a PC's low byte -> its table index.
         index = bytearray(256)
         for i, pc in enumerate(self.pcs):
@@ -513,6 +514,8 @@ class TraceCache:
             first_extension=self._estimate(workload, quota, warmup),
             layout=self._layout(workload),
         )
+        if loaded is not None:
+            entry.persisted[self._trace_dir(cache_dir)] = entry.length
         memo[digest] = entry
         total = sum(e.nbytes for e in memo.values())
         while total > self._max_bytes and len(memo) > 1:
@@ -619,14 +622,14 @@ class TraceCache:
         # cache may be materializing (inserting) concurrently.
         for entry in list(self._memo.values()):
             length = entry.length
-            if not length or length == entry.persisted_len:
+            if not length or entry.persisted.get(trace_dir) == length:
                 continue
             trace_dir.mkdir(parents=True, exist_ok=True)
             path = trace_dir / f"{entry.digest}.trc"
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmp.write_bytes(entry.to_bytes())
             os.replace(tmp, path)
-            entry.persisted_len = length
+            entry.persisted[trace_dir] = length
             written += 1
         return written
 

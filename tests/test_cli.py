@@ -308,6 +308,19 @@ def test_batch_command_dedups_and_reports(tmp_path, capsys):
     assert "0 simulated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["batch", "serve"])
+@pytest.mark.parametrize("flag", ["--max-queue", "--max-bytes"])
+def test_retired_admission_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    """5.0.0 removed admission control: its flags are unknown arguments."""
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([{"mix": "444", "quota": 1500, "warmup": 500}]))
+    argv = [command, str(path)] if command == "batch" else [command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, "2"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_batch_command_accepts_jsonl_and_priorities(tmp_path, capsys):
     import json
 

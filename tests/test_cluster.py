@@ -157,7 +157,7 @@ def test_run_worker_exit_code_2_on_rejection():
         conn, _ = server.accept()
         rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
         wire.read_frame(rfile)
-        wire.write_frame(wfile, wire.make_frame("reject", code="shed", error="full"))
+        wire.write_frame(wfile, wire.make_frame("reject", code="scheduler_closed", error="closed"))
         conn.close()
 
     threading.Thread(target=reject_all, daemon=True).start()
@@ -511,7 +511,7 @@ def test_a_lane_that_cannot_reregister_ends_the_worker_with_code_2():
         os.kill(hello["pid"], signal.SIGKILL)
         again, _ = server.accept()
         assert wire.read_frame(again.makefile("rb"))["pid"] != hello["pid"]
-        wire.write_frame(again.makefile("wb"), wire.make_frame("reject", code="shed", error="full"))
+        wire.write_frame(again.makefile("wb"), wire.make_frame("reject", code="scheduler_closed", error="closed"))
         assert worker.wait(timeout=30) == 2
     finally:
         stop_process(worker)

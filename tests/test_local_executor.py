@@ -296,7 +296,7 @@ def test_repeated_pool_deaths_degrade_to_serial(monkeypatch):
 
 def test_report_roundtrip_and_summary(tmp_path):
     report = RunReport(config={"jobs": 2})
-    report.mark_hit(CELLS[0], "cache")
+    report.mark_hit(CELLS[0])
     report.mark_ok(CELLS[1], 0.25)
     report.record(CELLS[2])
     report.finalize()
@@ -306,7 +306,6 @@ def test_report_roundtrip_and_summary(tmp_path):
     assert data["config"] == {"jobs": 2}
     assert data["counts"] == {
         "total": 3,
-        "memory": 0,
         "cache": 1,
         "simulated": 1,
         "failed": 0,

@@ -44,7 +44,8 @@ def tiny_session(tmp_path, **kwargs):
 def test_report_version_bumped_for_new_fields():
     # v3: watchdog_kills (attempts charged worker-hung past hang_grace)
     # v4: per-cell ``phases`` span-rollup timings (empty dict untraced)
-    assert RunReport.VERSION == 4
+    # v5: ``counts`` without ``memory``
+    assert RunReport.VERSION == 5
 
 
 def test_timing_fields_accumulate():
@@ -111,7 +112,7 @@ def test_local_executor_charges_queue_latency():
 
 def test_prometheus_exposition_shape():
     report = RunReport(config={"jobs": 4})
-    report.mark_hit((MIX, "baseline"), "cache")
+    report.mark_hit((MIX, "baseline"))
     report.mark_ok((MIX, "avgcc"), 1.25)
     report.record((MIX, "avgcc")).attempts = 2
     report.cache_hits, report.cache_misses = 1, 1

@@ -1,12 +1,14 @@
 """The package's public surface stays importable and coherent."""
 
+import dataclasses
+
 import pytest
 
 import repro
 
 
 def test_version():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
 
 
 def test_all_exports_resolve():
@@ -113,6 +115,24 @@ def test_4_0_removals_leave_no_shim():
             sched.submit(RunSpec(mix=(471, 444)), deadline=1.0)
     finally:
         sched.close(drain=False)
+
+
+def test_5_0_removals_leave_no_shim():
+    """5.0.0 dropped admission control outright (DESIGN §11): a
+    submission is either invalid or accepted, and no bound, error code
+    or counter of the overload layer is left."""
+    import repro.service as service
+    from repro.service import BatchScheduler, ServiceStats, durability, wire
+
+    for name in ("AdmissionController", "AdmissionRejected"):
+        assert not hasattr(service, name) and not hasattr(durability, name)
+    for kwarg in ("max_queue_depth", "max_bytes"):
+        with pytest.raises(TypeError):
+            BatchScheduler(start=False, journal=False, **{kwarg: 1})
+    assert "shed" not in wire.ERROR_CODES
+    assert "worker_lost" not in wire.ERROR_CODES
+    fields = {f.name for f in dataclasses.fields(ServiceStats)}
+    assert not fields & {"shed", "watchdog_kills", "cache_quarantined"}
 
 
 def test_repro_api_span_tracer_is_the_obs_tracer():

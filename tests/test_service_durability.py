@@ -1,4 +1,4 @@
-"""Durability layer: journal + resume, admission, watchdog, chaos."""
+"""Durability layer: journal + resume, watchdog, chaos."""
 
 import io
 import json
@@ -20,7 +20,6 @@ from repro.execution.faults import Fault, FaultPlan
 from repro.obs.metrics import prometheus_text
 from repro.obs.spans import SpanTracer
 from repro.service import (
-    AdmissionRejected,
     BatchHTTPServer,
     BatchJournal,
     BatchScheduler,
@@ -234,33 +233,6 @@ def test_cli_batch_resume_requires_cache_dir():
     assert excinfo.value.code == 1
 
 
-# --------------------------------------------------------------------- #
-# Admission control
-# --------------------------------------------------------------------- #
-
-
-def test_admission_rejects_past_queue_bound():
-    sched = BatchScheduler(jobs=1, start=False, max_queue_depth=1)
-    sched.submit(spec())
-    with pytest.raises(AdmissionRejected) as excinfo:
-        sched.submit(spec(scheme="baseline"))
-    assert excinfo.value.retry_after >= 1.0
-    # Dedup joins add no load and bypass admission entirely.
-    sched.submit(spec())
-    stats = sched.stats()
-    assert stats.shed == 1 and stats.dedup_hits == 1
-    sched.start()
-    assert sched.drain(timeout=300)
-    sched.close()
-
-
-def test_admission_byte_budget_sheds():
-    sched = BatchScheduler(jobs=1, start=False, max_bytes=10)
-    with pytest.raises(AdmissionRejected):
-        sched.submit(spec())
-    sched.close(drain=False)
-
-
 def test_every_cancel_path_journals_and_finishes_its_cell_span(tmp_path, monkeypatch):
     """Withdrawn, aborted and interrupted entries leave the same records:
     a ``cancelled`` journal line only for the first (an abort or
@@ -410,9 +382,8 @@ def test_watchdog_kills_stalled_worker_and_batch_completes(tmp_path):
     results = [f.result(timeout=300) for f in futures]
     sched.close()
     assert all(r is not None for r in results)
-    stats = sched.stats()
-    assert stats.watchdog_kills >= 1
-    assert stats.failed == 0
+    assert sched.report.watchdog_kills >= 1
+    assert sched.stats().failed == 0
     assert (tmp_path / JOURNAL_FILENAME).read_text() == ""
 
 
@@ -578,7 +549,7 @@ def test_result_cache_sweeps_stale_tmp_files(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Front-end overload + shutdown semantics
+# Front-end shutdown semantics
 # --------------------------------------------------------------------- #
 
 
@@ -587,28 +558,6 @@ def _http_server(sched):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address[1]
-
-
-def test_http_overload_burst_sheds_with_429(tmp_path):
-    sched = BatchScheduler(jobs=1, start=False, max_queue_depth=1)
-    sched.submit(spec())  # fills the queue
-    server, thread, port = _http_server(sched)
-    try:
-        body = json.dumps([spec(scheme="baseline").to_dict()]).encode()
-        req = urllib.request.Request(f"http://127.0.0.1:{port}/batch", data=body)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(req, timeout=30)
-        assert excinfo.value.code == 429
-        assert int(excinfo.value.headers["Retry-After"]) >= 1
-        results = json.load(excinfo.value)
-        assert results[0]["shed"] is True
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        sched.start()
-        sched.drain(timeout=300)
-        sched.close()
 
 
 def test_http_close_mid_batch_returns_partial_503_not_a_hang():
@@ -641,21 +590,6 @@ def test_http_close_mid_batch_returns_partial_503_not_a_hang():
         thread.join(timeout=10)
 
 
-def test_serve_jsonl_sheds_per_line_with_retry_hint():
-    sched = BatchScheduler(jobs=1, start=False, max_queue_depth=1)
-    blocker = sched.submit(spec())
-    out, err = io.StringIO(), io.StringIO()
-    line = json.dumps(spec(scheme="baseline").to_dict())
-    code = serve_jsonl(sched, stdin=io.StringIO(line + "\n"), stdout=out, stderr=err)
-    assert code == 1
-    record = json.loads(out.getvalue())
-    assert record["shed"] is True and record["retry_after"] >= 1
-    sched.start()
-    sched.drain(timeout=300)
-    sched.close()
-    assert blocker.result().scheme == "avgcc"
-
-
 def test_serve_jsonl_reports_cancellation_instead_of_dropping_it():
     sched = BatchScheduler(jobs=1, start=False)
     out, err = io.StringIO(), io.StringIO()
@@ -684,21 +618,19 @@ def test_serve_jsonl_reports_cancellation_instead_of_dropping_it():
 
 
 def test_new_counters_render_in_prometheus(tmp_path):
-    sched = BatchScheduler(
-        jobs=1,
-        cache_dir=tmp_path,
-        start=False,
-        max_queue_depth=1,
-    )
+    sched = BatchScheduler(jobs=1, cache_dir=tmp_path, start=False)
     sched.submit(spec())
-    with pytest.raises(AdmissionRejected):
-        sched.submit(spec(scheme="baseline"))
+    sched.submit(spec(scheme="baseline"))
+    sched.submit(spec())  # joins the queued spec: no second simulation
+    assert sched.stats().dedup_hits == 1
     sched.start()
     sched.drain(timeout=300)
     sched.close()
+    assert sched.stats().executed == 2
     text = prometheus_text(sched.stats(), sched.report)
-    assert "repro_service_shed_total 1" in text
+    assert "repro_service_dedup_hits_total 1" in text
     assert "repro_service_recovered_total 0" in text
-    assert "repro_watchdog_kills_total 0" in text
+    assert "repro_run_watchdog_kills_total 0" in text
     assert "repro_service_cache_tmp_swept_total 0" in text
     assert "shm_swept" not in text
+    assert "repro_service_shed_total" not in text

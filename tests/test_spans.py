@@ -214,7 +214,7 @@ def test_untraced_scheduler_has_no_tracer_and_full_stats(tmp_path):
     assert stats.spans == {}
     assert stats.span_phases == {}
     data = stats.to_dict()
-    assert data["stats_version"] == 3
+    assert data["stats_version"] == 4
     assert data["submitted"] == 1
 
 
@@ -243,7 +243,7 @@ def test_report_v4_carries_per_cell_phase_timings(tmp_path):
 
     one = spec()
     _outcomes, _stats, report, _records = run_traced(tmp_path, [one], jobs=1)
-    assert RunReport.VERSION == 4
+    assert RunReport.VERSION == 5
     record = report.record(one)
     assert record.phases, "traced cell has no phase timings"
     assert "attempt" in record.phases

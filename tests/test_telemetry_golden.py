@@ -46,8 +46,8 @@ MIX = (471, 444)
 
 def fixed_report() -> RunReport:
     report = RunReport(config={"jobs": 2})
-    report.mark_hit((MIX, "baseline"), "cache")
-    report.mark_hit(((429, 401), "ascc"), "memory")
+    report.mark_hit((MIX, "baseline"))
+    report.mark_hit(((429, 401), "ascc"))
     report.mark_ok((MIX, "avgcc"), 1.25)
     report.record((MIX, "avgcc")).attempts = 2
     report.record((MIX, "avgcc")).queue_seconds = 0.125
@@ -60,14 +60,14 @@ def fixed_report() -> RunReport:
     # Way-sweep cells share (mix, scheme) and a kernel cell has no mix:
     # only the ``cell`` label tells their series apart.
     for ways in (4, 8):
-        report.mark_hit(RunSpec(mix=(473,), scheme="baseline", l2_ways=ways), "cache")
-    report.mark_hit(RunSpec(kernel=("lu", 4), scheme="ascc"), "cache")
+        report.mark_hit(RunSpec(mix=(473,), scheme="baseline", l2_ways=ways))
+    report.mark_hit(RunSpec(kernel=("lu", 4), scheme="ascc"))
     # Cells differing only in a field the short name omits (L2 size,
     # seed) are told apart by the name's bracketed suffix.
     for size in (2, 4):
-        report.mark_hit(RunSpec(mix=MIX, l2_paper_bytes=size << 20), "cache")
+        report.mark_hit(RunSpec(mix=MIX, l2_paper_bytes=size << 20))
     for seed in (11, 13):
-        report.mark_hit(RunSpec(mix=MIX, seed=seed), "cache")
+        report.mark_hit(RunSpec(mix=MIX, seed=seed))
     report.retried, report.timeouts, report.pool_deaths = 2, 1, 1
     report.watchdog_kills = 1
     report.cache_hits, report.cache_misses, report.cache_quarantined = 1, 3, 1
@@ -119,10 +119,7 @@ def fixed_stats(traced: bool):
             "avgcc": latency_quantiles([0.5, 1.5, 2.0, 4.0]),
             HOSTILE: latency_quantiles([0.25]),
         },
-        shed=1,
         recovered=2,
-        watchdog_kills=1,
-        cache_quarantined=1,
         cache_tmp_swept=2,
         executor="cluster",
         workers_connected=2,
@@ -230,7 +227,7 @@ def test_span_jsonl_is_pinned():
             "worker": "w0",
         }
     )
-    tracer.adopt({"name": "cell", "trace_id": "d" * 16, "span_id": "e" * 16, "status": "shed"})
+    tracer.adopt({"name": "cell", "trace_id": "d" * 16, "span_id": "e" * 16, "status": "cancelled"})
     stream = io.StringIO()
     assert tracer.write_jsonl(stream) == 2
     assert stream.getvalue() == (
@@ -238,7 +235,7 @@ def test_span_jsonl_is_pinned():
         '"span_id": "cccccccccccccccc", "status": "ok", "trace_id": "aaaaaaaaaaaaaaaa", '
         '"wall": 1.234568, "worker": "w0"}\n'
         '{"duration": 0.0, "name": "cell", "parent_id": null, "span_id": "eeeeeeeeeeeeeeee", '
-        '"status": "shed", "trace_id": "dddddddddddddddd", "wall": 0.0}\n'
+        '"status": "cancelled", "trace_id": "dddddddddddddddd", "wall": 0.0}\n'
     )
 
 

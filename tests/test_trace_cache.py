@@ -583,6 +583,27 @@ def test_a_batch_without_a_cache_dir_leaves_an_earlier_batchs_traces_alone(
     assert len(list(traces.glob("*.trc"))) == len(MIX)
 
 
+def test_a_stream_already_persisted_elsewhere_is_written_to_a_new_cache_dir(
+    tmp_path, monkeypatch
+):
+    from repro.service import run_batch
+    from repro.workloads import trace_cache
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+    monkeypatch.setattr(trace_cache, "_GLOBAL", TraceCache())
+    one = [RunSpec(mix=MIX, scheme="baseline", quota=QUOTA, warmup=WARMUP, seed=SEED)]
+    first, second = tmp_path / "a", tmp_path / "b"
+    run_batch(one, jobs=1, cache_dir=first)
+    run_batch(one, jobs=1, cache_dir=second)  # replays the memo's buffers
+    assert len(list((first / "_traces").glob("*.trc"))) == len(MIX)
+    assert len(list((second / "_traces").glob("*.trc"))) == len(MIX)
+    fresh = TraceCache()
+    for core, workload in enumerate(make_workloads(MIX)):
+        assert fresh.get(workload, core, SEED, QUOTA, WARMUP, second) is not None
+    assert fresh.stats["materialized"] == 0
+    assert fresh.stats["disk_hits"] == len(MIX)
+
+
 _SPAWNED_BATCH = """
 import multiprocessing
 import sys

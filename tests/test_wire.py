@@ -8,7 +8,6 @@ import pytest
 from repro.api import RunSpec
 from repro.api.spec import SpecError
 from repro.service import wire
-from repro.service.durability import AdmissionRejected
 from repro.service.scheduler import JobFailed, SchedulerClosed
 
 SPEC_DICT = {"mix": "471+444", "scheme": "avgcc", "quota": 1_500, "warmup": 500}
@@ -164,7 +163,6 @@ def test_classify_error_covers_the_service_exceptions():
     cases = [
         (wire.WireError("v2?", code="protocol_mismatch"), "protocol_mismatch"),
         (SpecError("bad spec"), "spec_invalid"),
-        (AdmissionRejected("queue full", retry_after=2.0), "shed"),
         (SchedulerClosed("closed"), "scheduler_closed"),
         (JobFailed(spec, "timeout"), "execution_failed"),
         (ValueError("not json"), "bad_request"),
@@ -185,15 +183,11 @@ def test_classify_cancelled_error():
 
 
 def test_error_record_keeps_historical_convenience_keys():
-    shed = wire.error_record(AdmissionRejected("full", retry_after=3.0))
-    assert shed["ok"] is False
-    assert shed["code"] == "shed"
-    assert shed["shed"] is True
-    assert shed["retry_after"] == 3.0
-
     from concurrent.futures import CancelledError
 
     cancelled = wire.error_record(CancelledError(), id=4)
+    assert cancelled["ok"] is False
+    assert cancelled["code"] == "cancelled"
     assert cancelled["cancelled"] is True
     assert cancelled["id"] == 4
 
