@@ -30,7 +30,7 @@ from repro.sim.results import SystemResult
 from repro.sim.system import PrivateHierarchy, SharedHierarchy
 from repro.workloads.mixes import MIX2, MIX4, make_workloads, mix_name
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Engine",

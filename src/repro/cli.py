@@ -75,11 +75,12 @@ values with the same message.
 ``--jobs N`` (simulate
 independent cells across N worker processes), ``--cache-dir DIR``
 (content-addressed on-disk result cache reused across invocations),
-``--timeout SECONDS`` (per-cell wall-clock limit; a hung worker is
-killed and the cell retried), ``--retries N`` (bounded retry with
-exponential backoff for crashed/hung/corrupt cells), ``--report
-PATH`` (write the run's JSON manifest — per-cell status, attempts,
-cache hits vs simulations — there instead of next to the cache) and
+``--timeout SECONDS`` (per-attempt wall-clock limit at every
+``--jobs``; an attempt past it is killed and the cell retried),
+``--retries N`` (bounded retry with exponential backoff for
+crashed/hung/corrupt cells), ``--report PATH`` (write the run's JSON
+manifest — per-cell status, attempts, cache hits vs simulations —
+there instead of next to the cache) and
 ``--metrics PATH`` (the same report in Prometheus text format:
 per-cell timings, queue latency, worker utilization, cache hit rates).
 An interrupted sweep (``Ctrl-C``/OOM) keeps every completed cell in the
@@ -366,8 +367,6 @@ def _parse_batch_specs(text: str, source: str) -> tuple[list, list]:
 def _scheduler_flags(args: argparse.Namespace) -> dict:
     executor = getattr(args, "executor", "local")
     executor_options: dict = {}
-    if args.hang_grace is not None:
-        executor_options["hang_grace"] = args.hang_grace
     if executor == "cluster":
         executor_options["listen"] = getattr(args, "cluster_listen", "127.0.0.1:0")
     return dict(
@@ -653,8 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout",
             type=_positive_float("--timeout"),
             default=None,
-            help="per-cell wall-clock limit in seconds; a hung worker is "
-            "killed and the cell retried (default: no limit)",
+            help="per-attempt wall-clock limit in seconds, at every --jobs: "
+            "an attempt past it is killed and the cell retried "
+            "(default: no limit)",
         )
         p.add_argument(
             "--retries",
@@ -689,16 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the crash-safe batch journal (on by default "
             "when --cache-dir is set; required for --resume)",
         )
-        p.add_argument(
-            "--hang-grace",
-            type=_positive_float("--hang-grace"),
-            default=None,
-            metavar="SECONDS",
-            help="hang grace: a local cell in flight this long is charged "
-            "worker-hung and retried on a fresh pool; a cluster worker "
-            "holding leases and silent this long is expelled "
-            "(default: off)",
-        )
 
     def add_executor_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -706,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("local", "cluster"),
             default="local",
             help="execution backend: 'local' runs cells on this host "
-            "(a process pool when --jobs > 1); "
+            "(a process pool when --jobs > 1 or --timeout is set); "
             "'cluster' leases cells to remote 'repro worker' processes "
             "over TCP (default: local)",
         )

@@ -16,7 +16,7 @@ Life of a cell here:
    rules are identical.
 2. Dispatch charges an attempt and sends a ``lease`` frame to a worker
    with a free slot, at once if one is free.
-   The frame carries the cell's timeout, which the worker enforces
+   The frame carries the configured timeout, which the lane enforces
    with the local executor's rule: the coordinator arms no lease
    deadline of its own.
 3. The worker streams back a ``result`` or ``error`` frame; its reader
@@ -27,8 +27,9 @@ Life of a cell here:
    with exponential backoff up to the configured budget.
 4. Leases are *recovered*, never lost: a worker whose connection dies
    charges its leases one ``worker-lost`` attempt and re-queues them;
-   a worker silent past ``hang_grace`` (heartbeats stale) is expelled
-   the same way as ``worker-hung``.
+   a worker holding leases and silent past
+   :data:`~repro.service.wire.STALE_AFTER` (its heartbeats stopped) is
+   expelled the same way as ``worker-hung``.
 
 Worker registration is a capability handshake: the ``hello`` frame
 carries protocol version, slot count, cache backend and trace-cache
@@ -314,7 +315,7 @@ class ClusterExecutor(Executor):
                     cell, "lease", lease=lease_id, worker=target.name
                 ).context()
             frame = wire.make_frame(
-                "lease", lease=lease_id, payload=payload, timeout=ledger.cells[cell][1]
+                "lease", lease=lease_id, payload=payload, timeout=self.config.timeout
             )
             try:
                 target.send(frame)
@@ -341,13 +342,11 @@ class ClusterExecutor(Executor):
     def _next_deadline(self, now: float) -> Optional[float]:
         """The ledger's next backoff expiry, or the next heartbeat check."""
         deadline = self.ledger.next_deadline(now)
-        grace = self.config.hang_grace
-        if grace is not None:
-            with self._lock:
-                seen = [w.last_seen for w in self._workers if w.alive and w.leases]
-            if seen:
-                hang = min(seen) + grace
-                deadline = hang if deadline is None else min(deadline, hang)
+        with self._lock:
+            seen = [w.last_seen for w in self._workers if w.alive and w.leases]
+        if seen:
+            stale = min(seen) + wire.STALE_AFTER
+            deadline = stale if deadline is None else min(deadline, stale)
         return deadline
 
     def _handle_outcome(self, worker: RemoteWorker, frame: dict) -> None:
@@ -373,16 +372,14 @@ class ClusterExecutor(Executor):
 
     def _check_stale(self) -> None:
         """Expel every worker holding leases but silent past
-        ``hang_grace`` — presumed frozen — charging its leases."""
-        grace = self.config.hang_grace
-        if grace is None:
-            return
+        :data:`~repro.service.wire.STALE_AFTER` — presumed frozen —
+        charging its leases."""
         now = time.monotonic()
         with self._lock:
             hung = [
                 w
                 for w in self._workers
-                if w.alive and w.leases and now - w.last_seen > grace
+                if w.alive and w.leases and now - w.last_seen > wire.STALE_AFTER
             ]
         for worker in hung:
             self._expel(worker, kind="worker-hung")

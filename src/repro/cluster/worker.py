@@ -13,14 +13,16 @@ in-process.  A lane:
    raises :class:`WorkerRejected` with the taxonomy code in the caller
    of :meth:`WorkerClient.connect`;
 2. runs each ``lease`` frame in-process through the one worker entry
-   point, :func:`~repro.service.scheduler._run_spec`, as ``--jobs 1``
-   does, so trace materialisation and fault injection (hard deaths
-   downgraded to ``crash``) are identical wherever a cell lands;
+   point, :func:`~repro.service.scheduler._run_spec`, as an untimed
+   ``--jobs 1`` does, so trace materialisation and fault injection
+   (hard deaths downgraded to ``crash``) are identical wherever a cell
+   lands;
 3. streams each outcome back as a ``result`` (pickled
    :class:`~repro.sim.results.SystemResult`) or ``error`` frame, the
    latter carrying the failure kind the local executor would charge
-   (``error: <exception repr>``), and heartbeats from a second thread so
-   the coordinator can tell a busy lane from a dead one;
+   (``error: <exception repr>``), and heartbeats every
+   :data:`~repro.service.wire.HEARTBEAT_INTERVAL` from a second thread,
+   so the coordinator can tell a busy lane from a frozen one;
 4. past the lease frame's ``timeout``, answers for the lease from that
    heartbeat thread with the ``error`` frame ``timeout after Ns`` and
    exits;
@@ -58,10 +60,6 @@ from typing import Optional
 
 from repro.service import wire
 from repro.service.executor import _exit_with_parent, _parent_pipe, timeout_kind
-
-#: Seconds between heartbeat frames.  Coordinators judge staleness
-#: against their ``hang_grace``, which should comfortably exceed this.
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
 
 #: Seconds between the supervisor's checks that it has not been stopped.
 STOP_POLL_INTERVAL = 0.1
@@ -107,13 +105,11 @@ class WorkerClient:
         *,
         slots: int = 1,
         name: Optional[str] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.slots = max(1, int(slots))
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
-        self.heartbeat_interval = max(0.05, float(heartbeat_interval))
         self.coordinator = ""
         #: Lane index -> :class:`_LaneProcess` of each lane not yet reaped.
         self._lanes: dict[int, _LaneProcess] = {}
@@ -298,7 +294,6 @@ class _Lane:
         self.client = client
         self.index = index
         self.name = f"{client.name}/{index}"
-        self.heartbeat_interval = client.heartbeat_interval
         self.coordinator = ""
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")
@@ -379,7 +374,7 @@ class _Lane:
 
     def _heartbeat_loop(self) -> None:
         """Heartbeat; answer for a lease past its timeout, then exit."""
-        beat = time.monotonic() + self.heartbeat_interval
+        beat = time.monotonic() + wire.HEARTBEAT_INTERVAL
         while True:
             wait = beat - time.monotonic()
             live = self._live
@@ -403,7 +398,7 @@ class _Lane:
                     os._exit(LANE_TIMED_OUT)
                 if now < beat:
                     continue  # woken by a lease start
-                beat = now + self.heartbeat_interval
+                beat = now + wire.HEARTBEAT_INTERVAL
                 try:
                     wire.write_frame(self._wfile, wire.make_frame("heartbeat"))
                 except OSError:

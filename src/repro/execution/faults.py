@@ -65,7 +65,7 @@ class Fault:
     ``kind``
         ``crash``   — raise :class:`InjectedCrash` (transient failure).
         ``hang``    — sleep ``seconds`` before simulating (trips the
-        executor's per-cell timeout or its ``hang_grace``).
+        executor's per-attempt timeout).
         ``die``     — ``os._exit(1)`` the worker (breaks the process
         pool; downgraded to ``crash`` when applied in-process so a
         serial run is never killed).

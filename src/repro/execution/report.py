@@ -1,8 +1,8 @@
 """What one batch of cells did: the :class:`RunReport` manifest.
 
-A :class:`RunReport` records per-cell status, source (memory / cache /
+A :class:`RunReport` records per-cell status, source (cache /
 simulated), attempts, durations and errors, plus run-level counters
-(timeouts, pool deaths, retries, watchdog kills).  The batch scheduler
+(timeouts, pool deaths, retries).  The batch scheduler
 owns one per service and rewrites it as JSON next to the result cache
 after every batch; it is the ground truth for "what remains" when an
 interrupted sweep is re-invoked.
@@ -93,8 +93,10 @@ class RunReport:
 
     #: v4: CellRecord gains ``phases`` (per-phase seconds from the span
     #: tracer); absent/empty when tracing is off.  v5 (5.0.0): ``counts``
-    #: loses ``memory``, an outcome no cell ever had.
-    VERSION = 5
+    #: loses ``memory``, an outcome no cell ever had.  v6 (6.0.0): the
+    #: watchdog kill counter is gone with the hang grace, and ``counts``
+    #: loses ``hits``, a copy of ``cache``.
+    VERSION = 6
 
     def __init__(self, config: Optional[dict] = None) -> None:
         self.config = dict(config or {})
@@ -102,9 +104,6 @@ class RunReport:
         self.pool_deaths = 0
         self.timeouts = 0
         self.retried = 0
-        #: Attempts charged ``worker-hung``: in flight past the local
-        #: ``hang_grace``, their pool recycled.
-        self.watchdog_kills = 0
         self.degraded_serial = False
         self.interrupted = False
         self.started = time.time()
@@ -193,7 +192,6 @@ class RunReport:
                 c["failed"] += 1
             else:
                 c["pending"] += 1
-        c["hits"] = c["cache"]
         return c
 
     @property
@@ -210,7 +208,6 @@ class RunReport:
             "pool_deaths": self.pool_deaths,
             "timeouts": self.timeouts,
             "retried": self.retried,
-            "watchdog_kills": self.watchdog_kills,
             "config": self.config,
             "counts": self.counts,
             "timing": {
@@ -243,12 +240,11 @@ class RunReport:
     def summary(self) -> str:
         c = self.counts
         lines = [
-            f"run report: {c['total']} cells — {c['hits']} cached, "
+            f"run report: {c['total']} cells — {c['cache']} cached, "
             f"{c['simulated']} simulated, {c['failed']} failed, "
             f"{c['pending']} pending",
             f"  attempts {self.total_attempts} ({self.retried} retried), "
-            f"{self.timeouts} timeouts, {self.pool_deaths} pool deaths, "
-            f"{self.watchdog_kills} watchdog kills"
+            f"{self.timeouts} timeouts, {self.pool_deaths} pool deaths"
             + (", degraded to serial" if self.degraded_serial else ""),
         ]
         if self.interrupted:

@@ -58,8 +58,6 @@ _RUN = (
     ("run_timeouts_total", "counter", "Cells killed by the per-cell timeout.", "timeouts"),
     ("run_pool_deaths_total", "counter",
      "Worker-pool respawns after hard deaths.", "pool_deaths"),
-    ("run_watchdog_kills_total", "counter",
-     "Attempts charged worker-hung past hang_grace.", "watchdog_kills"),
     ("run_degraded_serial", "gauge", "1 if the sweep finished in-process.", "degraded_serial"),
     ("run_interrupted", "gauge", "1 if the sweep was interrupted.", "interrupted"),
     ("run_wall_seconds", "gauge", "Wall-clock duration of the sweep.", "elapsed"),

@@ -10,8 +10,10 @@ stdio and a loopback HTTP batch endpoint (``repro serve``).
 The :mod:`~repro.service.durability` layer makes the service survive the
 serving process dying mid-batch: a write-ahead :class:`BatchJournal` plus
 :meth:`BatchScheduler.recover` for crash-safe resumption.  A worker hung
-mid-cell is caught by the executors themselves: ``hang_grace`` charges
-any attempt in flight past it.  There is no admission control: a
+mid-cell is caught by the executors themselves: the scheduler's
+``timeout`` charges any attempt in flight past it, at every ``jobs``,
+and the cluster coordinator expels a lane whose heartbeats stop.  There
+is no admission control: a
 submission is either rejected as invalid or accepted and run.
 
 Execution itself is pluggable: the :class:`Executor` protocol

@@ -3,8 +3,8 @@
 The scheduler in :mod:`repro.service.scheduler` made batches *correct*
 (dedup, priorities, bounded retry); this module makes them survive the
 failure a long campaign actually hits — the serving process dying
-mid-batch.  (A worker wedged mid-cell is the executors' business:
-``hang_grace`` is a rule of their
+mid-batch.  (A worker wedged mid-cell is the executors' business: the
+timeout is a rule of their
 :class:`~repro.service.executor.AttemptLedger`.)
 
 :class:`BatchJournal` is a write-ahead JSONL journal of every spec's

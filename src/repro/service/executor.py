@@ -4,8 +4,8 @@ local process-pool backend.
 The :class:`~repro.service.scheduler.BatchScheduler` streams cells to
 whatever runs them through:
 
-* :meth:`Executor.submit` — start one ``(cell, payload)`` under its own
-  timeout as soon as a slot is free (:meth:`Executor.free_slots`);
+* :meth:`Executor.submit` — start one ``(cell, payload)`` as soon as a
+  slot is free (:meth:`Executor.free_slots`);
 * :meth:`Executor.poll` — apply finished attempts, timeouts and
   retries, delivering each result through the bound ``on_result`` and
   each cell that exhausted its retries through ``on_failed``;
@@ -17,8 +17,8 @@ Every backend keeps its books in one :class:`AttemptLedger` for its
 whole lifetime, so retry, backoff, refund, timeout, fault-injection and
 queue-latency rules are written once:
 
-* :class:`LocalPoolExecutor` runs cells in-process (``jobs=1``) or on
-  one long-lived process pool with per-cell timeouts, a hang grace,
+* :class:`LocalPoolExecutor` runs cells in-process (``jobs=1`` with no
+  timeout) or on one long-lived process pool with per-cell timeouts,
   pool-death respawn and degradation to in-process execution;
 * :class:`~repro.cluster.ClusterExecutor` (see :mod:`repro.cluster`)
   leases the same payloads to worker processes on other hosts over the
@@ -91,17 +91,15 @@ class ExecutorConfig:
     """Execution policy shared by every backend.
 
     ``jobs`` is pool width locally and irrelevant to a cluster, whose
-    width is whatever workers connect.  ``hang_grace`` bounds how long
-    a local attempt may stay in flight (past it the cell is charged
-    ``worker-hung`` and the pool recycled) and how long a cluster
-    worker holding leases may go without a heartbeat frame.
+    width is whatever workers connect.  ``timeout`` is the one
+    per-attempt wall-clock limit, enforced wherever the attempt runs:
+    on the local pool at every ``jobs``, by the lane on a cluster.
     """
 
     jobs: int = 1
     timeout: Optional[float] = None
     retries: int = 2
     backoff: float = 0.25
-    hang_grace: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
 
 
@@ -157,9 +155,10 @@ class AttemptLedger:
         self.fault_plan = config.fault_plan
         self.kind = executor.kind
         self.tracer = executor._tracer
+        self.timeout = config.timeout
         self.validate, self.on_result, self.on_failed = validate, on_result, on_failed
         self.pending: deque = deque()
-        #: cell -> (payload, timeout) of every live cell.
+        #: cell -> payload of every live cell.
         self.cells: dict = {}
         self.attempts: dict = {}
         self.inflight: dict = {}
@@ -170,9 +169,9 @@ class AttemptLedger:
     def idle(self) -> bool:
         return not self.pending and not self.inflight
 
-    def add(self, cell, payload: dict, timeout: Optional[float]) -> None:
+    def add(self, cell, payload: dict) -> None:
         """Take a new cell, ready at once."""
-        self.cells[cell] = (payload, timeout)
+        self.cells[cell] = payload
         self.attempts[cell] = 0
         self.report.record(cell)
         self.pending.append((cell, time.monotonic()))
@@ -208,7 +207,7 @@ class AttemptLedger:
         self.attempts[cell] += 1
         self.report.record(cell).attempts += 1
         attempt = self.attempts[cell]
-        submitted = self.cells[cell][0]
+        submitted = self.cells[cell]
         payload = dict(submitted)
         if self.fault_plan is not None:
             fault = self.fault_plan.fault_for(cell, attempt)
@@ -236,12 +235,11 @@ class AttemptLedger:
     def start(self, key, cell, now: float, worker=None, timed: bool = True) -> None:
         """Track an attempt dispatched at ``now`` under the backend's ``key``;
         ``timed=False`` arms no deadline (a cluster worker enforces it)."""
-        timeout = self.cells[cell][1]
-        deadline = None if timeout is None or not timed else now + timeout
+        deadline = None if self.timeout is None or not timed else now + self.timeout
         self.inflight[key] = Attempt(cell, deadline, now, worker)
 
     def overdue(self, now: float) -> list:
-        """Keys of in-flight attempts past their cell's timeout."""
+        """Keys of in-flight attempts past the timeout."""
         return [
             key
             for key, attempt in self.inflight.items()
@@ -256,9 +254,8 @@ class AttemptLedger:
         self.pending.append((cell, time.monotonic()))
 
     def time_out(self, key) -> None:
-        """Charge the in-flight attempt ``key`` for overrunning its timeout."""
-        cell = self.inflight.pop(key).cell
-        self.fail_or_requeue(cell, timeout_kind(self.cells[cell][1]))
+        """Charge the in-flight attempt ``key`` for overrunning the timeout."""
+        self.fail_or_requeue(self.inflight.pop(key).cell, timeout_kind(self.timeout))
 
     def fail_or_requeue(self, cell, kind: str) -> None:
         """Record a failed attempt; requeue with backoff or fail the cell.
@@ -375,16 +372,12 @@ class Executor:
 
     # -- the protocol --------------------------------------------------- #
 
-    def submit(self, cell, payload: dict, timeout: Optional[float] = None) -> None:
-        """Start one cell as soon as a slot is free.
-
-        ``timeout`` bounds each of its attempts (``None`` keeps the
-        configured one, which is what the scheduler uses); a cluster
-        worker passes the timeout its lease frame carries.
-        """
+    def submit(self, cell, payload: dict) -> None:
+        """Start one cell as soon as a slot is free; ``config.timeout``
+        bounds each of its attempts."""
         if self.ledger is None:
             raise RuntimeError("executor is not bound; call bind() first")
-        self.ledger.add(cell, payload, self.config.timeout if timeout is None else timeout)
+        self.ledger.add(cell, payload)
         self._dispatch()
 
     def free_slots(self) -> int:
@@ -395,7 +388,7 @@ class Executor:
     def poll(self) -> Optional[float]:
         """Apply completions, timeouts and ready retries; return the
         seconds until the next deadline (a backoff expiry, a cell
-        timeout or a hang check), ``None`` if only a :meth:`notify` can
+        timeout or a heartbeat check), ``None`` if only a :meth:`notify` can
         change anything."""
         self.signalled = False
         if self.cancelled:
@@ -453,12 +446,14 @@ class Executor:
 
 
 class LocalPoolExecutor(Executor):
-    """Runs cells on this host: in-process for ``jobs=1``, else a pool.
+    """Runs cells on this host: on a pool of ``jobs`` workers, or
+    in-process for ``jobs=1`` with no timeout.
 
     One :class:`ProcessPoolExecutor` serves the executor's lifetime; it
     is replaced only by a timeout recycle or a pool death.  In-process
-    execution enforces no timeout — there is no second process to kill.
-    The pool mode adds:
+    execution could enforce no timeout — there is no second process to
+    kill — so a timeout puts even ``jobs=1`` on a one-worker pool.  The
+    pool mode adds:
 
     * a per-cell timeout: the overdue cell is charged ``timeout`` and
       the pool recycled (a hung worker cannot be cancelled alone), its
@@ -467,10 +462,6 @@ class LocalPoolExecutor(Executor):
       in-flight cell ``pool-death`` and respawns the pool; past
       :data:`MAX_POOL_DEATHS` deaths in one busy period the rest of it
       runs in-process;
-    * with ``hang_grace``, a hang rule read off the ledger: an attempt
-      in flight longer than the grace is charged ``worker-hung`` (and
-      counted in ``watchdog_kills``), then the pool is recycled exactly
-      as for a timeout, its innocent siblings refunded;
     * workers that exit with their parent: forked workers watch a pipe
       only the parent holds open (see :func:`_exit_with_parent`), so a
       hard-killed batch or server leaves no orphaned pool behind.
@@ -485,7 +476,7 @@ class LocalPoolExecutor(Executor):
         self._serial = False
 
     def capacity(self) -> int:
-        return 1 if self.config.jobs <= 1 or self._serial else self.config.jobs
+        return 1 if self._serial else max(1, self.config.jobs)
 
     def _dispatch(self) -> None:
         ledger = self.ledger
@@ -495,7 +486,9 @@ class LocalPoolExecutor(Executor):
             if cell is None:
                 return
             payload = ledger.charge(cell)
-            if self.capacity() == 1:
+            # Once degraded, or at an untimed jobs=1: a timeout needs a
+            # second process to kill.
+            if self._serial or (self.config.jobs <= 1 and self.config.timeout is None):
                 self._run_in_process(cell, payload, now)
                 continue
             pool = self._spawn()
@@ -532,28 +525,11 @@ class LocalPoolExecutor(Executor):
                 ledger.fail_or_requeue(attempt.cell, f"error: {exc!r}")
             else:
                 ledger.deliver(attempt.cell, result, attempt.started)
-        now = time.monotonic()
-        overdue = ledger.overdue(now)
+        overdue = ledger.overdue(time.monotonic())
         for future in overdue:
             ledger.time_out(future)
-        grace = self.config.hang_grace
-        hung = [] if grace is None else [
-            future for future, a in ledger.inflight.items() if now - a.started > grace
-        ]
-        for future in hung:
-            ledger.report.watchdog_kills += 1
-            ledger.fail_or_requeue(ledger.inflight.pop(future).cell, "worker-hung")
-        if death or overdue or hung:
+        if death or overdue:
             self._recycle(death)
-
-    def _next_deadline(self, now: float) -> Optional[float]:
-        """The ledger's next deadline, or the oldest attempt's hang check."""
-        deadline = self.ledger.next_deadline(now)
-        grace = self.config.hang_grace
-        if grace is not None and self.ledger.inflight:
-            hang = min(a.started for a in self.ledger.inflight.values()) + grace
-            deadline = hang if deadline is None else min(deadline, hang)
-        return deadline
 
     def _recycle(self, death: bool) -> None:
         """Kill the pool, refunding its innocent in-flight cells."""
@@ -583,7 +559,7 @@ class LocalPoolExecutor(Executor):
                 # Only forked workers inherit the pipe's descriptors.
                 options = {"initializer": _exit_with_parent, "initargs": _parent_pipe()}
             self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=context, **options
+                max_workers=self.capacity(), mp_context=context, **options
             )
         return self._pool
 

@@ -87,9 +87,9 @@ class SchedulerClosed(RuntimeError):
 #: the version.  v1: the service counters plus ``spans``/``span_phases``.
 #: v2 (3.0.0): the per-scheme circuit state and its rejection count
 #: are gone.  v3: ``shm_swept`` is gone with the shared-memory trace
-#: layer.  v4 (5.0.0): ``shed`` is gone with admission control, and
-#: ``watchdog_kills``/``cache_quarantined``, copies of the run report's
-#: counters, are gone too.
+#: layer.  v4 (5.0.0): ``shed`` is gone with admission control, and the
+#: copies of the run report's watchdog and quarantine counters are gone
+#: too.
 STATS_SCHEMA_VERSION = 4
 
 
@@ -272,7 +272,6 @@ class BatchScheduler:
             timeout=timeout,
             retries=retries,
             backoff=options.pop("backoff", 0.25),
-            hang_grace=options.pop("hang_grace", None),
             fault_plan=plan,
         )
         self.executor = make_executor(executor, config, **options)

@@ -310,6 +310,15 @@ CLUSTER_MESSAGE_TYPES = (
     "shutdown",
 )
 
+#: Seconds between a cluster lane's ``heartbeat`` frames.
+HEARTBEAT_INTERVAL = 0.2
+
+#: Seconds a worker holding leases may go without sending a frame before
+#: the coordinator presumes it frozen and expels it (``worker-hung``).
+#: A lane heartbeats from its own thread while it simulates, so only a
+#: stopped or partitioned lane goes this quiet.
+STALE_AFTER = 50 * HEARTBEAT_INTERVAL
+
 
 def make_frame(type: str, **fields) -> dict:  # noqa: A002 - wire key name
     """A cluster message: version-stamped, typed, JSON-ready."""

@@ -321,6 +321,18 @@ def test_retired_admission_flags_are_usage_errors(command, flag, tmp_path, capsy
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["batch", "serve"])
+def test_retired_hang_grace_is_a_usage_error(command, tmp_path, capsys):
+    """6.0.0 folded the hang grace into --timeout: the flag is unknown."""
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([{"mix": "444", "quota": 1500, "warmup": 500}]))
+    argv = [command, str(path)] if command == "batch" else [command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--hang-grace", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --hang-grace 2" in capsys.readouterr().err
+
+
 def test_batch_command_accepts_jsonl_and_priorities(tmp_path, capsys):
     import json
 

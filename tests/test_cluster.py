@@ -438,6 +438,44 @@ def test_killed_lane_is_charged_redispatched_and_respawned():
     assert [result_digest(r) for r in remote] == [result_digest(r) for r in local]
 
 
+def test_frozen_lane_is_expelled_as_hung_and_its_lease_redispatched(monkeypatch):
+    """A lane stopped mid-lease sends no frame at all, not even the
+    timeout its own watchdog would: with no option set, the coordinator
+    expels it once its heartbeats are ``STALE_AFTER`` old, charging the
+    lease ``worker-hung`` and redispatching it to the other lane."""
+    from repro.execution.faults import Fault, FaultPlan
+
+    monkeypatch.setattr(wire, "STALE_AFTER", 1.0)
+    victim_spec = spec()
+    plan = FaultPlan({victim_spec: Fault("hang", attempt=1, seconds=30.0)})
+    scheduler = cluster_scheduler(
+        executor_options={"listen": "127.0.0.1:0", "fault_plan": plan}
+    )
+    clients, threads = start_workers(scheduler, count=1, slots=2)
+    frozen = None
+    try:
+        future = scheduler.submit(victim_spec)
+        wait_for(lambda: scheduler.stats().leases_active == 1, "the hung lease")
+        (victim,) = [lane for lane in scheduler.executor.workers() if lane["leases"]]
+        frozen = victim["pid"]
+        os.kill(frozen, signal.SIGSTOP)
+        result = future.result(timeout=60)
+        record = scheduler.report.record(victim_spec)
+        stats = scheduler.stats()
+    finally:
+        if frozen is not None:
+            os.kill(frozen, signal.SIGCONT)
+            os.kill(frozen, signal.SIGKILL)
+            # The worker respawns the killed lane; let it register before
+            # the coordinator closes, so no lane dials a closed port.
+            wait_for(lambda: len(lane_pids(scheduler)) == 2, "the respawned lane")
+        shut_down(scheduler, clients, threads)
+    assert result.scheme == "avgcc"
+    assert record.errors == ["worker-hung"] and record.attempts == 2
+    assert stats.redispatches == 1
+    assert stats.failed == 0
+
+
 def fake_coordinator(lanes: int, farewell: str):
     """A listener that welcomes ``lanes`` lanes, then either sends each a
     ``shutdown`` frame or hangs up on it (``farewell`` = ``"vanish"``).

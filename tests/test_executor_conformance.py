@@ -146,15 +146,17 @@ def test_exhausted_retries_surface_as_job_failed(make_scheduler):
     assert future.exception().kind == kind
 
 
-def test_hung_cell_times_out_alone(make_scheduler):
-    """A cell past its timeout is killed where it runs: it fails with
-    the timeout, its sibling finishes on its first attempt, and on the
-    cluster a fresh lane replaces the timed-out one, with every lane
-    still connected and nothing redispatched."""
+@pytest.mark.parametrize("width", [1, 2])
+def test_hung_cell_times_out_alone(make_scheduler, width):
+    """A cell past its timeout is killed where it runs, at one slot as
+    at two (a timed local ``jobs=1`` runs on a one-worker pool): it
+    fails with the timeout, its sibling finishes on its first attempt,
+    and on the cluster a fresh lane replaces the timed-out one, with
+    every lane still connected and nothing redispatched."""
     victim, sibling = spec(), spec(scheme="baseline")
     plan = FaultPlan({victim: Fault("hang", seconds=30.0)})
     scheduler = make_scheduler(
-        jobs=2, worker_slots=2, timeout=1.0, retries=0,
+        jobs=width, worker_slots=width, timeout=1.0, retries=0,
         executor_options={"fault_plan": plan},
     )
     hung = scheduler.submit(victim)
@@ -168,7 +170,7 @@ def test_hung_cell_times_out_alone(make_scheduler):
     stats = scheduler.stats()
     if stats.executor == "cluster":
         # The replacement lane took over the timed-out one's connection.
-        assert stats.workers_connected == 2
+        assert stats.workers_connected == width
         assert stats.redispatches == 0
 
 

@@ -136,5 +136,5 @@ def test_interrupted_sweep_resumes_from_cache(tmp_path, fault_free_pickles):
     report = resumed.prewarm([SPEC])
     assert report.counts["cache"] == 1
     assert report.counts["simulated"] == 3
-    assert report.counts["hits"] == 1
+    assert "hits" not in report.counts
     assert_matches_fault_free(map(resumed.result, CELLS), fault_free_pickles)

@@ -226,29 +226,29 @@ def test_hung_cell_trips_timeout_and_recovers():
 
 
 def test_hung_cell_is_charged_alone_and_its_sibling_refunded():
-    """``hang_grace`` charges only the attempt in flight past the grace.
+    """The timeout charges only the attempt in flight past it.
 
-    The sibling starts half a grace after the victim and is still
-    running when the victim is declared hung, so the pool recycle takes
-    it down too; it is refunded (one attempt, no error) instead of
-    being charged a pool death.  Its retry sleeps under the grace.
+    The sibling starts half a timeout after the victim and is still
+    running when the victim times out, so the pool recycle takes it
+    down too; it is refunded (one attempt, no error) instead of being
+    charged a pool death.  Its retry sleeps under the timeout.
     """
-    grace = 2.0
+    timeout = 2.0
     victim, sibling = CELLS[0], CELLS[1]
     plan = FaultPlan({victim: Fault("hang", seconds=10.0)})
     report = RunReport()
-    executor = make_executor(report, jobs=2, retries=2, hang_grace=grace, fault_plan=plan)
+    executor = make_executor(report, jobs=2, retries=2, timeout=timeout, fault_plan=plan)
     executor.submit(victim, payload_for(victim))
-    time.sleep(grace / 2)
-    executor.submit(sibling, payload_for(sibling, sleep=0.7 * grace))
+    time.sleep(timeout / 2)
+    executor.submit(sibling, payload_for(sibling, sleep=0.7 * timeout))
     executor.drain()
     executor.close()
     assert executor.results == {victim: 10, sibling: 20}
-    assert report.record(victim).errors == ["worker-hung"]
+    assert report.record(victim).errors == ["timeout after 2s"]
     rec = report.record(sibling)
     assert rec.attempts == 1 and rec.errors == [] and rec.status == "ok"
     assert report.pool_deaths == 0
-    assert report.watchdog_kills == 1
+    assert report.timeouts == 1
 
 
 def test_streamed_completions_are_never_lost():
@@ -310,7 +310,6 @@ def test_report_roundtrip_and_summary(tmp_path):
         "simulated": 1,
         "failed": 0,
         "pending": 1,
-        "hits": 1,
     }
     by_status = {tuple(c["codes"]): c["status"] for c in data["cells"]}
     assert by_status == {(1,): "ok", (2,): "ok", (3,): "pending"}

@@ -42,10 +42,13 @@ def tiny_session(tmp_path, **kwargs):
 
 
 def test_report_version_bumped_for_new_fields():
-    # v3: watchdog_kills (attempts charged worker-hung past hang_grace)
     # v4: per-cell ``phases`` span-rollup timings (empty dict untraced)
     # v5: ``counts`` without ``memory``
-    assert RunReport.VERSION == 5
+    # v6: no watchdog kill counter, ``counts`` without ``hits``
+    assert RunReport.VERSION == 6
+    payload = RunReport().to_dict()
+    assert "watchdog_kills" not in payload
+    assert set(payload["counts"]) == {"total", "cache", "simulated", "failed", "pending"}
 
 
 def test_timing_fields_accumulate():

@@ -8,7 +8,7 @@ import repro
 
 
 def test_version():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_all_exports_resolve():
@@ -133,6 +133,26 @@ def test_5_0_removals_leave_no_shim():
     assert "worker_lost" not in wire.ERROR_CODES
     fields = {f.name for f in dataclasses.fields(ServiceStats)}
     assert not fields & {"shed", "watchdog_kills", "cache_quarantined"}
+
+
+def test_6_0_removals_leave_no_shim():
+    """6.0.0 left ``timeout`` as the one wall-clock rule (DESIGN §11):
+    the hang grace, its counter and the per-submit timeout are gone,
+    and the heartbeat bound is a constant, not a knob."""
+    import inspect
+
+    from repro.cluster import WorkerClient
+    from repro.execution.report import RunReport
+    from repro.service import BatchScheduler, Executor, ExecutorConfig, wire
+
+    fields = {f.name for f in dataclasses.fields(ExecutorConfig)}
+    assert "hang_grace" not in fields
+    with pytest.raises(TypeError):
+        BatchScheduler(start=False, journal=False, executor_options={"hang_grace": 1.0})
+    assert not hasattr(RunReport(), "watchdog_kills")
+    assert "timeout" not in inspect.signature(Executor.submit).parameters
+    assert "heartbeat_interval" not in inspect.signature(WorkerClient).parameters
+    assert wire.STALE_AFTER == 50 * wire.HEARTBEAT_INTERVAL
 
 
 def test_repro_api_span_tracer_is_the_obs_tracer():

@@ -243,7 +243,7 @@ def test_report_v4_carries_per_cell_phase_timings(tmp_path):
 
     one = spec()
     _outcomes, _stats, report, _records = run_traced(tmp_path, [one], jobs=1)
-    assert RunReport.VERSION == 5
+    assert RunReport.VERSION == 6
     record = report.record(one)
     assert record.phases, "traced cell has no phase timings"
     assert "attempt" in record.phases

@@ -69,7 +69,6 @@ def fixed_report() -> RunReport:
     for seed in (11, 13):
         report.mark_hit(RunSpec(mix=MIX, seed=seed))
     report.retried, report.timeouts, report.pool_deaths = 2, 1, 1
-    report.watchdog_kills = 1
     report.cache_hits, report.cache_misses, report.cache_quarantined = 1, 3, 1
     report.interrupted = True
     # Pin the monotonic window so elapsed / utilization are exact.
