@@ -57,11 +57,10 @@ def _build_engine(codes, quota, warmup, seed, traces=None):
     scale = ScaleModel()
     workloads = make_workloads(codes, scale)
     if traces is not None:
-        # Buffers grow to the run's record estimate here, before the
-        # timed run; later repeats replay the warm memo, and best-of-N
-        # reports the replay speed (the steady state of every sweep
-        # after its first cell).
-        workloads = traces.materialize_for_run(workloads, seed, quota, warmup)
+        # Buffers grow as the first timed run replays them; later
+        # repeats replay the warm memo, and best-of-N reports the replay
+        # speed (the steady state of every sweep after its first cell).
+        workloads = traces.materialize_for_run(workloads, seed)
     config = default_config(num_cores=len(codes), scale=scale, quota=quota, seed=seed)
     hierarchy = PrivateHierarchy(config, make_policy(SCHEME))
     return Engine(hierarchy, workloads, quota, seed, warmup)
@@ -107,10 +106,10 @@ def _run_legs(codes, quota, warmup, seed, repeats):
     return results, traces["replayed"]
 
 
-def _memo_footprint(traces, codes, quota, warmup, seed):
+def _memo_footprint(traces, codes, seed):
     """Buffer bytes and records the replayed leg's memo holds."""
     entries = [
-        traces.get(workload, core_id, seed, quota, warmup)
+        traces.get(workload, core_id, seed)
         for core_id, workload in enumerate(make_workloads(codes, ScaleModel()))
     ]
     return sum(e.nbytes for e in entries), sum(e.length for e in entries)
@@ -153,9 +152,7 @@ def main(argv=None) -> int:
         print(f"  replayed:  {rep_snap}", file=sys.stderr)
         return 1
     assert accesses == rep_acc  # implied by the snapshot match
-    memo_bytes, memo_records = _memo_footprint(
-        traces, codes, args.quota, args.warmup, args.seed
-    )
+    memo_bytes, memo_records = _memo_footprint(traces, codes, args.seed)
     per_record = memo_bytes / memo_records
     if per_record > MAX_BYTES_PER_RECORD:
         print(

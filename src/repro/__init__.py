@@ -20,38 +20,24 @@ Quick start::
 ``examples/quickstart.py`` for the longer tour.
 """
 
-from repro.api.session import Session
-from repro.api.spec import RunSpec, SpecError, spec_grid
-from repro.experiments.runner import ExperimentRunner, MixOutcome, run_mix
-from repro.policies.registry import available_schemes, make_policy
-from repro.sim.config import ScaleModel, SystemConfig, default_config
-from repro.sim.engine import Engine
-from repro.sim.results import SystemResult
-from repro.sim.system import PrivateHierarchy, SharedHierarchy
-from repro.workloads.mixes import MIX2, MIX4, make_workloads, mix_name
+from repro._lazy import exports
 
 __version__ = "6.0.0"
 
-__all__ = [
-    "Engine",
-    "ExperimentRunner",
-    "MIX2",
-    "MIX4",
-    "MixOutcome",
-    "PrivateHierarchy",
-    "RunSpec",
-    "ScaleModel",
-    "Session",
-    "SharedHierarchy",
-    "SpecError",
-    "SystemConfig",
-    "SystemResult",
-    "available_schemes",
-    "default_config",
-    "make_policy",
-    "make_workloads",
-    "mix_name",
-    "run_mix",
-    "spec_grid",
-    "__version__",
-]
+# Re-exported lazily: ``import repro`` loads none of the layers below,
+# so each process pays only for the ones it runs.
+__all__, __getattr__ = exports(
+    __name__,
+    {
+        "repro.api.session": ("Session",),
+        "repro.api.spec": ("RunSpec", "SpecError", "spec_grid"),
+        "repro.experiments.runner": ("ExperimentRunner", "MixOutcome", "run_mix"),
+        "repro.policies.registry": ("available_schemes", "make_policy"),
+        "repro.sim.config": ("ScaleModel", "SystemConfig", "default_config"),
+        "repro.sim.engine": ("Engine",),
+        "repro.sim.results": ("SystemResult",),
+        "repro.sim.system": ("PrivateHierarchy", "SharedHierarchy"),
+        "repro.workloads.mixes": ("MIX2", "MIX4", "make_workloads", "mix_name"),
+    },
+)
+__all__.append("__version__")

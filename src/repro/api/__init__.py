@@ -20,51 +20,24 @@ Additive changes land freely; breaking changes only with a major bump
 and a deprecation cycle (see DESIGN.md §11).
 """
 
-from repro.api.spec import (
-    CACHE_FORMAT_VERSION,
-    RunSpec,
-    SpecError,
-    parse_mix,
-    spec_grid,
+from repro._lazy import exports
+
+# Re-exported lazily: the session module imports the experiment runner,
+# which imports ``repro.api.spec``, and the service tier imports the
+# spec module too, so eager imports here would be circular (and would
+# make ``import repro.api`` heavy for spec-only callers).
+__all__, __getattr__ = exports(
+    __name__,
+    {
+        "repro.api.spec": (
+            "CACHE_FORMAT_VERSION",
+            "RunSpec",
+            "SpecError",
+            "parse_mix",
+            "spec_grid",
+        ),
+        "repro.api.session": ("Session", "result_digest", "result_summary"),
+        "repro.service": ("BatchScheduler", "ExecutorConfig", "run_batch"),
+        "repro.obs.spans": ("SpanTracer",),
+    },
 )
-
-#: The session module imports the experiment runner module, which itself
-#: imports ``repro.api.spec``: importing it eagerly here would be
-#: circular.  Resolve the session-side names lazily.
-_SESSION_EXPORTS = ("Session", "result_digest", "result_summary")
-
-#: The service tier imports ``repro.api.spec`` itself, so these resolve
-#: lazily for the same circularity reason (and to keep ``import
-#: repro.api`` light for spec-only callers).
-_SERVICE_EXPORTS = ("BatchScheduler", "ExecutorConfig", "run_batch")
-
-
-def __getattr__(name: str):
-    if name in _SESSION_EXPORTS:
-        from repro.api import session
-
-        return getattr(session, name)
-    if name in _SERVICE_EXPORTS:
-        from repro import service
-
-        return getattr(service, name)
-    if name == "SpanTracer":
-        from repro.obs.spans import SpanTracer
-
-        return SpanTracer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BatchScheduler",
-    "CACHE_FORMAT_VERSION",
-    "ExecutorConfig",
-    "RunSpec",
-    "Session",
-    "SpanTracer",
-    "SpecError",
-    "parse_mix",
-    "result_digest",
-    "result_summary",
-    "run_batch",
-    "spec_grid",
-]

@@ -27,7 +27,6 @@ traced run and a plain run produce the same result.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -353,6 +352,8 @@ class RunSpec:
         the session memo and the batch service's dedup, so any of them
         can serve a result another computed.
         """
+        import hashlib  # here, not at module level: it maps OpenSSL
+
         payload = repr((CACHE_FORMAT_VERSION, self.key_tuple()))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

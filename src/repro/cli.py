@@ -106,13 +106,14 @@ from typing import Mapping
 
 from repro.api.spec import RunSpec, SpecError
 from repro.execution.report import ExecutorError
-from repro.experiments.registry import EXPERIMENTS, declared_cells
-from repro.experiments.runner import ExperimentRunner
-from repro.policies.registry import available_schemes
-from repro.workloads.mixes import MIX2, MIX4, mix_name
+
+# Each command imports what it runs: ``repro worker`` loads the
+# execution core and the wire protocol, never the figure code.
 
 
 def _cmd_schemes(_: argparse.Namespace) -> int:
+    from repro.policies.registry import available_schemes
+
     for name in available_schemes():
         print(name)
     print("ascc/<sets-per-counter>   (Table 1 fixed granularities)")
@@ -122,6 +123,8 @@ def _cmd_schemes(_: argparse.Namespace) -> int:
 
 
 def _cmd_mixes(_: argparse.Namespace) -> int:
+    from repro.workloads.mixes import MIX2, MIX4, mix_name
+
     print("2-core mixes:")
     for mix in MIX2:
         print(f"  {mix_name(mix)}")
@@ -199,6 +202,8 @@ def _session(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.workloads.mixes import mix_name
+
     spec = _spec_from_args(args)
     session = _session(args)
     session.prewarm([spec])
@@ -224,6 +229,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS, declared_cells
+
     names = list(EXPERIMENTS) if args.name == "all" else [args.name]
     if names[0] not in EXPERIMENTS:
         raise SystemExit(
@@ -242,6 +249,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.analysis.calibration import calibrate, format_calibration
+    from repro.experiments.runner import ExperimentRunner
 
     runner = ExperimentRunner(session=_session(args), quota=args.quota, warmup=args.warmup)
     print(format_calibration(calibrate(runner)))
@@ -762,7 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("experiment", help="regenerate a table/figure")
     exp_p.add_argument(
-        "name", help=", ".join(sorted(EXPERIMENTS)) + ", or all (one batch)"
+        "name",
+        help="the table or figure to regenerate (fig1, tab4, sec7, ...; an "
+        "unknown name lists them all), or all (one batch)",
     )
     add_parallel_flags(exp_p)
     add_trace_cache_flag(exp_p)

@@ -12,20 +12,23 @@ defined in :mod:`repro.service.wire`:
 * :class:`WorkerClient` (:mod:`repro.cluster.worker`) — the remote
   side: supervises K *lanes*, forked processes that each connect,
   handshake capabilities, run one lease at a time in-process through
-  the worker entry point ``--jobs 1`` uses and stream results home.  ``repro worker --connect HOST:PORT
-  --slots K`` is its CLI entrypoint.
+  the worker entry point an untimed ``--jobs 1`` uses
+  (:func:`repro.execution.simulate._run_spec`) and stream results
+  home.  ``repro worker --connect HOST:PORT --slots K`` is its CLI
+  entrypoint.
 
 Simulations are deterministic functions of their spec, so *where* a
 cell runs never changes what it computes: a cluster batch's digest
 multiset equals a pure-local run's, worker deaths included.
 """
 
-from repro.cluster.coordinator import ClusterExecutor
-from repro.cluster.worker import WorkerClient, WorkerRejected, run_worker
+from repro._lazy import exports
 
-__all__ = [
-    "ClusterExecutor",
-    "WorkerClient",
-    "WorkerRejected",
-    "run_worker",
-]
+# Re-exported lazily: a worker process never loads the coordinator.
+__all__, __getattr__ = exports(
+    __name__,
+    {
+        "repro.cluster.coordinator": ("ClusterExecutor",),
+        "repro.cluster.worker": ("WorkerClient", "WorkerRejected", "run_worker"),
+    },
+)

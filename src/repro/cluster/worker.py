@@ -13,7 +13,7 @@ in-process.  A lane:
    raises :class:`WorkerRejected` with the taxonomy code in the caller
    of :meth:`WorkerClient.connect`;
 2. runs each ``lease`` frame in-process through the one worker entry
-   point, :func:`~repro.service.scheduler._run_spec`, as an untimed
+   point, :func:`~repro.execution.simulate._run_spec`, as an untimed
    ``--jobs 1`` does, so trace materialisation and fault injection
    (hard deaths downgraded to ``crash``) are identical wherever a cell
    lands;
@@ -142,7 +142,7 @@ class WorkerClient:
         any lane fail its handshake.
         """
         # Imported once here, so no lane pays for it.
-        from repro.service.scheduler import _run_spec  # noqa: F401
+        from repro.execution.simulate import _run_spec  # noqa: F401
 
         if self._lanes:
             return
@@ -346,7 +346,7 @@ class _Lane:
 
     def _run(self, frame: dict) -> None:
         """Run one lease in-process and answer for it."""
-        from repro.service.scheduler import _run_spec
+        from repro.execution.simulate import _run_spec
 
         lease, timeout = frame.get("lease"), frame.get("timeout")
         payload = dict(frame.get("payload") or {})

@@ -1,13 +1,16 @@
-"""The one simulation entry point: :func:`simulate_spec`.
+"""The one simulation entry point, :func:`simulate_spec`, and the one
+worker entry point, :func:`_run_spec`.
 
 Every path that simulates a cell ends here — the batch service's
-workers (local pool and cluster), the figure sweeps through
+workers (in-process, local pool and cluster lanes, all through
+:func:`_run_spec`), the figure sweeps through
 :class:`~repro.api.session.Session`, and the observability and
 verification commands that tap a run with an observer.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 from repro.api.spec import FULL_ASSOC, SHARED_SCHEME, RunSpec
@@ -72,9 +75,7 @@ def simulate_spec(spec: RunSpec, observer=None, cache_dir=None) -> SystemResult:
         # shared across schemes/sizes/run lengths/repeats).  Bit-identical
         # by construction; workloads that keep the generator path fall
         # through untouched.
-        workloads = get_trace_cache().materialize_for_run(
-            workloads, spec.seed, spec.quota, spec.warmup, cache_dir
-        )
+        workloads = get_trace_cache().materialize_for_run(workloads, spec.seed, cache_dir)
     config = default_config(
         num_cores=len(workloads),
         scale=scale,
@@ -96,7 +97,8 @@ def simulate_spec(spec: RunSpec, observer=None, cache_dir=None) -> SystemResult:
         policy = probe if probe is not None else make_policy(spec.scheme)
         hierarchy = PrivateHierarchy(config, policy)
         sanitize = spec.sanitize
-        if sanitize is None:
+        if sanitize is None and "REPRO_SANITIZE" in os.environ:
+            # Only a set variable loads the sanitizer to parse it.
             from repro.verify.sanitizer import env_sanitize_enabled
 
             sanitize = env_sanitize_enabled()
@@ -123,3 +125,28 @@ def simulate_spec(spec: RunSpec, observer=None, cache_dir=None) -> SystemResult:
         latencies=config.latencies,
         set_misses=None if probe is None else tuple(probe.set_misses),
     )
+
+
+def _run_spec(payload: dict):
+    """The one worker entry point: rebuild the spec and simulate it.
+
+    Module-level and primitive-parameterised (picklable under any
+    multiprocessing start method); in-process cells, local pool workers
+    and cluster lanes all run it.  An injected fault (see
+    :mod:`repro.execution.faults`) fires before the simulation.  The
+    simulating process finds its traces itself (memo, the payload's
+    ``cache_dir``, generation) and persists what it grew there — a no-op
+    without one, as in a cluster lane.
+    """
+    spec = RunSpec.from_dict(payload["spec"])
+    cache_dir = payload.get("cache_dir")
+    fault = payload.get("fault")
+    if fault is not None:
+        from repro.execution.faults import apply_fault
+
+        injected = apply_fault(fault, in_process=payload.get("fault_in_process", False))
+        if injected is not None:
+            return spec, injected
+    result = simulate_spec(spec, cache_dir=cache_dir)
+    get_trace_cache().persist(cache_dir)
+    return spec, result

@@ -8,6 +8,11 @@ experiment, or, where it is only a scheme comparison, its
 :mod:`repro.experiments.registry` names them all.
 """
 
-from repro.experiments.runner import ExperimentRunner, MixOutcome, run_mix
+from repro._lazy import exports
 
-__all__ = ["ExperimentRunner", "MixOutcome", "run_mix"]
+# Re-exported lazily: the scheduler's import of the result cache loads
+# no figure code.
+__all__, __getattr__ = exports(
+    __name__,
+    {"repro.experiments.runner": ("ExperimentRunner", "MixOutcome", "run_mix")},
+)

@@ -19,7 +19,6 @@ the moment it completes, so an interrupted sweep resumes from disk.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 from pathlib import Path
@@ -118,6 +117,8 @@ class ResultCache:
         self.quarantined += 1
 
     def get(self, key: str) -> Optional[SystemResult]:
+        import hashlib  # here, not at module level: it maps OpenSSL
+
         path = self._path(key)
         try:
             data = path.read_bytes()
@@ -148,6 +149,8 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: SystemResult) -> None:
+        import hashlib
+
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         entry = self.MAGIC + hashlib.sha256(payload).digest() + payload
         path = self._path(key)

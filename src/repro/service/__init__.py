@@ -25,82 +25,44 @@ stdio, HTTP, and the cluster TCP protocol — share the versioned message
 schema and error taxonomy in :mod:`~repro.service.wire`.
 """
 
-from repro.execution.report import ExecutorError
-from repro.service.executor import (
-    Executor,
-    ExecutorConfig,
-    ExecutorStats,
-    LocalPoolExecutor,
-    make_executor,
+from repro._lazy import exports
+
+# Re-exported lazily: a cluster lane reads the wire module alone, and
+# the HTTP/JSONL front-ends (``http.server``) load only when served.
+__all__, __getattr__ = exports(
+    __name__,
+    {
+        "repro.execution.report": ("ExecutorError",),
+        "repro.service.executor": (
+            "Executor",
+            "ExecutorConfig",
+            "ExecutorStats",
+            "LocalPoolExecutor",
+            "make_executor",
+        ),
+        "repro.service.durability": (
+            "BatchJournal",
+            "JournalError",
+            "JournalReplay",
+            "replay_journal",
+        ),
+        "repro.service.scheduler": (
+            "BatchScheduler",
+            "JobFailed",
+            "SchedulerClosed",
+            "ServiceStats",
+            "run_batch",
+        ),
+        "repro.service.serve": ("BatchHTTPServer", "serve_http", "serve_jsonl"),
+        "repro.service.wire": (
+            "PROTOCOL_VERSION",
+            "Request",
+            "ServiceError",
+            "WireError",
+            "classify_error",
+            "error_record",
+            "parse_request",
+            "result_record",
+        ),
+    },
 )
-from repro.service.durability import (
-    BatchJournal,
-    JournalError,
-    JournalReplay,
-    replay_journal,
-)
-from repro.service.scheduler import (
-    BatchScheduler,
-    JobFailed,
-    SchedulerClosed,
-    ServiceStats,
-    run_batch,
-)
-from repro.service.wire import (
-    PROTOCOL_VERSION,
-    Request,
-    ServiceError,
-    WireError,
-    classify_error,
-    error_record,
-    parse_request,
-    result_record,
-)
-
-#: The HTTP/JSONL front-ends pull in ``http.server``; resolve them on
-#: first use so importing the scheduler (every
-#: :class:`~repro.api.session.Session` miss does) stays light.
-_FRONT_ENDS = {
-    "BatchHTTPServer": "repro.service.serve",
-    "serve_http": "repro.service.serve",
-    "serve_jsonl": "repro.service.serve",
-}
-
-
-def __getattr__(name: str):
-    module = _FRONT_ENDS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-__all__ = [
-    "BatchHTTPServer",
-    "BatchJournal",
-    "BatchScheduler",
-    "Executor",
-    "ExecutorConfig",
-    "ExecutorError",
-    "ExecutorStats",
-    "JobFailed",
-    "JournalError",
-    "JournalReplay",
-    "LocalPoolExecutor",
-    "PROTOCOL_VERSION",
-    "Request",
-    "SchedulerClosed",
-    "ServiceError",
-    "ServiceStats",
-    "WireError",
-    "classify_error",
-    "error_record",
-    "make_executor",
-    "parse_request",
-    "replay_journal",
-    "result_record",
-    "run_batch",
-    "serve_http",
-    "serve_jsonl",
-]

@@ -23,7 +23,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -62,11 +61,16 @@ class JournalError(RuntimeError):
 # --------------------------------------------------------------------- #
 
 
+def _checksum(body: str) -> str:
+    import hashlib  # here, not at module level: it maps OpenSSL
+
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+
+
 def _seal(record: dict) -> str:
     """Serialize a record with an embedded checksum over its body."""
     body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    return body[:-1] + f',"sha":"{digest}"}}'
+    return body[:-1] + f',"sha":"{_checksum(body)}"}}'
 
 
 def _unseal(line: str) -> Optional[dict]:
@@ -79,7 +83,7 @@ def _unseal(line: str) -> Optional[dict]:
         return None
     digest = record.pop("sha", None)
     body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    if digest != hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]:
+    if digest != _checksum(body):
         return None
     return record
 

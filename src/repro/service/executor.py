@@ -19,7 +19,7 @@ queue-latency rules are written once:
 
 * :class:`LocalPoolExecutor` runs cells in-process (``jobs=1`` with no
   timeout) or on one long-lived process pool with per-cell timeouts,
-  pool-death respawn and degradation to in-process execution;
+  pool-death respawn and degradation to one cell at a time;
 * :class:`~repro.cluster.ClusterExecutor` (see :mod:`repro.cluster`)
   leases the same payloads to worker processes on other hosts over the
   length-prefixed wire protocol.
@@ -32,13 +32,11 @@ decides *where* a cell simulates, never *what* it computes.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections import deque, namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,7 +44,8 @@ from repro.execution.faults import FaultPlan
 from repro.execution.report import RunReport, cell_name
 
 #: Unexpected pool deaths one local busy period survives by respawning;
-#: the next one finishes the busy period in-process (``degraded_serial``).
+#: the next one finishes the busy period one cell at a time
+#: (``degraded_serial``).
 MAX_POOL_DEATHS = 3
 
 #: ``(pid, read_fd, write_fd)`` of this process's parent-death pipe (see
@@ -449,8 +448,9 @@ class LocalPoolExecutor(Executor):
     """Runs cells on this host: on a pool of ``jobs`` workers, or
     in-process for ``jobs=1`` with no timeout.
 
-    One :class:`ProcessPoolExecutor` serves the executor's lifetime; it
-    is replaced only by a timeout recycle or a pool death.  In-process
+    One :class:`~concurrent.futures.ProcessPoolExecutor` serves the
+    executor's lifetime; it is replaced only by a timeout recycle or a
+    pool death, and an untimed ``jobs=1`` never imports it.  In-process
     execution could enforce no timeout — there is no second process to
     kill — so a timeout puts even ``jobs=1`` on a one-worker pool.  The
     pool mode adds:
@@ -458,10 +458,10 @@ class LocalPoolExecutor(Executor):
     * a per-cell timeout: the overdue cell is charged ``timeout`` and
       the pool recycled (a hung worker cannot be cancelled alone), its
       innocent in-flight siblings refunded and resubmitted;
-    * pool-death recovery: :class:`BrokenProcessPool` charges every
-      in-flight cell ``pool-death`` and respawns the pool; past
-      :data:`MAX_POOL_DEATHS` deaths in one busy period the rest of it
-      runs in-process;
+    * pool-death recovery: a broken pool charges every in-flight cell
+      ``pool-death`` and is respawned; past :data:`MAX_POOL_DEATHS`
+      deaths in one busy period the rest of it runs one cell at a time:
+      in-process, or on a one-worker pool while a timeout needs one;
     * workers that exit with their parent: forked workers watch a pipe
       only the parent holds open (see :func:`_exit_with_parent`), so a
       hard-killed batch or server leaves no orphaned pool behind.
@@ -486,15 +486,15 @@ class LocalPoolExecutor(Executor):
             if cell is None:
                 return
             payload = ledger.charge(cell)
-            # Once degraded, or at an untimed jobs=1: a timeout needs a
-            # second process to kill.
-            if self._serial or (self.config.jobs <= 1 and self.config.timeout is None):
+            # One cell at a time (jobs=1, or degraded) runs in-process
+            # unless a timeout needs a second process to kill.
+            if self.capacity() == 1 and self.config.timeout is None:
                 self._run_in_process(cell, payload, now)
                 continue
             pool = self._spawn()
             try:
                 future = pool.submit(self._worker, payload)
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 ledger.refund(cell)
                 self._recycle(death=True)
                 continue
@@ -518,7 +518,7 @@ class LocalPoolExecutor(Executor):
             attempt = ledger.inflight.pop(future)
             try:
                 _, result = future.result()
-            except BrokenProcessPool:
+            except BrokenExecutor:
                 death = True
                 ledger.fail_or_requeue(attempt.cell, "pool-death")
             except Exception as exc:
@@ -553,6 +553,10 @@ class LocalPoolExecutor(Executor):
     def _spawn(self):
         """The live pool, spawned on first use."""
         if self._pool is None:
+            # Imported here: an in-process executor never loads them.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             context = multiprocessing.get_context()
             options = {}
             if context.get_start_method() == "fork":

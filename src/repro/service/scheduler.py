@@ -21,6 +21,9 @@ into a *service* for them:
 * **Streaming fan-out** — execution goes through an
   :class:`~repro.service.executor.Executor` (the local pool by
   default): per-spec timeouts, bounded retry, pool-death recovery.
+  Every cell runs through the one worker entry point,
+  :func:`repro.execution.simulate._run_spec`, which the cluster's
+  lanes share.
   The scheduler thread hands over one queued spec whenever the
   executor has a free slot, so priority promotion and dedup apply
   until that moment and a finished cell frees its slot for the next
@@ -61,12 +64,11 @@ from typing import Iterable, Optional, Sequence
 from repro.api.spec import RunSpec, SpecError
 from repro.execution.faults import fault_plan_from_env
 from repro.execution.report import RunReport
-from repro.execution.simulate import simulate_spec
+from repro.execution.simulate import _run_spec
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import BatchJournal, JournalError
 from repro.sim.results import SystemResult
-from repro.workloads.trace_cache import get_trace_cache
 
 
 class JobFailed(RuntimeError):
@@ -164,31 +166,6 @@ class _Entry:
         self.state = "queued"  # queued | inflight | done
         self.key: Optional[str] = None  # cache key, set when journaling
         self.span = None  # live cell span, only when tracing is on
-
-
-def _run_spec(payload: dict):
-    """The one worker entry point: rebuild the spec and simulate it.
-
-    Module-level and primitive-parameterised (picklable under any
-    multiprocessing start method); in-process cells, local pool workers
-    and cluster lanes all run it.  An injected fault (see
-    :mod:`repro.execution.faults`) fires before the simulation.  The
-    simulating process finds its traces itself (memo, the payload's
-    ``cache_dir``, generation) and persists what it grew there — a no-op
-    without one, as in a cluster lane.
-    """
-    spec = RunSpec.from_dict(payload["spec"])
-    cache_dir = payload.get("cache_dir")
-    fault = payload.get("fault")
-    if fault is not None:
-        from repro.execution.faults import apply_fault
-
-        injected = apply_fault(fault, in_process=payload.get("fault_in_process", False))
-        if injected is not None:
-            return spec, injected
-    result = simulate_spec(spec, cache_dir=cache_dir)
-    get_trace_cache().persist(cache_dir)
-    return spec, result
 
 
 def _notify_cancel(future: Future) -> None:

@@ -15,58 +15,41 @@ Three independent layers of verification for the simulator (DESIGN §14):
   alone-run equivalence) checked directly or under hypothesis.
 """
 
-from repro.verify.differential import (
-    BACKENDS,
-    PATHS,
-    TRACE_MODES,
-    GridCell,
-    GridReport,
-    assert_grid_identical,
-    run_cell,
-    run_grid,
-)
-from repro.verify.metamorphic import (
-    PERMUTATION_EXACT_SCHEMES,
-    PERMUTATION_PAIR_EXCLUDED,
-    check_alone_equivalence,
-    check_core_permutation,
-    check_seed_stability,
-    check_warmup_monotonicity,
-    pair_permutation_schemes,
-    simulate_permuted,
-)
-from repro.verify.sanitizer import (
-    DEFAULT_SWEEP_INTERVAL,
-    InvariantChecker,
-    InvariantViolation,
-    arm_state_corruption,
-    attach_sanitizer,
-    corrupt_line_state,
-    env_sanitize_enabled,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "BACKENDS",
-    "PATHS",
-    "TRACE_MODES",
-    "DEFAULT_SWEEP_INTERVAL",
-    "PERMUTATION_EXACT_SCHEMES",
-    "PERMUTATION_PAIR_EXCLUDED",
-    "pair_permutation_schemes",
-    "GridCell",
-    "GridReport",
-    "InvariantChecker",
-    "InvariantViolation",
-    "arm_state_corruption",
-    "assert_grid_identical",
-    "attach_sanitizer",
-    "check_alone_equivalence",
-    "check_core_permutation",
-    "check_seed_stability",
-    "check_warmup_monotonicity",
-    "corrupt_line_state",
-    "env_sanitize_enabled",
-    "run_cell",
-    "run_grid",
-    "simulate_permuted",
-]
+# Re-exported lazily: a sanitized run loads the sanitizer alone, not the
+# differential and metamorphic harnesses.
+__all__, __getattr__ = exports(
+    __name__,
+    {
+        "repro.verify.differential": (
+            "BACKENDS",
+            "PATHS",
+            "TRACE_MODES",
+            "GridCell",
+            "GridReport",
+            "assert_grid_identical",
+            "run_cell",
+            "run_grid",
+        ),
+        "repro.verify.metamorphic": (
+            "PERMUTATION_EXACT_SCHEMES",
+            "PERMUTATION_PAIR_EXCLUDED",
+            "check_alone_equivalence",
+            "check_core_permutation",
+            "check_seed_stability",
+            "check_warmup_monotonicity",
+            "pair_permutation_schemes",
+            "simulate_permuted",
+        ),
+        "repro.verify.sanitizer": (
+            "DEFAULT_SWEEP_INTERVAL",
+            "InvariantChecker",
+            "InvariantViolation",
+            "arm_state_corruption",
+            "attach_sanitizer",
+            "corrupt_line_state",
+            "env_sanitize_enabled",
+        ),
+    },
+)

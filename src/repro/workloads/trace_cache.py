@@ -24,19 +24,23 @@ and replays them at C speed afterwards:
   out; reading past the end calls :meth:`MaterializedTrace.ensure`, the
   one overflow path.
 * :class:`TraceCache` — the process-wide store: an in-process memo keyed
-  by content digest and bounded by buffer bytes (about 54M records in
-  the default 256 MB), and optional persistence as raw blocks beside a
-  result cache (``<cache_dir>/_traces/``).  Every process that simulates
-  (the scheduler's own, each pool worker, each cluster lane) looks up
-  memo, then the directory its cell names, then generates; the batch
-  worker entry point persists what it grew into that directory.
+  by each stream's parameters and bounded by buffer bytes (about 54M
+  records in the default 256 MB), and optional persistence as raw blocks
+  beside a result cache (``<cache_dir>/_traces/``), each file named by
+  the SHA-256 of its stream's memo key.  Only a process that reads or
+  writes a trace directory computes that digest (and imports
+  ``hashlib``, which maps OpenSSL).  Every process that simulates (the
+  scheduler's own, each pool worker, each cluster lane) looks up memo,
+  then the directory its cell names, then generates, and a buffer grows
+  only as far as replay reads it; the batch worker entry point persists
+  what it grew into that directory.
   ``.trc`` files hold one layout — a header naming the record count, the
   line typecode and the PC table, then the code and line blocks — and
   loads copy each block out of the payload in one step.  Files of an
   older format are unlinked the first time a trace directory is used.
 
 Everything is bit-identical by construction: buffers hold exactly the
-records the generator produced, the content digest covers every parameter
+records the generator produced, the memo key covers every parameter
 the stream depends on, and overflow continues the original source (or an
 identically seeded rebuild, fast-forwarded past the prefix).
 
@@ -54,7 +58,6 @@ gaps or components do not fit, both decided before any generation.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import sys
@@ -99,7 +102,7 @@ _LOW_BYTE = 0 if sys.byteorder == "little" else 3
 
 #: Records requested from a source per ``fill`` while extending a buffer:
 #: bounds the Python lists one step builds before they are packed.
-_FILL_STEP = 16_384
+_FILL_STEP = 4096
 
 #: In-process memo bound on summed buffer bytes (about 54M records);
 #: streams beyond it are dropped LRU-first.
@@ -145,20 +148,27 @@ def sweep_stale_traces(trace_dir: os.PathLike) -> int:
     return removed
 
 
+def _digest(key) -> str:
+    """The SHA-256 a memo key names its ``.trc`` file by."""
+    import hashlib  # here, not at module level: it maps OpenSSL
+
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
 class MaterializedTrace:
     """One benchmark's per-core record stream, drained into two columns.
 
-    ``codes`` (a ``bytearray``) and ``lines`` (an ``array`` of typecode
-    :data:`NARROW` or :data:`WIDE`) hold the stream prefix produced so
-    far; ``pcs`` is the PC table the codes index; ``length`` is the
-    number of complete records.  Replays read through :meth:`replay` and
+    ``key`` is the stream's memo key.  ``codes`` (a ``bytearray``) and
+    ``lines`` (an ``array`` of typecode :data:`NARROW` or :data:`WIDE`)
+    hold the stream prefix produced so far; ``pcs`` is the PC table the
+    codes index; ``length`` is the number of complete records.  Replays read through :meth:`replay` and
     extend the buffer via :meth:`ensure`, which continues the original
     source (kept live in-process) or an identically seeded rebuild
     fast-forwarded past the prefix (after a disk round trip).
     """
 
     __slots__ = (
-        "digest",
+        "key",
         "pcs",
         "codes",
         "lines",
@@ -170,24 +180,22 @@ class MaterializedTrace:
         "_pc_tables",
         "_source",
         "_factory",
-        "_grow",
         "_lock",
     )
 
     def __init__(
         self,
-        digest: str,
+        key,
         factory,
         pcs: tuple,
         codes: Optional[bytearray] = None,
         lines: Optional[array] = None,
         source=None,
-        first_extension: int = 0,
         layout: str = NARROW,
     ) -> None:
         if not _pc_table_fits(pcs):
             raise ValueError(f"PC table {pcs!r} does not fit the code byte")
-        self.digest = digest
+        self.key = key
         self.pcs = tuple(pcs)
         self.codes = bytearray() if codes is None else codes
         self.lines = array(layout) if lines is None else lines
@@ -220,13 +228,15 @@ class MaterializedTrace:
         #: block source (used to rebuild ``_source`` after a load).  Its
         #: ``fill`` must return lists: they are packed from them.
         self._factory = factory
-        #: Lower bound on the buffer length after the next extension: the
-        #: run's own estimate at first, then geometric growth.
-        self._grow = first_extension
         #: Serialises extension: replays on several threads (in-process
         #: cells of schedulers sharing one process) share one buffer and
         #: one source.
         self._lock = threading.Lock()
+
+    @property
+    def digest(self) -> str:
+        """The SHA-256 of :attr:`key`, which names the ``.trc`` file."""
+        return _digest(self.key)
 
     @property
     def nbytes(self) -> int:
@@ -268,7 +278,7 @@ class MaterializedTrace:
         return codes
 
     def ensure(self, n: int) -> None:
-        """Extend the buffer to at least ``n`` records.
+        """Extend the buffer to ``n`` records (fewer if the source ends).
 
         The only way a buffer grows.  Readers never take the lock: columns
         only ever grow at the end, and ``length`` is raised only after both
@@ -290,9 +300,8 @@ class MaterializedTrace:
                         break
                     skip -= skipped
                 self._source = source
-            target = max(n, self._grow)
-            while self.length < target:
-                want = min(target - self.length, _FILL_STEP)
+            while self.length < n:
+                want = min(n - self.length, _FILL_STEP)
                 gaps, pcs, lines, writes = source.fill(want)
                 codes = self._pack(gaps, pcs, writes)
                 self.lines.fromlist(lines)
@@ -301,7 +310,6 @@ class MaterializedTrace:
                 self.length += got
                 if got < want:  # finite source drained
                     break
-            self._grow = self.length + self.length // 2  # geometric, x1.5
 
     def replay(self) -> "_Replay":
         """An engine-facing block source over this buffer, from record 0."""
@@ -443,8 +451,8 @@ class TraceCache:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def digest_for(signature, core_seed: int) -> str:
-        """Content address of one per-core stream.
+    def key_for(signature, core_seed: int) -> tuple:
+        """Memo key of one per-core stream.
 
         ``signature`` is the workload's stable stream description;
         ``core_seed`` is the exact engine RNG seed ``(seed << 8) + core``.
@@ -452,8 +460,12 @@ class TraceCache:
         them, and replay extends a buffer on demand, so runs of any
         length share one buffer.
         """
-        payload = repr((TRACE_FORMAT_VERSION, signature, core_seed))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return (TRACE_FORMAT_VERSION, signature, core_seed)
+
+    @classmethod
+    def digest_for(cls, signature, core_seed: int) -> str:
+        """Content address of one per-core stream: its ``.trc`` name."""
+        return _digest(cls.key_for(signature, core_seed))
 
     @staticmethod
     def _pc_table(workload) -> Optional[tuple]:
@@ -474,30 +486,28 @@ class TraceCache:
         workload,
         core_id: int,
         seed: int,
-        quota: int,
-        warmup: int,
         cache_dir: Optional[os.PathLike] = None,
     ) -> Optional[MaterializedTrace]:
         """The materialized stream for one core, or ``None`` if the
         workload keeps the generator path (see :meth:`_pc_table`).
 
-        ``quota``/``warmup`` size the buffer's first extension; a miss in
-        the memo reads ``<cache_dir>/_traces/`` when ``cache_dir`` is set.
+        A miss in the memo reads ``<cache_dir>/_traces/`` when
+        ``cache_dir`` is set.
         """
         pcs = self._pc_table(workload)
         if pcs is None:
             return None
         core_seed = (seed << 8) + core_id
-        digest = self.digest_for(workload.trace_signature(), core_seed)
+        key = self.key_for(workload.trace_signature(), core_seed)
         memo = self._memo
-        entry = memo.get(digest)
+        entry = memo.get(key)
         if entry is not None:
-            memo.move_to_end(digest)
+            memo.move_to_end(key)
             self.stats["memo_hits"] += 1
             return entry
         factory = self._factory(workload, core_seed)
         source = None
-        loaded = self._load_disk(cache_dir, digest, pcs)
+        loaded = None if cache_dir is None else self._load_disk(cache_dir, _digest(key), pcs)
         if loaded is None:
             self.stats["materialized"] += 1
             source = factory()
@@ -505,18 +515,17 @@ class TraceCache:
         else:
             codes, lines = loaded
         entry = MaterializedTrace(
-            digest,
+            key,
             factory,
             pcs,
             codes=codes,
             lines=lines,
             source=source,
-            first_extension=self._estimate(workload, quota, warmup),
             layout=self._layout(workload),
         )
         if loaded is not None:
             entry.persisted[self._trace_dir(cache_dir)] = entry.length
-        memo[digest] = entry
+        memo[key] = entry
         total = sum(e.nbytes for e in memo.values())
         while total > self._max_bytes and len(memo) > 1:
             total -= memo.popitem(last=False)[1].nbytes
@@ -532,42 +541,23 @@ class TraceCache:
         limit = getattr(workload, "line_limit", None)
         return NARROW if limit is not None and limit <= 1 << 32 else WIDE
 
-    @staticmethod
-    def _estimate(workload, quota: int, warmup: int, slack: float = 1.4) -> int:
-        """Records one run of ``quota``/``warmup`` is expected to replay.
-
-        The committed-instruction budget over the smallest possible
-        per-record commit (``gap_min + 1``) times ``slack`` (the
-        post-quota keep-running phase), plus one engine block.
-        """
-        gap = getattr(getattr(workload, "spec", None), "gap", None)
-        gap_min = gap[0] if gap else 1
-        return int((quota + warmup) / (gap_min + 1) * slack) + 1024
-
     def materialize_for_run(
         self,
         workloads: list,
         seed: int,
-        quota: int,
-        warmup: int,
         cache_dir: Optional[os.PathLike] = None,
     ) -> list:
         """The engine workloads of one run, each replaying its buffer.
 
-        Position in the list is the engine core id.  Each buffer is grown
-        to the run's record estimate (see :meth:`_estimate`) up front,
-        which is what its first lazy extension would grow anyway; a run
-        that outlives the estimate extends it on replay.  Workloads that
-        keep the generator path pass through untouched.
+        Position in the list is the engine core id.  A buffer grows only
+        as replay reads past its end, so a run generates exactly the
+        records it consumes that no earlier run did.  Workloads that keep
+        the generator path pass through untouched.
         """
         wrapped = []
         for core_id, workload in enumerate(workloads):
-            entry = self.get(workload, core_id, seed, quota, warmup, cache_dir)
-            if entry is None:
-                wrapped.append(workload)
-                continue
-            entry.ensure(self._estimate(workload, quota, warmup))
-            wrapped.append(_CachedTraceWorkload(workload, entry))
+            entry = self.get(workload, core_id, seed, cache_dir)
+            wrapped.append(workload if entry is None else _CachedTraceWorkload(workload, entry))
         return wrapped
 
     # ------------------------------------------------------------------ #
@@ -582,11 +572,7 @@ class TraceCache:
             sweep_stale_traces(trace_dir)
         return trace_dir
 
-    def _load_disk(
-        self, cache_dir: Optional[os.PathLike], digest: str, pcs: tuple
-    ) -> Optional[tuple]:
-        if cache_dir is None:
-            return None
+    def _load_disk(self, cache_dir: os.PathLike, digest: str, pcs: tuple) -> Optional[tuple]:
         path = self._trace_dir(cache_dir) / f"{digest}.trc"
         try:
             payload = path.read_bytes()

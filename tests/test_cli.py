@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import cli
 from repro.api.session import Session
 from repro.cli import build_parser, main
 from repro.experiments import fig1_ways, fig2_sets, registry
@@ -96,7 +95,6 @@ def test_experiment_all_is_one_batch_printing_every_table(tmp_path, monkeypatch,
         "tab5": EXPERIMENTS["tab5"],
     }
     monkeypatch.setattr(registry, "EXPERIMENTS", small)
-    monkeypatch.setattr(cli, "EXPERIMENTS", small)
     tables = []
     for name in small:
         assert main(["experiment", name]) == 0

@@ -19,10 +19,20 @@ the engine themselves: nothing under ``repro.experiments`` or
 ``repro.analysis`` imports :mod:`repro.sim.engine`.  Experiments do not
 run their own batches either: they declare cells and render from a
 session someone else prewarmed.
+
+Each process role imports only the layers it runs, checked in a fresh
+interpreter: a cluster lane runs the one worker entry point,
+:func:`repro.execution.simulate._run_spec`, on the execution core and
+the wire protocol alone; an untimed in-process batch loads no pool
+machinery; a cluster coordinator loads no figure code.  None of them
+maps OpenSSL (``_hashlib``) unless it computes a digest.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SERVICE_TIERS = ("service", "cluster", "obs")
@@ -110,3 +120,60 @@ def test_experiments_declare_cells_and_never_simulate_themselves():
                 if name in ("Session", "ExperimentRunner", "prewarm", "run_many"):
                     found.append((path.name, f"calls {name}"))
     assert found == []
+
+
+#: Environment switches that would load optional layers on purpose.
+SWITCHES = ("REPRO_SANITIZE", "REPRO_FAULT_PLAN", "REPRO_TRACE_CACHE", "REPRO_CACHE_BACKEND")
+
+
+def loaded_after(code: str, modules: tuple) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
+    code += f"\nimport sys\nprint(sorted(set({modules!r}) & set(sys.modules)))"
+    env = {k: v for k, v in os.environ.items() if k not in SWITCHES}
+    env["PYTHONPATH"] = str(SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+CELL = "RunSpec(mix=(471, 444), scheme='avgcc', quota=2000, warmup=1000)"
+
+
+def test_a_cluster_lane_loads_only_the_execution_core_and_the_wire():
+    code = f"""
+import repro.cli
+from repro.cluster.worker import run_worker
+from repro.execution.simulate import _run_spec
+from repro.api import RunSpec
+_run_spec({{"spec": {CELL}.to_dict()}})
+"""
+    assert loaded_after(code, (
+        "_hashlib",
+        "multiprocessing",
+        "concurrent.futures.process",
+        "repro.service.scheduler",
+        "repro.experiments",
+        "repro.verify",
+    )) == []
+
+
+def test_an_untimed_in_process_batch_loads_no_pool_machinery():
+    code = f"""
+from repro.api import RunSpec, run_batch
+outcomes, stats, report = run_batch([{CELL}], jobs=1)
+assert stats.executed == 1, stats
+"""
+    assert loaded_after(code, ("_hashlib", "multiprocessing", "repro.verify")) == []
+
+
+def test_a_cluster_coordinator_loads_no_figure_code():
+    code = """
+from repro.api import BatchScheduler
+scheduler = BatchScheduler(executor="cluster", executor_options={"listen": "127.0.0.1:0"})
+scheduler.close()
+"""
+    assert loaded_after(
+        code, ("multiprocessing", "repro.verify", "repro.experiments.registry")
+    ) == []

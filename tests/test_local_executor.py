@@ -289,6 +289,30 @@ def test_repeated_pool_deaths_degrade_to_serial(monkeypatch):
     assert report.counts["failed"] == 0
 
 
+def test_a_degraded_busy_period_still_enforces_the_timeout():
+    """Past MAX_POOL_DEATHS a timed busy period runs one cell at a time
+    on a one-worker pool, not in-process, so a hung cell still costs
+    only the timeout."""
+    hung = ((5,), "s")
+    plan = FaultPlan(
+        {**{cell: Fault("die") for cell in CELLS}, hung: Fault("hang", seconds=5.0)}
+    )
+    report = RunReport()
+    executor = make_executor(report, jobs=1, retries=2, timeout=1.0, fault_plan=plan)
+    started = time.monotonic()
+    for cell in CELLS + [hung]:
+        executor.submit(cell, payload_for(cell))
+    executor.drain()
+    elapsed = time.monotonic() - started
+    executor.close()
+    assert report.pool_deaths == len(CELLS) > executor_module.MAX_POOL_DEATHS
+    assert report.degraded_serial is True
+    assert report.timeouts == 1
+    assert report.record(hung).errors == ["timeout after 1s"]
+    assert executor.results == {**expected_results(), hung: 50}
+    assert elapsed < 4.0, elapsed  # the hang sleeps 5 s
+
+
 # --------------------------------------------------------------------- #
 # RunReport
 # --------------------------------------------------------------------- #
@@ -337,12 +361,15 @@ def test_closed_loop_reuses_one_process_pool(monkeypatch):
     """One-at-a-time cells on a jobs=2 scheduler share one pool."""
     spawned = []
 
-    class CountingPool(executor_module.ProcessPoolExecutor):
+    import concurrent.futures
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             spawned.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+    # The executor imports the pool class where it spawns one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     with BatchScheduler(jobs=2) as scheduler:
         for scheme in ("baseline", "avgcc", "ascc", "dsr", "cc"):
             spec = RunSpec(mix=(471,), scheme=scheme, quota=500, warmup=100)

@@ -57,7 +57,7 @@ def test_warm_cache_matches_serial_without_simulating(
 ):
     cache_dir, _ = warm_cache_dir
     monkeypatch.setattr(
-        "repro.service.scheduler.simulate_spec",
+        "repro.execution.simulate.simulate_spec",
         lambda *a, **k: pytest.fail("warm cache must not simulate"),
     )
     session = Session(cache_dir=cache_dir)

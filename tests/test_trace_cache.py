@@ -59,7 +59,7 @@ def workloads():
 
 def test_replay_equals_generator_output(workloads):
     cache = TraceCache()
-    wrapped = cache.materialize_for_run(workloads, SEED, QUOTA, WARMUP)
+    wrapped = cache.materialize_for_run(workloads, SEED)
     for core_id, (raw, proxy) in enumerate(zip(workloads, wrapped)):
         assert proxy is not raw  # benchmark instances are materializable
         assert proxy.name == raw.name and proxy.timing is raw.timing
@@ -69,30 +69,27 @@ def test_replay_equals_generator_output(workloads):
 
 def test_memo_hit_returns_same_buffer(workloads):
     cache = TraceCache()
-    first = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP)
-    again = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    first = cache.get(workloads[0], 0, SEED)
+    again = cache.get(workloads[0], 0, SEED)
     assert again is first
     assert cache.stats["memo_hits"] == 1
     assert cache.stats["materialized"] == 1
     # A different core seed is a different stream, not a memo hit.
-    other = cache.get(workloads[0], 1, SEED, QUOTA, WARMUP)
+    other = cache.get(workloads[0], 1, SEED)
     assert other is not first
     assert cache.stats["materialized"] == 2
 
 
 def test_distinct_parameters_distinct_digests(workloads):
     cache = TraceCache()
-    base = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP).digest
-    assert cache.get(workloads[0], 0, SEED + 1, QUOTA, WARMUP).digest != base
-    assert cache.get(workloads[1], 0, SEED, QUOTA, WARMUP).digest != base
-    # The run length is no stream parameter: it sizes the buffer only.
-    assert cache.get(workloads[0], 0, SEED, QUOTA + 1, WARMUP).digest == base
-    assert cache.get(workloads[0], 0, SEED, QUOTA, WARMUP + 1).digest == base
+    base = cache.get(workloads[0], 0, SEED).digest
+    assert cache.get(workloads[0], 0, SEED + 1).digest != base
+    assert cache.get(workloads[1], 0, SEED).digest != base
 
 
 def test_serialization_round_trip(workloads):
     cache = TraceCache()
-    entry = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    entry = cache.get(workloads[0], 0, SEED)
     entry.ensure(K)
     assert MaterializedTrace.decode(entry.to_bytes()) == (entry.pcs, entry.codes, entry.lines)
     empty = MaterializedTrace("d", lambda: RecordSource(()), (5,))
@@ -101,14 +98,14 @@ def test_serialization_round_trip(workloads):
 
 def test_disk_round_trip(tmp_path, workloads):
     writer = TraceCache()
-    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    entry = writer.get(workloads[0], 0, SEED, tmp_path)
     entry.ensure(K)
     assert writer.persist(None) == 0  # no directory, nothing written
     assert writer.persist(tmp_path) == 1
     assert writer.persist(tmp_path) == 0  # unchanged buffers are not rewritten
 
     reader = TraceCache()
-    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    loaded = reader.get(workloads[0], 0, SEED, tmp_path)
     assert reader.stats["disk_hits"] == 1
     assert reader.stats["materialized"] == 0
     assert loaded.records[:K] == entry.records[:K]
@@ -119,14 +116,14 @@ def test_disk_round_trip(tmp_path, workloads):
 
 def test_corrupt_disk_entry_regenerates(tmp_path, workloads):
     writer = TraceCache()
-    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP)
+    entry = writer.get(workloads[0], 0, SEED)
     entry.ensure(256)
     writer.persist(tmp_path)
     (path,) = (tmp_path / "_traces").glob("*.trc")
     path.write_bytes(b"torn" + path.read_bytes()[:32])
 
     reader = TraceCache()
-    loaded = reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    loaded = reader.get(workloads[0], 0, SEED, tmp_path)
     assert reader.stats["disk_hits"] == 0
     assert reader.stats["materialized"] == 1
     assert not path.exists()  # torn file dropped, not trusted
@@ -154,8 +151,8 @@ def test_non_materializable_workloads_pass_through():
 
     cache = TraceCache()
     opaque = Opaque()
-    assert cache.get(opaque, 0, SEED, QUOTA, WARMUP) is None
-    assert cache.materialize_for_run([opaque], SEED, QUOTA, WARMUP) == [opaque]
+    assert cache.get(opaque, 0, SEED) is None
+    assert cache.materialize_for_run([opaque], SEED) == [opaque]
 
 
 def test_trace_cache_knob_outside_result_cache_key():
@@ -259,13 +256,13 @@ def test_concurrent_replays_past_the_prefix_share_one_generator():
 def test_fresh_stream_blocks_equal_generator_output(workloads):
     cache = TraceCache()
     for core_id, raw in enumerate(workloads):
-        entry = cache.get(raw, core_id, SEED, QUOTA, WARMUP)
+        entry = cache.get(raw, core_id, SEED)
         assert len(entry.records) == 0  # nothing is generated until replay
         assert _drain(entry.replay(), K) == _generated(raw, core_id)
 
 
 def test_prefix_plus_overflow_equals_generator_output(workloads):
-    entry = TraceCache().get(workloads[1], 1, SEED, QUOTA, WARMUP)
+    entry = TraceCache().get(workloads[1], 1, SEED)
     entry.ensure(700)
     prefix = len(entry.records)
     # Odd block sizes straddle the prefix end; the overflow grows the
@@ -279,8 +276,8 @@ def test_prefix_plus_overflow_equals_generator_output(workloads):
 def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
     import threading
 
-    entry = TraceCache().get(workloads[0], 0, SEED, QUOTA, WARMUP)
-    n = 20_000  # several extensions beyond the first (about 5.2k records)
+    entry = TraceCache().get(workloads[0], 0, SEED)
+    n = 20_000  # many extensions past the first replayed block
     reference = _generated(workloads[0], 0, n)
     seen: list = [None, None]
 
@@ -296,10 +293,11 @@ def test_two_threads_replay_a_real_stream_past_the_prefix(workloads):
 
 
 def test_columns_cost_at_most_5_bytes_per_record(workloads):
-    for proxy in TraceCache().materialize_for_run(workloads, SEED, QUOTA, WARMUP):
+    for proxy in TraceCache().materialize_for_run(workloads, SEED):
         entry = proxy.materialized
+        _drain(proxy.source(Random(0)), K)  # a buffer grows only as replay reads
         records = len(entry.records)
-        assert records > 0
+        assert records >= K
         assert entry.layout == NARROW
         assert entry.nbytes / records <= 5
         allocated = sys.getsizeof(entry.codes) + sys.getsizeof(entry.lines)
@@ -325,11 +323,11 @@ def test_wide_line_addresses_replay_through_every_layer(tmp_path, monkeypatch):
 
     def replayed_digest(cache) -> str:
         result = simulate_spec(spec.replace(trace_cache=True), cache_dir=tmp_path)
-        entry = cache.get(raw[top], top, SEED, spec.quota, spec.warmup)
+        entry = cache.get(raw[top], top, SEED)
         assert entry.layout == WIDE
         assert min(entry.lines) > 1 << 32
         assert entry.records[:] == _generated(raw[top], top, len(entry.records))
-        assert cache.get(raw[0], 0, SEED, spec.quota, spec.warmup).layout == NARROW
+        assert cache.get(raw[0], 0, SEED).layout == NARROW
         return result_digest(result)
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
@@ -359,7 +357,7 @@ def test_first_use_of_a_trace_dir_unlinks_older_format_files(tmp_path, workloads
     in_flight.write_bytes(b"RTR2")
 
     writer = TraceCache()
-    entry = writer.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    entry = writer.get(workloads[0], 0, SEED, tmp_path)
     assert not stale.exists()
     assert in_flight.exists()  # another process's write in progress
     entry.ensure(256)
@@ -367,36 +365,36 @@ def test_first_use_of_a_trace_dir_unlinks_older_format_files(tmp_path, workloads
     (current,) = traces.glob("*.trc")
 
     reader = TraceCache()
-    reader.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    reader.get(workloads[0], 0, SEED, tmp_path)
     assert current.exists()
     assert reader.stats["disk_hits"] == 1
 
 
 def test_memo_evicts_least_recently_used_streams_by_bytes(workloads):
-    probe = TraceCache().get(workloads[0], 0, 1, QUOTA, WARMUP)
+    probe = TraceCache().get(workloads[0], 0, 1)
     probe.ensure(1)
     stream_bytes = probe.nbytes
     cache = TraceCache(max_bytes=int(2.5 * stream_bytes))
-    first = cache.get(workloads[0], 0, 1, QUOTA, WARMUP)
-    second = cache.get(workloads[0], 0, 2, QUOTA, WARMUP)
+    first = cache.get(workloads[0], 0, 1)
+    second = cache.get(workloads[0], 0, 2)
     for entry in (first, second):
         entry.ensure(1)
-    assert cache.get(workloads[0], 0, 1, QUOTA, WARMUP) is first  # now MRU
-    third = cache.get(workloads[0], 0, 3, QUOTA, WARMUP)
+    assert cache.get(workloads[0], 0, 1) is first  # now MRU
+    third = cache.get(workloads[0], 0, 3)
     third.ensure(1)
     # Three full streams exceed the bound: the next insertion drops the
     # least recently used one (the second), and only that one.
-    cache.get(workloads[0], 0, 4, QUOTA, WARMUP)
+    cache.get(workloads[0], 0, 4)
     materialized = cache.stats["materialized"]
-    assert cache.get(workloads[0], 0, 1, QUOTA, WARMUP) is first
-    assert cache.get(workloads[0], 0, 3, QUOTA, WARMUP) is third
+    assert cache.get(workloads[0], 0, 1) is first
+    assert cache.get(workloads[0], 0, 3) is third
     assert cache.stats["materialized"] == materialized
-    assert cache.get(workloads[0], 0, 2, QUOTA, WARMUP) is not second
+    assert cache.get(workloads[0], 0, 2) is not second
     assert cache.stats["materialized"] == materialized + 1
 
 
 def test_first_extension_follows_the_run_estimate():
-    """A short cell generates about its own need, not a fixed extension."""
+    """A short cell generates only what it replays, not a fixed extension."""
     from repro.api.session import result_digest
     from repro.execution.simulate import simulate_spec
     from repro.workloads.trace_cache import get_trace_cache, reset_trace_cache
@@ -408,7 +406,7 @@ def test_first_extension_follows_the_run_estimate():
         replayed = simulate_spec(spec.replace(trace_cache=True))
         cache = get_trace_cache()
         for core_id, raw in enumerate(make_workloads(mix)):
-            entry = cache.get(raw, core_id, SEED, 4_000, 2_000)
+            entry = cache.get(raw, core_id, SEED)
             assert 0 < len(entry.records) < 8_000
     finally:
         reset_trace_cache()
@@ -464,7 +462,7 @@ def test_pool_workers_persist_the_traces_they_grow(tmp_path, monkeypatch):
     fresh = TraceCache()
     for seed in (SEED, SEED + 1):
         for core_id, workload in enumerate(make_workloads(MIX)):
-            entry = fresh.get(workload, core_id, seed, QUOTA, WARMUP, tmp_path)
+            entry = fresh.get(workload, core_id, seed, tmp_path)
             assert len(entry.records) > 0
     assert fresh.stats["materialized"] == 0
     assert fresh.stats["disk_hits"] == 2 * len(MIX)
@@ -488,7 +486,7 @@ def test_extreme_codes_replay_equal_generator_output():
     """Gaps 0 and 31, both store flags and all four PCs survive packing."""
     workload = _model(473, gap=(0, 31), write_fraction=0.5)
     assert len(workload.spec.pcs) == 4
-    entry = TraceCache().get(workload, 0, SEED, QUOTA, WARMUP)
+    entry = TraceCache().get(workload, 0, SEED)
     replayed = _drain(entry.replay(), K)
     assert replayed == _generated(workload, 0)
     assert {record[0] for record in replayed} >= {0, 31}
@@ -506,8 +504,8 @@ def test_models_that_do_not_fit_the_code_byte_keep_the_generator_path(case):
         five = benchmark(473).components + benchmark(471).components[:1]
         workload = _model(473, components=five)
     cache = TraceCache()
-    assert cache.get(workload, 0, SEED, QUOTA, WARMUP) is None
-    assert cache.materialize_for_run([workload], SEED, QUOTA, WARMUP) == [workload]
+    assert cache.get(workload, 0, SEED) is None
+    assert cache.materialize_for_run([workload], SEED) == [workload]
     assert cache.stats == {"memo_hits": 0, "disk_hits": 0, "materialized": 0}
 
 
@@ -523,6 +521,38 @@ def test_a_record_that_does_not_fit_raises(record):
     assert len(trace.records) == 0
 
 
+def test_trc_names_and_rtr4_files_written_before_lazy_digests_still_load(
+    tmp_path, workloads
+):
+    """A ``.trc`` file is still named by the SHA-256 of ``repr((4,
+    signature, core_seed))`` and laid out as RTR4, so a trace directory
+    written before the memo stopped keying on that digest loads from
+    disk with no regeneration.  The file is built here from the
+    generator's records, independently of the trace layer's packer."""
+    import hashlib
+    import struct
+
+    raw, core_seed = workloads[0], SEED << 8
+    name = hashlib.sha256(repr((4, raw.trace_signature(), core_seed)).encode()).hexdigest()
+    assert TraceCache.digest_for(raw.trace_signature(), core_seed) == name
+    records = _generated(raw, 0)
+    pcs = raw.spec.pcs
+    header = struct.pack(
+        "<4sQ1sB4I", b"RTR4", K, b"I", len(pcs), *pcs, *[0] * (4 - len(pcs))
+    )
+    codes = bytes(gap << 3 | write << 2 | pcs.index(pc) for gap, pc, _, write in records)
+    lines = array("I", [line for _, _, line, _ in records]).tobytes()
+    (tmp_path / "_traces").mkdir()
+    (tmp_path / "_traces" / f"{name}.trc").write_bytes(header + codes + lines)
+
+    cache = TraceCache()
+    entry = cache.get(raw, 0, SEED, tmp_path)
+    assert cache.stats == {"memo_hits": 0, "disk_hits": 1, "materialized": 0}
+    assert entry.digest == name and len(entry.records) == K
+    assert _drain(entry.replay(), K, block=K // 3) == records
+    assert cache.persist(tmp_path) == 0  # replay stayed inside the file
+
+
 def test_an_rtr3_file_is_swept_and_its_stream_regenerates(tmp_path, workloads):
     import struct
 
@@ -533,7 +563,7 @@ def test_an_rtr3_file_is_swept_and_its_stream_regenerates(tmp_path, workloads):
     stale = traces / f"{digest}.trc"
     stale.write_bytes(struct.pack("<4sQ4s", b"RTR3", 0, b"BIIB"))
 
-    entry = cache.get(workloads[0], 0, SEED, QUOTA, WARMUP, tmp_path)
+    entry = cache.get(workloads[0], 0, SEED, tmp_path)
     assert not stale.exists()
     assert cache.stats["disk_hits"] == 0 and cache.stats["materialized"] == 1
     assert _drain(entry.replay(), K) == _generated(workloads[0], 0)
@@ -599,7 +629,7 @@ def test_a_stream_already_persisted_elsewhere_is_written_to_a_new_cache_dir(
     assert len(list((second / "_traces").glob("*.trc"))) == len(MIX)
     fresh = TraceCache()
     for core, workload in enumerate(make_workloads(MIX)):
-        assert fresh.get(workload, core, SEED, QUOTA, WARMUP, second) is not None
+        assert fresh.get(workload, core, SEED, second) is not None
     assert fresh.stats["materialized"] == 0
     assert fresh.stats["disk_hits"] == len(MIX)
 
@@ -626,7 +656,7 @@ if __name__ == "__main__":
     fresh = TraceCache()
     for seed in seeds:
         for core_id, workload in enumerate(make_workloads(mix)):
-            entry = fresh.get(workload, core_id, seed, 4000, 2000, cache_dir)
+            entry = fresh.get(workload, core_id, seed, cache_dir)
             assert len(entry.records) > 0
     assert fresh.stats["materialized"] == 0, fresh.stats
     print("ok", multiprocessing.get_start_method())
