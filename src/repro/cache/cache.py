@@ -11,7 +11,10 @@ Two interchangeable storage backends implement the same contract (the
   fills recycle evicted :class:`Line` slots through a free pool via
   :meth:`~SlotCacheArray.fill_fields`/:meth:`~SlotCacheArray.release`,
   so the steady-state hit/promote/evict path allocates nothing and never
-  rehashes an ordered mapping.
+  rehashes an ordered mapping.  A simulated miss makes two calls:
+  :meth:`~SlotCacheArray.take_victim` detaches a full set's victim and
+  returns its slot to the pool, :meth:`~SlotCacheArray.install` fills a
+  free way from the pool and returns the new line.
 * :class:`DictCacheArray` — the previous implementation, kept verbatim as
   a reference: each set is an ordered mapping ``line addr -> Line`` whose
   iteration order is the recency stack (first key = MRU).  It exists for
@@ -297,12 +300,92 @@ class SlotCacheArray:
         return stack[position]
 
     # ------------------------------------------------------------------ #
+    # Miss path: one call to make room, one to fill
+    # ------------------------------------------------------------------ #
+
+    def take_victim(self, set_idx: int, position: Optional[int] = None) -> Optional[Line]:
+        """Detach a full set's victim (LRU, or the line at ``position``).
+
+        The victim leaves the stack, the index and the directory, and its
+        slot goes straight back to the pool: the returned line stays
+        readable until the next :meth:`install` or :meth:`fill_fields` on
+        this array.  Returns ``None`` while the set still has free ways.
+        """
+        stack = self._stacks[set_idx]
+        occupancy = len(stack)
+        if occupancy < self._ways:
+            return None
+        if position is None:
+            line = stack.pop()
+        elif 0 <= position < occupancy:
+            line = stack.pop(position)
+        else:
+            raise IndexError(f"victim position {position} out of range")
+        addr = line.addr
+        del self._index[addr]
+        holders = self._holders
+        if holders is not None:
+            held = holders[addr]
+            held.remove(self.cache_id)
+            if not held:
+                del holders[addr]
+        self._pool.append(line)
+        return line
+
+    def install(
+        self, addr: int, state: Mesi, spilled: bool, shared_region: bool, *, position: int
+    ) -> Line:
+        """Fill a free way of ``addr``'s set from the pool; return the line.
+
+        The set must have a free way (a full one needs :meth:`take_victim`
+        first) and ``addr`` must be absent.  ``position`` is clamped to the
+        set's occupancy, as in :meth:`fill`.
+        """
+        stack = self._stacks[addr & self.set_mask]
+        occupancy = len(stack)
+        if occupancy >= self._ways:
+            raise ValueError(f"set of line {addr:#x} has no free way")
+        pool = self._pool
+        if pool:
+            line = pool.pop()
+            line.addr = addr
+            line.state = state
+            line.spilled = spilled
+            line.shared_region = shared_region
+            line.prefetched = False
+        else:
+            line = Line(addr, state, spilled, shared_region)
+        if position <= 0:
+            stack.insert(0, line)
+        elif position >= occupancy:
+            stack.append(line)
+        else:
+            stack.insert(position, line)
+        self._index[addr] = line
+        holders = self._holders
+        if holders is not None:
+            held = holders.get(addr)
+            if held is None:
+                holders[addr] = {self.cache_id}
+            else:
+                held.add(self.cache_id)
+        return line
+
+    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     def set_lines(self, set_idx: int) -> list[Line]:
         """The recency stack of a set (MRU first), as a snapshot list."""
         return list(self._stacks[set_idx])
+
+    def stack_view(self, set_idx: int):
+        """The live recency stack of a set (MRU first), without a copy.
+
+        A sized iterable to read (``len``, iteration, ``reversed``) before
+        the set changes again; never mutate it.
+        """
+        return self._stacks[set_idx]
 
     def occupancy(self, set_idx: int) -> int:
         return len(self._stacks[set_idx])
@@ -479,12 +562,32 @@ class DictCacheArray:
             raise IndexError(f"victim position {position} out of range")
         return next(islice(lines.values(), position, None))
 
+    def take_victim(self, set_idx: int, position: Optional[int] = None) -> Optional[Line]:
+        """Detach a full set's victim; ``None`` while a way is free."""
+        victim = self.victim_candidate(set_idx, position)
+        if victim is not None:
+            self.evict(victim.addr)
+        return victim
+
+    def install(
+        self, addr: int, state: Mesi, spilled: bool, shared_region: bool, *, position: int
+    ) -> Line:
+        """Fill a free way of ``addr``'s set with a new line; return it."""
+        if len(self._sets[addr & self.set_mask]) >= self._ways:
+            raise ValueError(f"set of line {addr:#x} has no free way")
+        line = Line(addr, state, spilled, shared_region)
+        self.fill(line, position)
+        return line
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     def set_lines(self, set_idx: int) -> list[Line]:
         return list(self._sets[set_idx].values())
+
+    def stack_view(self, set_idx: int):
+        return self._sets[set_idx].values()
 
     def occupancy(self, set_idx: int) -> int:
         return len(self._sets[set_idx])

@@ -15,6 +15,11 @@ address (``None`` when the caller has none).  The engine reads it on a
 store hit: a line already in M needs no trip to the L2.  Inclusion keeps
 the pointer honest — the L2 back-invalidates this L1 whenever it drops a
 line — and callers still compare ``line.addr`` before trusting it.
+
+The engine inlines :meth:`L1Cache.access` and the private hierarchy
+inlines :meth:`~L1Cache.allocate` and :meth:`~L1Cache.invalidate` on
+``_sets``, ``_mru`` and ``back_invalidations``, so the class keeps no
+other state those copies would have to update: ``len()`` sums the sets.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ class L1Cache:
         # (the dominant pattern under dwell) hit with one list index and
         # one compare, skipping the stack update that would be a no-op.
         self._mru = [-1] * geometry.sets
-        self._len = 0
         self.hits = 0
         self.misses = 0
         self.back_invalidations = 0
@@ -79,8 +83,6 @@ class L1Cache:
             return
         if len(lines) >= self._ways:
             lines.popitem(last=False)
-        else:
-            self._len += 1
         lines[line_addr] = line
         self._mru[set_idx] = line_addr
 
@@ -91,7 +93,6 @@ class L1Cache:
         if line_addr not in lines:
             return False
         del lines[line_addr]
-        self._len -= 1
         if self._mru[set_idx] == line_addr:
             self._mru[set_idx] = -1
         self.back_invalidations += 1
@@ -106,4 +107,4 @@ class L1Cache:
             yield from lines
 
     def __len__(self) -> int:
-        return self._len
+        return sum(map(len, self._sets))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.cache import Line
 from repro.core.states import SetRole
 from repro.policies.base import LLCPolicy
 
@@ -42,7 +41,9 @@ class ElasticCooperativeCaching(LLCPolicy):
         self.private_ways: list[int] = []
         self._interval_accesses: list[int] = []
         self._interval_misses: list[int] = []
-        self._hierarchy = None
+        #: Per cache, its array's ``stack_view``: the regions are read
+        #: off the live recency stack, without a copy.
+        self._stack_views: Optional[list] = None
 
     def _setup(self) -> None:
         assert self.geometry is not None
@@ -52,7 +53,7 @@ class ElasticCooperativeCaching(LLCPolicy):
         self._interval_misses = [0] * self.num_caches
 
     def bind(self, hierarchy) -> None:
-        self._hierarchy = hierarchy
+        self._stack_views = [l2.stack_view for l2 in hierarchy.l2s]
 
     # ------------------------------------------------------------------ #
     # Observation and repartitioning
@@ -110,28 +111,38 @@ class ElasticCooperativeCaching(LLCPolicy):
     def choose_victim_position(
         self, cache_id: int, set_idx: int, kind: str
     ) -> Optional[int]:
-        assert self._hierarchy is not None and self.geometry is not None
-        lines: list[Line] = self._hierarchy.l2s[cache_id].set_lines(set_idx)
-        if len(lines) < self.geometry.ways:
+        assert self._stack_views is not None and self.geometry is not None
+        ways = self.geometry.ways
+        lines = self._stack_views[cache_id](set_idx)
+        if len(lines) < ways:
             return None
-        shared_positions = [i for i, ln in enumerate(lines) if ln.shared_region]
-        private_positions = [i for i, ln in enumerate(lines) if not ln.shared_region]
+        # One pass over the live stack (MRU first): each region's size
+        # and the position of its least-recent line.
+        shared = 0
+        last_shared = last_private = -1
+        for pos, line in enumerate(lines):
+            if line.shared_region:
+                shared += 1
+                last_shared = pos
+            else:
+                last_private = pos
+        private = len(lines) - shared
         p = self.private_ways[cache_id]
-        shared_allocation = self.geometry.ways - p
+        shared_allocation = ways - p
         if kind == "spill":
             # Spilled-in lines live in the shared region: recycle its LRU
             # line once the region is at its allocation, otherwise claim a
             # way from the private region's LRU end.
-            if len(shared_positions) >= shared_allocation and shared_positions:
-                return shared_positions[-1]
-            if private_positions:
-                return private_positions[-1]
-            return shared_positions[-1]
+            if shared >= shared_allocation and shared:
+                return last_shared
+            if private:
+                return last_private
+            return last_shared
         # Demand fill: stay within the private allocation.
-        if len(private_positions) >= p and private_positions:
-            return private_positions[-1]
-        if len(shared_positions) > shared_allocation and shared_positions:
-            return shared_positions[-1]
+        if private >= p and private:
+            return last_private
+        if shared > shared_allocation and shared:
+            return last_shared
         return None  # plain LRU
 
     def role(self, cache_id: int, set_idx: int) -> SetRole:

@@ -317,7 +317,8 @@ class Executor:
     """Abstract execution backend for the batch scheduler.
 
     Lifecycle: construct → :meth:`bind` once (the scheduler wires in its
-    worker callable, completion callbacks and wake-up condition) → any
+    completion callbacks and wake-up condition; the worker callable
+    defaults to the simulator's entry point) → any
     number of :meth:`submit` calls, with :meth:`poll` run whenever
     ``wakeup`` is notified or the deadline it returned passes →
     :meth:`close`.  A pool future's done-callback or a cluster reader
@@ -345,7 +346,7 @@ class Executor:
     def bind(
         self,
         *,
-        worker: Callable,
+        worker: Optional[Callable] = None,
         validate: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
         on_failed: Optional[Callable] = None,
@@ -355,6 +356,10 @@ class Executor:
     ) -> "Executor":
         """Wire in the scheduler's worker callable and result plumbing.
 
+        ``worker=None`` (the scheduler's choice) means the one worker
+        entry point, :func:`repro.execution.simulate._run_spec`, which
+        only the local backend imports, so a process whose cells run
+        elsewhere (a cluster coordinator) never loads the simulator.
         ``on_result(cell, result)`` receives every result,
         ``on_failed(cell, kind)`` every cell that exhausted its retries.
         ``wakeup`` is the condition the driving loop waits on (the
@@ -474,6 +479,13 @@ class LocalPoolExecutor(Executor):
         self._pool = None
         self._deaths = 0
         self._serial = False
+
+    def bind(self, *, worker: Optional[Callable] = None, **plumbing) -> "Executor":
+        if worker is None:
+            from repro.execution.simulate import _run_spec
+
+            worker = _run_spec
+        return super().bind(worker=worker, **plumbing)
 
     def capacity(self) -> int:
         return 1 if self._serial else max(1, self.config.jobs)

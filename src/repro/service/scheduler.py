@@ -23,7 +23,8 @@ into a *service* for them:
   default): per-spec timeouts, bounded retry, pool-death recovery.
   Every cell runs through the one worker entry point,
   :func:`repro.execution.simulate._run_spec`, which the cluster's
-  lanes share.
+  lanes share; the local executor imports it when it first dispatches,
+  so a cluster coordinator never loads the simulator.
   The scheduler thread hands over one queued spec whenever the
   executor has a free slot, so priority promotion and dedup apply
   until that moment and a finished cell frees its slot for the next
@@ -64,7 +65,6 @@ from typing import Iterable, Optional, Sequence
 from repro.api.spec import RunSpec, SpecError
 from repro.execution.faults import fault_plan_from_env
 from repro.execution.report import RunReport
-from repro.execution.simulate import _run_spec
 from repro.experiments.parallel import ResultCache
 from repro.service.executor import ExecutorConfig, make_executor
 from repro.service.durability import BatchJournal, JournalError
@@ -267,7 +267,6 @@ class BatchScheduler:
         #: on it for the end of the busy period.
         self._wake = threading.Condition(self._lock)
         self.executor.bind(
-            worker=_run_spec,
             validate=lambda result: isinstance(result, SystemResult),
             on_result=lambda spec, result: self._resolve(
                 spec, result, simulated=True

@@ -22,11 +22,16 @@ LLCPolicy`, and implements the complete access flow of the paper's system:
 
 The directory's holder map is read directly on the miss path: after a
 local miss the requester is never a holder, so the holder set *is* the
-peer list, and a victim (held by its own cache) is the last copy exactly
-when it is the only holder.  Policy hooks the scheme inherits from
-:class:`~repro.policies.base.LLCPolicy` (``on_access``, ``tick``, and the
-``choose_victim_position``/``insertion_position`` defaults) are bound to
-``None`` and skipped, with the default's answer inlined.
+peer list, and a victim taken off the directory was the last copy
+exactly when no holder is left.  ``access`` resolves local hits, memory
+fetches and remote hits on a spilled line itself; a miss makes two
+array calls, ``take_victim`` and ``install``, and fills and
+back-invalidates the L1s in place.  Policy hooks the scheme inherits
+from :class:`~repro.policies.base.LLCPolicy` (``on_access``, ``tick``,
+``should_spill``, ``wants_swap``, ``on_spill`` and the position
+defaults) are bound to ``None`` and skipped, with the default's answer
+inlined, and the ASCC family's ``on_access`` is bound as its per-core
+SSL updates.
 
 :class:`SharedHierarchy` models the Section 6.1 comparison point — a banked
 shared LLC of the same aggregate capacity accessed at an interleaved-bank
@@ -113,10 +118,20 @@ class PrivateHierarchy(MemoryHierarchy):
         # Hot-path constants and per-core bound methods: one list index
         # instead of two attribute chases plus a method bind per call.
         self._set_mask = config.l2_geometry.sets - 1
+        self._ways = config.l2_geometry.ways
         self._lat_local = config.latencies.l2_local_hit
+        self._lat_remote = config.latencies.l2_remote_hit
+        # The broadcast that finds nobody runs concurrently with the fetch.
+        self._lat_memory = config.latencies.l2_remote_hit + config.latencies.memory
         self._l2_lookup = [l2.lookup for l2 in self.l2s]
         self._l2_probe = [l2.probe for l2 in self.l2s]
-        self._l1_allocate = [l1.allocate for l1 in self.l1s]
+        # L1 fills and back-invalidations happen in place, on each L1's
+        # own state (see L1Cache.allocate/invalidate): there is one L1
+        # class, and every L1 shares one geometry.
+        self._l1_sets = [l1._sets for l1 in self.l1s]
+        self._l1_mru = [l1._mru for l1 in self.l1s]
+        self._l1_mask = self.l1s[0]._mask
+        self._l1_ways = self.l1s[0]._ways
         #: ``line addr -> holder ids``, shared with the directory.
         self._holders = self.directory._holders
         policy.attach(config.num_cores, config.l2_geometry, Random(config.seed ^ 0x5BD1))
@@ -127,6 +142,21 @@ class PrivateHierarchy(MemoryHierarchy):
         self._policy_tick = _own_hook(policy, "tick")
         self._policy_victim_position = _own_hook(policy, "choose_victim_position")
         self._policy_insertion_position = _own_hook(policy, "insertion_position")
+        self._policy_spill_position = _own_hook(policy, "spill_insertion_position")
+        self._policy_wants_swap = _own_hook(policy, "wants_swap")
+        self._policy_should_spill = _own_hook(policy, "should_spill")
+        self._policy_on_spill = _own_hook(policy, "on_spill")
+        # The ASCC family's ``on_access`` is nothing but SSL updates, so
+        # bind them per core: a local hit is ``on_hit``, a memory fetch
+        # ``on_miss`` and a remote hit two ``on_miss``.  Subclasses with
+        # their own ``on_access`` (QoS) keep the string-outcome contract.
+        from repro.core.ascc import ASCC  # at module level it cycles via the registry
+
+        self._ssl_hit = self._ssl_miss = None
+        if type(policy).on_access is ASCC.on_access:
+            self._ssl_hit = [bank.on_hit for bank in policy.banks]
+            self._ssl_miss = [bank.on_miss for bank in policy.banks]
+            self._policy_on_access = None
 
     # ------------------------------------------------------------------ #
     # Main access path
@@ -143,38 +173,104 @@ class PrivateHierarchy(MemoryHierarchy):
                 tick()
             else:
                 self._accesses_since_tick = ticks
-        if stats.recording:
+        recording = stats.recording
+        if recording:
             stats.l2_accesses += 1
 
         line = self._l2_lookup[core_id](line_addr)
         if self.prefetchers is not None:
             self._run_prefetcher(core_id, pc, line_addr)
+        traffic = self.traffic
 
         if line is not None:
-            on_access = self._policy_on_access
-            if on_access is not None:
-                on_access(core_id, set_idx, "local")
-            self.traffic.local_hits += 1
-            if stats.recording:
+            if self._ssl_hit is not None:
+                self._ssl_hit[core_id](set_idx)
+            elif self._policy_on_access is not None:
+                self._policy_on_access(core_id, set_idx, "local")
+            traffic.local_hits += 1
+            if recording:
                 stats.l2_local_hits += 1
             if line.prefetched:
-                if stats.recording:
+                if recording:
                     stats.prefetches_useful += 1
                 line.prefetched = False
             if is_write and line.state is not Mesi.MODIFIED:
                 self._write_upgrade(core_id, line)
-            self._l1_allocate[core_id](line_addr, line)
+            # L1 fill, in place.
+            l1_idx = line_addr & self._l1_mask
+            l1_lines = self._l1_sets[core_id][l1_idx]
+            if line_addr not in l1_lines:
+                if len(l1_lines) >= self._l1_ways:
+                    l1_lines.popitem(last=False)
+                l1_lines[line_addr] = line
+                self._l1_mru[core_id][l1_idx] = line_addr
             return self._lat_local
 
         # Local miss: snoop the chip (functional broadcast).  The
         # requester holds no copy, so every holder is a peer.
-        self.traffic.snoop_broadcasts += 1
+        traffic.snoop_broadcasts += 1
         holders = self._holders.get(line_addr)
-        if holders:
-            return self._remote_hit(
-                core_id, line_addr, set_idx, is_write, list(holders)
+        if not holders:
+            # Memory fetch.
+            if self._ssl_miss is not None:
+                self._ssl_miss[core_id](set_idx)
+            elif self._policy_on_access is not None:
+                self._policy_on_access(core_id, set_idx, "miss")
+            traffic.memory_fetches += 1
+            if recording:
+                stats.l2_memory_fetches += 1
+            self._allocate_local(
+                core_id,
+                line_addr,
+                set_idx,
+                Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE,
+                None,
             )
-        return self._memory_fetch(core_id, line_addr, set_idx, is_write)
+            return self._lat_memory
+        if len(holders) == 1:
+            (holder,) = holders
+            remote_line = self._l2_probe[holder](line_addr)
+            if remote_line.spilled:
+                # Remote hit on a spilled line, the only on-chip copy.
+                traffic.remote_hits += 1
+                if recording:
+                    stats.l2_remote_hits += 1
+                    stats.hits_on_spilled += 1
+                ssl_miss = self._ssl_miss
+                if ssl_miss is not None:
+                    ssl_miss = ssl_miss[core_id]
+                    ssl_miss(set_idx)
+                    ssl_miss(set_idx)
+                elif self._policy_on_access is not None:
+                    self._policy_on_access(core_id, set_idx, "remote")
+                wants_swap = self._policy_wants_swap
+                if wants_swap is None or not wants_swap(core_id, set_idx):
+                    # Swap-less schemes serve a spilled line in place: the
+                    # receiver promotes it (it proved useful) and forwards
+                    # the data; the requester does not re-allocate it, so
+                    # every future access keeps costing the remote-hit
+                    # latency (Figure 10's persistent remote fraction).
+                    self._l2_lookup[holder](line_addr)  # promote to MRU
+                    if is_write:
+                        remote_line.state = Mesi.MODIFIED
+                    if self.sanitizer is not None:
+                        self.sanitizer.after_access(holder, line_addr)
+                    return self._lat_remote
+                # ASCC-family swap (Section 3.2): the requested line
+                # migrates home and the local victim — when it is the last
+                # copy — takes the slot the migration just freed.  The
+                # pair of last copies stays on chip with no receiver-pool
+                # arbitration, which is what keeps a cooperatively-held
+                # working set resident.
+                new_state = (
+                    Mesi.MODIFIED
+                    if remote_line.state is Mesi.MODIFIED or is_write
+                    else Mesi.EXCLUSIVE
+                )
+                self._invalidate_at(holder, line_addr)
+                self._allocate_local(core_id, line_addr, set_idx, new_state, holder)
+                return self._lat_remote
+        return self._remote_hit(core_id, line_addr, set_idx, is_write, list(holders))
 
     def write_through(self, core_id: int, line_addr: int) -> None:
         """L1 store hit: update the inclusive L2 copy's state to M."""
@@ -199,7 +295,10 @@ class PrivateHierarchy(MemoryHierarchy):
         is_write: bool,
         holders: list[int],
     ) -> float:
-        lat = self.config.latencies
+        """A remote hit on genuinely shared data: a shared read or a
+        remote write.  ``access`` resolves a spilled line's only copy
+        itself.
+        """
         stats = self.stats[core_id]
         self.traffic.remote_hits += 1
         holder = holders[0] if len(holders) == 1 else self.rng.choice(holders)
@@ -209,38 +308,11 @@ class PrivateHierarchy(MemoryHierarchy):
             stats.l2_remote_hits += 1
             if remote_line.spilled:
                 stats.hits_on_spilled += 1
-
-        on_access = self._policy_on_access
-        if on_access is not None:
-            on_access(core_id, set_idx, "remote")
-
-        if remote_line.spilled and len(holders) == 1:
-            if not self.policy.wants_swap(core_id, set_idx):
-                # Swap-less schemes serve a spilled line in place: the
-                # receiver promotes it (it proved useful) and forwards the
-                # data; the requester does not re-allocate it, so every
-                # future access keeps costing the remote-hit latency
-                # (Figure 10's persistent remote fraction).
-                self.l2s[holder].lookup(line_addr)  # promote to MRU
-                if is_write:
-                    remote_line.state = Mesi.MODIFIED
-                san = self.sanitizer
-                if san is not None:
-                    san.after_access(holder, line_addr)
-                return lat.l2_remote_hit
-            # ASCC-family swap (Section 3.2): the requested line migrates
-            # home and the local victim — when it is the last copy — takes
-            # the slot the migration just freed.  The pair of last copies
-            # stays on chip with no receiver-pool arbitration, which is
-            # what keeps a cooperatively-held working set resident.
-            new_state = (
-                Mesi.MODIFIED
-                if remote_line.state is Mesi.MODIFIED or is_write
-                else Mesi.EXCLUSIVE
-            )
-            self._invalidate_at(holder, line_addr)
-            self._allocate_local(core_id, line_addr, set_idx, new_state, holder)
-            return lat.l2_remote_hit
+        if self._ssl_miss is not None:
+            self._ssl_miss[core_id](set_idx)
+            self._ssl_miss[core_id](set_idx)
+        elif self._policy_on_access is not None:
+            self._policy_on_access(core_id, set_idx, "remote")
 
         migrated_holder: Optional[int] = None
         san = self.sanitizer
@@ -268,23 +340,7 @@ class PrivateHierarchy(MemoryHierarchy):
                     peer.state = Mesi.SHARED
 
         self._allocate_local(core_id, line_addr, set_idx, new_state, migrated_holder)
-        return lat.l2_remote_hit
-
-    def _memory_fetch(
-        self, core_id: int, line_addr: int, set_idx: int, is_write: bool
-    ) -> float:
-        lat = self.config.latencies
-        stats = self.stats[core_id]
-        on_access = self._policy_on_access
-        if on_access is not None:
-            on_access(core_id, set_idx, "miss")
-        self.traffic.memory_fetches += 1
-        if stats.recording:
-            stats.l2_memory_fetches += 1
-        new_state = Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE
-        self._allocate_local(core_id, line_addr, set_idx, new_state, None)
-        # The broadcast that found nobody ran concurrently with the fetch.
-        return lat.l2_remote_hit + lat.memory
+        return self._lat_remote
 
     # ------------------------------------------------------------------ #
     # Allocation and victim disposition
@@ -298,101 +354,133 @@ class PrivateHierarchy(MemoryHierarchy):
         state: Mesi,
         migrated_holder: Optional[int],
     ) -> None:
-        """Fill the requester's L2 (disposing of a victim) and its L1."""
+        """Fill the requester's L2 (disposing of a victim) and its L1.
+
+        The victim goes, in this order of preference: nowhere (another
+        on-chip copy survives, and MESI guarantees ours is clean); into
+        the slot the migrating line just freed (swap, Section 3.2); to a
+        receiver the policy picks (spill); or to memory, written back
+        when dirty.
+        """
         cache = self.l2s[core_id]
         choose = self._policy_victim_position
         if choose is None:  # plain LRU; None while the set has a free way
-            victim = cache.victim_candidate(set_idx)
-        elif cache.occupancy(set_idx) >= cache.geometry.ways:
-            victim = cache.victim_candidate(
-                set_idx, choose(core_id, set_idx, "demand")
-            )
+            victim = cache.take_victim(set_idx)
+        elif cache.occupancy(set_idx) >= self._ways:
+            victim = cache.take_victim(set_idx, choose(core_id, set_idx, "demand"))
         else:
             victim = None
         san = self.sanitizer
         if victim is not None:
-            # The victim is resident here, so it is the last on-chip
-            # copy exactly when this cache is its only holder.
-            last_copy = len(self._holders[victim.addr]) == 1
-            cache.evict(victim.addr)
-            self.l1s[core_id].invalidate(victim.addr)
+            # The victim's slot is back in this cache's pool; nothing
+            # installs here before the disposal below has read it.
+            victim_addr = victim.addr
+            # Back-invalidate the L1 (inclusion), in place.
+            l1_idx = victim_addr & self._l1_mask
+            l1_lines = self._l1_sets[core_id][l1_idx]
+            if victim_addr in l1_lines:
+                del l1_lines[victim_addr]
+                l1_mru = self._l1_mru[core_id]
+                if l1_mru[l1_idx] == victim_addr:
+                    l1_mru[l1_idx] = -1
+                self.l1s[core_id].back_invalidations += 1
             if san is not None:
                 san.on_line_removed(core_id, victim)
-                san.after_back_invalidate(core_id, victim.addr)
-            self._dispose_victim(core_id, set_idx, victim, last_copy, migrated_holder)
-            # Disposal copied whatever it needed (spill fills build a new
-            # line from the victim's fields), so the slot can be recycled.
-            cache.release(victim)
+                san.after_back_invalidate(core_id, victim_addr)
+            # Off the directory now, so a last copy has no holders left.
+            if victim_addr not in self._holders:
+                wants_swap = self._policy_wants_swap
+                if (
+                    migrated_holder is not None
+                    and wants_swap is not None
+                    and wants_swap(core_id, set_idx)
+                ):
+                    self._place_spilled(
+                        core_id, migrated_holder, set_idx, victim, swap=True
+                    )
+                else:
+                    policy = self.policy
+                    should_spill = self._policy_should_spill
+                    receiver = None
+                    if (
+                        should_spill is not None
+                        and (not victim.spilled or policy.respill_spilled)
+                        and should_spill(core_id, set_idx)
+                    ):
+                        receiver = policy.select_receiver(core_id, set_idx)
+                    if receiver is not None and receiver != core_id:
+                        self._place_spilled(
+                            core_id, receiver, set_idx, victim, swap=False
+                        )
+                    elif victim.state is Mesi.MODIFIED:
+                        self._writeback(core_id)
+        # After disposal: ASCC's ``select_receiver`` may have just flipped
+        # the set into capacity mode.
         insertion = self._policy_insertion_position
         pos = 0 if insertion is None else insertion(core_id, set_idx)
-        cache.fill_fields(line_addr, state, position=pos)
-        self._l1_allocate[core_id](line_addr, cache.probe(line_addr))
+        line = cache.install(line_addr, state, False, False, position=pos)
+        # L1 fill, in place.
+        l1_idx = line_addr & self._l1_mask
+        l1_lines = self._l1_sets[core_id][l1_idx]
+        if line_addr not in l1_lines:
+            if len(l1_lines) >= self._l1_ways:
+                l1_lines.popitem(last=False)
+            l1_lines[line_addr] = line
+            self._l1_mru[core_id][l1_idx] = line_addr
         if san is not None:
             san.after_access(core_id, line_addr)
-
-    def _dispose_victim(
-        self,
-        core_id: int,
-        set_idx: int,
-        victim: Line,
-        last_copy: bool,
-        migrated_holder: Optional[int],
-    ) -> None:
-        if not last_copy:
-            # Another on-chip copy survives; MESI guarantees ours is clean.
-            return
-        policy = self.policy
-        if migrated_holder is not None and policy.wants_swap(core_id, set_idx):
-            # Swap: the victim takes the slot just freed by the migrating
-            # line, keeping both last copies on chip (Section 3.2).
-            self._place_spilled(core_id, migrated_holder, set_idx, victim, swap=True)
-            return
-        if (not victim.spilled or policy.respill_spilled) and policy.should_spill(
-            core_id, set_idx
-        ):
-            receiver = policy.select_receiver(core_id, set_idx)
-            if receiver is not None and receiver != core_id:
-                self._place_spilled(core_id, receiver, set_idx, victim, swap=False)
-                return
-        self._evict_to_memory(core_id, victim)
 
     def _place_spilled(
         self, src: int, dst: int, set_idx: int, victim: Line, swap: bool
     ) -> None:
         cache = self.l2s[dst]
         policy = self.policy
-        if cache.occupancy(set_idx) >= cache.geometry.ways:
-            choose = self._policy_victim_position
-            r_pos = None if choose is None else choose(dst, set_idx, "spill")
-            if r_pos is None and policy.spill_victim_prefers_spilled:
-                # ASCC-family receiver rule: recycle the least-recent line
-                # that was itself spilled in, before touching any of the
-                # receiver set's own working set (uses the per-line
-                # spilled bit the spill mechanism already carries).
-                lines = cache.set_lines(set_idx)
-                for pos in range(len(lines) - 1, -1, -1):
-                    if lines[pos].spilled:
-                        r_pos = pos
-                        break
-            r_victim = cache.victim_candidate(set_idx, r_pos)
-            if r_victim is not None:
-                r_last = len(self._holders[r_victim.addr]) == 1
-                cache.evict(r_victim.addr)
-                self.l1s[dst].invalidate(r_victim.addr)
-                san = self.sanitizer
-                if san is not None:
-                    san.on_line_removed(dst, r_victim)
-                    san.after_back_invalidate(dst, r_victim.addr)
-                if r_last:
-                    # No cascading spills: displaced lines go to memory.
-                    self._evict_to_memory(dst, r_victim)
-                cache.release(r_victim)
-        cache.fill_fields(
+        choose = self._policy_victim_position
+        if choose is None and not policy.spill_victim_prefers_spilled:
+            r_victim = cache.take_victim(set_idx)
+        else:
+            stack = cache.stack_view(set_idx)
+            if len(stack) >= self._ways:
+                r_pos = None if choose is None else choose(dst, set_idx, "spill")
+                if r_pos is None and policy.spill_victim_prefers_spilled:
+                    # ASCC-family receiver rule: recycle the least-recent
+                    # line that was itself spilled in, before touching any
+                    # of the receiver set's own working set (uses the
+                    # per-line spilled bit the spill mechanism carries).
+                    pos = len(stack)
+                    for line in reversed(stack):
+                        pos -= 1
+                        if line.spilled:
+                            r_pos = pos
+                            break
+                r_victim = cache.take_victim(set_idx, r_pos)
+            else:
+                r_victim = None
+        if r_victim is not None:
+            r_addr = r_victim.addr
+            # Back-invalidate the receiver's L1 (inclusion), in place.
+            l1_idx = r_addr & self._l1_mask
+            l1_lines = self._l1_sets[dst][l1_idx]
+            if r_addr in l1_lines:
+                del l1_lines[r_addr]
+                l1_mru = self._l1_mru[dst]
+                if l1_mru[l1_idx] == r_addr:
+                    l1_mru[l1_idx] = -1
+                self.l1s[dst].back_invalidations += 1
+            san = self.sanitizer
+            if san is not None:
+                san.on_line_removed(dst, r_victim)
+                san.after_back_invalidate(dst, r_addr)
+            # No cascading spills: a displaced last copy goes to memory.
+            if r_addr not in self._holders and r_victim.state is Mesi.MODIFIED:
+                self._writeback(dst)
+        spill_position = self._policy_spill_position
+        cache.install(
             victim.addr,
             victim.state,
             True,  # spilled
             True,  # shared_region
-            position=policy.spill_insertion_position(dst, set_idx),
+            position=0 if spill_position is None else spill_position(dst, set_idx),
         )
         src_stats, dst_stats = self.stats[src], self.stats[dst]
         if swap:
@@ -405,7 +493,8 @@ class PrivateHierarchy(MemoryHierarchy):
                 src_stats.spills_out += 1
             if dst_stats.recording:
                 dst_stats.spills_in += 1
-            policy.on_spill(src, dst, set_idx)
+            if self._policy_on_spill is not None:
+                self._policy_on_spill(src, dst, set_idx)
         observer = self.observer
         if observer is not None:
             observer.emit(
@@ -444,7 +533,15 @@ class PrivateHierarchy(MemoryHierarchy):
             if san is not None:
                 san.on_line_removed(holder, line)
             cache.release(line)
-        self.l1s[holder].invalidate(line_addr)
+        # Back-invalidate the holder's L1 (inclusion), in place.
+        l1_idx = line_addr & self._l1_mask
+        l1_lines = self._l1_sets[holder][l1_idx]
+        if line_addr in l1_lines:
+            del l1_lines[line_addr]
+            l1_mru = self._l1_mru[holder]
+            if l1_mru[l1_idx] == line_addr:
+                l1_mru[l1_idx] = -1
+            self.l1s[holder].back_invalidations += 1
         self.traffic.invalidations += 1
         if san is not None:
             san.after_back_invalidate(holder, line_addr)
@@ -453,10 +550,6 @@ class PrivateHierarchy(MemoryHierarchy):
         self.traffic.writebacks += 1
         if self.stats[core_id].recording:
             self.stats[core_id].writebacks += 1
-
-    def _evict_to_memory(self, core_id: int, victim: Line) -> None:
-        if victim.state is Mesi.MODIFIED:
-            self._writeback(core_id)
 
     # ------------------------------------------------------------------ #
     # Prefetch and maintenance
@@ -471,21 +564,17 @@ class PrivateHierarchy(MemoryHierarchy):
                 continue
             set_idx = target & cache.set_mask
             san = self.sanitizer
-            if cache.occupancy(set_idx) >= cache.geometry.ways:
-                victim = cache.victim_candidate(set_idx)
-                assert victim is not None
-                last = len(self._holders[victim.addr]) == 1
-                cache.evict(victim.addr)
+            victim = cache.take_victim(set_idx)
+            if victim is not None:
                 self.l1s[core_id].invalidate(victim.addr)
                 if san is not None:
                     san.on_line_removed(core_id, victim)
                     san.after_back_invalidate(core_id, victim.addr)
-                if last:
-                    self._evict_to_memory(core_id, victim)
-                cache.release(victim)
+                if victim.addr not in self._holders and victim.state is Mesi.MODIFIED:
+                    self._writeback(core_id)
             # Install near LRU so useless prefetches pollute minimally.
-            pos = max(0, cache.geometry.ways - 2)
-            cache.fill_fields(target, Mesi.EXCLUSIVE, prefetched=True, position=pos)
+            pos = max(0, self._ways - 2)
+            cache.install(target, Mesi.EXCLUSIVE, False, False, position=pos).prefetched = True
             if san is not None:
                 san.check_set(core_id, set_idx)
             self.traffic.prefetch_fills += 1
@@ -568,8 +657,7 @@ class SharedHierarchy(MemoryHierarchy):
         self.traffic.memory_fetches += 1
         if stats.recording:
             stats.l2_memory_fetches += 1
-        state = Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE
-        victim = self.llc.fill_fields(line_addr, state, position=0)
+        victim = self.llc.take_victim(line_addr & self.llc.set_mask)
         if victim is not None:
             for l1 in self.l1s:
                 l1.invalidate(victim.addr)
@@ -577,8 +665,9 @@ class SharedHierarchy(MemoryHierarchy):
                 self.traffic.writebacks += 1
                 if stats.recording:
                     stats.writebacks += 1
-            self.llc.release(victim)
-        self.l1s[core_id].allocate(line_addr, self.llc.probe(line_addr))
+        state = Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE
+        line = self.llc.install(line_addr, state, False, False, position=0)
+        self.l1s[core_id].allocate(line_addr, line)
         return self._latency + self.config.latencies.memory
 
     def write_through(self, core_id: int, line_addr: int) -> None:

@@ -12,6 +12,11 @@ Two layers of lockstep checking:
   victim ``release`` into the slot pool, in-place flag flips) asserting
   the *full* per-line state — address, MESI state and all three
   scheme flags — matches set by set.
+
+Both streams include the two miss-path operations the private hierarchy
+drives, ``take_victim`` (detach a full set's LRU or positioned victim)
+and ``install`` (fill a free way), so the backends stay in lockstep on
+exactly the calls a simulated miss makes.
 """
 
 import pytest
@@ -80,6 +85,18 @@ class OracleArray:
             return None
         return stack[len(stack) - 1 if position is None else position]
 
+    def take_victim(self, set_idx, position=None):
+        stack = self.sets[set_idx]
+        if len(stack) < WAYS:
+            return None
+        return stack.pop(len(stack) - 1 if position is None else position)
+
+    def install(self, line, position):
+        stack = self.sets[line.addr & self.mask]
+        assert len(stack) < WAYS
+        stack.insert(min(max(position, 0), len(stack)), line)
+        return line
+
 
 addresses = st.integers(min_value=0, max_value=31)
 
@@ -98,6 +115,17 @@ operations = st.one_of(
         st.just("victim"),
         st.integers(min_value=0, max_value=SETS - 1),
         st.one_of(st.none(), st.integers(min_value=0, max_value=WAYS - 1)),
+    ),
+    st.tuples(
+        st.just("take_victim"),
+        st.integers(min_value=0, max_value=SETS - 1),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=WAYS - 1)),
+    ),
+    st.tuples(
+        st.just("install"),
+        addresses,
+        st.integers(min_value=0, max_value=WAYS),  # insertion position
+        st.booleans(),  # spilled
     ),
 )
 
@@ -158,6 +186,24 @@ def test_lockstep_with_reference_model(backend, ops):
             if got is not None:
                 got.spilled = flag
                 want.spilled = flag
+        elif op[0] == "take_victim":
+            _, set_idx, position = op
+            if position is not None and position >= array.occupancy(set_idx):
+                position = None
+            got = array.take_victim(set_idx, position)
+            want = oracle.take_victim(set_idx, position)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.addr, got.spilled) == (want.addr, want.spilled)
+                assert not array.contains(got.addr)
+        elif op[0] == "install":
+            _, addr, position, spilled = op
+            if array.contains(addr) or array.occupancy(addr & array.set_mask) >= WAYS:
+                continue  # install() needs an absent line and a free way
+            got = array.install(addr, Mesi.EXCLUSIVE, spilled, False, position=position)
+            oracle.install(Line(addr, Mesi.EXCLUSIVE, spilled), position)
+            assert array.probe(addr) is got
+            assert (got.addr, got.state, got.spilled) == (addr, Mesi.EXCLUSIVE, spilled)
         else:  # victim candidate peek
             _, set_idx, position = op
             if position is not None and position >= array.occupancy(set_idx):
@@ -182,6 +228,27 @@ def test_evict_absent_line_raises(backend):
     array = CACHE_BACKENDS[backend](GEOMETRY)
     with pytest.raises(KeyError):
         array.evict(5)
+
+
+@pytest.mark.parametrize("backend", sorted(CACHE_BACKENDS))
+def test_take_victim_and_install_on_one_set(backend):
+    """A full set gives up its victim, which stays readable until the
+    next install; installing into a full set is a caller bug."""
+    array = CACHE_BACKENDS[backend](GEOMETRY)
+    for k in range(WAYS):
+        array.install(k * SETS, Mesi.EXCLUSIVE, False, False, position=0)
+    assert array.take_victim(1) is None  # set 1 still has free ways
+    with pytest.raises(ValueError):
+        array.install(WAYS * SETS, Mesi.EXCLUSIVE, False, False, position=0)
+    with pytest.raises(IndexError):
+        array.take_victim(0, WAYS)
+    victim = array.take_victim(0, 1)
+    assert (victim.addr, victim.state) == ((WAYS - 2) * SETS, Mesi.EXCLUSIVE)
+    assert array.occupancy(0) == WAYS - 1 and not array.contains(victim.addr)
+    assert array.take_victim(0) is None  # a way is free again
+    line = array.install(WAYS * SETS, Mesi.MODIFIED, True, True, position=WAYS)
+    assert array.set_lines(0)[-1] is line and line.spilled and line.shared_region
+    assert not line.prefetched
 
 
 # --------------------------------------------------------------------- #
@@ -216,18 +283,29 @@ rich_operations = st.one_of(
         st.integers(min_value=0, max_value=SETS - 1),
         st.one_of(st.none(), st.integers(min_value=0, max_value=WAYS - 1)),
     ),
+    st.tuples(
+        st.just("take_victim"),
+        st.integers(min_value=0, max_value=SETS - 1),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=WAYS - 1)),
+    ),
+    st.tuples(
+        st.just("install"),
+        addresses,
+        st.sampled_from(STATES),
+        st.booleans(),  # spilled
+        st.booleans(),  # shared_region
+        st.integers(min_value=0, max_value=WAYS),  # insertion position
+    ),
 )
+
+
+def line_state(line) -> tuple:
+    return (line.addr, line.state, line.spilled, line.shared_region, line.prefetched)
 
 
 def full_state(array) -> list[list[tuple]]:
     """Everything a backend divergence could disturb, set by set."""
-    return [
-        [
-            (l.addr, l.state, l.spilled, l.shared_region, l.prefetched)
-            for l in array.set_lines(i)
-        ]
-        for i in range(SETS)
-    ]
+    return [[line_state(l) for l in array.set_lines(i)] for i in range(SETS)]
 
 
 @settings(max_examples=examples(300))
@@ -238,7 +316,9 @@ def test_slot_and_dict_backends_lockstep(ops):
     The stream exercises the demand path the hierarchy actually drives:
     ``fill_fields`` with arbitrary states and flags, victim ``release``
     back into the slot backend's pool (so pooled-Line reuse is covered),
-    in-place flag flips on resident lines, evictions and invalidations.
+    in-place flag flips on resident lines, evictions and invalidations,
+    and the miss path's ``take_victim`` (whose slot goes back to the
+    pool) followed by ``install`` (which reuses it).
     """
     arrays = (SlotCacheArray(GEOMETRY), DictCacheArray(GEOMETRY))
     for op in ops:
@@ -289,6 +369,25 @@ def test_slot_and_dict_backends_lockstep(ops):
                 if line is None:
                     continue
                 setattr(line, field, state if field == "state" else flag)
+        elif op[0] == "take_victim":
+            _, set_idx, position = op
+            if position is not None and position >= arrays[0].occupancy(set_idx):
+                position = None
+            got = [a.take_victim(set_idx, position) for a in arrays]
+            assert (got[0] is None) == (got[1] is None)
+            if got[0] is not None:
+                assert line_state(got[0]) == line_state(got[1])
+        elif op[0] == "install":
+            _, addr, state, spilled, shared, position = op
+            if arrays[0].contains(addr) or arrays[0].occupancy(addr & arrays[0].set_mask) >= WAYS:
+                continue
+            got = [
+                a.install(addr, state, spilled, shared, position=position) for a in arrays
+            ]
+            assert line_state(got[0]) == line_state(got[1]) == (
+                addr, state, spilled, shared, False
+            )
+            assert all(a.probe(addr) is line for a, line in zip(arrays, got))
         else:  # victim candidate peek
             _, set_idx, position = op
             if position is not None and position >= arrays[0].occupancy(set_idx):
@@ -300,6 +399,10 @@ def test_slot_and_dict_backends_lockstep(ops):
         # Full-state equivalence after every operation: same stacks, same
         # MESI states, same flags, same occupancy, same index answers.
         assert full_state(arrays[0]) == full_state(arrays[1])
+        for a in arrays:  # the live view reads what the snapshot copies
+            for set_idx in range(SETS):
+                assert list(a.stack_view(set_idx)) == a.set_lines(set_idx)
+                assert list(reversed(a.stack_view(set_idx))) == a.set_lines(set_idx)[::-1]
         assert len(arrays[0]) == len(arrays[1])
         for set_idx in range(SETS):
             assert arrays[0].occupancy(set_idx) == arrays[1].occupancy(set_idx)
@@ -308,3 +411,64 @@ def test_slot_and_dict_backends_lockstep(ops):
                     arrays[0].recency_position(line.addr)
                     == arrays[1].recency_position(line.addr)
                 )
+
+
+# --------------------------------------------------------------------- #
+# The hierarchy's miss path: take_victim, then install, on every backend
+# --------------------------------------------------------------------- #
+
+#: Six lines each in sets 0 and 1: more lines than ways, so misses evict.
+crowded_addresses = st.integers(min_value=0, max_value=11).map(
+    lambda k: k % 2 + SETS * (k // 2)
+)
+
+#: (kind, address, insertion position, victim position, flag): most ops
+#: miss; the flag is a miss's spilled bit or a lookup's promote, and a
+#: prefetch is a miss whose line the prefetcher then marks.
+miss_path_operations = st.tuples(
+    st.sampled_from(("miss", "miss", "miss", "prefetch", "lookup", "invalidate")),
+    crowded_addresses,
+    st.integers(min_value=0, max_value=WAYS),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=WAYS - 1)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=examples(200))
+@given(ops=st.lists(miss_path_operations, min_size=20, max_size=60))
+def test_miss_path_lockstep(ops):
+    """Misses on crowded sets fill them, so most misses evict: both
+    backends against the oracle, and slot against dict in full state,
+    with the slot pool recycling every victim and invalidated line."""
+    arrays = (SlotCacheArray(GEOMETRY), DictCacheArray(GEOMETRY))
+    oracle = OracleArray()
+    for kind, addr, position, victim_position, flag in ops:
+        if kind in ("miss", "prefetch"):
+            if arrays[0].contains(addr):
+                continue
+            set_idx = addr & arrays[0].set_mask
+            victims = [a.take_victim(set_idx, victim_position) for a in arrays]
+            want = oracle.take_victim(set_idx, victim_position)
+            assert all((v is None) == (want is None) for v in victims)
+            if want is not None:
+                assert line_state(victims[0]) == line_state(victims[1])
+                assert victims[0].addr == want.addr
+            state = Mesi.MODIFIED if flag else Mesi.EXCLUSIVE
+            for a in arrays:
+                line = a.install(addr, state, flag, flag, position=position)
+                if kind == "prefetch":
+                    line.prefetched = True
+            oracle.install(Line(addr, state, flag), position)
+        elif kind == "lookup":
+            got = [a.lookup(addr, promote=flag) for a in arrays]
+            want = oracle.lookup(addr, promote=flag)
+            assert all((g is None) == (want is None) for g in got)
+        else:
+            got = [a.invalidate(addr) for a in arrays]
+            want = oracle.invalidate(addr)
+            assert all((g is None) == (want is None) for g in got)
+            for a, line in zip(arrays, got):
+                if line is not None:
+                    a.release(line)
+        assert full_state(arrays[0]) == full_state(arrays[1])
+        assert stacks(arrays[0]) == oracle_stacks(oracle)

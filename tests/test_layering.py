@@ -24,7 +24,8 @@ Each process role imports only the layers it runs, checked in a fresh
 interpreter: a cluster lane runs the one worker entry point,
 :func:`repro.execution.simulate._run_spec`, on the execution core and
 the wire protocol alone; an untimed in-process batch loads no pool
-machinery; a cluster coordinator loads no figure code.  None of them
+machinery; a cluster coordinator, validating specs it never simulates,
+loads no figure code and no simulator.  None of them
 maps OpenSSL (``_hashlib``) unless it computes a digest.
 """
 
@@ -169,11 +170,20 @@ assert stats.executed == 1, stats
 
 
 def test_a_cluster_coordinator_loads_no_figure_code():
+    """Nor the simulator: it validates specs but never runs one."""
     code = """
-from repro.api import BatchScheduler
+from repro.api import BatchScheduler, RunSpec
+RunSpec(mix=(471, 444), scheme='avgcc', quota=2000, warmup=1000).validate()
 scheduler = BatchScheduler(executor="cluster", executor_options={"listen": "127.0.0.1:0"})
 scheduler.close()
 """
     assert loaded_after(
-        code, ("multiprocessing", "repro.verify", "repro.experiments.registry")
+        code,
+        (
+            "multiprocessing",
+            "repro.verify",
+            "repro.experiments.registry",
+            "repro.sim.engine",
+            "repro.execution.simulate",
+        ),
     ) == []
