@@ -47,14 +47,14 @@ CELLS = {
             mix=(445, 401, 444, 456), scheme="ascc", quota=8_000,
             warmup=8_000, seed=7, l2_paper_bytes=256 * KB, trace_cache=True,
         ),
-        5.460,
+        4.426,
     ),
     "429+401/avgcc/1M": (
         RunSpec(
             mix=(429, 401), scheme="avgcc", quota=8_000, warmup=8_000,
             seed=7, l2_paper_bytes=1024 * KB, trace_cache=True,
         ),
-        6.655,
+        5.293,
     ),
 }
 
@@ -63,8 +63,8 @@ LAYER_CELL = "445+401+444+456/ascc/256K"
 
 #: layer -> (packages under ``src/repro/``, pinned calls per L2 access).
 LAYERS = {
-    "cache": (("cache",), 1.730),
-    "policy": (("policies", "core"), 2.177),
+    "cache": (("cache",), 1.589),
+    "policy": (("policies", "core"), 1.332),
 }
 
 SRC = os.sep + os.path.join("src", "repro") + os.sep

@@ -233,15 +233,14 @@ class SlotCacheArray:
         available (see :meth:`release`).
         """
         pool = self._pool
-        if pool:
-            line = pool.pop()
-            line.addr = addr
-            line.state = state
-            line.spilled = spilled
-            line.shared_region = shared_region
-            line.prefetched = prefetched
-        else:
-            line = Line(addr, state, spilled, shared_region, prefetched)
+        # A cold set has no pooled slot yet: a bare Line (no __init__
+        # call) takes the same five stores.
+        line = pool.pop() if pool else Line.__new__(Line)
+        line.addr = addr
+        line.state = state
+        line.spilled = spilled
+        line.shared_region = shared_region
+        line.prefetched = prefetched
         return self.fill(line, position, victim_position)
 
     def release(self, line: Line) -> None:
@@ -346,15 +345,12 @@ class SlotCacheArray:
         if occupancy >= self._ways:
             raise ValueError(f"set of line {addr:#x} has no free way")
         pool = self._pool
-        if pool:
-            line = pool.pop()
-            line.addr = addr
-            line.state = state
-            line.spilled = spilled
-            line.shared_region = shared_region
-            line.prefetched = False
-        else:
-            line = Line(addr, state, spilled, shared_region)
+        line = pool.pop() if pool else Line.__new__(Line)
+        line.addr = addr
+        line.state = state
+        line.spilled = spilled
+        line.shared_region = shared_region
+        line.prefetched = False
         if position <= 0:
             stack.insert(0, line)
         elif position >= occupancy:

@@ -124,7 +124,12 @@ class ASCC(LLCPolicy):
     # ------------------------------------------------------------------ #
 
     def should_spill(self, cache_id: int, set_idx: int) -> bool:
-        return self.role(cache_id, set_idx) is SetRole.SPILLER
+        # ``role(...) is SetRole.SPILLER``, read off the bank's lists.
+        bank = self.banks[cache_id]
+        ctr = set_idx >> bank._d
+        if self.two_state:
+            return bank._raw[ctr] >= bank._receiver_raw
+        return bank._sticky_spiller[ctr] or bank._raw[ctr] >= bank._max_raw
 
     def select_receiver(self, cache_id: int, set_idx: int) -> Optional[int]:
         if self.receiver_selection == "min":
@@ -165,18 +170,22 @@ class ASCC(LLCPolicy):
     # ------------------------------------------------------------------ #
 
     def insertion_position(self, cache_id: int, set_idx: int) -> int:
-        bank = self.banks[cache_id]
         if self.capacity_policy is None:
             return 0
-        if bank.value(set_idx) < bank.ways:
-            # Pressure relieved: revert to traditional MRU insertion.
-            if self.observer is not None and bank.in_capacity_mode(set_idx):
-                self.observer.emit(
-                    "receive_flip", cache=cache_id, set=set_idx, mode="mru"
-                )
-            bank.leave_capacity_mode(set_idx)
+        bank = self.banks[cache_id]
+        ctr = set_idx >> bank._d
+        capacity_mode = bank._capacity_mode
+        if bank._raw[ctr] < bank._receiver_raw:
+            # Pressure relieved (SSL < K): revert to traditional MRU
+            # insertion.
+            if capacity_mode[ctr]:
+                if self.observer is not None:
+                    self.observer.emit(
+                        "receive_flip", cache=cache_id, set=set_idx, mode="mru"
+                    )
+                capacity_mode[ctr] = False
             return 0
-        if bank.in_capacity_mode(set_idx):
+        if capacity_mode[ctr]:
             assert self.geometry is not None
             return insertion_position(
                 self.capacity_policy, self.geometry.ways, self.rng, self.epsilon

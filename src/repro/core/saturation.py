@@ -51,6 +51,8 @@ class SetStateBank:
         self.fraction_bits = fraction_bits
         self._unit = 1 << fraction_bits
         self._max_raw = (2 * ways - 1) * self._unit
+        #: ``K`` in raw units: a counter below it covers receiver sets.
+        self._receiver_raw = ways << fraction_bits
         self._d = granularity_log2
         self._max_d = max_d
         # Counters start at zero: a set that is never accessed stays at the
@@ -117,7 +119,7 @@ class SetStateBank:
         ctr = set_idx >> self._d
         raw = self._raw[ctr] - self._unit
         self._raw[ctr] = raw if raw > 0 else 0
-        if raw < self.ways << self.fraction_bits:
+        if raw < self._receiver_raw:
             self._sticky_spiller[ctr] = False
         return ctr
 

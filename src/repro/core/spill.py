@@ -34,7 +34,8 @@ def select_min_ssl_receiver(
     for cache_id, bank in enumerate(banks):
         if cache_id == spiller:
             continue
-        value = bank.value(set_idx)
+        # ``bank.value(set_idx)``, read off the bank's counter list.
+        value = bank._raw[set_idx >> bank._d] >> bank.fraction_bits
         if value >= bank.ways:  # not a receiver
             continue
         if best_value is None or value < best_value:

@@ -32,8 +32,9 @@ class LatencyModel:
 class BusTraffic:
     """Message counters for the broadcast interconnect.
 
-    ``slots=True`` because the hierarchy bumps these counters on every L2
-    access in the simulation hot loop.
+    A hierarchy builds one from its per-core counters when asked
+    (:func:`repro.sim.results.bus_traffic`); nothing bumps these fields
+    on the access path.
     """
 
     local_hits: int = 0

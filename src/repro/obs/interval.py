@@ -28,7 +28,8 @@ from repro.obs.observer import Observer
 #: Default sampling cadence in committed instructions.
 DEFAULT_INTERVAL = 10_000
 
-#: CoreStats fields diffed per interval, in snapshot order.
+#: Per-core counters (``hierarchy.counts``) diffed per interval, in
+#: snapshot order; the names are CoreStats fields.
 _COUNTER_FIELDS = (
     "l2_accesses",
     "l2_local_hits",
@@ -136,18 +137,17 @@ class IntervalRecorder(Observer):
     def bind(self, hierarchy, workloads) -> None:
         self._hierarchy = hierarchy
         self._core_names = {i: w.name for i, w in enumerate(workloads)}
-        # Statistics accumulate only while recording, so the zero baseline
-        # is exact for warmup-free runs; ``on_phase("measure")`` re-bases
-        # for runs with a warmup phase.
+        # The hierarchy's counters start at zero with the run, so the zero
+        # baseline is exact for warmup-free runs; ``on_phase("measure")``
+        # re-bases for runs with a warmup phase.
         for core_id in range(len(hierarchy.l1s)):
             self._prev[core_id] = (0, 0.0, (0,) * len(_COUNTER_FIELDS))
             self._index[core_id] = 0
 
     def on_phase(self, core_id: int, phase: str, instructions: int, cycles: float) -> None:
         if phase == "measure":
-            # Warmup accesses are not in the statistics; re-base on the
-            # engine's cumulative instruction/cycle counts so the first
-            # interval's CPI does not absorb the whole warmup.
+            # Re-base counters and the engine's cumulative instruction and
+            # cycle counts, so the first interval absorbs none of the warmup.
             self._prev[core_id] = (instructions, cycles, self._counters(core_id))
         elif phase == "done":
             prev_instructions = self._prev[core_id][0]
@@ -181,8 +181,8 @@ class IntervalRecorder(Observer):
     # -- snapshots ------------------------------------------------------ #
 
     def _counters(self, core_id: int) -> tuple[int, ...]:
-        stats = self._hierarchy.stats[core_id]
-        return tuple(getattr(stats, name) for name in _COUNTER_FIELDS)
+        counts = self._hierarchy.counts[core_id]
+        return tuple(getattr(counts, name) for name in _COUNTER_FIELDS)
 
     def _ssl_snapshot(self, core_id: int) -> Optional[dict]:
         """SSL/role state of the core's cache, via public policy APIs."""

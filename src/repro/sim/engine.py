@@ -2,14 +2,9 @@
 
 Cores advance independently through their traces; at each step the engine
 executes the core with the smallest cycle count, so the L2 access streams
-interleave in (simulated) time order and caches genuinely compete.
-
-The scheduler picks that core without scanning: the waiting cores sit in a
-binary heap keyed on ``(cycles, core_id)`` — the same total order (ties go
-to the lowest core id) that a linear ``min`` over the core list produces —
-and the running core keeps executing records while its key stays at or
-below the heap root, so the heap is only touched when the lead actually
-changes hands.  The interleaving is bit-identical to the ``min`` scan.
+interleave in (simulated) time order and caches genuinely compete.  Ties
+go to the lowest core id: the order of a linear ``min`` over
+``(cycles, core_id)``.
 
 Following the paper's methodology, each core first warms the caches
 (statistics off), then commits a fixed instruction quota with live
@@ -17,23 +12,49 @@ statistics, and then *keeps running* (its trace restarts if exhausted)
 until the last core reaches its quota, "in order to keep competing for the
 cache resources".
 
+The loop does as little as it can per record (DESIGN.md §12):
+
+* **Scheduler.**  The waiting cores' cycle counts sit in a heap of plain
+  floats, and the running core keeps executing records while its count
+  stays below the root, so the heap is only touched when the lead
+  changes hands.  ``cycles_of`` holds each core's count as of its last
+  switch, so the owner of a popped root is ``cycles_of.index(root)``,
+  the lowest core id with that count: the tie rule.  Before a switch the
+  owner is looked up only when the counts tie exactly.
+* **Per-block accounting.**  A refill maps the block's gaps through a
+  per-core table ``cost[g] = (g + 1) * base_cpi`` into a step column
+  (the very floats a per-record multiply gives) and adds the block's
+  instructions at once.  L1 misses are read off the hierarchy's outcome
+  counters, so a record bumps no counter unless it is a store hit on a
+  line already in M.
+* **Transitions.**  The record that reaches a core's next threshold (end
+  of warmup, quota, or an observer's sampling point) is found once per
+  block, by bisecting the block's instruction prefix sums, and the step
+  column is cut just before it.  Reading past the cut runs that record
+  from the whole column and drops the scheduler root below every count,
+  so the switch check right after the record takes the transition first:
+  a core's window closes on the record that reaches its quota, before any
+  other core runs, and ``policy.end_warmup()`` and the loop's exit keep
+  their place.
+
 An optional :class:`~repro.obs.observer.Observer` taps the run without
-touching the hot loop: its sampling deadline folds into the *existing*
-per-record threshold compare (``threshold = min(state_threshold,
-next_sample)``), so with no observer — ``next_sample`` stays infinite —
-the per-record work is exactly what it was before instrumentation, and
-the interleaving (hence every counter) is bit-identical.
+touching the hot loop: its sampling deadline is one more threshold, so
+with no observer (``next_sample`` stays infinite) the loop does exactly
+the same work, and the interleaving (hence every counter) is
+bit-identical.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heapreplace
-from itertools import islice
+from itertools import accumulate, islice
 from random import Random
 from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
 from repro.coherence.protocol import Mesi
 from repro.cpu.timing import TimingModel
+from repro.sim.results import CoreCounts, record_counts
 from repro.sim.system import MemoryHierarchy
 from repro.workloads.generators import LINE
 
@@ -53,6 +74,9 @@ _LINE_BITS = LINE.bit_length() - 1
 
 #: Records the engine pulls from a core's source per refill.
 BLOCK = 1024
+
+#: Instructions a record commits: its gap plus the memory op itself.
+_COMMITTED = (1).__add__
 
 
 class BlockSource(Protocol):
@@ -115,6 +139,11 @@ class _CoreRun:
     :meth:`Engine.run` executes, ``cycles``/``instructions`` are written
     only before observer calls and at the end of the run; use
     :meth:`Engine.live_cycles` for a mid-run reading.
+
+    The current block lives here too: its gap column, its step column
+    (cycles per record before the memory access) and the instructions
+    committed before and through it.  The loop itself reads a step
+    column cut before the next threshold crossing (:meth:`cut`).
     """
 
     __slots__ = (
@@ -137,6 +166,12 @@ class _CoreRun:
         "threshold",
         "state_threshold",
         "next_sample",
+        "cost",
+        "gaps",
+        "column",
+        "prefix",
+        "block_start",
+        "block_end",
     )
 
     def __init__(
@@ -155,10 +190,10 @@ class _CoreRun:
         self.done = False
         self.base_cpi = workload.timing.base_cpi
         self.mlp = workload.timing.mlp
-        #: Loop counters (instructions, records, L1 misses, store hits
-        #: retired in the loop) at the warm transition: the start of the
-        #: recorded window.
-        self.warm_counts = (0, 0, 0, 0)
+        #: Instructions, records, loop-retired store hits and hierarchy
+        #: counters at the warm transition: the start of the recorded
+        #: window.
+        self.warm_counts = (0, 0, 0, CoreCounts())
         #: Records pulled from the core's sources so far.
         self.fetched = 0
         #: Next instruction count at which a state transition can happen:
@@ -167,8 +202,68 @@ class _CoreRun:
         #: Next observer sampling point; ``inf`` unless an observer with
         #: a sampling interval is attached (set by the engine).
         self.next_sample: float = float("inf")
-        #: The per-record compare point: min(state_threshold, next_sample).
+        #: The next crossing point: min(state_threshold, next_sample).
         self.threshold: float = self.state_threshold
+        #: ``cost[g] = (g + 1) * base_cpi``, the cycles of a record with
+        #: gap ``g``: the very float a per-record multiply gives.  Grows
+        #: when a block holds a longer gap.
+        self.cost = [(g + 1) * self.base_cpi for g in range(32)]
+        self.gaps: Sequence[int] = ()
+        self.column: list = []
+        #: Committed-instruction prefix sums of the block, built only when
+        #: a crossing or a reading needs them.
+        self.prefix: Optional[list] = None
+        #: Instructions committed before and through the current block.
+        self.block_start = 0
+        self.block_end = 0
+
+    def refill(self) -> tuple:
+        """Pull the next block; return ``(steps, pcs, lines, writes)``.
+
+        An empty block means the trace is exhausted: the source restarts,
+        like the paper, and the next read refills again.
+        """
+        gaps, pcs, line_addrs, writes = self.source.fill(BLOCK)
+        if not gaps:
+            self.source = open_source(self.workload, self.rng)
+        self.fetched += len(gaps)
+        cost = self.cost
+        try:
+            column = list(map(cost.__getitem__, gaps))
+        except IndexError:  # a gap past the table (generator models)
+            base_cpi = self.base_cpi
+            cost.extend(
+                (g + 1) * base_cpi for g in range(len(cost), max(gaps) + 1)
+            )
+            column = list(map(cost.__getitem__, gaps))
+        self.gaps = gaps
+        self.column = column
+        self.prefix = None
+        self.block_start = self.block_end
+        self.block_end += sum(gaps) + len(gaps)
+        return self.cut(0), pcs, line_addrs, writes
+
+    def cut(self, pos: int) -> list:
+        """The step column, cut before the first record at or after
+        ``pos`` whose count reaches ``threshold`` (whole when none does).
+        """
+        threshold = self.threshold
+        if self.block_end < threshold:
+            return self.column
+        cross = bisect_left(self._prefix(), threshold - self.block_start, pos)
+        return self.column[:cross]
+
+    def instructions_at(self, pos: int) -> int:
+        """Instructions committed through the block's first ``pos`` records."""
+        if not pos:
+            return self.block_start
+        return self.block_start + self._prefix()[pos - 1]
+
+    def _prefix(self) -> list:
+        prefix = self.prefix
+        if prefix is None:
+            prefix = self.prefix = list(accumulate(map(_COMMITTED, self.gaps)))
+        return prefix
 
 
 class Engine:
@@ -201,8 +296,9 @@ class Engine:
         ]
         for core in self.cores:
             core.stats = hierarchy.stats[core.core_id]  # type: ignore[attr-defined]
-        #: Per-core loop state lists while (and after) :meth:`run` executes.
-        self._states: Optional[list[list]] = None
+        #: Each core's cycle count as of its last switch, while (and
+        #: after) :meth:`run` executes.
+        self._cycles_of: Optional[list[float]] = None
         self._warming = warmup > 0
         self.observer = observer
         self._sample_interval = 0
@@ -243,10 +339,10 @@ class Engine:
         to another core (the running core's own count lives in a local),
         so the values lag by at most one scheduling quantum.
         """
-        states = self._states
-        if states is None:
+        cycles_of = self._cycles_of
+        if cycles_of is None:
             return [core.cycles for core in self.cores]
-        return [state[0] for state in states]
+        return list(cycles_of)
 
     def run(self) -> None:
         """Execute until every core has committed warmup + quota."""
@@ -255,76 +351,63 @@ class Engine:
         hierarchy_access = hierarchy.access
         write_through = hierarchy.write_through
         l1s = hierarchy.l1s
+        counts = hierarchy.counts
         remaining = len(cores)
         observer = self.observer
         sample_interval = self._sample_interval
         modified = Mesi.MODIFIED
+        inf = float("inf")
+        # Every L1 miss is one L2 access, so the L1 misses of this run are
+        # the growth of each core's outcome counters.
+        first_accesses = [c.l2_accesses for c in counts]
 
-        # Scheduler state: the heap holds one (cycles, core_id) entry per
-        # core EXCEPT the one currently executing, and its root is cached
-        # in two locals (refreshed after each heapreplace; ``inf`` for a
-        # single core).  After each record the current core keeps running
-        # while its (cycles, core_id) is still <= the root — the same
-        # total order a ``min`` scan over all cores produces.  All cores
-        # start at 0 cycles, so the tie goes to core 0.
-        core_id = 0
-        heap = [(c.cycles, c.core_id) for c in cores[1:]]
+        # Scheduler state: ``cycles_of`` holds every core's count as of
+        # its last switch, and the heap the counts of every core EXCEPT
+        # the one executing, as plain floats.  The root lives in a local
+        # (``inf`` for a single core).  After each record the current
+        # core keeps running while its count is below the root, or equal
+        # to it with the lower core id: the order a ``min`` over
+        # ``(cycles, core_id)`` gives.  ``cycles_of.index(root)`` is the
+        # lowest core id holding the root's count (the running core's
+        # stale entry can only match when the running core is itself the
+        # lowest, which again means "keep running").  All cores start at
+        # 0 cycles, so the tie goes to core 0.
+        cycles_of = self._cycles_of = [c.cycles for c in cores]
+        heap = cycles_of[1:]
         heapify(heap)
-        root_cycles, root_id = heap[0] if heap else (float("inf"), 0)
+        root = heap[0] if heap else inf
+        core_id = 0
         # Every L1 shares one geometry, so the set mask is loop-invariant.
         l1_mask = l1s[0]._mask
 
         # Cores hand the lead back and forth every few records, so the
         # swap itself is hot.  Each core's loop state lives in one flat
-        # list whose first five entries are the ones a record changes; a
-        # switch is five item stores plus one unpack (a slice store costs
-        # more than the five stores together).  Layout:
-        #   [cycles, instructions, pos, misses, wt_hits,
-        #    threshold, base_cpi, mlp, gaps, pcs, line_addrs, writes,
-        #    core, l1_mru, l1_sets]
-        # ``misses`` counts L1 misses and ``wt_hits`` store hits retired
-        # here on a line already in M; records consumed are
-        # ``core.fetched - len(gaps) + pos``.  L1 hits and the recorded
-        # CoreStats counters are derived from these at the warm and done
-        # transitions and at the end of the run, not bumped per record.
-        states = self._states = []
+        # list whose first two entries are the ones a record changes; a
+        # switch is two item stores, one ``cycles_of`` store and one
+        # unpack.  Layout:
+        #   [pos, wt_hits, steps, pcs, line_addrs, writes, mlp, l1_mru,
+        #    l1_sets]
+        # ``steps`` is the block's step column cut before the next
+        # threshold crossing (see ``_CoreRun.cut``); ``wt_hits`` counts
+        # store hits retired here on a line already in M.  Records
+        # consumed are ``core.fetched - len(core.gaps) + pos`` and
+        # instructions ``core.instructions_at(pos)``; both are computed
+        # only at transitions and at the end of the run, the only places
+        # besides a refill that need the ``_CoreRun``.
+        states = []
         for c in cores:
             c_l1 = l1s[c.core_id]
-            states.append(
-                [
-                    c.cycles,
-                    c.instructions,
-                    0,
-                    0,
-                    0,
-                    c.threshold,
-                    c.base_cpi,
-                    c.mlp,
-                    (),
-                    (),
-                    (),
-                    (),
-                    c,
-                    c_l1._mru,
-                    c_l1._sets,
-                ]
-            )
-
+            states.append([0, 0, [], (), (), (), c.mlp, c_l1._mru, c_l1._sets])
         state = states[core_id]
+        cycles = cycles_of[core_id]
         (
-            cycles,
-            instructions,
             pos,
-            misses,
             wt_hits,
-            threshold,
-            base_cpi,
-            mlp,
-            gaps,
+            steps,
             pcs,
             line_addrs,
             writes,
-            core,
+            mlp,
             l1_mru,
             l1_sets,
         ) = state
@@ -334,26 +417,27 @@ class Engine:
             # record stream depends only on its own RNG and component
             # state, so pulling BLOCK records at a time yields the same
             # records while amortising the per-record production cost.
-            # The block is walked with one cursor over its columns; the pc
-            # is read only on an L1 miss.  Running off the end of a block
-            # raises IndexError, which costs nothing until it happens
-            # (once per block) and spares a bounds compare per record.
+            # Reading past the step column raises IndexError, which costs
+            # nothing until it happens and spares a compare per record.
+            # It happens at the block's end, or at the record that reaches
+            # the core's threshold, where the column was cut.
             try:
-                committed = gaps[pos] + 1
+                cycles += steps[pos]
             except IndexError:
-                gaps, pcs, line_addrs, writes = block = core.source.fill(BLOCK)
-                if gaps:
-                    core.fetched += len(gaps)
-                    state[8:12] = block
-                else:  # trace exhausted: restart it, like the paper
-                    core.source = open_source(core.workload, core.rng)
-                pos = 0
-                continue
+                core = cores[core_id]
+                if pos < len(core.column):
+                    # The crossing record: run it from the whole column,
+                    # and set the root below every count so the switch
+                    # check right after it takes the transition first.
+                    cycles += core.column[pos]
+                    root = -1.0
+                else:
+                    steps, pcs, line_addrs, writes = state[2:6] = core.refill()
+                    pos = 0
+                    continue
             line_addr = line_addrs[pos]
             is_write = writes[pos]
             pos += 1
-            instructions += committed
-            cycles += committed * base_cpi
             set_idx = line_addr & l1_mask
             # Fully inlined L1 probe (last key = MRU).  Most records
             # re-touch the line the set served last (dwell) — one list
@@ -366,10 +450,9 @@ class Engine:
                     l1_mru[set_idx] = line_addr
                 else:
                     # L1 miss: the hierarchy resolves the access, store
-                    # included, and allocates into the L1 itself (a
-                    # spilled line served remotely in place never enters
-                    # this L1).
-                    misses += 1
+                    # included, counts it, and allocates into the L1
+                    # itself (a spilled line served remotely in place
+                    # never enters this L1).
                     cycles += (
                         hierarchy_access(core_id, line_addr, is_write, pcs[pos - 1])
                         / mlp
@@ -387,109 +470,106 @@ class Engine:
                 else:
                     write_through(core_id, line_addr)
 
-            if instructions >= threshold:
-                if instructions >= core.state_threshold:
-                    if not core.warmed:
-                        core.warmed = True
-                        core.cycle_offset = cycles
-                        core.warm_counts = (
-                            instructions,
-                            core.fetched - len(gaps) + pos,
-                            misses,
-                            wt_hits,
-                        )
-                        core.stats.recording = True
-                        core.state_threshold = core.warmup + core.quota
-                        if observer is not None:
-                            core.cycles = cycles
-                            core.instructions = instructions
-                            observer.on_phase(
-                                core_id, "measure", instructions, cycles
+            if cycles >= root:
+                if root < 0.0:
+                    # A transition is due at this record.
+                    core = cores[core_id]
+                    instructions = core.instructions_at(pos)
+                    if instructions >= core.state_threshold:
+                        records = core.fetched - len(core.gaps) + pos
+                        if not core.warmed:
+                            core.warmed = True
+                            core.cycle_offset = cycles
+                            core.warm_counts = (
+                                instructions,
+                                records,
+                                wt_hits,
+                                counts[core_id].copy(),
                             )
-                            if sample_interval:
-                                core.next_sample = (
-                                    instructions + sample_interval
+                            core.stats.recording = True
+                            core.state_threshold = core.warmup + core.quota
+                            if observer is not None:
+                                core.cycles = cycles
+                                core.instructions = instructions
+                                observer.on_phase(
+                                    core_id, "measure", instructions, cycles
                                 )
-                        if self._warming and all(c.warmed for c in cores):
-                            self._warming = False
-                            policy = getattr(hierarchy, "policy", None)
-                            if policy is not None:
-                                policy.end_warmup()
-                    elif not core.done:
-                        core.done = True
-                        _record_window(
-                            core,
-                            cycles,
-                            instructions,
-                            core.fetched - len(gaps) + pos,
-                            misses,
-                            wt_hits,
-                        )
-                        core.state_threshold = float("inf")
-                        core.next_sample = float("inf")
-                        remaining -= 1
-                        if observer is not None:
-                            core.cycles = cycles
-                            core.instructions = instructions
-                            observer.on_phase(
-                                core_id, "done", instructions, cycles
+                                if sample_interval:
+                                    core.next_sample = (
+                                        instructions + sample_interval
+                                    )
+                            if self._warming and all(c.warmed for c in cores):
+                                self._warming = False
+                                policy = getattr(hierarchy, "policy", None)
+                                if policy is not None:
+                                    policy.end_warmup()
+                        elif not core.done:
+                            core.done = True
+                            _record_window(
+                                core,
+                                cycles,
+                                instructions,
+                                records,
+                                wt_hits,
+                                counts[core_id],
                             )
-                elif instructions >= core.next_sample:
-                    core.cycles = cycles
-                    core.instructions = instructions
-                    observer.on_sample(core_id, instructions, cycles)
-                    next_sample = core.next_sample + sample_interval
-                    while next_sample <= instructions:  # a gap spanned >1
-                        next_sample += sample_interval
-                    core.next_sample = next_sample
-                # With no observer next_sample is inf, so this is the old
-                # state threshold and the compare sequence is unchanged.
-                state[5] = core.threshold = threshold = (
-                    core.state_threshold
-                    if core.state_threshold <= core.next_sample
-                    else core.next_sample
-                )
-                if not remaining:
-                    break
+                            core.state_threshold = inf
+                            core.next_sample = inf
+                            remaining -= 1
+                            if observer is not None:
+                                core.cycles = cycles
+                                core.instructions = instructions
+                                observer.on_phase(
+                                    core_id, "done", instructions, cycles
+                                )
+                    elif instructions >= core.next_sample:
+                        core.cycles = cycles
+                        core.instructions = instructions
+                        observer.on_sample(core_id, instructions, cycles)
+                        next_sample = core.next_sample + sample_interval
+                        while next_sample <= instructions:  # a gap spanned >1
+                            next_sample += sample_interval
+                        core.next_sample = next_sample
+                    core.threshold = (
+                        core.state_threshold
+                        if core.state_threshold <= core.next_sample
+                        else core.next_sample
+                    )
+                    steps = state[2] = core.cut(pos)
+                    root = heap[0] if heap else inf
+                    if not remaining:
+                        break
+                if cycles > root or (
+                    cycles == root and core_id > cycles_of.index(root)
+                ):
+                    cycles_of[core_id] = cycles
+                    state[0] = pos
+                    state[1] = wt_hits
+                    cycles = heapreplace(heap, cycles)
+                    core_id = cycles_of.index(cycles)
+                    state = states[core_id]
+                    (
+                        pos,
+                        wt_hits,
+                        steps,
+                        pcs,
+                        line_addrs,
+                        writes,
+                        mlp,
+                        l1_mru,
+                        l1_sets,
+                    ) = state
+                    root = heap[0]
 
-            # Same total order as ``(root < (cycles, core_id))`` (the
-            # root's id never equals ``core_id``: the running core is not
-            # in the heap), allocating the entry tuple only on a switch.
-            if cycles >= root_cycles and (cycles > root_cycles or core_id > root_id):
-                state[0] = cycles
-                state[1] = instructions
-                state[2] = pos
-                state[3] = misses
-                state[4] = wt_hits
-                heapreplace(heap, (cycles, core_id))
-                core_id = root_id
-                state = states[core_id]
-                (
-                    cycles,
-                    instructions,
-                    pos,
-                    misses,
-                    wt_hits,
-                    threshold,
-                    base_cpi,
-                    mlp,
-                    gaps,
-                    pcs,
-                    line_addrs,
-                    writes,
-                    core,
-                    l1_mru,
-                    l1_sets,
-                ) = state
-                root_cycles, root_id = heap[0]
-
-        state[0:5] = cycles, instructions, pos, misses, wt_hits
-        for c, st in zip(cores, states):
-            c.cycles = st[0]
-            c.instructions = st[1]
+        cycles_of[core_id] = cycles
+        state[0] = pos
+        for c, st, first in zip(cores, states, first_accesses):
+            c.cycles = cycles_of[c.core_id]
+            c.instructions = c.instructions_at(st[0])
+            misses = counts[c.core_id].l2_accesses - first
             l1 = l1s[c.core_id]
-            l1.misses += st[3]
-            l1.hits += c.fetched - len(st[8]) + st[2] - st[3]
+            l1.misses += misses
+            l1.hits += c.fetched - len(c.gaps) + st[0] - misses
         if observer is not None:
             observer.finish()
         if self._sanitizer is not None:
@@ -501,23 +581,26 @@ def _record_window(
     cycles: float,
     instructions: int,
     records: int,
-    misses: int,
     wt_hits: int,
+    counts: CoreCounts,
 ) -> None:
     """Freeze a core's recorded stats at its done transition.
 
     The recorded window runs from the record after the warm transition
     through the one that reached the quota; its counts are the
-    differences between the loop counters now and the snapshot taken at
-    the warm transition (all zero when there was no warmup).
+    differences between the loop's and the hierarchy's counters now and
+    the snapshot taken at the warm transition (all zero when there was
+    no warmup).
     """
-    warm_instructions, warm_records, warm_misses, warm_wt_hits = core.warm_counts
+    warm_instructions, warm_records, warm_wt_hits, warm_counts = core.warm_counts
     stats = core.stats
     stats.cycles = cycles - core.cycle_offset
     stats.instructions = instructions - warm_instructions
-    stats.l1_misses = misses - warm_misses
+    record_counts(stats, warm_counts, counts)
+    # Every L1 miss is one L2 access.
+    stats.l1_misses = stats.l2_accesses
     stats.l1_hits = records - warm_records - stats.l1_misses
-    # write_through bumps wt_writes itself while recording; add the
-    # store hits the loop retired without calling it.
+    # write_through counts the stores it sees; add the store hits the
+    # loop retired without calling it.
     stats.wt_writes += wt_hits - warm_wt_hits
     stats.recording = False

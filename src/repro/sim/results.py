@@ -1,14 +1,18 @@
 """Per-core and system-level simulation statistics.
 
-``CoreStats`` counts only events that occur before the core reaches its
-instruction quota (the paper freezes statistics at 10 B instructions while
-cores keep running so cache competition continues); the engine flips
-``recording`` off at the quota.
+A hierarchy counts every L2 outcome and event once, in one always-on
+:class:`CoreCounts` per core.  ``CoreStats`` holds only the events of a
+core's recorded window, from the end of its warmup to the record that
+reaches its instruction quota (the paper freezes statistics at 10 B
+instructions while cores keep running so cache competition continues):
+the engine snapshots the counters at the two transitions and writes the
+differences (:func:`record_counts`).  ``recording`` says whether the
+window is open; nothing on the access path reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.interconnect.bus import BusTraffic, LatencyModel
@@ -16,11 +20,7 @@ from repro.interconnect.bus import BusTraffic, LatencyModel
 
 @dataclass(slots=True)
 class CoreStats:
-    """Events attributed to one core, while its stats are live.
-
-    ``slots=True`` because the simulator increments these counters on every
-    access in the hot loop.
-    """
+    """Events attributed to one core over its recorded window."""
 
     core_id: int = 0
     recording: bool = True
@@ -100,6 +100,74 @@ class CoreStats:
             "remote": self.l2_remote_hits / n,
             "memory": self.l2_memory_fetches / n,
         }
+
+
+@dataclass(slots=True)
+class CoreCounts:
+    """One core's events in a hierarchy, counted once and always on.
+
+    The field names are :class:`CoreStats`' own.  ``slots=True`` because
+    the hierarchy bumps one of these on every L2 access.
+    """
+
+    l2_local_hits: int = 0
+    l2_remote_hits: int = 0
+    l2_memory_fetches: int = 0
+    spills_out: int = 0
+    spills_in: int = 0
+    swaps: int = 0
+    hits_on_spilled: int = 0
+    writebacks: int = 0
+    invalidations_sent: int = 0
+    prefetches_issued: int = 0
+    prefetches_useful: int = 0
+    #: Store hits that went through ``write_through``; the engine counts
+    #: the ones it retires itself.
+    wt_writes: int = 0
+    #: Copies this core's L2 lost to coherence invalidations: bus
+    #: traffic only, not a ``CoreStats`` field.
+    invalidations: int = 0
+
+    @property
+    def l2_accesses(self) -> int:
+        """Every access ends in exactly one of the three outcomes."""
+        return self.l2_local_hits + self.l2_remote_hits + self.l2_memory_fetches
+
+    def copy(self) -> "CoreCounts":
+        return replace(self)
+
+
+#: The ``CoreCounts`` fields a recorded window copies into ``CoreStats``.
+_WINDOWED = tuple(f.name for f in fields(CoreCounts) if f.name != "invalidations")
+
+
+def record_counts(stats: CoreStats, start: CoreCounts, end: CoreCounts) -> None:
+    """Set ``stats``' hierarchy-counted fields to ``end - start``."""
+    for name in _WINDOWED:
+        setattr(stats, name, getattr(end, name) - getattr(start, name))
+    stats.l2_accesses = end.l2_accesses - start.l2_accesses
+
+
+def bus_traffic(counts: list[CoreCounts], snooping: bool = True) -> BusTraffic:
+    """The whole run's bus messages, summed from per-core counters.
+
+    Every local miss broadcasts a snoop on the private hierarchy and
+    ends in a remote hit or a memory fetch, so snoops are their sum; a
+    shared LLC (``snooping=False``) broadcasts none.
+    """
+    remote = sum(c.l2_remote_hits for c in counts)
+    memory = sum(c.l2_memory_fetches for c in counts)
+    return BusTraffic(
+        local_hits=sum(c.l2_local_hits for c in counts),
+        remote_hits=remote,
+        memory_fetches=memory,
+        writebacks=sum(c.writebacks for c in counts),
+        spills=sum(c.spills_out for c in counts),
+        swaps=sum(c.swaps for c in counts),
+        invalidations=sum(c.invalidations for c in counts),
+        prefetch_fills=sum(c.prefetches_issued for c in counts),
+        snoop_broadcasts=remote + memory if snooping else 0,
+    )
 
 
 @dataclass

@@ -20,6 +20,16 @@ LLCPolicy`, and implements the complete access flow of the paper's system:
   the L2's :class:`~repro.cache.cache.Line`, so the engine can retire a
   store hit on a line already in M without calling :meth:`write_through`.
 
+Every outcome and event is counted once, in the always-on per-core
+:class:`~repro.sim.results.CoreCounts` of ``counts``: an access bumps
+one outcome counter, plus one more only for a hit on a prefetched or
+spilled line or for the spill, swap, writeback, invalidation or
+prefetch it causes.  L2 accesses are the sum of the three outcomes
+and snoops the sum of the two off-chip ones, so neither has a counter.
+The engine takes each core's :class:`~repro.sim.results.CoreStats`
+window as the difference of two snapshots, and :attr:`traffic` sums the
+same counters into a :class:`~repro.interconnect.bus.BusTraffic`.
+
 The directory's holder map is read directly on the miss path: after a
 local miss the requester is never a holder, so the holder set *is* the
 peer list, and a victim taken off the directory was the last copy
@@ -53,7 +63,7 @@ from repro.cpu.prefetch import StridePrefetcher
 from repro.interconnect.bus import BusTraffic
 from repro.policies.base import LLCPolicy
 from repro.sim.config import SystemConfig
-from repro.sim.results import CoreStats
+from repro.sim.results import CoreCounts, CoreStats, bus_traffic
 
 #: Access outcomes returned by ``access``.
 LOCAL, REMOTE, MEMORY = "local", "remote", "memory"
@@ -63,6 +73,10 @@ class MemoryHierarchy(abc.ABC):
     """What the engine needs from a memory system below the L1s."""
 
     l1s: list[L1Cache]
+    #: Each core's recorded window, written by the engine.
+    stats: list[CoreStats]
+    #: Each core's always-on event counters, bumped by the hierarchy.
+    counts: list[CoreCounts]
 
     #: Optional :class:`~repro.obs.observer.Observer` receiving typed
     #: events (spill/swap/...).  ``None`` keeps every emission site on
@@ -77,16 +91,25 @@ class MemoryHierarchy(abc.ABC):
     #: ``REPRO_SANITIZE=1`` / ``RunSpec.sanitize``).
     sanitizer = None
 
+    @property
+    def traffic(self) -> BusTraffic:
+        """The run's bus messages so far, summed from ``counts``."""
+        return bus_traffic(self.counts)
+
     @abc.abstractmethod
     def access(self, core_id: int, line_addr: int, is_write: bool, pc: int) -> float:
-        """Handle an L1-missing access; return its latency in cycles."""
+        """Handle an L1-missing access; return its latency in cycles.
+
+        Each call bumps exactly one of the core's three outcome counters,
+        so the engine reads its L1 misses off ``counts``.
+        """
 
     @abc.abstractmethod
     def write_through(self, core_id: int, line_addr: int) -> None:
         """Propagate an L1 store hit to the level below (write-through L1).
 
         The engine skips the call when the L1 entry's line is already
-        MODIFIED and only bumps ``wt_writes``, which is all this method
+        MODIFIED and counts the store itself, which is all this method
         would do for such a line.
         """
 
@@ -106,14 +129,15 @@ class PrivateHierarchy(MemoryHierarchy):
         ]
         self.l1s = [L1Cache(config.l1_geometry) for _ in range(config.num_cores)]
         self.stats = [CoreStats(core_id=i) for i in range(config.num_cores)]
-        self.traffic = BusTraffic()
+        self.counts = [CoreCounts() for _ in range(config.num_cores)]
         self.prefetchers: Optional[list[StridePrefetcher]] = None
         if config.prefetch is not None:
             self.prefetchers = [
                 StridePrefetcher(config.prefetch) for _ in range(config.num_cores)
             ]
-        self._accesses_since_tick = 0
         self._tick_interval = config.tick_interval
+        #: L2 accesses left until the policy's next tick.
+        self._until_tick = config.tick_interval
         self._lat = config.latencies
         # Hot-path constants and per-core bound methods: one list index
         # instead of two attribute chases plus a method bind per call.
@@ -163,36 +187,30 @@ class PrivateHierarchy(MemoryHierarchy):
     # ------------------------------------------------------------------ #
 
     def access(self, core_id: int, line_addr: int, is_write: bool, pc: int) -> float:
-        stats = self.stats[core_id]
+        counts = self.counts[core_id]
         set_idx = line_addr & self._set_mask
-        tick = self._policy_tick
-        if tick is not None:
-            ticks = self._accesses_since_tick + 1
-            if ticks >= self._tick_interval:
-                self._accesses_since_tick = 0
-                tick()
-            else:
-                self._accesses_since_tick = ticks
-        recording = stats.recording
-        if recording:
-            stats.l2_accesses += 1
+        # Chip-wide countdown to the policy's next tick; a scheme without
+        # one only restarts it.
+        ticks = self._until_tick - 1
+        if ticks:
+            self._until_tick = ticks
+        else:
+            self._until_tick = self._tick_interval
+            if self._policy_tick is not None:
+                self._policy_tick()
 
         line = self._l2_lookup[core_id](line_addr)
         if self.prefetchers is not None:
             self._run_prefetcher(core_id, pc, line_addr)
-        traffic = self.traffic
 
         if line is not None:
             if self._ssl_hit is not None:
                 self._ssl_hit[core_id](set_idx)
             elif self._policy_on_access is not None:
                 self._policy_on_access(core_id, set_idx, "local")
-            traffic.local_hits += 1
-            if recording:
-                stats.l2_local_hits += 1
+            counts.l2_local_hits += 1
             if line.prefetched:
-                if recording:
-                    stats.prefetches_useful += 1
+                counts.prefetches_useful += 1
                 line.prefetched = False
             if is_write and line.state is not Mesi.MODIFIED:
                 self._write_upgrade(core_id, line)
@@ -208,7 +226,6 @@ class PrivateHierarchy(MemoryHierarchy):
 
         # Local miss: snoop the chip (functional broadcast).  The
         # requester holds no copy, so every holder is a peer.
-        traffic.snoop_broadcasts += 1
         holders = self._holders.get(line_addr)
         if not holders:
             # Memory fetch.
@@ -216,9 +233,7 @@ class PrivateHierarchy(MemoryHierarchy):
                 self._ssl_miss[core_id](set_idx)
             elif self._policy_on_access is not None:
                 self._policy_on_access(core_id, set_idx, "miss")
-            traffic.memory_fetches += 1
-            if recording:
-                stats.l2_memory_fetches += 1
+            counts.l2_memory_fetches += 1
             self._allocate_local(
                 core_id,
                 line_addr,
@@ -232,10 +247,8 @@ class PrivateHierarchy(MemoryHierarchy):
             remote_line = self._l2_probe[holder](line_addr)
             if remote_line.spilled:
                 # Remote hit on a spilled line, the only on-chip copy.
-                traffic.remote_hits += 1
-                if recording:
-                    stats.l2_remote_hits += 1
-                    stats.hits_on_spilled += 1
+                counts.l2_remote_hits += 1
+                counts.hits_on_spilled += 1
                 ssl_miss = self._ssl_miss
                 if ssl_miss is not None:
                     ssl_miss = ssl_miss[core_id]
@@ -277,9 +290,7 @@ class PrivateHierarchy(MemoryHierarchy):
         line = self._l2_probe[core_id](line_addr)
         if line is None:  # pragma: no cover - inclusion guarantees presence
             raise AssertionError(f"inclusion violated for line {line_addr:#x}")
-        stats = self.stats[core_id]
-        if stats.recording:
-            stats.wt_writes += 1
+        self.counts[core_id].wt_writes += 1
         if line.state is not Mesi.MODIFIED:
             self._write_upgrade(core_id, line)
 
@@ -299,15 +310,13 @@ class PrivateHierarchy(MemoryHierarchy):
         remote write.  ``access`` resolves a spilled line's only copy
         itself.
         """
-        stats = self.stats[core_id]
-        self.traffic.remote_hits += 1
+        counts = self.counts[core_id]
+        counts.l2_remote_hits += 1
         holder = holders[0] if len(holders) == 1 else self.rng.choice(holders)
         remote_line = self.l2s[holder].probe(line_addr)
         assert remote_line is not None
-        if stats.recording:
-            stats.l2_remote_hits += 1
-            if remote_line.spilled:
-                stats.hits_on_spilled += 1
+        if remote_line.spilled:
+            counts.hits_on_spilled += 1
         if self._ssl_miss is not None:
             self._ssl_miss[core_id](set_idx)
             self._ssl_miss[core_id](set_idx)
@@ -332,7 +341,7 @@ class PrivateHierarchy(MemoryHierarchy):
                 if peer is not None and peer.state is Mesi.MODIFIED:
                     if san is not None:
                         san.on_transition(h, line_addr, peer.state, "remote_read")
-                    self._writeback(h)
+                    self.counts[h].writebacks += 1
                     peer.state = Mesi.SHARED
                 elif peer is not None and peer.state is Mesi.EXCLUSIVE:
                     if san is not None:
@@ -413,7 +422,7 @@ class PrivateHierarchy(MemoryHierarchy):
                             core_id, receiver, set_idx, victim, swap=False
                         )
                     elif victim.state is Mesi.MODIFIED:
-                        self._writeback(core_id)
+                        self.counts[core_id].writebacks += 1
         # After disposal: ASCC's ``select_receiver`` may have just flipped
         # the set into capacity mode.
         insertion = self._policy_insertion_position
@@ -473,7 +482,7 @@ class PrivateHierarchy(MemoryHierarchy):
                 san.after_back_invalidate(dst, r_addr)
             # No cascading spills: a displaced last copy goes to memory.
             if r_addr not in self._holders and r_victim.state is Mesi.MODIFIED:
-                self._writeback(dst)
+                self.counts[dst].writebacks += 1
         spill_position = self._policy_spill_position
         cache.install(
             victim.addr,
@@ -482,17 +491,12 @@ class PrivateHierarchy(MemoryHierarchy):
             True,  # shared_region
             position=0 if spill_position is None else spill_position(dst, set_idx),
         )
-        src_stats, dst_stats = self.stats[src], self.stats[dst]
+        counts = self.counts
         if swap:
-            self.traffic.swaps += 1
-            if src_stats.recording:
-                src_stats.swaps += 1
+            counts[src].swaps += 1
         else:
-            self.traffic.spills += 1
-            if src_stats.recording:
-                src_stats.spills_out += 1
-            if dst_stats.recording:
-                dst_stats.spills_in += 1
+            counts[src].spills_out += 1
+            counts[dst].spills_in += 1
             if self._policy_on_spill is not None:
                 self._policy_on_spill(src, dst, set_idx)
         observer = self.observer
@@ -521,8 +525,8 @@ class PrivateHierarchy(MemoryHierarchy):
         peers = [h for h in self._holders[line.addr] if h != core_id]
         for h in peers:
             self._invalidate_at(h, line.addr)
-        if peers and self.stats[core_id].recording:
-            self.stats[core_id].invalidations_sent += len(peers)
+        if peers:
+            self.counts[core_id].invalidations_sent += len(peers)
         line.state = Mesi.MODIFIED
 
     def _invalidate_at(self, holder: int, line_addr: int) -> None:
@@ -542,14 +546,9 @@ class PrivateHierarchy(MemoryHierarchy):
             if l1_mru[l1_idx] == line_addr:
                 l1_mru[l1_idx] = -1
             self.l1s[holder].back_invalidations += 1
-        self.traffic.invalidations += 1
+        self.counts[holder].invalidations += 1
         if san is not None:
             san.after_back_invalidate(holder, line_addr)
-
-    def _writeback(self, core_id: int) -> None:
-        self.traffic.writebacks += 1
-        if self.stats[core_id].recording:
-            self.stats[core_id].writebacks += 1
 
     # ------------------------------------------------------------------ #
     # Prefetch and maintenance
@@ -558,7 +557,7 @@ class PrivateHierarchy(MemoryHierarchy):
     def _run_prefetcher(self, core_id: int, pc: int, line_addr: int) -> None:
         assert self.prefetchers is not None
         cache = self.l2s[core_id]
-        stats = self.stats[core_id]
+        counts = self.counts[core_id]
         for target in self.prefetchers[core_id].observe(pc, line_addr):
             if target < 0 or cache.contains(target) or target in self._holders:
                 continue
@@ -571,15 +570,13 @@ class PrivateHierarchy(MemoryHierarchy):
                     san.on_line_removed(core_id, victim)
                     san.after_back_invalidate(core_id, victim.addr)
                 if victim.addr not in self._holders and victim.state is Mesi.MODIFIED:
-                    self._writeback(core_id)
+                    counts.writebacks += 1
             # Install near LRU so useless prefetches pollute minimally.
             pos = max(0, self._ways - 2)
             cache.install(target, Mesi.EXCLUSIVE, False, False, position=pos).prefetched = True
             if san is not None:
                 san.check_set(core_id, set_idx)
-            self.traffic.prefetch_fills += 1
-            if stats.recording:
-                stats.prefetches_issued += 1
+            counts.prefetches_issued += 1
 
     # ------------------------------------------------------------------ #
     # Invariant checks (used by tests)
@@ -638,33 +635,30 @@ class SharedHierarchy(MemoryHierarchy):
         self.llc = CacheArray(aggregate)
         self.l1s = [L1Cache(config.l1_geometry) for _ in range(config.num_cores)]
         self.stats = [CoreStats(core_id=i) for i in range(config.num_cores)]
-        self.traffic = BusTraffic()
+        self.counts = [CoreCounts() for _ in range(config.num_cores)]
         self._latency = config.latencies.shared_llc(config.num_cores)
 
+    @property
+    def traffic(self) -> BusTraffic:
+        """The run's bus messages so far; a shared LLC broadcasts no snoops."""
+        return bus_traffic(self.counts, snooping=False)
+
     def access(self, core_id: int, line_addr: int, is_write: bool, pc: int) -> float:
-        stats = self.stats[core_id]
-        if stats.recording:
-            stats.l2_accesses += 1
+        counts = self.counts[core_id]
         line = self.llc.lookup(line_addr)
         if line is not None:
             if is_write:
                 line.state = Mesi.MODIFIED
-            self.traffic.local_hits += 1
-            if stats.recording:
-                stats.l2_local_hits += 1
+            counts.l2_local_hits += 1
             self.l1s[core_id].allocate(line_addr, line)
             return self._latency
-        self.traffic.memory_fetches += 1
-        if stats.recording:
-            stats.l2_memory_fetches += 1
+        counts.l2_memory_fetches += 1
         victim = self.llc.take_victim(line_addr & self.llc.set_mask)
         if victim is not None:
             for l1 in self.l1s:
                 l1.invalidate(victim.addr)
             if victim.state is Mesi.MODIFIED:
-                self.traffic.writebacks += 1
-                if stats.recording:
-                    stats.writebacks += 1
+                counts.writebacks += 1
         state = Mesi.MODIFIED if is_write else Mesi.EXCLUSIVE
         line = self.llc.install(line_addr, state, False, False, position=0)
         self.l1s[core_id].allocate(line_addr, line)
@@ -674,5 +668,4 @@ class SharedHierarchy(MemoryHierarchy):
         line = self.llc.probe(line_addr)
         if line is not None:
             line.state = Mesi.MODIFIED
-        if self.stats[core_id].recording:
-            self.stats[core_id].wt_writes += 1
+        self.counts[core_id].wt_writes += 1

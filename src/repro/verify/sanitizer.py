@@ -29,7 +29,8 @@ a plain run.  Invariants checked:
   ``[0, 2*ways - 1]`` (and its fixed-point raw value in
   ``[0, max_raw]``).
 * **Spill conservation** — spills emitted equals spills received:
-  ``traffic.spills + traffic.swaps == spill fills observed``, and the
+  the per-core ``spills_out + swaps`` counters sum to the spill fills
+  observed, and the
   number of spilled-flagged resident lines equals fills minus removals.
 * **Directory sync and M/E exclusivity** — swept periodically and at end
   of run via the hierarchy's existing ``check_invariants``-style walk.
@@ -417,12 +418,11 @@ class InvariantChecker:
     def _check_conservation(self, resident_spilled: int) -> None:
         """Spills emitted == spills received (+ dropped since)."""
         self.checks += 1
-        traffic = self.hierarchy.traffic
-        emitted = traffic.spills + traffic.swaps
+        emitted = sum(c.spills_out + c.swaps for c in self.hierarchy.counts)
         if emitted != self.spill_fills:
             self._fail(
                 "spill-conservation",
-                f"traffic counted {emitted} spills+swaps but "
+                f"counters hold {emitted} spills+swaps but "
                 f"{self.spill_fills} spill fills were observed",
             )
         expected = self.spill_fills - self.spilled_removed

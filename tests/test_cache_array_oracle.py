@@ -98,7 +98,10 @@ class OracleArray:
         return line
 
 
-addresses = st.integers(min_value=0, max_value=31)
+#: Five lines per set against four ways, and op lists long enough that
+#: most sets fill: the victim paths (``fill`` into a full set,
+#: ``victim_candidate``, ``take_victim``) run in most examples.
+addresses = st.integers(min_value=0, max_value=SETS * (WAYS + 1) - 1)
 
 operations = st.one_of(
     st.tuples(st.just("lookup"), addresses, st.booleans()),
@@ -140,7 +143,7 @@ def oracle_stacks(oracle: OracleArray) -> list[list[tuple]]:
 
 @pytest.mark.parametrize("backend", sorted(CACHE_BACKENDS))
 @settings(max_examples=examples(200))
-@given(ops=st.lists(operations, max_size=60))
+@given(ops=st.lists(operations, min_size=20, max_size=80))
 def test_lockstep_with_reference_model(backend, ops):
     array, oracle = CACHE_BACKENDS[backend](GEOMETRY), OracleArray()
     for op in ops:
@@ -309,7 +312,7 @@ def full_state(array) -> list[list[tuple]]:
 
 
 @settings(max_examples=examples(300))
-@given(ops=st.lists(rich_operations, max_size=80))
+@given(ops=st.lists(rich_operations, min_size=20, max_size=80))
 def test_slot_and_dict_backends_lockstep(ops):
     """Identical op streams leave both backends in identical full state.
 

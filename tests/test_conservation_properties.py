@@ -5,15 +5,15 @@ Three layers of invariants, each at the level where it actually holds:
 * **Per-core L2 conservation** — every access a core makes is resolved
   exactly one way, so ``l2_local_hits + l2_remote_hits +
   l2_memory_fetches == l2_accesses`` for every core of every engine run.
-  This holds regardless of recording windows because all four counters
-  share the accessing core's recording flag.
+  This holds regardless of recording windows because all four are
+  differences over the same core's window.
 * **Global spill conservation** — each spill increments the source's
   ``spills_out`` and the destination's ``spills_in``, which are equal in
-  aggregate *only* when both cores record every spill.  Engine runs
-  freeze cores at different times (a finished core stops recording while
-  peers still spill at it), so the exact invariant is checked by driving
-  :class:`~repro.sim.system.PrivateHierarchy` directly with recording
-  always on, like the system fuzzer.
+  aggregate *only* over one window for all cores.  Engine runs close
+  cores' windows at different times (peers still spill at a finished
+  core), so the exact invariant is checked on the always-on per-core
+  counters of a :class:`~repro.sim.system.PrivateHierarchy` driven
+  directly, like the system fuzzer.
 * **Recording freeze** — statistics stop at the quota (within one trace
   record) even though cores keep running to compete for cache space.
 
@@ -81,7 +81,7 @@ def test_per_core_l2_conservation(scheme, seed, warmup):
 
 
 # --------------------------------------------------------------------- #
-# Hierarchy-level: global spill/swap conservation, recording always on
+# Hierarchy-level: global spill/swap conservation on the always-on counters
 # --------------------------------------------------------------------- #
 
 
@@ -99,10 +99,10 @@ def test_global_spill_conservation(scheme, accesses):
     h = PrivateHierarchy(cfg, make_policy(scheme))
     for core, line, is_write in accesses:
         h.access(core, line, is_write, pc=0)
-    spills_out = sum(s.spills_out for s in h.stats)
-    spills_in = sum(s.spills_in for s in h.stats)
+    spills_out = sum(c.spills_out for c in h.counts)
+    spills_in = sum(c.spills_in for c in h.counts)
     assert spills_out == spills_in == h.traffic.spills
-    assert sum(s.swaps for s in h.stats) == h.traffic.swaps
+    assert sum(c.swaps for c in h.counts) == h.traffic.swaps
     h.check_invariants()
 
 

@@ -125,7 +125,7 @@ def test_remote_read_downgrades_exclusive_owner(sanitize):
 
     lat = h.access(0, 0x100, False, 0)  # core 0 reads: remote hit
     assert lat == h.config.latencies.l2_remote_hit
-    assert h.stats[0].l2_remote_hits == 1
+    assert h.counts[0].l2_remote_hits == 1
     # E is clean: the downgrade must not charge a writeback.
     assert h.traffic.writebacks == 0
     assert h.l2s[1].probe(0x100).state is Mesi.SHARED

@@ -32,7 +32,7 @@ def test_hit_and_miss_latencies():
     hit = h.access(1, 0, False, 0)  # any core hits the shared cache
     assert miss == h._latency + h.config.latencies.memory
     assert hit == h._latency
-    assert h.stats[1].l2_local_hits == 1
+    assert h.counts[1].l2_local_hits == 1
 
 
 def test_writeback_on_dirty_eviction():

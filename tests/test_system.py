@@ -27,8 +27,8 @@ def test_memory_fetch_then_local_hit():
     assert lat1 == h.config.latencies.l2_remote_hit + h.config.latencies.memory
     lat2 = h.access(0, 0x100, False, 0)
     assert lat2 == h.config.latencies.l2_local_hit
-    assert h.stats[0].l2_memory_fetches == 1
-    assert h.stats[0].l2_local_hits == 1
+    assert h.counts[0].l2_memory_fetches == 1
+    assert h.counts[0].l2_local_hits == 1
 
 
 def test_l1_allocated_on_local_paths():
@@ -66,7 +66,7 @@ def test_genuine_shared_read_downgrades_to_s():
     h.access(1, 5, False, 0)  # remote hit on a non-spilled line
     assert h.l2s[0].probe(5).state is Mesi.SHARED
     assert h.l2s[1].probe(5).state is Mesi.SHARED
-    assert h.stats[1].l2_remote_hits == 1
+    assert h.counts[1].l2_remote_hits == 1
     h.check_invariants()
 
 
@@ -86,7 +86,7 @@ def test_write_through_upgrades():
     assert h.l1s[0].contains(5)
     h.write_through(0, 5)
     assert h.l2s[0].probe(5).state is Mesi.MODIFIED
-    assert h.stats[0].wt_writes == 1
+    assert h.counts[0].wt_writes == 1
 
 
 def test_modified_remote_read_writes_back():
@@ -123,7 +123,7 @@ def test_spilled_line_swaps_home_on_reuse():
     assert h.l2s[0].contains(target)
     # ... and the displaced local victim swapped into the freed slot.
     assert h.traffic.swaps >= 1
-    assert h.stats[0].hits_on_spilled == 1
+    assert h.counts[0].hits_on_spilled == 1
     h.check_invariants()
 
 
@@ -171,7 +171,7 @@ def test_prefetcher_fills_near_lru():
     for i in range(6):
         h.access(0, i, False, pc=77)  # stride-1 misses train the table
     assert h.traffic.prefetch_fills > 0
-    assert h.stats[0].prefetches_issued > 0
+    assert h.counts[0].prefetches_issued > 0
 
 
 def test_tick_fires_policy():

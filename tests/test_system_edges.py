@@ -80,8 +80,10 @@ def test_snoop_counted_on_every_local_miss():
 
 
 def test_stats_not_recorded_when_frozen():
+    # The hierarchy never writes CoreStats: it counts every access in
+    # always-on counters, and the engine takes the recorded window.
     h = make_hierarchy()
-    h.stats[0].recording = False
     h.access(0, 0, False, 0)
     assert h.stats[0].l2_accesses == 0
-    assert h.traffic.memory_fetches == 1  # traffic is always counted
+    assert h.counts[0].l2_accesses == h.counts[0].l2_memory_fetches == 1
+    assert h.traffic.memory_fetches == 1
